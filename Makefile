@@ -6,15 +6,14 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 GO_LDFLAGS := -ldflags '-X vcsched/internal/version.Version=$(VERSION)'
 
-.PHONY: check build vet test race learn bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo slo-short slo-gate chaos
+.PHONY: check build vet test race bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo slo-short slo-gate chaos
 
 # check is the tier-1 gate (see ROADMAP.md): vet, build, the full test
-# suite under the race detector, the fault-injection and
-# conflict-learning suites, the scheduling-service and sharded-fleet
-# smoke runs, and the chaos suite (which replays the SLO scenario
-# suite, chaos scenarios included, and gates it). Everything must be
-# green before a change lands.
-check: vet build race faults learn service-smoke fleet-smoke chaos
+# suite under the race detector, the fault-injection suite, the
+# scheduling-service and sharded-fleet smoke runs, and the chaos suite
+# (which replays the SLO scenario suite, chaos scenarios included, and
+# gates it). Everything must be green before a change lands.
+check: vet build race faults service-smoke fleet-smoke chaos
 
 build:
 	$(GO) build $(GO_LDFLAGS) ./...
@@ -28,17 +27,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# learn is the conflict-learning gate: the nogood store unit suite,
-# the observe-mode byte-identity and portfolio-sharing tests and the
-# nogood replay oracle — all under the race detector — then a short
-# differential fuzz batch with the nogood cross-check armed (learn-on
-# vs learn-off identity plus unsatisfiability replay of every learned
-# nogood; violations shrink to .sb reproducers like any other kind).
-learn:
-	$(GO) test -race ./internal/nogood
-	$(GO) test -race -run 'Learn|Nogood' ./internal/core ./internal/difftest
-	$(GO) run ./cmd/vcfuzz -budget 40 -seed 7 -nogood -out results/repros
-
 # bench runs the deduction-engine microbenchmarks (Shave, single
 # probe, end-to-end block schedule) 5 times, records the averaged
 # numbers in BENCH_deduce.json (EXPERIMENTS.md tracks before/after),
@@ -49,13 +37,13 @@ learn:
 # After an intentional improvement, refresh the baseline with
 # `cp BENCH_deduce.json BENCH_baseline.json` and commit it.
 bench:
-	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock|BenchmarkScheduleLearn' \
+	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock' \
 		-benchmem -count=5 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > BENCH_deduce.json
 	cat BENCH_deduce.json
 	$(MAKE) bench-gate
 
 bench-short:
-	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock|BenchmarkScheduleLearn' \
+	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock' \
 		-benchmem -count=1 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > BENCH_deduce.json
 	cat BENCH_deduce.json
 	$(MAKE) bench-gate

@@ -28,7 +28,7 @@ type result struct {
 	NsOp     float64 `json:"ns_op"`     // mean over runs
 	BOp      float64 `json:"b_op"`      // mean over runs; -1 when not reported
 	AllocsOp float64 `json:"allocs_op"` // mean over runs; -1 when not reported
-	// Extra holds custom b.ReportMetric units (e.g. nogoods/op), keyed
+	// Extra holds custom b.ReportMetric units (e.g. probes/op), keyed
 	// by unit with the "/op" suffix stripped, each a mean over runs.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
@@ -126,7 +126,7 @@ func main() {
 // including custom b.ReportMetric units, which the testing package
 // prints between ns/op and the -benchmem pair:
 //
-//	BenchmarkScheduleLearn/on-8   2120   575565 ns/op   9.00 nogoods/op   81811 B/op   2669 allocs/op
+//	BenchmarkScheduleBlock/099.go-8   2120   575565 ns/op   9.00 probes/op   81811 B/op   2669 allocs/op
 //
 // Everything after the iteration count is scanned as value/unit pairs;
 // unknown "<x>/op" units land in extra keyed without the suffix. The

@@ -37,7 +37,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "portfolio width for the serial-vs-parallel check (0 = default 4, <0 disables)")
 	oracleLim := flag.Int("oracle", 0, "largest block cross-checked against the exhaustive oracle (0 = default 8, <0 disables)")
 	pinSeed := flag.Int64("pinseed", 0, "live-in/live-out pin seed")
-	nogoodChk := flag.Bool("nogood", false, "also cross-check conflict learning (learn on/off identity + nogood replay)")
 	out := flag.String("out", "results/repros", "directory for shrunken reproducer .sb files (empty = don't write)")
 	maxViol := flag.Int("maxviolations", 0, "stop after this many violating blocks (0 = run the full budget)")
 	replay := flag.String("replay", "", "replay one reproducer file instead of fuzzing")
@@ -77,7 +76,6 @@ func main() {
 		PinSeed:       *pinSeed,
 		MaxSteps:      *steps,
 		Parallelism:   *parallel,
-		Nogood:        *nogoodChk,
 		OracleLimit:   *oracleLim,
 		ReproDir:      *out,
 		MaxViolations: *maxViol,

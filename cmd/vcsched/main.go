@@ -38,7 +38,6 @@ func main() {
 	dot := flag.Bool("dot", false, "emit Graphviz DOT for each block's dependence and scheduling graphs instead of scheduling")
 	save := flag.String("save", "", "append the VC schedules in .sched form to this file")
 	seed := flag.Int64("seed", 1, "live-in/live-out pin seed")
-	learn := flag.String("learn", core.LearnOn, "conflict learning: on (observe, deterministic default), off (escape hatch), aggressive (nogood hits skip probes; schedules may differ)")
 	resil := flag.Bool("resilient", false, "run the VC side through the degradation ladder (SG → retry → CARS → naive); every block ends with a valid schedule")
 	report := flag.Bool("report", false, "with -resilient, print the per-block outcome record (tier, retries, error chain per attempt)")
 	showVersion := flag.Bool("version", false, "print the version and exit")
@@ -47,10 +46,10 @@ func main() {
 		fmt.Println("vcsched", version.String())
 		return
 	}
-	switch *learn {
-	case core.LearnOn, core.LearnOff, core.LearnAggressive:
+	switch *algo {
+	case "vc", "cars", "both":
 	default:
-		fatal(fmt.Errorf("unknown -learn mode %q (want on, off or aggressive)", *learn))
+		fatal(fmt.Errorf("unknown -algo %q (want vc, cars or both)", *algo))
 	}
 
 	m, err := pickMachine(*machName)
@@ -111,9 +110,9 @@ func main() {
 		if *algo == "vc" || *algo == "both" {
 			var err error
 			if *resil {
-				err = runResilient(sb, m, pins, *timeout, *parallel, *learn, *showSched, *report, saveTo)
+				err = runResilient(sb, m, pins, *timeout, *parallel, *showSched, *report, saveTo)
 			} else {
-				err = runVC(sb, m, pins, *timeout, *parallel, *learn, *showSched, saveTo)
+				err = runVC(sb, m, pins, *timeout, *parallel, *showSched, saveTo)
 			}
 			outcomes = append(outcomes, err)
 		}
@@ -178,9 +177,9 @@ func (b *batch) verdict() (allHard bool, taxonomies []string) {
 	return true, taxonomies
 }
 
-func runVC(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, learn string, show bool, saveTo io.Writer) error {
+func runVC(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, show bool, saveTo io.Writer) error {
 	start := time.Now()
-	s, stats, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel, Learn: learn})
+	s, stats, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel})
 	el := time.Since(start).Round(time.Microsecond)
 	if err != nil {
 		fmt.Printf("  VC:   failed after %v: %v (%d attempts, %d cancelled)\n",
@@ -192,10 +191,6 @@ func runVC(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.D
 	if parallel > 1 {
 		fmt.Printf("        portfolio: %d attempts launched, %d cancelled, %d deduction steps\n",
 			stats.AttemptsLaunched, stats.AttemptsCancelled, stats.StepsSpent)
-	}
-	if ln := stats.Learn; learn != core.LearnOff && ln.Probes > 0 {
-		fmt.Printf("        learn: %d nogoods, %d propagated, %d/%d probes refuted, %d hits, %d steps saved\n",
-			ln.Nogoods, ln.Propagated, ln.Refuted, ln.Probes, ln.Hits, ln.SavedSteps)
 	}
 	fmt.Printf("        exits %s\n", sched.FormatExitCycles(s.ExitCycles()))
 	if show {
@@ -209,9 +204,9 @@ func runVC(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.D
 	return nil
 }
 
-func runResilient(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, learn string, show, report bool, saveTo io.Writer) error {
+func runResilient(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, show, report bool, saveTo io.Writer) error {
 	s, out, err := resilient.Schedule(sb, m, resilient.Options{
-		Core: core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel, Learn: learn},
+		Core: core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel},
 	})
 	if err != nil {
 		fmt.Printf("  VC:   every tier failed after %v: %v\n", out.Elapsed.Round(time.Microsecond), err)

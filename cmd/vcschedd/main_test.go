@@ -463,8 +463,7 @@ func TestStatszDeterministicBytes(t *testing.T) {
 	if st.Requests < 1 || st.Scheduled < 1 {
 		t.Fatalf("statsz counters did not move: %+v", st)
 	}
-	order := []string{`"version"`, `"workers"`, `"queue_depth"`, `"requests"`, `"cache_hits"`, `"tier_sg"`,
-		`"nogoods"`, `"nogood_propagated"`, `"nogood_probes"`, `"nogood_refuted"`, `"nogood_hits"`}
+	order := []string{`"version"`, `"workers"`, `"queue_depth"`, `"requests"`, `"cache_hits"`, `"tier_sg"`}
 	last := -1
 	for _, key := range order {
 		i := strings.Index(a, key)

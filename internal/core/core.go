@@ -37,7 +37,6 @@ import (
 	"vcsched/internal/deduce"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
-	"vcsched/internal/nogood"
 	"vcsched/internal/sched"
 	"vcsched/internal/sg"
 )
@@ -101,18 +100,6 @@ type Options struct {
 	// outedge-elimination stage, falling back to one VC pair at a time
 	// (an ablation of the paper's global-view argument in §4.4.1.2).
 	NoStage3Matching bool
-	// Learn selects the conflict-driven nogood learning mode: LearnOn
-	// (the default — learn and predict on every probe without changing
-	// the search; byte-identical to LearnOff), LearnOff (no learning
-	// layer at all) or LearnAggressive (predictions prune probes,
-	// activity orders candidates, Luby restarts; not byte-identical).
-	// Unknown values normalize to LearnOn. See learn.go.
-	Learn string
-	// LearnSink, when non-nil, receives every stable nogood the serial
-	// driver journals, with the deadline vector it was learned under
-	// (the difftest replay-verifier's feed). Ignored with
-	// Parallelism > 1 — the drain order would be timing-dependent.
-	LearnSink func(deadlines map[int]int, ln nogood.Learned)
 	// Trace, when non-nil, receives search progress lines (AWCT
 	// attempts, stage failures) for debugging. With Parallelism > 1 it
 	// is called concurrently from the portfolio workers and must be
@@ -162,11 +149,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout < 0 {
 		o.Timeout = 0
-	}
-	switch o.Learn {
-	case LearnOff, LearnAggressive:
-	default:
-		o.Learn = LearnOn
 	}
 	return o
 }
@@ -228,12 +210,11 @@ type Stats struct {
 	AttemptsCancelled int
 	Attempts          []Attempt
 
-	// Learn reports the conflict-learning layer's work (zero with
-	// Options.Learn == LearnOff). In the default observational mode the
-	// counters never influence the schedule, so — like
-	// AttemptsCancelled — they may differ between serial and parallel
-	// runs while the schedule stays byte-identical.
-	Learn LearnStats
+	// Learn is always zero. It held the counters of a conflict-learning
+	// layer that has been removed (DESIGN.md §15) and stays only so
+	// readers of those counters, such as perfbench's nogood.* rows,
+	// keep compiling and report the layer as unused.
+	Learn struct{ Probes, Refuted, Hits int }
 }
 
 type scheduler struct {
@@ -254,21 +235,6 @@ type scheduler struct {
 	// attempt), so one arena amortizes all their allocations; portfolio
 	// workers get private arenas (runAttempt).
 	arena *deduce.Arena
-
-	// Conflict-driven learning (learn.go). learn is the scheduler's
-	// nogood store (nil with LearnOff); lrun is the run of the attempt
-	// currently executing; lstats is the scheduler-side probe
-	// accounting; conflicts feeds the Luby restart schedule; shavePred
-	// carries a boundary-probe prediction from FixProbe to FixResult;
-	// sinkMark is the journal position the LearnSink has drained to.
-	// Portfolio workers get private stores seeded from the driver's
-	// (runAttempt).
-	learn     *nogood.Store
-	lrun      *nogood.Run
-	lstats    LearnStats
-	conflicts int
-	shavePred bool
-	sinkMark  int
 }
 
 // Schedule runs the full algorithm on one superblock. On ErrTimeout or
@@ -284,7 +250,6 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	}
 	start := time.Now()
 	s := newScheduler(sb, m, opts)
-	defer func() { stats.Learn = s.learnStats() }()
 	if opts.Timeout > 0 {
 		s.deadline = start.Add(opts.Timeout)
 		// The deadline must also interrupt long propagation runs deep
@@ -329,7 +294,6 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 			s.variant = opts.VariantOffset + v
 			before := s.stepsSpent()
 			schedule, err := s.safeAttempt(vector)
-			s.drainLearnSink(s.deadlinesOf(vector))
 			stats.AttemptsLaunched++
 			rec := Attempt{AWCTIndex: stats.AWCTTried - 1, Variant: v, Steps: s.stepsSpent() - before}
 			if s.opts.Trace != nil {
@@ -401,9 +365,6 @@ func newScheduler(sb *ir.Superblock, m *machine.Config, opts Options) *scheduler
 	}
 	if opts.MaxSteps > 0 {
 		s.budget = deduce.NewBudget(opts.MaxSteps)
-	}
-	if opts.Learn != LearnOff {
-		s.learn = nogood.NewStore(nogood.DefaultCaps())
 	}
 	return s
 }
@@ -544,13 +505,7 @@ func (s *scheduler) probe(deadlines map[int]int) error {
 }
 
 func (s *scheduler) stateOpts(pinExits bool) deduce.Options {
-	o := deduce.Options{Pins: s.opts.Pins, Budget: s.budget, PinExits: pinExits, Arena: s.arena}
-	if s.learn != nil {
-		// The scheduler observes Shave's boundary probes (learn.go);
-		// outside an attempt (s.lrun == nil) the observer is inert.
-		o.Observer = s
-	}
-	return o
+	return deduce.Options{Pins: s.opts.Pins, Budget: s.budget, PinExits: pinExits, Arena: s.arena}
 }
 
 // bumpCandidates returns the exits that can move one cycle without
@@ -696,8 +651,6 @@ func (s *scheduler) safeAttempt(vector []int) (schedule *sched.Schedule, err err
 func (s *scheduler) attempt(vector []int) (*sched.Schedule, error) {
 	s.curStage = "setup"
 	deadlines := s.deadlinesOf(vector)
-	s.beginLearn(vector)
-	defer s.endLearn()
 	st, err := deduce.NewState(s.sb, s.m, s.g, deadlines, s.stateOpts(true))
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vcsched/internal/deduce"
-	"vcsched/internal/nogood"
 	"vcsched/internal/sched"
 )
 
@@ -56,11 +55,6 @@ type pfJob struct {
 	variant int
 	vector  []int
 	cancel  chan struct{}
-	// seed is the driver store's journal at dispatch time: the nogoods
-	// the worker's private store starts from. It aliases the driver
-	// journal, which is append-only and only extended by the dispatch
-	// goroutine, so the captured prefix is immutable.
-	seed []nogood.Learned
 }
 
 // pfResult is what a worker reports back.
@@ -70,13 +64,6 @@ type pfResult struct {
 	schedule *sched.Schedule
 	err      error
 	steps    int
-	// learned is what the worker's store journaled beyond its seed;
-	// the driver merges these batches back in serial (seq, variant)
-	// order — the deterministic commit points — so the merged store
-	// contents never depend on worker timing. lstats is the worker's
-	// probe accounting (commutative sums, merged on arrival).
-	learned []nogood.Learned
-	lstats  LearnStats
 }
 
 // pfSlot is the driver-side resolution state of one (seq, variant).
@@ -118,27 +105,10 @@ func (s *scheduler) runAttempt(jb pfJob) pfResult {
 		w.budget.SetDeadline(s.deadline)
 	}
 	w.budget.SetCancel(jb.cancel)
-	// A private learning store seeded from the driver journal: stores
-	// are goroutine-confined, sharing goes through the journal.
-	var seedBase nogood.Counters
-	var seedMark int
-	if s.learn != nil {
-		w.learn = nogood.NewStore(nogood.DefaultCaps())
-		w.learn.Import(jb.seed)
-		seedBase = w.learn.Counters()
-		seedMark = w.learn.JournalLen()
-		w.lstats = LearnStats{}
-		w.conflicts = 0
-	}
 	// safeAttempt, not attempt: an unrecovered panic here would unwind a
 	// worker goroutine and kill the process.
 	schedule, err := w.safeAttempt(jb.vector)
-	res := pfResult{seq: jb.seq, variant: jb.variant, schedule: schedule, err: err, steps: w.stepsSpent()}
-	if w.learn != nil {
-		res.learned = w.learn.Export(seedMark)
-		res.lstats = foldCounters(w.lstats, w.learn.Counters(), seedBase)
-	}
-	return res
+	return pfResult{seq: jb.seq, variant: jb.variant, schedule: schedule, err: err, steps: w.stepsSpent()}
 }
 
 // schedulePortfolio is the parallel counterpart of the serial loop in
@@ -257,37 +227,6 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 			}
 		}
 	}
-	// Commit-ordered learning merge: worker nogood batches are imported
-	// into the driver store strictly in serial (seq, variant) order, as
-	// the resolved prefix advances. Import is idempotent and dedups, so
-	// the driver store after position p is a pure function of the
-	// attempts up to p — independent of worker timing. (Which seed a
-	// later worker happened to receive IS timing-dependent; in the
-	// default observational mode that can only shift counters, never
-	// outcomes, the same way AttemptsCancelled shifts.)
-	// Worker probe accounting accumulates in a local (folded into
-	// s.lstats only after the pool drains): workers copy *s, so the
-	// driver must not mutate scheduler fields while any worker runs.
-	var plstats LearnStats
-	mergeSeq, mergeVar := 0, 0
-	mergeLearned := func() {
-		if s.learn == nil {
-			return
-		}
-		for {
-			r, ok := resolved[[2]int{mergeSeq, mergeVar}]
-			if !ok {
-				return
-			}
-			if len(r.learned) > 0 {
-				s.learn.Import(r.learned)
-			}
-			mergeVar++
-			if mergeVar >= retries {
-				mergeSeq, mergeVar = mergeSeq+1, 0
-			}
-		}
-	}
 	cancelAfter := func(seq, variant int) {
 		for key, ch := range running {
 			if pfBefore(seq, variant, key[0], key[1]) {
@@ -336,8 +275,6 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 		}
 		stats.Attempts = append(stats.Attempts, rec)
 		stats.StepsSpent += r.steps
-		plstats.add(r.lstats)
-		mergeLearned()
 		if s.opts.Trace != nil {
 			s.opts.Trace("portfolio result seq=%d variant=%d outcome=%v err=%v", r.seq, r.variant, rec.Outcome, r.err)
 		}
@@ -370,9 +307,6 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 		if canDispatch {
 			ch := make(chan struct{})
 			next = pfJob{seq: nextSeq, variant: nextVariant, vector: vectors[nextSeq], cancel: ch}
-			if s.learn != nil {
-				next.seed = s.learn.Export(0)
-			}
 			jobsCh = jobs
 		}
 		if jobsCh == nil && outstanding == 0 {
@@ -410,7 +344,6 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 		handle(<-results)
 	}
 	wg.Wait()
-	s.lstats.add(plstats)
 
 	sort.Slice(stats.Attempts, func(i, j int) bool {
 		a, b := stats.Attempts[i], stats.Attempts[j]

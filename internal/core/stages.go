@@ -6,7 +6,6 @@ import (
 
 	"vcsched/internal/deduce"
 	"vcsched/internal/matching"
-	"vcsched/internal/nogood"
 )
 
 // candidate is one studied alternative: a decision closure run against
@@ -20,12 +19,6 @@ type candidate struct {
 	// fallback candidates (e.g. dropping a pair outright) are only
 	// selected when every regular candidate contradicts.
 	fallback bool
-	// dec is the candidate's decision atom for the learning layer
-	// (learn.go): consulted for unit predictions before the probe,
-	// learned from on refutation, assigned to the decision log on
-	// commit. hasDec guards it (the zero Decision is not an atom).
-	dec    nogood.Decision
-	hasDec bool
 }
 
 // study probes every candidate against st (each probe rolled back in
@@ -36,40 +29,11 @@ type candidate struct {
 // budget accounting is unchanged. It returns errNoCandidates when every
 // alternative contradicts.
 func (s *scheduler) study(st *deduce.State, cands []candidate) error {
-	if s.lrun != nil && s.opts.Learn == LearnAggressive {
-		// Most-active decisions first: tie-breaks between equally good
-		// survivors then favour decisions implicated in recent conflicts.
-		sort.SliceStable(cands, func(i, j int) bool {
-			var ai, aj float64
-			if cands[i].hasDec {
-				ai = s.learn.Activity(cands[i].dec)
-			}
-			if cands[j].hasDec {
-				aj = s.learn.Activity(cands[j].dec)
-			}
-			return ai > aj
-		})
-	}
 	best, bestFB := -1, -1
 	var bestM, bestFBM deduce.Metrics
 	for i := range cands {
-		pred := cands[i].hasDec && s.hit(cands[i].dec)
-		if pred && s.opts.Learn == LearnAggressive {
-			// A stored nogood predicts the refutation: take it on faith
-			// and skip the probe entirely.
-			s.lstats.Probes++
-			s.lstats.Refuted++
-			s.lstats.Hits++
-			if cands[i].onContra != nil {
-				if err := cands[i].onContra(); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		var m deduce.Metrics
 		var mErr error
-		before := s.budget.Used()
 		err := st.Probe(func(x *deduce.State) error {
 			if err := cands[i].apply(x); err != nil {
 				return err
@@ -81,23 +45,12 @@ func (s *scheduler) study(st *deduce.State, cands []candidate) error {
 			if !deduce.IsContradiction(err) {
 				return err
 			}
-			if cands[i].hasDec {
-				if lerr := s.noteProbe(cands[i].dec, pred, true, s.budget.Used()-before); lerr != nil {
-					return lerr
-				}
-			}
 			if cands[i].onContra != nil {
 				if err := cands[i].onContra(); err != nil {
 					return err
 				}
 			}
 			continue
-		}
-		if cands[i].hasDec {
-			// Never errors on a survived probe; verifies the prediction.
-			if lerr := s.noteProbe(cands[i].dec, pred, false, 0); lerr != nil {
-				return lerr
-			}
 		}
 		if mErr != nil {
 			return mErr
@@ -116,13 +69,7 @@ func (s *scheduler) study(st *deduce.State, cands []candidate) error {
 	if best < 0 {
 		return errNoCandidates
 	}
-	if err := cands[best].apply(st); err != nil {
-		return err
-	}
-	if cands[best].hasDec {
-		s.assign(cands[best].dec)
-	}
-	return nil
+	return cands[best].apply(st)
 }
 
 var errNoCandidates = fmt.Errorf("%w: every candidate contradicts", deduce.ErrContradiction)
@@ -159,26 +106,14 @@ func (s *scheduler) stageCombinations(st *deduce.State) error {
 			for _, comb := range combs {
 				comb := comb
 				cands = append(cands, candidate{
-					apply: func(x *deduce.State) error { return x.ChooseComb(u, v, comb) },
-					onContra: func() error {
-						if err := st.DiscardComb(u, v, comb); err != nil {
-							return err
-						}
-						// The discard is now part of the committed state:
-						// log it so later nogoods can depend on it.
-						s.assign(nogood.DiscardComb(u, v, comb))
-						return nil
-					},
+					apply:    func(x *deduce.State) error { return x.ChooseComb(u, v, comb) },
+					onContra: func() error { return st.DiscardComb(u, v, comb) },
 					fallback: conservative,
-					dec:      nogood.ChooseComb(u, v, comb),
-					hasDec:   true,
 				})
 			}
 			cands = append(cands, candidate{
 				apply:    func(x *deduce.State) error { return x.DropPair(u, v) },
 				fallback: !conservative,
-				dec:      nogood.DropPair(u, v),
-				hasDec:   true,
 			})
 		}
 		if err := s.study(st, cands); err != nil {
@@ -222,26 +157,15 @@ func (s *scheduler) fixNodes(st *deduce.State, list func() []int) error {
 			cands = append(cands, candidate{
 				apply: func(x *deduce.State) error { return x.FixCycle(node, t) },
 				onContra: func() error {
-					// Boundary contradictions tighten the live window; the
-					// tightening is committed state, so it is logged.
+					// Boundary contradictions tighten the live window.
 					if t == st.Est(node) {
-						if err := st.TightenEst(node, t+1); err != nil {
-							return err
-						}
-						s.assign(nogood.TightenEst(node, t+1))
-						return nil
+						return st.TightenEst(node, t+1)
 					}
 					if t == st.Lst(node) {
-						if err := st.TightenLst(node, t-1); err != nil {
-							return err
-						}
-						s.assign(nogood.TightenLst(node, t-1))
-						return nil
+						return st.TightenLst(node, t-1)
 					}
 					return nil
 				},
-				dec:    nogood.FixCycle(node, t),
-				hasDec: true,
 			})
 		}
 		if err := s.study(st, cands); err != nil {
@@ -343,16 +267,10 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 			match = matching.MaxWeight(len(order), edges)
 		}
 		if len(match) > 0 {
-			// The joint fusion is a compound move, not a single decision
-			// atom — no prediction or learning for the probe itself; on
-			// commit each constituent fusion is logged.
 			err := st.Probe(func(x *deduce.State) error { return fuseAll(x, match, order) })
 			if err == nil {
 				if err := fuseAll(st, match, order); err != nil {
 					return err
-				}
-				for _, e := range match {
-					s.assign(nogood.FuseVC(order[e.U], order[e.V]))
 				}
 				continue
 			}
@@ -372,43 +290,21 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 			return all[i].b < all[j].b
 		})
 		e := all[0]
-		dFuse := nogood.FuseVC(e.a, e.b)
-		pred := s.hit(dFuse)
-		if pred && s.opts.Learn == LearnAggressive {
-			// Predicted refutation: split without probing the fusion.
-			s.lstats.Probes++
-			s.lstats.Refuted++
-			s.lstats.Hits++
-			if err := st.SplitVC(e.a, e.b); err != nil {
-				return err
-			}
-			s.assign(nogood.SplitVC(e.a, e.b))
-			continue
-		}
-		before := s.budget.Used()
 		err = st.Probe(func(x *deduce.State) error { return x.FuseVC(e.a, e.b) })
 		if err == nil {
-			if lerr := s.noteProbe(dFuse, pred, false, 0); lerr != nil {
-				return lerr
-			}
 			if err := st.FuseVC(e.a, e.b); err != nil {
 				return err
 			}
-			s.assign(dFuse)
 			continue
 		}
 		if !deduce.IsContradiction(err) {
 			return err
-		}
-		if lerr := s.noteProbe(dFuse, pred, true, s.budget.Used()-before); lerr != nil {
-			return lerr
 		}
 		// Fusing is impossible: the pair must split (incompatible), which
 		// inserts the communication.
 		if err := st.SplitVC(e.a, e.b); err != nil {
 			return err
 		}
-		s.assign(nogood.SplitVC(e.a, e.b))
 	}
 }
 
@@ -452,9 +348,7 @@ func (s *scheduler) stageMapping(st *deduce.State) error {
 				continue
 			}
 			cands = append(cands, candidate{
-				apply:  func(x *deduce.State) error { return x.FuseVC(rep, anchor) },
-				dec:    nogood.FuseVC(rep, anchor),
-				hasDec: true,
+				apply: func(x *deduce.State) error { return x.FuseVC(rep, anchor) },
 			})
 		}
 		if err := s.study(st, cands); err != nil {

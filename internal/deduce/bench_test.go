@@ -97,45 +97,6 @@ func BenchmarkProbeCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleLearn measures the conflict-learning layer on the
-// end-to-end schedule, one sub-benchmark per mode: "off" is the
-// pre-learning baseline, "on" (observe, the default) must track it
-// within noise — it only journals refutations and checks predictions —
-// and "aggressive" converts nogood hits into skipped probes at the
-// price of schedule determinism. EXPERIMENTS.md holds the measured
-// probes-to-refutation table these runs back.
-func BenchmarkScheduleLearn(b *testing.B) {
-	for _, mode := range []string{core.LearnOff, core.LearnOn, core.LearnAggressive} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			sb := benchBlock(b, "099.go")
-			m := machine.FourCluster1Lat()
-			pins := workload.PinsFor(sb, m.Clusters, 1)
-			var learn core.LearnStats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := core.Schedule(sb, m, core.Options{Pins: pins, Learn: mode})
-				if err != nil && err != core.ErrExhausted && err != core.ErrTimeout && !deduce.IsContradiction(err) {
-					b.Fatal(err)
-				}
-				learn.Nogoods += stats.Learn.Nogoods
-				learn.Propagated += stats.Learn.Propagated
-				learn.Probes += stats.Learn.Probes
-				learn.Refuted += stats.Learn.Refuted
-				learn.Hits += stats.Learn.Hits
-			}
-			// The refutation-frontier counters ride into BENCH_deduce.json
-			// via benchjson's extra-metric parsing.
-			b.ReportMetric(float64(learn.Probes)/float64(b.N), "probes/op")
-			b.ReportMetric(float64(learn.Refuted)/float64(b.N), "refuted/op")
-			b.ReportMetric(float64(learn.Nogoods)/float64(b.N), "nogoods/op")
-			b.ReportMetric(float64(learn.Propagated)/float64(b.N), "propagated/op")
-			b.ReportMetric(float64(learn.Hits)/float64(b.N), "hits/op")
-		})
-	}
-}
-
 func BenchmarkScheduleBlock(b *testing.B) {
 	for _, app := range []string{"099.go", "130.li"} {
 		app := app

@@ -131,41 +131,6 @@ func (st *State) SplitVC(a, b int) error {
 // in every schedule and the bound tightens — a one-level lookahead that
 // recovers many of the paper's PLC-style bound deductions. It repeats up
 // to rounds times or until no bound moves.
-// ProbeObserver hooks the boundary probes Shave issues, so a learning
-// layer above deduce can record refutations — and, in modes that give
-// up determinism for speed, skip probes whose refutation it already
-// knows. FixProbe runs before each FixCycle(node, cycle) probe; atEst
-// distinguishes the est-boundary probe from the lst one. Returning
-// skip=true makes Shave treat the probe as refuted without running it
-// — the observer vouches that the contradiction is already proven, so
-// only sound predictions may skip. FixResult reports every probe
-// outcome (refuted = contradiction; skipped probes report with
-// steps=0), with the deduction steps the probe spent.
-type ProbeObserver interface {
-	FixProbe(node, cycle int, atEst bool) (skip bool)
-	FixResult(node, cycle int, atEst, refuted bool, steps int)
-}
-
-// boundaryProbe issues one of Shave's FixCycle probes through the
-// observer (when attached), returning whether the boundary cycle is
-// refuted. Non-contradiction errors (budget, cancellation, internal)
-// abort the shave.
-func (st *State) boundaryProbe(node, cycle int, atEst bool) (bool, error) {
-	if st.obs != nil && st.obs.FixProbe(node, cycle, atEst) {
-		st.obs.FixResult(node, cycle, atEst, true, 0)
-		return true, nil
-	}
-	before := st.budget.Used()
-	err := st.Probe(func(s *State) error { return s.FixCycle(node, cycle) })
-	if err != nil && (err == ErrBudget || !isContradiction(err)) {
-		return false, err
-	}
-	if st.obs != nil {
-		st.obs.FixResult(node, cycle, atEst, err != nil, st.budget.Used()-before)
-	}
-	return err != nil, nil
-}
-
 func (st *State) Shave(rounds int) error {
 	for r := 0; r < rounds; r++ {
 		if err := injectFault("deduce.shave"); err != nil {
@@ -177,7 +142,7 @@ func (st *State) Shave(rounds int) error {
 				continue
 			}
 			e := st.est[node]
-			refuted, err := st.boundaryProbe(node, e, true)
+			refuted, err := st.boundaryProbe(node, e)
 			if err != nil {
 				return err
 			}
@@ -193,7 +158,7 @@ func (st *State) Shave(rounds int) error {
 				continue
 			}
 			l := st.lst[node]
-			refuted, err = st.boundaryProbe(node, l, false)
+			refuted, err = st.boundaryProbe(node, l)
 			if err != nil {
 				return err
 			}
@@ -209,4 +174,15 @@ func (st *State) Shave(rounds int) error {
 		}
 	}
 	return nil
+}
+
+// boundaryProbe reports whether pinning node at cycle contradicts, as
+// one of Shave's probes. Non-contradiction errors (budget,
+// cancellation, internal) abort the shave.
+func (st *State) boundaryProbe(node, cycle int) (bool, error) {
+	err := st.Probe(func(s *State) error { return s.FixCycle(node, cycle) })
+	if err != nil && (err == ErrBudget || !isContradiction(err)) {
+		return false, err
+	}
+	return err != nil, nil
 }

@@ -229,10 +229,6 @@ type State struct {
 	// is open); see trail.go.
 	tr *trail
 
-	// obs observes Shave's boundary probes (nil = none); see
-	// ProbeObserver in decisions.go.
-	obs ProbeObserver
-
 	// ar owns this state's backing buffers and rule scratch; see
 	// arena.go for the lifetime contract.
 	ar *Arena
@@ -262,10 +258,6 @@ type Options struct {
 	// every allocation (see Arena). States alive at the same time must
 	// not share an arena.
 	Arena *Arena
-	// Observer, when non-nil, is notified of the boundary probes Shave
-	// issues and may predict (or, in non-deterministic modes, skip)
-	// probes whose refutation is already known; see ProbeObserver.
-	Observer ProbeObserver
 }
 
 // NewState builds the initial scheduling state for the given exit
@@ -299,7 +291,6 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 		ar:        ar,
 		pins:      opts.Pins,
 		budget:    opts.Budget,
-		obs:       opts.Observer,
 	}
 	st.class = claim(&ar.class, n, maxNodes)
 	st.lat = claim(&ar.lat, n, maxNodes)

@@ -61,7 +61,6 @@ const (
 
 	KindTrailClone = "trail-clone" // trail-based speculation diverged from the Clone-based oracle
 	KindBitsetRef  = "bitset-ref"  // bitset combination sets diverged from the recomputed reference
-	KindNogood     = "nogood"      // learning changed the deterministic schedule, or a learned nogood failed replay
 
 	KindResilient         = "resilient"          // degradation ladder hard-failed or reported an inconsistent outcome
 	KindResilientValidate = "resilient-validate" // resilient schedule fails the validator
@@ -115,12 +114,6 @@ type Options struct {
 	// maintained bitsets to match exactly after construction, every
 	// probe rollback and every committed step (see CheckBitsetRef).
 	BitsetRef bool
-	// Nogood also cross-checks the conflict-learning layer: scheduling
-	// with learning on must be byte-identical to learning off, with
-	// zero mispredicts, and every journaled nogood must re-verify
-	// unsatisfiable when its decision literals are replayed against a
-	// fresh pinned state (see CheckNogood).
-	Nogood bool
 	// CorruptVC, when non-nil, is applied to the VC schedule between
 	// scheduling and cross-checking. It exists for fault injection: tests
 	// use it to simulate a scheduler bug and assert the harness catches
@@ -235,13 +228,6 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	// every observation point.
 	if opts.BitsetRef {
 		checkBitsetRef(rep)
-	}
-
-	// (h) conflict learning: the default learning mode must not change
-	// the schedule, and every learned nogood must replay to a
-	// contradiction.
-	if opts.Nogood {
-		checkNogood(rep)
 	}
 
 	// The baseline checks run regardless of the VC outcome: CARS always

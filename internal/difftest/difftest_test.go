@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -209,6 +210,20 @@ func TestReproRoundTrip(t *testing.T) {
 	// And the body alone still parses as a plain .sb stream.
 	if _, err := ir.Parse(buf.String()); err != nil {
 		t.Errorf("repro not loadable as a plain superblock: %v", err)
+	}
+	// Files from older writers keep loading: their "# nogood 1" header
+	// armed a cross-check of the removed conflict-learning layer, and
+	// it must parse and be ignored.
+	legacy := strings.Replace(buf.String(), "# vcfuzz-repro v1\n", "# vcfuzz-repro v1\n# nogood 1\n", 1)
+	if legacy == buf.String() {
+		t.Fatal("repro lacks the magic header line")
+	}
+	old, err := ReadRepro(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("repro with a legacy nogood header: %v", err)
+	}
+	if !reflect.DeepEqual(old, got) {
+		t.Errorf("legacy nogood header changed the repro: %+v vs %+v", old, got)
 	}
 }
 

@@ -25,7 +25,6 @@ type Config struct {
 	MaxSteps    int
 	Parallelism int
 	Resilient   bool
-	Nogood      bool
 	OracleLimit int
 	// ReproDir, when set, receives one .sb repro file per violating
 	// block.
@@ -75,7 +74,6 @@ func Fuzz(cfg Config) (*Outcome, error) {
 			MaxSteps:    cfg.MaxSteps,
 			Parallelism: cfg.Parallelism,
 			Resilient:   cfg.Resilient,
-			Nogood:      cfg.Nogood,
 			OracleLimit: cfg.OracleLimit,
 			CorruptVC:   cfg.CorruptVC,
 		}

@@ -36,7 +36,6 @@ type Repro struct {
 	Parallelism int
 	OracleLimit int
 	Resilient   bool
-	Nogood      bool
 	// Violations records what the harness saw when writing the file
 	// (first line of each violation). Informational: Replay re-derives
 	// the ground truth.
@@ -59,7 +58,6 @@ func ReproOf(rep *Report) (*Repro, error) {
 		Parallelism: rep.Opts.Parallelism,
 		OracleLimit: rep.Opts.OracleLimit,
 		Resilient:   rep.Opts.Resilient,
-		Nogood:      rep.Opts.Nogood,
 	}
 	for _, v := range rep.Violations {
 		r.Violations = append(r.Violations, firstLine(v.String()))
@@ -87,7 +85,6 @@ func (r *Repro) Options() (Options, error) {
 		Parallelism: r.Parallelism,
 		OracleLimit: r.OracleLimit,
 		Resilient:   r.Resilient,
-		Nogood:      r.Nogood,
 	}, nil
 }
 
@@ -111,9 +108,6 @@ func (r *Repro) Write(w io.Writer) error {
 	fmt.Fprintf(w, "# oraclelimit %d\n", r.OracleLimit)
 	if r.Resilient {
 		fmt.Fprintln(w, "# resilient 1")
-	}
-	if r.Nogood {
-		fmt.Fprintln(w, "# nogood 1")
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "# violation %s\n", firstLine(v))
@@ -181,8 +175,6 @@ func ReadRepro(rd io.Reader) (*Repro, error) {
 			r.OracleLimit, perr = strconv.Atoi(fields[1])
 		case "resilient":
 			r.Resilient = fields[1] != "0"
-		case "nogood":
-			r.Nogood = fields[1] != "0"
 		case "violation":
 			r.Violations = append(r.Violations, strings.Join(fields[1:], " "))
 		}

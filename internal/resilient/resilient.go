@@ -121,13 +121,6 @@ type Outcome struct {
 func (o *Outcome) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: tier=%s awct=%.3f retries=%d elapsed=%v", o.Block, o.Tier, o.AWCT, o.Retries, o.Elapsed.Round(time.Microsecond))
-	if o.SGStats != nil {
-		ln := o.SGStats.Learn
-		if ln != (core.LearnStats{}) {
-			fmt.Fprintf(&b, "\n  learn: nogoods=%d rejected=%d propagated=%d probes=%d refuted=%d hits=%d saved=%d restarts=%d",
-				ln.Nogoods, ln.Rejected, ln.Propagated, ln.Probes, ln.Refuted, ln.Hits, ln.SavedSteps, ln.Restarts)
-		}
-	}
 	for _, a := range o.Attempts {
 		if a.Err != "" {
 			fmt.Fprintf(&b, "\n  %s: %s", a.Tier, a.Err)

@@ -39,9 +39,12 @@ func Fingerprint(req *Request) string {
 	fmt.Fprintf(h, "machine %s\n", machineID(req.Machine))
 	fmt.Fprintf(h, "pinseed %d\n", req.PinSeed)
 	o := normalizeOptions(req.Core)
-	fmt.Fprintf(h, "opts steps=%d shave=%d cand=%d cyccand=%d awct=%d retries=%d variant=%d nostage3=%t learn=%s\n",
+	// "learn=on" is a fixed token: it named the default of a removed
+	// conflict-learning option, and keeping it keeps every v1 address
+	// (cache keys, ring placement, wire fingerprints) byte-identical.
+	fmt.Fprintf(h, "opts steps=%d shave=%d cand=%d cyccand=%d awct=%d retries=%d variant=%d nostage3=%t learn=on\n",
 		o.MaxSteps, o.ShaveRounds, o.CandidateLimit, o.CycleCandLimit,
-		o.MaxAWCTIters, o.Retries, o.VariantOffset, o.NoStage3Matching, o.Learn)
+		o.MaxAWCTIters, o.Retries, o.VariantOffset, o.NoStage3Matching)
 	Canonical(req.SB).Write(h)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -53,7 +56,6 @@ func normalizeOptions(o core.Options) core.Options {
 	o.Timeout = 0
 	o.Parallelism = 1
 	o.Trace = nil
-	o.LearnSink = nil // an observer, never an input to the schedule
 	return o.Normalized()
 }
 

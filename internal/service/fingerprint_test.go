@@ -99,3 +99,14 @@ func TestFingerprintCoversHeterogeneousMachines(t *testing.T) {
 		t.Fatal("per-cluster FU override not fingerprinted")
 	}
 }
+
+// TestFingerprintGolden pins the v1 request address to its bytes: the
+// wire fingerprint field, the router's ring placement and the hollow
+// workers' costs in the SLO suite all derive from it, so any change to
+// what Fingerprint hashes must be deliberate (a new format version).
+func TestFingerprintGolden(t *testing.T) {
+	const want = "6710d5570ca6c7eb38181b7f730c5dfdf29629502b7494da406cff26a6f64047"
+	if got := Fingerprint(testRequest(ir.PaperFigure1(), 1)); got != want {
+		t.Fatalf("Fingerprint(Figure 1, seed 1) = %s, want %s", got, want)
+	}
+}

@@ -88,9 +88,6 @@ func (l ladderRunner) Run(req *Request, fp string, remaining time.Duration) (Res
 		Schedule:    text.String(),
 		Taxonomy:    "ok",
 	}
-	if out.SGStats != nil {
-		res.Learn = out.SGStats.Learn
-	}
 	return res, !timeoutShaped(out)
 }
 

@@ -42,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/resilient"
 	"vcsched/internal/version"
 )
@@ -159,12 +158,6 @@ type Result struct {
 	CacheHit    bool    // served from the result cache
 	Coalesced   bool    // joined an in-flight duplicate's computation
 	Shed        bool    // refused by admission control (or drain)
-	// Learn carries the conflict-learning counters of the accepted SG
-	// run (zero when a non-SG tier produced the schedule). Inside a
-	// worker the search is serial, so the counters are as deterministic
-	// as the schedule bytes; they feed the statsz nogood counters and
-	// are not part of the wire result.
-	Learn core.LearnStats
 }
 
 // OK reports whether the result carries a schedule.
@@ -208,14 +201,6 @@ type Stats struct {
 	TierRetry    int64   `json:"tier_sg_retry"`
 	TierCARS     int64   `json:"tier_cars"`
 	TierNaive    int64   `json:"tier_naive"`
-	// Conflict-learning counters, summed over accepted SG runs (cache
-	// hits and coalesced followers replay the leader's bytes and do not
-	// re-count).
-	Nogoods          int64 `json:"nogoods"`
-	NogoodPropagated int64 `json:"nogood_propagated"`
-	NogoodProbes     int64 `json:"nogood_probes"`
-	NogoodRefuted    int64 `json:"nogood_refuted"`
-	NogoodHits       int64 `json:"nogood_hits"`
 }
 
 // job is one admitted request waiting for (or on) a worker.
@@ -533,11 +518,6 @@ func (s *Service) finish(j *job, res Result, cacheable bool, dur time.Duration) 
 		case resilient.TierNaive.String():
 			s.stats.TierNaive++
 		}
-		s.stats.Nogoods += int64(res.Learn.Nogoods)
-		s.stats.NogoodPropagated += int64(res.Learn.Propagated)
-		s.stats.NogoodProbes += int64(res.Learn.Probes)
-		s.stats.NogoodRefuted += int64(res.Learn.Refuted)
-		s.stats.NogoodHits += int64(res.Learn.Hits)
 	}
 	s.mu.Unlock()
 	s.flight.Finish(j.fp, res)

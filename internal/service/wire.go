@@ -155,11 +155,6 @@ func MergeStats(snaps ...Stats) Stats {
 		out.TierRetry += s.TierRetry
 		out.TierCARS += s.TierCARS
 		out.TierNaive += s.TierNaive
-		out.Nogoods += s.Nogoods
-		out.NogoodPropagated += s.NogoodPropagated
-		out.NogoodProbes += s.NogoodProbes
-		out.NogoodRefuted += s.NogoodRefuted
-		out.NogoodHits += s.NogoodHits
 		if !s.Draining {
 			draining = false
 		}
