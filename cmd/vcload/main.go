@@ -1,332 +1,82 @@
-// Command vcload is the load generator for the vcschedd daemon: it
-// replays a corpus of .sb files (and/or generated superblocks) against
-// POST /v1/schedule at a target request rate, re-submitting a
-// configurable fraction of duplicates to exercise the result cache and
-// singleflight coalescing, and reports latency percentiles, cache hit
-// rate, shed rate and the error-taxonomy histogram.
+// Command vcload replays the traffic of a load scenario (the JSON that
+// cmd/vcslo runs in process, see internal/loadsim) against a vcschedd
+// daemon or a vcrouter fleet over HTTP, and exits non-zero on any hard
+// failure. Only traffic fields apply: a scenario that sets service,
+// hollow, virtual_clock, overload, faults or fleet is refused, because
+// the daemon at -addr is the system under test.
 //
-//	go run ./cmd/vcload -addr 127.0.0.1:8457 \
-//	    -corpus internal/difftest/testdata/repros -gen 20 -n 200 -dup 0.5
+//	go run ./cmd/vcload -addr 127.0.0.1:8457 -scenario traffic.json
 //
-// Delivery goes through internal/vcclient: each request gets a per-try
-// timeout (-try-timeout), failed or shed tries are retried up to
-// -retries times with deterministic decorrelated-jitter backoff that
-// honors the daemon's Retry-After hint, and -hedge-after launches a
-// hedged duplicate of a slow request (safe: /v1/schedule is
-// idempotent). vcload exits non-zero when any request hard-failed (or
-// could not be delivered), so harnesses can use it as a pass/fail
-// smoke check.
+// Requests go through internal/vcclient: a per-try timeout
+// (-try-timeout), up to -retries retries with backoff that honors the
+// daemon's Retry-After hint, and hedging after -hedge-after. A request
+// that cannot be delivered counts each of its blocks as an
+// "unreachable" hard failure.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
-	"net/http"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
-	"vcsched/internal/difftest"
 	"vcsched/internal/loadsim"
-	"vcsched/internal/service"
-	"vcsched/internal/stats"
 	"vcsched/internal/vcclient"
 	"vcsched/internal/version"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8457", "vcschedd address (host:port)")
-	corpus := flag.String("corpus", "", "directory of .sb files to replay (each file is one source)")
-	gen := flag.Int("gen", 0, "additionally generate this many superblocks (difftest generator)")
-	genSeed := flag.Int64("gen-seed", 7, "generator seed")
-	maxInstrs := flag.Int("maxinstrs", 24, "generator size cap")
-	machineKey := flag.String("machine", "", "machine key to request (\"\" = daemon default)")
-	pinSeed := flag.Int64("seed", 0, "pin seed to request (0 = daemon default)")
-	steps := flag.Int("steps", 0, "deduction step budget to request (0 = daemon default)")
-	n := flag.Int("n", 100, "total requests to send")
-	batch := flag.Int("batch", 1, "blocks per request (multi-block requests exercise batch accounting)")
-	rps := flag.Float64("rps", 0, "target request rate; 0 means unpaced — send as fast as the -c workers go (negative rejected)")
-	dup := flag.Float64("dup", 0.5, "fraction of requests that re-submit an earlier source")
-	deadline := flag.Duration("deadline", 0, "per-request deadline to ask for (0 = daemon default)")
-	conc := flag.Int("c", 4, "in-flight request concurrency")
-	retries := flag.Int("retries", 2, "re-attempts after a failed or shed try (0 = none, negative rejected)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a try that has not answered within this duration (0 = off, negative rejected)")
-	tryTimeout := flag.Duration("try-timeout", 2*time.Minute, "per-try timeout (0 = client default, negative rejected)")
-	verbose := flag.Bool("v", false, "log every response")
-	showVersion := flag.Bool("version", false, "print the version and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vcload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:8457", "vcschedd or vcrouter address (host:port)")
+	scenario := fs.String("scenario", "", "traffic-only scenario file to replay (required)")
+	retries := fs.Int("retries", 2, "re-attempts after a failed or shed try (0 = none, negative rejected)")
+	hedgeAfter := fs.Duration("hedge-after", 0, "hedge a try that has not answered within this duration (0 = off, negative rejected)")
+	tryTimeout := fs.Duration("try-timeout", 2*time.Minute, "per-try timeout (0 = client default, negative rejected)")
+	showVersion := fs.Bool("version", false, "print the version and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *showVersion {
-		fmt.Println("vcload", version.String())
-		return
+		fmt.Fprintln(stdout, "vcload", version.String())
+		return 0
 	}
-
-	sources, err := loadSources(*corpus, *gen, *genSeed, *maxInstrs)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "vcload:", err)
+		return 1
+	}
+	if *scenario == "" {
+		return fail(fmt.Errorf("-scenario is required"))
+	}
+	sc, err := loadsim.LoadScenario(*scenario)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if len(sources) == 0 {
-		fatal(fmt.Errorf("no load: give -corpus and/or -gen"))
-	}
-	if *n < 1 {
-		fatal(fmt.Errorf("-n must be at least 1"))
-	}
-	pace, err := loadsim.PacingInterval(*rps)
-	if err != nil {
-		fatal(fmt.Errorf("-rps: %w", err))
-	}
-	if *conc < 1 {
-		*conc = 1
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-
-	base := "http://" + *addr
 	client, err := vcclient.New(vcclient.Config{
-		BaseURL:    base,
+		BaseURL:    "http://" + *addr,
 		TryTimeout: *tryTimeout,
 		Retries:    *retries,
 		HedgeAfter: *hedgeAfter,
-		Seed:       *genSeed,
+		Seed:       sc.Seed,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if err := waitHealthy(base, 10*time.Second); err != nil {
-		fatal(err)
-	}
-
-	// The dispatcher picks each request's source up front (so the
-	// duplicate pattern is deterministic for a given seed) and paces to
-	// the target rate; -c workers deliver.
-	rng := rand.New(rand.NewSource(*genSeed))
-	jobs := make(chan []string)
-	go func() {
-		defer close(jobs)
-		var tick *time.Ticker
-		if pace > 0 {
-			tick = time.NewTicker(pace)
-			defer tick.Stop()
-		}
-		picks := 0
-		for i := 0; i < *n; i++ {
-			blocks := make([]string, *batch)
-			for b := range blocks {
-				if picks > 0 && rng.Float64() < *dup {
-					blocks[b] = sources[rng.Intn(min(picks, len(sources)))]
-				} else {
-					blocks[b] = sources[picks%len(sources)]
-				}
-				picks++
-			}
-			if tick != nil {
-				<-tick.C
-			}
-			jobs <- blocks
-		}
-	}()
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		agg       tally
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for blocks := range jobs {
-				start := time.Now()
-				resp, err := client.Schedule(service.WireRequest{
-					Blocks:    blocks,
-					Machine:   *machineKey,
-					PinSeed:   *pinSeed,
-					MaxSteps:  *steps,
-					TimeoutMS: deadlineMS(*deadline),
-				})
-				lat := time.Since(start)
-				mu.Lock()
-				latencies = append(latencies, lat)
-				agg.add(len(blocks), resp, err, *verbose, lat)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	report(os.Stdout, latencies, &agg, client.Stats())
-	if agg.transport > 0 || agg.hardFailures > 0 {
-		fmt.Fprintf(os.Stderr, "vcload: %d hard failures, %d transport errors (taxonomy: %s)\n",
-			agg.hardFailures, agg.transport, strings.Join(agg.taxonomyNames(), ", "))
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vcload:", err)
-	os.Exit(1)
-}
-
-// loadSources collects the request pool: every *.sb file under dir
-// (sorted, so runs are reproducible) plus gen generated blocks.
-func loadSources(dir string, gen int, seed int64, maxInstrs int) ([]string, error) {
-	var sources []string
-	if dir != "" {
-		paths, err := filepath.Glob(filepath.Join(dir, "*.sb"))
-		if err != nil {
-			return nil, err
-		}
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("no .sb files in %s", dir)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			sources = append(sources, string(b))
-		}
-	}
-	g := difftest.NewGen(seed, maxInstrs)
-	for i := 0; i < gen; i++ {
-		sources = append(sources, g.Next().String())
-	}
-	return sources, nil
-}
-
-// waitHealthy polls /v1/healthz so vcload can be started alongside the
-// daemon without an external readiness dance.
-func waitHealthy(base string, within time.Duration) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	deadline := time.Now().Add(within)
-	for {
-		resp, err := client.Get(base + "/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			if err == nil {
-				return fmt.Errorf("daemon at %s not healthy within %v", base, within)
-			}
-			return fmt.Errorf("daemon at %s not reachable within %v: %w", base, within, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func deadlineMS(d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64(d / time.Millisecond)
-}
-
-// tally accumulates counters in two units. Per-request: requests,
-// transport. Per-block: everything else — a batch request carries many
-// blocks, each with its own verdict, and a transport-failed request
-// loses every block it carried (transportBlocks), not one.
-type tally struct {
-	requests        int
-	blocksSent      int // blocks attempted, including ones lost to transport errors
-	blocks          int // blocks that came back with a per-block verdict
-	ok              int
-	cacheHits       int
-	coalesced       int
-	shed            int
-	hardFailures    int
-	transport       int // failed requests
-	transportBlocks int // blocks those failed requests carried
-	taxonomy        map[string]int
-}
-
-func (t *tally) add(sent int, resp *service.WireResponse, err error, verbose bool, lat time.Duration) {
-	t.requests++
-	t.blocksSent += sent
+	rep, err := loadsim.Replay(sc, client)
 	if err != nil {
-		t.transport++
-		t.transportBlocks += sent
-		fmt.Fprintln(os.Stderr, "vcload:", err)
-		return
+		return fail(err)
 	}
-	for _, r := range resp.Results {
-		t.blocks++
-		if t.taxonomy == nil {
-			t.taxonomy = map[string]int{}
-		}
-		t.taxonomy[r.Taxonomy]++
-		switch {
-		case r.HardFailure:
-			t.hardFailures++
-		case r.Shed:
-			t.shed++
-		case r.Error == "":
-			t.ok++
-		}
-		if r.CacheHit {
-			t.cacheHits++
-		}
-		if r.Coalesced {
-			t.coalesced++
-		}
-		if verbose {
-			fmt.Fprintf(os.Stderr, "%-24s %8.2fms tier=%-8s taxonomy=%-12s hit=%t coalesced=%t shed=%t\n",
-				r.Block, float64(lat)/float64(time.Millisecond), r.Tier, r.Taxonomy, r.CacheHit, r.Coalesced, r.Shed)
-		}
-	}
-}
-
-func (t *tally) taxonomyNames() []string {
-	var names []string
-	for name, n := range t.taxonomy {
-		if n > 0 && name != "ok" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		names = append(names, "none")
-	}
-	return names
-}
-
-func report(w io.Writer, latencies []time.Duration, t *tally, cs vcclient.Stats) {
-	sorted := stats.Sort(latencies)
-	pct := func(p float64) time.Duration { return stats.Percentile(sorted, p) }
-	// Per-block rates divide by blocks *sent*: a transport-failed batch
-	// request loses every block it carried, and dividing by only the
-	// blocks that came back would overstate ok/shed rates under failures.
-	rate := func(n int) float64 {
-		if t.blocksSent == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(t.blocksSent)
-	}
-	fmt.Fprintf(w, "vcload %s: %d requests, %d/%d blocks answered\n", version.String(), t.requests, t.blocks, t.blocksSent)
-	fmt.Fprintf(w, "  ok %d (%.1f%%)  hard-failures %d  shed %d (%.1f%%)  transport-errors %d (%d blocks lost, %.1f%%)\n",
-		t.ok, rate(t.ok), t.hardFailures, t.shed, rate(t.shed), t.transport, t.transportBlocks, rate(t.transportBlocks))
-	fmt.Fprintf(w, "  cache-hits %d (%.1f%%)  coalesced %d (%.1f%%)\n",
-		t.cacheHits, rate(t.cacheHits), t.coalesced, rate(t.coalesced))
-	fmt.Fprintf(w, "  latency p50 %v  p90 %v  p99 %v  max %v\n",
-		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	fmt.Fprintf(w, "  client tries %d  retries %d  hedges %d  sheds-seen %d\n",
+	rep.WriteSummary(stdout)
+	cs := client.Stats()
+	fmt.Fprintf(stdout, "  client tries %d  retries %d  hedges %d  sheds-seen %d\n",
 		cs.Tries, cs.Retries, cs.Hedges, cs.Sheds)
-	var names []string
-	for name := range t.taxonomy {
-		names = append(names, name)
+	if n := rep.HardFailures + rep.Injected; n > 0 {
+		return fail(fmt.Errorf("%d hard failures", n))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "  taxonomy %-14s %d\n", name, t.taxonomy[name])
-	}
+	return 0
 }

@@ -1,63 +1,106 @@
 package main
 
 import (
-	"io"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"vcsched/internal/hollow"
+	"vcsched/internal/httpapi"
 	"vcsched/internal/service"
-	"vcsched/internal/vcclient"
 )
 
-// seq returns [1ms, 2ms, ..., n ms], already sorted.
-func seq(n int) []time.Duration {
-	s := make([]time.Duration, n)
-	for i := range s {
-		s[i] = time.Duration(i+1) * time.Millisecond
+// writeScenario writes a scenario file into a fresh temp dir.
+func writeScenario(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "traffic.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return s
+	return path
 }
 
-func TestTallyBatchUnits(t *testing.T) {
-	var agg tally
-	// One 4-block batch: 2 ok (one a cache hit), 1 shed, 1 hard failure.
-	agg.add(4, &service.WireResponse{Results: []service.WireResult{
-		{Taxonomy: "ok", CacheHit: true},
-		{Taxonomy: "ok"},
-		{Taxonomy: "shed", Shed: true},
-		{Taxonomy: "contradiction", HardFailure: true},
-	}}, nil, false, time.Millisecond)
-	// One 4-block batch lost entirely to a transport error.
-	agg.add(4, nil, io.ErrUnexpectedEOF, false, time.Millisecond)
+// startDaemon serves a hollow-backed service through the daemon's own
+// mux, the way vcschedd does.
+func startDaemon(t *testing.T) (addr string, svc *service.Service) {
+	t.Helper()
+	svc = service.New(service.Config{
+		Workers:         2,
+		QueueDepth:      64,
+		DefaultDeadline: 30 * time.Second,
+		Runner:          hollow.NewHollowRunner(hollow.HollowConfig{CostMin: time.Millisecond, CostMax: 2 * time.Millisecond}),
+	})
+	srv := httptest.NewServer(httpapi.SchedulerMux(svc, httpapi.Defaults{MachineKey: "2c1l", PinSeed: 1, MaxSteps: 20000}))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	return strings.TrimPrefix(srv.URL, "http://"), svc
+}
 
-	if agg.requests != 2 || agg.blocksSent != 8 || agg.blocks != 4 {
-		t.Fatalf("requests=%d blocksSent=%d blocks=%d, want 2/8/4", agg.requests, agg.blocksSent, agg.blocks)
+// TestReplaysTrafficScenarioOverHTTP drives vcload's whole path (flags,
+// scenario file, loadsim replay through vcclient) against an httptest
+// daemon: every block is answered, none hard-fails, and the summary
+// counts what the daemon saw.
+func TestReplaysTrafficScenarioOverHTTP(t *testing.T) {
+	addr, svc := startDaemon(t)
+	path := writeScenario(t, `{
+		"name": "wire",
+		"seed": 7,
+		"gen": 6,
+		"max_instrs": 12,
+		"stages": [{"rps": 0, "requests": 30}],
+		"dup_rate": 0.5,
+		"batch": 2,
+		"concurrency": 4
+	}`)
+	var out, errb strings.Builder
+	if code := run([]string{"-addr", addr, "-scenario", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	if agg.ok != 2 || agg.shed != 1 || agg.hardFailures != 1 || agg.cacheHits != 1 {
-		t.Fatalf("ok=%d shed=%d hard=%d hits=%d, want 2/1/1/1", agg.ok, agg.shed, agg.hardFailures, agg.cacheHits)
-	}
-	if agg.transport != 1 || agg.transportBlocks != 4 {
-		t.Fatalf("transport=%d transportBlocks=%d, want 1/4", agg.transport, agg.transportBlocks)
-	}
-
-	var b strings.Builder
-	report(&b, seq(8), &agg, vcclient.Stats{Tries: 3, Retries: 1, Hedges: 0, Sheds: 1})
-	out := b.String()
-	// 8 blocks sent is the denominator everywhere: ok 2/8 = 25%, shed
-	// 1/8 = 12.5%, transport loss 4/8 = 50%. The old per-returned-block
-	// denominator (4) would have doubled every rate.
 	for _, want := range []string{
-		"2 requests, 4/8 blocks answered",
-		"ok 2 (25.0%)",
-		"shed 1 (12.5%)",
-		"transport-errors 1 (4 blocks lost, 50.0%)",
-		"cache-hits 1 (12.5%)",
-		"latency p50 4ms  p90 8ms  p99 8ms  max 8ms",
-		"client tries 3  retries 1  hedges 0  sheds-seen 1",
+		"wire: 30 requests, 60 blocks",
+		"hard-failures 0",
+		"client tries 30  retries 0",
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, out.String())
 		}
+	}
+	if st := svc.Stats(); st.Requests != 60 || st.HardFailures != 0 {
+		t.Errorf("daemon saw %d blocks (%d hard failures), want 60 (0)", st.Requests, st.HardFailures)
+	}
+}
+
+// TestRefusesInProcessFields: a scenario field that sizes or scripts
+// the in-process harness has no meaning over the wire, so vcload exits
+// 1 naming it, before sending anything.
+func TestRefusesInProcessFields(t *testing.T) {
+	addr, svc := startDaemon(t)
+	const hollowSpec = `"hollow": {"cost_min_ms": 1, "cost_max_ms": 2}`
+	cases := []struct {
+		field  string
+		fields string
+	}{
+		{"service", `"service": {"workers": 2}`},
+		{"hollow", hollowSpec},
+		{"virtual_clock", hollowSpec + `, "virtual_clock": true`},
+		{"overload", hollowSpec + `, "service": {"workers": 1, "queue_depth": 1}, "overload": {"extra": 1}`},
+		{"faults", hollowSpec + `, "virtual_clock": true, "faults": [{"point": "service.worker", "kind": "panic", "from_ms": 0, "to_ms": 10}]`},
+		{"fleet", hollowSpec + `, "fleet": {"shards": 2}`},
+	}
+	for _, tc := range cases {
+		path := writeScenario(t, `{"name": "refused", "stages": [{"rps": 0, "requests": 1}], `+tc.fields+`}`)
+		var out, errb strings.Builder
+		code := run([]string{"-addr", addr, "-scenario", path}, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), tc.field) || !strings.Contains(errb.String(), "in-process") {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming the field", tc.field, code, errb.String())
+		}
+	}
+	if n := svc.Stats().Requests; n != 0 {
+		t.Errorf("refused scenarios still sent %d blocks", n)
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/faultpoint"
+	"vcsched/internal/hollow"
 	"vcsched/internal/httpapi"
 	"vcsched/internal/ir"
 	"vcsched/internal/leakcheck"
-	"vcsched/internal/loadsim"
 	"vcsched/internal/resilient"
 	"vcsched/internal/service"
 	"vcsched/internal/vcclient"
@@ -213,7 +213,7 @@ func TestDrainUnderHTTPLoad(t *testing.T) {
 	// outlive the requests briefly while the server is still serving.
 	before := runtime.NumGoroutine() + 4
 
-	hollow := loadsim.NewHollowRunner(loadsim.HollowConfig{
+	runner := hollow.NewHollowRunner(hollow.HollowConfig{
 		CostMin: 20 * time.Millisecond,
 		CostMax: 40 * time.Millisecond,
 	})
@@ -221,7 +221,7 @@ func TestDrainUnderHTTPLoad(t *testing.T) {
 		Workers:         2,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Runner:          hollow,
+		Runner:          runner,
 	})
 
 	// Six distinct blocks: two in flight, four queued, all admitted

@@ -41,7 +41,7 @@ type Config struct {
 	Thresholds []time.Duration
 	Machines   []*machine.Config
 	Apps       []workload.AppProfile
-	Workers    int  // parallel scheduling workers (default: NumCPU)
+	Workers    int // parallel scheduling workers (default: NumCPU)
 	// Parallelism is passed through to core.Options.Parallelism: the
 	// number of portfolio workers *within* one block's VC search
 	// (default 1 = the serial driver). Schedules are identical either

@@ -176,7 +176,7 @@ func (st *State) outEdgePairs() (map[[2]int]int, error) {
 	}
 	for li := range st.SB.LiveIns {
 		for _, c := range st.SB.LiveIns[li].Consumers {
-			if err := add(-(li+1), c); err != nil {
+			if err := add(-(li + 1), c); err != nil {
 				return nil, err
 			}
 		}

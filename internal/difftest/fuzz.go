@@ -43,8 +43,8 @@ type Config struct {
 // Outcome summarizes a campaign.
 type Outcome struct {
 	Checked    int
-	Scheduled  int // blocks where the VC scheduler produced a schedule
-	Exhausted  int // blocks where it gave up under the step budget
+	Scheduled  int       // blocks where the VC scheduler produced a schedule
+	Exhausted  int       // blocks where it gave up under the step budget
 	Violating  []*Report // one post-shrink report per violating block
 	ReproFiles []string
 }

@@ -1,4 +1,4 @@
-package loadsim
+package hollow
 
 import (
 	"sync"
@@ -52,18 +52,4 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
-}
-
-// PacingInterval converts a target request rate into the interval a
-// dispatcher sleeps between submissions. 0 disables pacing ("as fast
-// as the workers go"); negative rates are a configuration error, not
-// an implicit unpaced mode.
-func PacingInterval(rps float64) (time.Duration, error) {
-	if rps < 0 {
-		return 0, errNegativeRPS
-	}
-	if rps == 0 {
-		return 0, nil
-	}
-	return time.Duration(float64(time.Second) / rps), nil
 }

@@ -1,4 +1,8 @@
-package loadsim
+// Package hollow holds HollowRunner, the recorded-cost stand-in for
+// the scheduling ladder, and the clocks it pays its costs on. The load
+// harness, the router tests and the daemon tests run it behind a real
+// service.Service.
+package hollow
 
 import (
 	"fmt"

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcsched/internal/core"
+	"vcsched/internal/hollow"
 	"vcsched/internal/machine"
 	"vcsched/internal/service"
 )
@@ -16,12 +17,12 @@ import (
 // onto it — the hollow runner executes exactly once, and every
 // follower receives bytes identical to the leader's.
 func TestCoalescingUnderDuplicateHeavyHollowLoad(t *testing.T) {
-	hollow := NewHollowRunner(HollowConfig{CostMin: time.Millisecond, CostMax: time.Millisecond})
+	runner := hollow.NewHollowRunner(hollow.HollowConfig{CostMin: time.Millisecond, CostMax: time.Millisecond})
 	svc := service.New(service.Config{
 		Workers:         2,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Runner:          hollow,
+		Runner:          runner,
 	})
 	defer svc.Close()
 
@@ -38,7 +39,7 @@ func TestCoalescingUnderDuplicateHeavyHollowLoad(t *testing.T) {
 	}
 
 	const followers = 16
-	hollow.Hold()
+	runner.Hold()
 
 	// Leader first: wait until it is in flight so every follower is
 	// guaranteed to coalesce (not cache-hit, not become a leader).
@@ -59,7 +60,7 @@ func TestCoalescingUnderDuplicateHeavyHollowLoad(t *testing.T) {
 	if err := waitStats(svc, func(st service.Stats) bool { return st.Coalesced == followers }); err != nil {
 		t.Fatal(err)
 	}
-	hollow.Release()
+	runner.Release()
 	leaderWG.Wait()
 	wg.Wait()
 
@@ -67,10 +68,10 @@ func TestCoalescingUnderDuplicateHeavyHollowLoad(t *testing.T) {
 		t.Fatalf("leader result: %+v", leaderRes)
 	}
 	fp := leaderRes.Fingerprint
-	if got := hollow.Calls(); got != 1 {
+	if got := runner.Calls(); got != 1 {
 		t.Fatalf("hollow runner executed %d times for %d duplicate submissions, want 1", got, followers+1)
 	}
-	if got := hollow.CallsFor(fp); got != 1 {
+	if got := runner.CallsFor(fp); got != 1 {
 		t.Fatalf("hollow runner executed %d times for fingerprint %s, want 1", got, fp)
 	}
 	for i, r := range results {

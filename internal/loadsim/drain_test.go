@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcsched/internal/core"
+	"vcsched/internal/hollow"
 	"vcsched/internal/leakcheck"
 	"vcsched/internal/machine"
 	"vcsched/internal/service"
@@ -19,12 +20,12 @@ import (
 func TestGracefulDrainUnderSustainedLoad(t *testing.T) {
 	leakcheck.Check(t)
 
-	hollow := NewHollowRunner(HollowConfig{CostMin: 20 * time.Millisecond, CostMax: 40 * time.Millisecond})
+	runner := hollow.NewHollowRunner(hollow.HollowConfig{CostMin: 20 * time.Millisecond, CostMax: 40 * time.Millisecond})
 	svc := service.New(service.Config{
 		Workers:         2,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Runner:          hollow,
+		Runner:          runner,
 	})
 
 	m, err := machine.ByKey("2c1l")

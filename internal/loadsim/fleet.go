@@ -2,134 +2,75 @@ package loadsim
 
 import (
 	"fmt"
-	"sync"
+	"net/http"
+	"net/http/httptest"
 
-	"vcsched/internal/ring"
+	"vcsched/internal/hollow"
+	"vcsched/internal/httpapi"
+	"vcsched/internal/router"
 	"vcsched/internal/service"
+	"vcsched/internal/vcclient"
 )
 
-// submitter is the slice of the service surface the stage loop drives;
-// *service.Service satisfies it directly, and fleet routes through it.
-type submitter interface {
-	Submit(req *service.Request) service.Result
-	SubmitBatch(reqs []*service.Request) []service.Result
-}
-
-// fleet is the in-process analogue of cmd/vcrouter over N vcschedd
-// shards: N identical service replicas (sharing one hollow runner and
-// one clock), a consistent-hash ring keyed by content fingerprint, and
-// a router-side singleflight so concurrent duplicates coalesce before
-// any shard sees them. Because routing is by fingerprint, each shard's
-// cache holds a partition of the fleet-wide result set rather than a
-// copy — the property the fleet scenarios measure against the N=1
-// baseline.
-//
-// Unlike the real router there is no transport, no health polling and
-// no breaker: shards are in-process and cannot become unreachable, so
-// the fleet isolates exactly the routing-policy effect on cache hit
-// rate and execution count.
+// fleet is cmd/vcrouter over N vcschedd shards, in one process: N
+// service replicas (sharing one hollow runner and one clock) behind
+// the daemon's mux, the real internal/router in front, and a vcclient
+// aimed at the router, so fleet scenarios measure the routing code
+// that ships.
 type fleet struct {
 	shards []*service.Service
-	byName map[string]*service.Service
-	ring   *ring.Ring
-	flight *service.Flight
-	rr     bool
-
-	mu   sync.Mutex
-	next int // roundrobin cursor
+	router *router.Router
+	front  *remote
 }
 
-// newFleet builds the shard replicas from one shared service config.
-func newFleet(spec *FleetSpec, cfg service.Config) *fleet {
-	f := &fleet{
-		byName: make(map[string]*service.Service, spec.Shards),
-		ring:   ring.New(spec.Replicas),
-		flight: service.NewFlight(),
-		rr:     spec.Routing == "roundrobin",
+// newFleet builds the router and its shards, both with the scenario's
+// request defaults so they fingerprint a block alike.
+func newFleet(d *Scenario, cfg service.Config, clock hollow.Clock) (*fleet, error) {
+	hosts := hostMux{}
+	client := &http.Client{Transport: hosts}
+	front, err := vcclient.New(vcclient.Config{BaseURL: "http://router", HTTPClient: client})
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < spec.Shards; i++ {
+	defaults := httpapi.Defaults{MachineKey: d.Machine, PinSeed: d.PinSeed, MaxSteps: d.Service.MaxSteps}
+	f := &fleet{front: &remote{client: front}}
+	var backends []string
+	for i := 0; i < d.Fleet.Shards; i++ {
 		name := fmt.Sprintf("shard-%d", i)
 		svc := service.New(cfg)
+		hosts[name] = httpapi.SchedulerMux(svc, defaults)
 		f.shards = append(f.shards, svc)
-		f.byName[name] = svc
-		f.ring.Add(name)
+		backends = append(backends, "http://"+name)
 	}
-	return f
-}
-
-// Submit routes one request. Hash routing mirrors the router pipeline:
-// fingerprint → fleet-wide singleflight → ring placement → home shard;
-// a follower inherits the leader's result marked Coalesced, exactly as
-// a shard-local follower would. Roundrobin ignores content entirely.
-func (f *fleet) Submit(req *service.Request) service.Result {
-	if f.rr {
-		f.mu.Lock()
-		s := f.shards[f.next%len(f.shards)]
-		f.next++
-		f.mu.Unlock()
-		return s.Submit(req)
-	}
-	fp := service.Fingerprint(req)
-	c, leader := f.flight.Join(fp)
-	if !leader {
-		<-c.Done()
-		res := c.Result()
-		res.Block = req.SB.Name
-		res.Coalesced = true
-		return res
-	}
-	res := f.forward(req, fp)
-	f.flight.Finish(fp, res)
-	return res
-}
-
-// forward submits to the fingerprint's home shard. The ring is built
-// non-empty and never mutated, so placement cannot fail in practice;
-// the error path stays a refusal rather than a panic for symmetry with
-// the router's unroutable verdict.
-func (f *fleet) forward(req *service.Request, fp string) service.Result {
-	home, err := f.ring.Get(fp)
+	f.router, err = router.New(router.Config{
+		Backends:       backends,
+		Replicas:       d.Fleet.Replicas,
+		Defaults:       defaults,
+		Client:         vcclient.Config{HTTPClient: client},
+		HealthInterval: -1,
+		HTTPClient:     client,
+		Now:            clock.Now,
+	})
 	if err != nil {
-		return service.Result{
-			Block:       req.SB.Name,
-			Fingerprint: fp,
-			Err:         "fleet: " + err.Error(),
-			Taxonomy:    "internal",
-			HardFailure: true,
-		}
+		drain(f.shards)
+		return nil, err
 	}
-	return f.byName[home].Submit(req)
+	hosts["router"] = f.router.Mux()
+	return f, nil
 }
 
-// SubmitBatch routes every block of the batch independently (each by
-// its own fingerprint), concurrently like service.SubmitBatch — a
-// batch may legitimately span shards.
-func (f *fleet) SubmitBatch(reqs []*service.Request) []service.Result {
-	out := make([]service.Result, len(reqs))
-	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	for i, r := range reqs {
-		go func(i int, r *service.Request) {
-			defer wg.Done()
-			out[i] = f.Submit(r)
-		}(i, r)
-	}
-	wg.Wait()
-	return out
-}
+// hostMux is an in-memory http.RoundTripper: it serves each request
+// with the handler registered under the URL's host name. Fixed host
+// names ("router", "shard-0", ...) keep ring placement identical on
+// every run, which ephemeral loopback ports would not.
+type hostMux map[string]http.Handler
 
-// Close drains every shard.
-func (f *fleet) Close() {
-	for _, s := range f.shards {
-		s.Close()
+func (m hostMux) RoundTrip(req *http.Request) (*http.Response, error) {
+	h, ok := m[req.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("loadsim: no in-process host %q", req.URL.Host)
 	}
-}
-
-// stats snapshots every shard after the drain, for MergeStats.
-func (f *fleet) stats() []service.Stats {
-	out := make([]service.Stats, len(f.shards))
-	for i, s := range f.shards {
-		out[i] = s.Stats()
-	}
-	return out
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }

@@ -65,32 +65,6 @@ func TestFleetHashMatchesSingleShardHitRate(t *testing.T) {
 	}
 }
 
-// TestFleetRoundRobinReExecutesDuplicates pins the strawman down:
-// content-blind routing sprays duplicates across shards, so the same
-// traffic executes more leaders than it has distinct sources — the
-// redundant work consistent hashing exists to avoid.
-func TestFleetRoundRobinReExecutesDuplicates(t *testing.T) {
-	rr, err := Run(fleetScenario("fleet-rr", &FleetSpec{Shards: 4, Routing: "roundrobin"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.HardFailures != 0 || rr.IdentityViolations != 0 {
-		t.Fatalf("roundrobin fleet run degraded: %+v", rr)
-	}
-	if rr.LeaderExecs <= rr.DistinctSources {
-		t.Fatalf("roundrobin executed %d leaders for %d distinct sources; expected redundant re-execution",
-			rr.LeaderExecs, rr.DistinctSources)
-	}
-	hash, err := Run(fleetScenario("fleet-hash", &FleetSpec{Shards: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.HitRate >= hash.HitRate {
-		t.Fatalf("roundrobin hit rate %.3f not below hash hit rate %.3f on duplicate-heavy traffic",
-			rr.HitRate, hash.HitRate)
-	}
-}
-
 // TestFleetValidation covers the scenario-schema rules fleet mode adds.
 func TestFleetValidation(t *testing.T) {
 	cases := []struct {
@@ -99,7 +73,6 @@ func TestFleetValidation(t *testing.T) {
 		want   string
 	}{
 		{"zero shards", func(sc *Scenario) { sc.Fleet.Shards = 0 }, "fleet.shards"},
-		{"bad routing", func(sc *Scenario) { sc.Fleet.Routing = "random" }, "fleet.routing"},
 		{"no hollow", func(sc *Scenario) { sc.Hollow = nil; sc.VirtualClock = false }, "fleet requires hollow"},
 		{"overload", func(sc *Scenario) {
 			sc.Stages = nil
@@ -109,10 +82,6 @@ func TestFleetValidation(t *testing.T) {
 		{"faults", func(sc *Scenario) {
 			sc.Faults = []FaultWindow{{Point: "service.admit", Kind: "contra", FromMS: 0, ToMS: 10}}
 		}, "fleet and faults"},
-		{"exact-once roundrobin", func(sc *Scenario) {
-			sc.Fleet.Routing = "roundrobin"
-			sc.Fleet.ExactOnce = true
-		}, "exact_once is incompatible"},
 	}
 	for _, tc := range cases {
 		sc := fleetScenario("invalid", &FleetSpec{Shards: 2})
@@ -121,5 +90,26 @@ func TestFleetValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestFleetConcurrentTrafficExecutesOnce drives the router and its
+// in-memory transport from several submitters at once: concurrent
+// duplicates coalesce in the router or hit their home shard's cache,
+// so every fingerprint still executes exactly once fleet-wide.
+func TestFleetConcurrentTrafficExecutesOnce(t *testing.T) {
+	sc := fleetScenario("fleet-conc", &FleetSpec{Shards: 3, ExactOnce: true})
+	sc.Concurrency = 4
+	sc.Batch = 2
+	rep, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HardFailures != 0 || rep.Shed != 0 || rep.IdentityViolations != 0 || rep.Blocks != 600 {
+		t.Fatalf("concurrent fleet run degraded: %+v", rep)
+	}
+	if rep.LeaderExecs != rep.DistinctSources || rep.CacheHits+rep.Coalesced == 0 {
+		t.Fatalf("leader execs %d for %d distinct sources, hits %d, coalesced %d",
+			rep.LeaderExecs, rep.DistinctSources, rep.CacheHits, rep.Coalesced)
 	}
 }

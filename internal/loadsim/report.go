@@ -12,8 +12,8 @@ import (
 // Report is the measured outcome of one scenario run (or of several
 // aggregated runs): the SLO fields BENCH_service.json records and
 // cmd/benchgate compares against the checked-in baseline. Counters are
-// per block; latencies are per submission (a batch is one submission
-// carrying Batch blocks, mirroring cmd/vcload's accounting).
+// per block sent; latencies are per submission (a batch is one
+// submission carrying Batch blocks).
 type Report struct {
 	Scenario     string `json:"scenario"`
 	Runs         int    `json:"runs"`
@@ -43,24 +43,22 @@ type Report struct {
 	// IdentityViolations counts results whose bytes differed from an
 	// earlier result for the same fingerprint — warm==cold byte
 	// identity must survive chaos, so this must be zero.
-	IdentityViolations int            `json:"identity_violations,omitempty"`
+	IdentityViolations int `json:"identity_violations,omitempty"`
 	// Fleet-mode fields (zero for single-service runs). Shards is the
-	// replica count; LeaderExecs counts hollow executions fleet-wide —
-	// under hash routing with exact_once it equals DistinctSources, the
-	// number of distinct fingerprints that executed at least once
-	// (roundrobin re-executes duplicates, so its LeaderExecs exceeds
-	// DistinctSources by exactly the redundant work the ring avoids).
+	// replica count; LeaderExecs counts hollow executions fleet-wide,
+	// which exact_once holds equal to DistinctSources, the number of
+	// distinct fingerprints that executed at least once.
 	Shards          int            `json:"shards,omitempty"`
 	LeaderExecs     int            `json:"leader_execs,omitempty"`
 	DistinctSources int            `json:"distinct_sources,omitempty"`
 	Taxonomy        map[string]int `json:"taxonomy"`
-	HitRate            float64        `json:"hit_rate"`  // cache hits / blocks
-	ShedRate           float64        `json:"shed_rate"` // shed / blocks
-	P50MS              float64        `json:"p50_ms"`
-	P90MS              float64        `json:"p90_ms"`
-	P99MS              float64        `json:"p99_ms"`
-	MaxMS              float64        `json:"max_ms"`
-	DurationMS         float64        `json:"duration_ms"`
+	HitRate         float64        `json:"hit_rate"`  // cache hits / blocks
+	ShedRate        float64        `json:"shed_rate"` // shed / blocks
+	P50MS           float64        `json:"p50_ms"`
+	P90MS           float64        `json:"p90_ms"`
+	P99MS           float64        `json:"p99_ms"`
+	MaxMS           float64        `json:"max_ms"`
+	DurationMS      float64        `json:"duration_ms"`
 
 	// Latencies is the raw per-submission sample backing the
 	// percentiles, kept out of the JSON document; cmd/vcslo pools it
@@ -137,8 +135,8 @@ func Merge(runs []*Report) (*Report, error) {
 	return out, nil
 }
 
-// WriteSummary prints the human-readable form of a report, mirroring
-// cmd/vcload's output style.
+// WriteSummary prints the human-readable form of a report, as vcslo
+// and vcload show it.
 func (r *Report) WriteSummary(w io.Writer) {
 	rate := func(n int) float64 {
 		if r.Blocks == 0 {
@@ -146,7 +144,7 @@ func (r *Report) WriteSummary(w io.Writer) {
 		}
 		return 100 * float64(n) / float64(r.Blocks)
 	}
-	fmt.Fprintf(w, "%s: %d requests, %d blocks (%d runs, %.1fms simulated)\n",
+	fmt.Fprintf(w, "%s: %d requests, %d blocks (%d runs, %.1fms)\n",
 		r.Scenario, r.Requests, r.Blocks, r.Runs, r.DurationMS)
 	fmt.Fprintf(w, "  ok %d (%.1f%%)  hard-failures %d  shed %d (%.1f%%)  timeouts %d\n",
 		r.OK, rate(r.OK), r.HardFailures, r.Shed, rate(r.Shed), r.Timeouts)

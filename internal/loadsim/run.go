@@ -18,6 +18,9 @@
 //     blocking, so a scenario that simulates seconds of traffic runs
 //     in microseconds and measures identical latencies every run.
 //
+// Fleet scenarios put the real internal/router in front of in-process
+// shards, and Replay (cmd/vcload) offers the same traffic over HTTP.
+//
 // cmd/vcslo replays the checked-in suite under scenarios/ and emits
 // BENCH_service.json; cmd/benchgate -service compares it against the
 // checked-in baseline with tolerance bands, making a service-level
@@ -25,8 +28,11 @@
 package loadsim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -35,6 +41,7 @@ import (
 	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/faultpoint"
+	"vcsched/internal/hollow"
 	"vcsched/internal/ir"
 	"vcsched/internal/leakcheck"
 	"vcsched/internal/machine"
@@ -51,25 +58,17 @@ const statsWait = 10 * time.Second
 // returns the measured report.
 func Run(sc *Scenario) (*Report, error) {
 	d := sc.withDefaults()
-	if err := d.Validate(); err != nil {
+	m, pool, err := prepare(&d)
+	if err != nil {
 		return nil, err
 	}
-	m, err := machine.ByKey(d.Machine)
-	if err != nil {
-		return nil, fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
-	}
 
-	var clock Clock = WallClock{}
+	var clock hollow.Clock = hollow.WallClock{}
 	if d.VirtualClock {
-		clock = NewVirtualClock()
+		clock = hollow.NewVirtualClock()
 	}
 
 	coreOpts := core.Options{MaxSteps: d.Service.MaxSteps}
-	pool, err := buildPool(&d, m, coreOpts)
-	if err != nil {
-		return nil, err
-	}
-
 	cfg := service.Config{
 		Workers:          d.Service.Workers,
 		QueueDepth:       d.Service.QueueDepth,
@@ -89,9 +88,9 @@ func Run(sc *Scenario) (*Report, error) {
 		// are judged deterministically at completion.
 		cfg.WatchdogInterval = time.Hour
 	}
-	var hollow *HollowRunner
+	var runner *hollow.HollowRunner
 	if d.Hollow != nil {
-		hcfg := HollowConfig{
+		hcfg := hollow.HollowConfig{
 			CostMin: time.Duration(d.Hollow.CostMinMS * float64(time.Millisecond)),
 			CostMax: time.Duration(d.Hollow.CostMaxMS * float64(time.Millisecond)),
 			Clock:   clock,
@@ -102,8 +101,8 @@ func Run(sc *Scenario) (*Report, error) {
 				hcfg.Poison[pool[p].fp] = true
 			}
 		}
-		hollow = NewHollowRunner(hcfg)
-		cfg.Runner = hollow
+		runner = hollow.NewHollowRunner(hcfg)
+		cfg.Runner = runner
 	}
 
 	// Chaos scenarios take over the (global) faultpoint registry and
@@ -124,51 +123,41 @@ func Run(sc *Scenario) (*Report, error) {
 		defer faultpoint.Reset()
 	}
 
-	// Fleet mode stands up N shard replicas behind the in-process
-	// consistent-hash front-end instead of one service; both expose the
-	// same submitter surface to the stage loop.
+	// Fleet mode puts N shard replicas behind the real router instead
+	// of one service; the stage loop sees one submitter either way.
 	var (
-		svc    *service.Service
-		flt    *fleet
+		shards []*service.Service
 		target submitter
 	)
 	if d.Fleet != nil {
-		flt = newFleet(d.Fleet, cfg)
-		target = flt
-		defer flt.Close()
+		flt, err := newFleet(&d, cfg, clock)
+		if err != nil {
+			return nil, err
+		}
+		defer flt.router.Close()
+		shards, target = flt.shards, flt.front
 	} else {
-		svc = service.New(cfg)
-		target = svc
-		defer svc.Close()
+		shards = []*service.Service{service.New(cfg)}
+		target = shards[0]
 	}
+	defer drain(shards)
 
-	col := &collector{
-		rep:       Report{Scenario: d.Name, Runs: 1, Taxonomy: map[string]int{}},
-		schedules: map[string]string{},
-	}
+	col := newCollector(d.Name)
 	start := clock.Now()
 	if d.Overload != nil {
-		err = runOverload(&d, svc, hollow, pool, m, coreOpts, clock, col)
+		if err := runOverload(&d, shards[0], runner, pool, m, coreOpts, clock, col); err != nil {
+			return nil, err
+		}
 	} else {
-		err = runStages(&d, target, pool, m, coreOpts, clock, chaos, col)
-	}
-	if err != nil {
-		return nil, err
+		runStages(&d, target, pool, m, coreOpts, clock, chaos, col)
 	}
 	col.rep.DurationMS = stats.Millis(clock.Now().Sub(start))
 
 	// Drain before snapshotting the service counters: watchdog leaks
 	// must have settled (a residue means a worker execution never
 	// returned) and the breaker/watchdog totals must be final. Fleet
-	// runs drain every shard and sum their counters.
-	var st service.Stats
-	if flt != nil {
-		flt.Close()
-		st = service.MergeStats(flt.stats()...)
-	} else {
-		svc.Close()
-		st = svc.Stats()
-	}
+	// runs sum their shards' counters.
+	st := service.MergeStats(drain(shards)...)
 	col.rep.WatchdogKills = int(st.WatchdogKills)
 	col.rep.WatchdogLeaks = int(st.WatchdogLeaks)
 	col.rep.BreakerTrips = int(st.BreakerTrips)
@@ -181,11 +170,11 @@ func Run(sc *Scenario) (*Report, error) {
 			return nil, fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
 		}
 	}
-	if flt != nil {
-		col.rep.Shards = len(flt.shards)
-		col.rep.LeaderExecs = hollow.Calls()
+	if d.Fleet != nil {
+		col.rep.Shards = len(shards)
+		col.rep.LeaderExecs = runner.Calls()
 		for _, src := range pool {
-			n := hollow.CallsFor(src.fp)
+			n := runner.CallsFor(src.fp)
 			if n > 0 {
 				col.rep.DistinctSources++
 			}
@@ -199,41 +188,102 @@ func Run(sc *Scenario) (*Report, error) {
 	return &col.rep, nil
 }
 
-// source is one pool entry: a generated superblock plus the request
-// template fields that give it a distinct fingerprint.
+// drain closes every shard and snapshots its final counters.
+func drain(shards []*service.Service) []service.Stats {
+	out := make([]service.Stats, len(shards))
+	for i, s := range shards {
+		s.Close()
+		out[i] = s.Stats()
+	}
+	return out
+}
+
+// prepare validates the defaulted scenario d and builds its source
+// pool for its machine.
+func prepare(d *Scenario) (*machine.Config, []source, error) {
+	if err := d.Validate(); err != nil {
+		return nil, nil, err
+	}
+	m, err := machine.ByKey(d.Machine)
+	if err != nil {
+		return nil, nil, fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
+	}
+	pool, err := buildPool(d, m, core.Options{MaxSteps: d.Service.MaxSteps})
+	return m, pool, err
+}
+
+// source is one pool entry: a superblock plus the fingerprint a
+// submission of it hashes to.
 type source struct {
 	sb *ir.Superblock
 	fp string
 }
 
-// buildPool generates Gen superblocks with pairwise-distinct
-// fingerprints (the generator very occasionally repeats a block, and
-// the overload flow needs genuinely unique fingerprints).
+// buildPool collects the source pool: every superblock of the Corpus
+// files (sorted by file name), then Gen generated superblocks with
+// pairwise-distinct fingerprints (the generator very occasionally
+// repeats a block, and the overload flow needs genuinely unique
+// fingerprints).
 func buildPool(d *Scenario, m *machine.Config, opts core.Options) ([]source, error) {
+	fingerprint := func(sb *ir.Superblock) string {
+		return service.Fingerprint(&service.Request{SB: sb, Machine: m, PinSeed: d.PinSeed, Core: opts})
+	}
+	blocks, err := readCorpus(d.Corpus)
+	if err != nil {
+		return nil, fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
+	}
+	corpus := len(blocks)
 	g := difftest.NewGen(d.Seed, d.MaxInstrs)
-	pool := make([]source, 0, d.Gen)
 	seen := make(map[string]bool, d.Gen)
-	for tries := 0; len(pool) < d.Gen; tries++ {
+	for tries := 0; len(blocks)-corpus < d.Gen; tries++ {
 		if tries > 20*d.Gen {
 			return nil, fmt.Errorf("loadsim: scenario %s: generator produced only %d distinct fingerprints of %d",
-				d.Name, len(pool), d.Gen)
+				d.Name, len(blocks)-corpus, d.Gen)
 		}
 		sb := g.Next()
-		fp := service.Fingerprint(&service.Request{SB: sb, Machine: m, PinSeed: d.PinSeed, Core: opts})
+		fp := fingerprint(sb)
 		if seen[fp] {
 			continue
 		}
 		seen[fp] = true
-		pool = append(pool, source{sb: sb, fp: fp})
+		blocks = append(blocks, sb)
 	}
-	// The rename changes the canonical form, so the recorded
-	// fingerprints are recomputed to match what a submission of this
-	// source will actually hash to (the poison set is keyed by them).
-	for i := range pool {
-		pool[i].sb.Name = fmt.Sprintf("%s-src%03d", d.Name, i)
-		pool[i].fp = service.Fingerprint(&service.Request{SB: pool[i].sb, Machine: m, PinSeed: d.PinSeed, Core: opts})
+	// Generated blocks take per-scenario names. The rename changes the
+	// canonical form, so fingerprints are taken after it, matching what
+	// a submission will hash to (the poison set is keyed by them).
+	pool := make([]source, len(blocks))
+	for i, sb := range blocks {
+		if i >= corpus {
+			sb.Name = fmt.Sprintf("%s-src%03d", d.Name, i-corpus)
+		}
+		pool[i] = source{sb: sb, fp: fingerprint(sb)}
 	}
 	return pool, nil
+}
+
+// readCorpus parses every .sb file in dir, in file-name order ("" =
+// no corpus).
+func readCorpus(dir string) ([]*ir.Superblock, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.sb")) // sorted; the only error is a bad pattern
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("corpus: no .sb files in %s", dir)
+	}
+	var blocks []*ir.Superblock
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		sbs, err := ir.ReadAll(bytes.NewReader(b))
+		if err != nil {
+			return nil, fmt.Errorf("corpus %s: %w", p, err)
+		}
+		blocks = append(blocks, sbs...)
+	}
+	return blocks, nil
 }
 
 func (d *Scenario) request(m *machine.Config, opts core.Options, src source, deadline time.Duration) *service.Request {
@@ -251,9 +301,9 @@ type submission struct {
 	pace     time.Duration
 }
 
-// drawSubmissions materializes the stage ramp into the deterministic
-// submission sequence.
-func drawSubmissions(d *Scenario) []submission {
+// drawSubmissions materializes the stage ramp over a pool of n
+// sources into the deterministic submission sequence.
+func drawSubmissions(d *Scenario, n int) []submission {
 	rng := rand.New(rand.NewSource(d.Seed))
 	var subs []submission
 	var totalWeight float64
@@ -267,9 +317,9 @@ func drawSubmissions(d *Scenario) []submission {
 			s := submission{picks: make([]int, d.Batch), pace: pace}
 			for b := range s.picks {
 				if picks > 0 && rng.Float64() < d.DupRate {
-					s.picks[b] = rng.Intn(min(picks, d.Gen))
+					s.picks[b] = rng.Intn(min(picks, n))
 				} else {
-					s.picks[b] = picks % d.Gen
+					s.picks[b] = picks % n
 				}
 				picks++
 			}
@@ -289,24 +339,25 @@ func drawSubmissions(d *Scenario) []submission {
 	return subs
 }
 
+// submitter is what the stage loop drives: a *service.Service, or a
+// daemon or router behind remote.
+type submitter interface {
+	SubmitBatch(reqs []*service.Request) []service.Result
+}
+
 // runStages offers the ramp. Concurrency 1 is a fully synchronous
 // loop — pacing, submission and measurement interleave in one
 // goroutine, so virtual-clock latencies are exact. Higher concurrency
-// uses a dispatcher plus a worker pool like cmd/vcload.
-func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, opts core.Options, clock Clock, chaos *chaosController, col *collector) error {
-	subs := drawSubmissions(d)
+// uses a dispatcher plus a worker pool.
+func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, opts core.Options, clock hollow.Clock, chaos *chaosController, col *collector) {
+	subs := drawSubmissions(d, len(pool))
 
 	deliver := func(s submission) {
-		t0 := clock.Now()
-		if len(s.picks) == 1 {
-			res := svc.Submit(d.request(mach, opts, pool[s.picks[0]], s.deadline))
-			col.record(clock.Now().Sub(t0), res)
-			return
-		}
 		reqs := make([]*service.Request, len(s.picks))
 		for i, p := range s.picks {
 			reqs[i] = d.request(mach, opts, pool[p], s.deadline)
 		}
+		t0 := clock.Now()
 		out := svc.SubmitBatch(reqs)
 		col.record(clock.Now().Sub(t0), out...)
 	}
@@ -323,7 +374,7 @@ func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, 
 		if chaos != nil {
 			chaos.stop()
 		}
-		return nil
+		return
 	}
 
 	jobs := make(chan submission)
@@ -343,7 +394,6 @@ func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, 
 	}
 	close(jobs)
 	wg.Wait()
-	return nil
 }
 
 // runOverload measures admission control deterministically: hold the
@@ -351,14 +401,15 @@ func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, 
 // requests that must all shed, then release the gate and let the
 // admitted work finish. Shed rate = extra/(fill+extra) exactly, with
 // no race against worker progress.
-func runOverload(d *Scenario, svc *service.Service, hollow *HollowRunner, pool []source, mach *machine.Config, opts core.Options, clock Clock, col *collector) error {
+func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner, pool []source, mach *machine.Config, opts core.Options, clock hollow.Clock, col *collector) error {
 	fill := d.Service.Workers + d.Service.QueueDepth
 
-	hollow.Hold()
-	defer hollow.Release()
+	runner.Hold()
+	defer runner.Release()
 
 	var wg sync.WaitGroup
-	for i := 0; i < fill; i++ {
+	var err error
+	for i := 0; i < fill && err == nil; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -366,11 +417,20 @@ func runOverload(d *Scenario, svc *service.Service, hollow *HollowRunner, pool [
 			res := svc.Submit(d.request(mach, opts, pool[i], 0))
 			col.record(clock.Now().Sub(t0), res)
 		}(i)
+		// Every worker takes a request and parks on the gate before the
+		// queue fills: offered all at once, the fill could find the
+		// queue full before a worker had dequeued, and shed.
+		if i == d.Service.Workers-1 {
+			err = waitStats(svc, func(service.Stats) bool { return runner.Calls() == d.Service.Workers })
+		}
 	}
-	if err := waitStats(svc, func(st service.Stats) bool {
-		return st.CacheMisses == int64(fill) && st.QueueLen == d.Service.QueueDepth
-	}); err != nil {
-		hollow.Release()
+	if err == nil {
+		err = waitStats(svc, func(st service.Stats) bool {
+			return st.CacheMisses == int64(fill) && st.QueueLen == d.Service.QueueDepth
+		})
+	}
+	if err != nil {
+		runner.Release()
 		wg.Wait()
 		return fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
 	}
@@ -379,7 +439,7 @@ func runOverload(d *Scenario, svc *service.Service, hollow *HollowRunner, pool [
 		res := svc.Submit(d.request(mach, opts, pool[fill+j], 0))
 		col.record(clock.Now().Sub(t0), res)
 	}
-	hollow.Release()
+	runner.Release()
 	wg.Wait()
 	return nil
 }
@@ -395,6 +455,14 @@ func waitStats(svc *service.Service, cond func(service.Stats) bool) error {
 		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("service counters did not settle within %v: %+v", statsWait, svc.Stats())
+}
+
+// newCollector starts the report of one run of the named scenario.
+func newCollector(name string) *collector {
+	return &collector{
+		rep:       Report{Scenario: name, Runs: 1, Taxonomy: map[string]int{}},
+		schedules: map[string]string{},
+	}
 }
 
 // collector accumulates the report under a lock (the concurrent paths

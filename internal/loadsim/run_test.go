@@ -1,8 +1,15 @@
 package loadsim
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"vcsched/internal/core"
+	"vcsched/internal/difftest"
+	"vcsched/internal/service"
 )
 
 // TestVirtualClockScenarioIsDeterministic is the property make
@@ -253,5 +260,48 @@ func TestMergePoolsRunsAndRecomputes(t *testing.T) {
 	other.Scenario = "different"
 	if _, err := Merge([]*Report{a, &other}); err == nil {
 		t.Fatal("Merge across scenarios did not fail")
+	}
+}
+
+// TestCorpusJoinsThePoolAheadOfGeneratedBlocks: every superblock of the
+// corpus files, in file-name order and under its own name, precedes
+// the Gen generated sources, and picks range over the whole pool.
+func TestCorpusJoinsThePoolAheadOfGeneratedBlocks(t *testing.T) {
+	dir := t.TempDir()
+	g := difftest.NewGen(21, 10)
+	a, b, c := g.Next(), g.Next(), g.Next()
+	a.Name, b.Name, c.Name = "first", "second", "third"
+	// b.sb holds two superblocks and sorts before c.sb.
+	for file, body := range map[string]string{"b.sb": a.String() + b.String(), "c.sb": c.String(), "notes.txt": "ignored"} {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := Scenario{Name: "corpus", Gen: 2, MaxInstrs: 12, Corpus: dir, Stages: []Stage{{Requests: 12}}}.withDefaults()
+	m, pool, err := prepare(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, src := range pool {
+		names = append(names, src.sb.Name)
+	}
+	if got, want := strings.Join(names, ","), "first,second,third,corpus-src000,corpus-src001"; got != want {
+		t.Fatalf("pool = %s, want %s", got, want)
+	}
+	if fp := service.Fingerprint(sc.request(m, core.Options{}, pool[1], 0)); fp != pool[1].fp {
+		t.Fatalf("corpus source fingerprint %s, a submission hashes to %s", pool[1].fp, fp)
+	}
+	seen := map[int]bool{}
+	for _, s := range drawSubmissions(&sc, len(pool)) {
+		seen[s.picks[0]] = true
+	}
+	if len(seen) != len(pool) {
+		t.Fatalf("picks covered %d of %d sources", len(seen), len(pool))
+	}
+
+	sc.Corpus = t.TempDir()
+	if _, _, err := prepare(&sc); err == nil || !strings.Contains(err.Error(), "no .sb files") {
+		t.Fatalf("empty corpus dir: err = %v", err)
 	}
 }

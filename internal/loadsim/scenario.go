@@ -25,9 +25,13 @@ type Scenario struct {
 	// pattern, deadline mix), so a scenario is a deterministic request
 	// sequence (0 = 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Gen is the source-pool size: that many distinct generated
-	// superblocks, each a distinct fingerprint (0 = 8).
+	// Gen is how many distinct generated superblocks join the source
+	// pool, each a distinct fingerprint (0 = 8).
 	Gen int `json:"gen,omitempty"`
+	// Corpus names a directory whose .sb files join the source pool
+	// ahead of the generated blocks, every superblock in them one
+	// source. A relative path resolves against the working directory.
+	Corpus string `json:"corpus,omitempty"`
 	// MaxInstrs caps generated block size (0 = 16).
 	MaxInstrs int `json:"max_instrs,omitempty"`
 	// Machine is the machine.ByKey target ("" = 2c1l).
@@ -72,9 +76,8 @@ type Scenario struct {
 	// invariant checks: watchdog leaks and goroutine count must settle
 	// to the baseline after the drain.
 	Faults []FaultWindow `json:"faults,omitempty"`
-	// Fleet shards the scenario across N service replicas behind an
-	// in-process consistent-hash front-end — the loadsim analogue of
-	// cmd/vcrouter over N vcschedd shards (requires Hollow; see
+	// Fleet shards the scenario across N service replicas behind the
+	// real internal/router, all in process (requires Hollow; see
 	// fleet.go). nil runs the single service the other scenarios use.
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 }
@@ -123,14 +126,11 @@ type HollowSpec struct {
 	Poison []int `json:"poison,omitempty"`
 }
 
-// FleetSpec configures fleet mode: the offered load is routed across
-// Shards identical service replicas (each sized by ServiceSpec, all
-// sharing one hollow runner and one clock) the way cmd/vcrouter routes
-// across vcschedd backends. "hash" routing sends every fingerprint to
-// its consistent-hash home shard with router-side coalescing, so the
-// fleet-wide cache is a partition; "roundrobin" is the strawman that
-// sprays duplicates across shards and re-executes them — kept so the
-// two policies can be compared on the same traffic.
+// FleetSpec configures fleet mode: the offered load goes through
+// internal/router, which sends every fingerprint to its consistent-
+// hash home among Shards identical service replicas (each sized by
+// ServiceSpec, all sharing one hollow runner and one clock) with
+// router-side coalescing, so the fleet-wide cache is a partition.
 type FleetSpec struct {
 	// Shards is the replica count (>= 1; 1 = the single-service
 	// topology expressed through the fleet path, the baseline the
@@ -139,12 +139,9 @@ type FleetSpec struct {
 	// Replicas is virtual nodes per shard on the hash ring (0 = the
 	// ring default).
 	Replicas int `json:"replicas,omitempty"`
-	// Routing is "hash" (default) or "roundrobin".
-	Routing string `json:"routing,omitempty"`
 	// ExactOnce makes the run fail if any fingerprint executed more
 	// than once across the whole fleet — the partition-correctness
-	// invariant for hash routing (incompatible with roundrobin, which
-	// re-executes by design).
+	// invariant of hash routing.
 	ExactOnce bool `json:"exact_once,omitempty"`
 }
 
@@ -261,11 +258,6 @@ func (sc Scenario) Validate() error {
 		if d.Fleet.Replicas < 0 {
 			return fail("fleet.replicas must be >= 0")
 		}
-		switch d.Fleet.Routing {
-		case "", "hash", "roundrobin":
-		default:
-			return fail("fleet.routing %q is not \"hash\" or \"roundrobin\"", d.Fleet.Routing)
-		}
 		if d.Hollow == nil {
 			return fail("fleet requires hollow workers (N real ladders would fight for the same CPUs)")
 		}
@@ -274,9 +266,6 @@ func (sc Scenario) Validate() error {
 		}
 		if len(d.Faults) > 0 {
 			return fail("fleet and faults cannot be combined (the chaos registry is process-global)")
-		}
-		if d.Fleet.ExactOnce && d.Fleet.Routing == "roundrobin" {
-			return fail("fleet.exact_once is incompatible with roundrobin routing (it re-executes duplicates by design)")
 		}
 	}
 	if d.Overload != nil {
@@ -298,8 +287,40 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
+// inProcessFields names the fields set on sc that size or script the
+// in-process harness rather than the offered traffic.
+func (sc *Scenario) inProcessFields() []string {
+	var set []string
+	add := func(name string, on bool) {
+		if on {
+			set = append(set, name)
+		}
+	}
+	add("service", sc.Service != (ServiceSpec{}))
+	add("hollow", sc.Hollow != nil)
+	add("virtual_clock", sc.VirtualClock)
+	add("overload", sc.Overload != nil)
+	add("faults", len(sc.Faults) > 0)
+	add("fleet", sc.Fleet != nil)
+	return set
+}
+
 func (b DeadlineBand) duration() time.Duration {
 	return time.Duration(b.MS) * time.Millisecond
+}
+
+// PacingInterval converts a target request rate into the interval a
+// dispatcher sleeps between submissions. 0 disables pacing ("as fast
+// as the workers go"); negative rates are a configuration error, not
+// an implicit unpaced mode.
+func PacingInterval(rps float64) (time.Duration, error) {
+	if rps < 0 {
+		return 0, errNegativeRPS
+	}
+	if rps == 0 {
+		return 0, nil
+	}
+	return time.Duration(float64(time.Second) / rps), nil
 }
 
 // LoadScenario reads and validates one scenario file. Unknown fields

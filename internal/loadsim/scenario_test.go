@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vcsched/internal/hollow"
 )
 
 func validScenario() Scenario {
@@ -81,10 +83,10 @@ func TestPacingInterval(t *testing.T) {
 		rps  float64
 		want time.Duration
 	}{
-		{0, 0},                   // documented: 0 = unpaced
-		{1, time.Second},         //
+		{0, 0},           // documented: 0 = unpaced
+		{1, time.Second}, //
 		{100, 10 * time.Millisecond},
-		{0.5, 2 * time.Second},   // fractional rates slow down, not truncate
+		{0.5, 2 * time.Second}, // fractional rates slow down, not truncate
 		{2000, 500 * time.Microsecond},
 	}
 	for _, c := range cases {
@@ -142,7 +144,7 @@ func TestLoadSuiteSortedAndUniqueNames(t *testing.T) {
 }
 
 func TestHollowCostDeterministicAndBounded(t *testing.T) {
-	h := NewHollowRunner(HollowConfig{CostMin: 2 * time.Millisecond, CostMax: 10 * time.Millisecond})
+	h := hollow.NewHollowRunner(hollow.HollowConfig{CostMin: 2 * time.Millisecond, CostMax: 10 * time.Millisecond})
 	fps := []string{"a", "b", "c", "deadbeef", strings.Repeat("f", 64)}
 	for _, fp := range fps {
 		c := h.Cost(fp)
@@ -154,7 +156,7 @@ func TestHollowCostDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	// A fixed-cost runner: max clamped up to min.
-	fixed := NewHollowRunner(HollowConfig{CostMin: 5 * time.Millisecond, CostMax: time.Millisecond})
+	fixed := hollow.NewHollowRunner(hollow.HollowConfig{CostMin: 5 * time.Millisecond, CostMax: time.Millisecond})
 	if c := fixed.Cost("x"); c != 5*time.Millisecond {
 		t.Errorf("fixed-cost runner charged %v, want 5ms", c)
 	}

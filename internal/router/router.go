@@ -6,25 +6,25 @@
 // The per-block path composes the exported service pipeline pieces
 // with the consistent-hash ring:
 //
-//	fingerprint → router singleflight → ring placement → forward
+//		fingerprint → router singleflight → ring placement → forward
 //
-//  1. Every superblock is expanded and fingerprinted locally with
-//     exactly the pipeline the daemon runs (httpapi.BuildRequests +
-//     service.Fingerprint), so the router addresses the same content
-//     the shard will cache.
-//  2. Duplicate fingerprints coalesce in a router-side
-//     service.Flight BEFORE they reach the ring: one leader forwards,
-//     followers wait at most their own deadline. Combined with hash
-//     placement this is what makes duplicate-heavy fleet traffic
-//     execute exactly once fleet-wide.
-//  3. The fingerprint's home shard comes from the ring
-//     (ring.Successors); draining, unreachable or breaker-ejected
-//     shards drop out of the ring and their keys spill to the next
-//     successor — the rest of the partition is untouched.
-//  4. The forward itself reuses internal/vcclient: per-try timeouts,
-//     bounded retries with Retry-After-floored backoff, and hedging
-//     that walks the successor list so a slow shard races a DIFFERENT
-//     shard on the idempotent endpoint.
+//	 1. Every superblock is expanded and fingerprinted locally with
+//	    exactly the pipeline the daemon runs (httpapi.BuildRequests +
+//	    service.Fingerprint), so the router addresses the same content
+//	    the shard will cache.
+//	 2. Duplicate fingerprints coalesce in a router-side
+//	    service.Flight BEFORE they reach the ring: one leader forwards,
+//	    followers wait at most their own deadline. Combined with hash
+//	    placement this is what makes duplicate-heavy fleet traffic
+//	    execute exactly once fleet-wide.
+//	 3. The fingerprint's home shard comes from the ring
+//	    (ring.Successors); draining, unreachable or breaker-ejected
+//	    shards drop out of the ring and their keys spill to the next
+//	    successor — the rest of the partition is untouched.
+//	 4. The forward itself reuses internal/vcclient: per-try timeouts,
+//	    bounded retries with Retry-After-floored backoff, and hedging
+//	    that walks the successor list so a slow shard races a DIFFERENT
+//	    shard on the idempotent endpoint.
 //
 // Health is tracked two ways: a per-shard /v1/healthz poller (drain
 // detection between requests) and a per-shard consecutive-transport-

@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"vcsched/internal/difftest"
+	"vcsched/internal/hollow"
 	"vcsched/internal/httpapi"
 	"vcsched/internal/leakcheck"
-	"vcsched/internal/loadsim"
 	"vcsched/internal/service"
 	"vcsched/internal/vcclient"
 )
@@ -25,7 +25,7 @@ import (
 type backend struct {
 	srv    *httptest.Server
 	svc    *service.Service
-	hollow *loadsim.HollowRunner
+	hollow *hollow.HollowRunner
 }
 
 func (b *backend) url() string { return b.srv.URL }
@@ -34,7 +34,7 @@ func startBackends(t *testing.T, n int) []*backend {
 	t.Helper()
 	out := make([]*backend, n)
 	for i := range out {
-		hollow := loadsim.NewHollowRunner(loadsim.HollowConfig{
+		runner := hollow.NewHollowRunner(hollow.HollowConfig{
 			CostMin: time.Millisecond,
 			CostMax: 2 * time.Millisecond,
 		})
@@ -42,10 +42,10 @@ func startBackends(t *testing.T, n int) []*backend {
 			Workers:         2,
 			QueueDepth:      64,
 			DefaultDeadline: 30 * time.Second,
-			Runner:          hollow,
+			Runner:          runner,
 		})
 		srv := httptest.NewServer(httpapi.SchedulerMux(svc, httpapi.Defaults{MachineKey: "2c1l", PinSeed: 1, MaxSteps: 20000}))
-		out[i] = &backend{srv: srv, svc: svc, hollow: hollow}
+		out[i] = &backend{srv: srv, svc: svc, hollow: runner}
 		t.Cleanup(func() {
 			srv.Close()
 			svc.Close()
@@ -360,9 +360,10 @@ func TestDrainMidLoadRehomesKeysWithoutHardFailures(t *testing.T) {
 // router's consecutive-failure breaker: it leaves the ring after
 // BreakerThreshold transport errors and traffic keeps flowing.
 func TestBreakerEjectsUnreachableShard(t *testing.T) {
+	const threshold = 2
 	backends := startBackends(t, 3)
 	rt := newRouter(t, backends, func(c *Config) {
-		c.BreakerThreshold = 2
+		c.BreakerThreshold = threshold
 		c.BreakerCooloff = time.Hour // no readmission inside the test
 		c.Client = vcclient.Config{Retries: 3, TryTimeout: 2 * time.Second, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond}
 	})
@@ -373,8 +374,19 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 	dead := backends[1]
 	dead.srv.Close()
 
-	blocks := genBlocks(73, 16)
-	for _, b := range blocks {
+	// Send blocks whose full-ring home is the dead shard: each one's
+	// first try goes there, so BreakerThreshold of them must trip the
+	// breaker whatever ring placement the ephemeral ports produce. One
+	// more after the trip must not try the dead shard at all.
+	sent := 0
+	for _, b := range genBlocks(73, 200) {
+		reqs, err := httpapi.BuildRequests(&service.WireRequest{Blocks: []string{b}}, rt.cfg.Defaults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home, _ := rt.full.Get(service.Fingerprint(reqs[0])); home != dead.url() {
+			continue
+		}
 		status, resp := postRouter(t, front, service.WireRequest{Blocks: []string{b}})
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %+v", status, resp)
@@ -382,6 +394,12 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 		if r := resp.Results[0]; r.HardFailure || r.Error != "" {
 			t.Fatalf("hard failure leaked past the breaker: %+v", r)
 		}
+		if sent++; sent == threshold+1 {
+			break
+		}
+	}
+	if sent != threshold+1 {
+		t.Fatalf("only %d of 200 generated blocks call the dead shard home", sent)
 	}
 	st := rt.Stats()
 	var deadStats *ShardStats
@@ -396,8 +414,8 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 	if !deadStats.Ejected {
 		t.Errorf("dead shard not ejected: %+v", deadStats)
 	}
-	if deadStats.Errors < 2 {
-		t.Errorf("dead shard errors = %d, want >= threshold 2", deadStats.Errors)
+	if deadStats.Errors != threshold {
+		t.Errorf("dead shard errors = %d, want exactly the threshold %d", deadStats.Errors, threshold)
 	}
 	if st.LiveShards != 2 {
 		t.Errorf("live shards = %d, want 2", st.LiveShards)

@@ -6,31 +6,31 @@
 //
 // The request path is a pipeline:
 //
-//	fingerprint → result cache → singleflight → admission → worker → ladder
+//		fingerprint → result cache → singleflight → admission → worker → ladder
 //
-//  1. Every request is reduced to a content-addressed fingerprint
-//     (see Fingerprint): a hash of the canonical superblock bytes, the
-//     machine configuration, the pin seed and the normalized options
-//     vector. Two requests with the same fingerprint are guaranteed to
-//     deserve byte-identical responses.
-//  2. The fingerprint indexes an LRU result cache. A hit returns the
-//     cached response — byte-identical to the cold run that produced
-//     it — without touching a worker.
-//  3. Concurrent duplicates are coalesced (singleflight): the first
-//     miss becomes the leader and computes; followers arriving while
-//     the leader is in flight wait for its result instead of queueing
-//     duplicate work.
-//  4. Admission control: leaders enter a bounded queue. When the queue
-//     is full the request is shed immediately with an explicit shed
-//     response — the service degrades by refusing work, never by
-//     growing its queue without bound.
-//  5. A fixed pool of workers (sized from core.Options.Parallelism)
-//     drains the queue. Each worker runs the block through the
-//     internal/resilient degradation ladder, so a poisoned request
-//     degrades per the error taxonomy instead of killing the daemon,
-//     and maps the request's remaining deadline onto core.Options.
-//     Timeout — which core wires into deduce.Budget.SetDeadline, so
-//     the deadline interrupts propagation runs deep inside the DP.
+//	 1. Every request is reduced to a content-addressed fingerprint
+//	    (see Fingerprint): a hash of the canonical superblock bytes, the
+//	    machine configuration, the pin seed and the normalized options
+//	    vector. Two requests with the same fingerprint are guaranteed to
+//	    deserve byte-identical responses.
+//	 2. The fingerprint indexes an LRU result cache. A hit returns the
+//	    cached response — byte-identical to the cold run that produced
+//	    it — without touching a worker.
+//	 3. Concurrent duplicates are coalesced (singleflight): the first
+//	    miss becomes the leader and computes; followers arriving while
+//	    the leader is in flight wait for its result instead of queueing
+//	    duplicate work.
+//	 4. Admission control: leaders enter a bounded queue. When the queue
+//	    is full the request is shed immediately with an explicit shed
+//	    response — the service degrades by refusing work, never by
+//	    growing its queue without bound.
+//	 5. A fixed pool of workers (sized from core.Options.Parallelism)
+//	    drains the queue. Each worker runs the block through the
+//	    internal/resilient degradation ladder, so a poisoned request
+//	    degrades per the error taxonomy instead of killing the daemon,
+//	    and maps the request's remaining deadline onto core.Options.
+//	    Timeout — which core wires into deduce.Budget.SetDeadline, so
+//	    the deadline interrupts propagation runs deep inside the DP.
 //
 // Close drains gracefully: new requests are refused with a draining
 // response, queued and in-flight work completes, then the workers

@@ -1,7 +1,5 @@
-// Package stats holds the latency-statistics helpers shared by every
-// load harness in the tree (cmd/vcload, internal/loadsim, cmd/vcslo),
-// so the percentile definition cannot drift between the ad-hoc load
-// generator and the SLO-gated scenario suite.
+// Package stats holds the latency-statistics helpers shared by
+// internal/loadsim and cmd/vcslo: one percentile definition.
 package stats
 
 import (

@@ -6,7 +6,7 @@
 # three shards on ephemeral ports and the router in front of them, and
 # replays duplicate-heavy generated traffic through the router:
 #
-#   - vcload exits 0 (zero hard failures, zero transport errors);
+#   - vcload exits 0 (zero hard failures, lost requests included);
 #   - the aggregate dedup rate (cache hits + coalesced, as seen through
 #     the router) clears a floor that only holds if duplicates keep
 #     landing on the shard that already cached their fingerprint;
@@ -83,10 +83,28 @@ addr="$(cat "$tmp/router.addr")"
 echo "fleet-smoke: router up on $addr"
 
 # Duplicate-heavy load through the router: GEN distinct sources, 80% of
-# requests re-submit an earlier one. vcload exits non-zero on any hard
-# failure or transport error.
-"$tmp/vcload" -addr "$addr" -gen "$GEN" -n "$REQUESTS" -dup "$DUP" -c 4 \
-    | tee "$tmp/load.out"
+# requests re-submit an earlier one. The scenario lives under $tmp, not
+# scenarios/, which vcslo loads whole. vcload exits non-zero on any hard
+# failure, a lost request included.
+cat >"$tmp/traffic.json" <<EOF
+{
+  "name": "fleet-smoke",
+  "gen": $GEN,
+  "seed": 7,
+  "max_instrs": 24,
+  "stages": [{"rps": 0, "requests": $REQUESTS}],
+  "dup_rate": $DUP,
+  "concurrency": 4
+}
+EOF
+# (No pipe into tee: sh has no pipefail, so a pipe would hide vcload's
+# exit status.)
+"$tmp/vcload" -addr "$addr" -scenario "$tmp/traffic.json" >"$tmp/load.out" || {
+    cat "$tmp/load.out"
+    echo "fleet-smoke: vcload failed" >&2
+    exit 1
+}
+cat "$tmp/load.out"
 
 # The fleet-wide dedup floor: REQUESTS blocks over GEN distinct sources
 # leaves at most GEN cold misses, so hits+coalesced must reach

@@ -3,11 +3,11 @@
 # (`make service-smoke`, wired into the tier-1 `check` gate).
 #
 # Builds vcschedd and vcload under the race detector, starts the daemon
-# on an ephemeral port, replays the checked-in reproducer corpus plus
-# generated blocks through vcload with a 50% duplicate rate, and
-# requires:
+# on an ephemeral port, replays a traffic scenario (the checked-in
+# reproducer corpus plus generated blocks, 50% duplicates) through
+# vcload, and requires:
 #
-#   - vcload exits 0 (zero hard failures, zero transport errors);
+#   - vcload exits 0 (zero hard failures, lost requests included);
 #   - the daemon drains cleanly on SIGTERM (exit 0).
 set -eu
 
@@ -53,9 +53,22 @@ addr="$(cat "$tmp/addr")"
 echo "service-smoke: daemon up on $addr"
 
 # The corpus replay: every repro block plus 10 generated ones, 80
-# requests at 50% duplicate rate through 4 connections. vcload exits
-# non-zero on any hard failure.
-"$tmp/vcload" -addr "$addr" -corpus "$CORPUS" -gen 10 -n 80 -dup 0.5 -c 4
+# requests at 50% duplicate rate through 4 connections. The scenario
+# lives under $tmp, not scenarios/, which vcslo loads whole. vcload
+# exits non-zero on any hard failure.
+cat >"$tmp/traffic.json" <<EOF
+{
+  "name": "service-smoke",
+  "corpus": "$CORPUS",
+  "gen": 10,
+  "seed": 7,
+  "max_instrs": 24,
+  "stages": [{"rps": 0, "requests": 80}],
+  "dup_rate": 0.5,
+  "concurrency": 4
+}
+EOF
+"$tmp/vcload" -addr "$addr" -scenario "$tmp/traffic.json"
 
 echo "service-smoke: sending SIGTERM"
 kill -TERM "$daemon_pid"
