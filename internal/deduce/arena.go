@@ -40,6 +40,13 @@ type Arena struct {
 	cc *graphutil.OffsetUF
 	vc *vcg.Graph
 
+	// clock is the propagation stamp clock (stamps.go): monotonic over
+	// every state the arena backs. stampNode/stampPair back the per-node
+	// and per-pair stamps.
+	clock     uint64
+	stampNode []uint64
+	stampPair []uint64
+
 	// tr is the speculation trail's backing storage (entry log +
 	// checkpoint stack). The trail is live only between Begin and the
 	// matching outermost Commit/Rollback of the arena's current state,
@@ -64,6 +71,7 @@ type Arena struct {
 	ivs          []interval
 	los          []int
 	his          []int
+	ends         []int
 	byClass      [ir.NumClasses][]int
 	plcAlts      []int
 
@@ -161,6 +169,12 @@ type sgIndex struct {
 	// data-edge producers first (edge order), then live-in encodings.
 	consStart []int32
 	consVals  []int
+
+	// dataStart/dataCons form a CSR of ir.Superblock.DataConsumers: the
+	// instructions reading the value u produces are
+	// dataCons[dataStart[u]:dataStart[u+1]], in out-edge order.
+	dataStart []int32
+	dataCons  []int
 }
 
 func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
@@ -192,6 +206,15 @@ func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 			}
 		}
 		idx.consStart[c+1] = int32(len(idx.consVals))
+	}
+	idx.dataStart = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		for _, ei := range sb.OutEdges(u) {
+			if sb.Edges[ei].Kind == ir.Data {
+				idx.dataCons = append(idx.dataCons, sb.Edges[ei].To)
+			}
+		}
+		idx.dataStart[u+1] = int32(len(idx.dataCons))
 	}
 	return idx
 }

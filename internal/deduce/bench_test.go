@@ -3,8 +3,8 @@ package deduce_test
 // Microbenchmarks of the speculation hot path: Shave (two probes per
 // unpinned node per round), a single probe, and the end-to-end block
 // schedule. Run via `make bench`, which records the numbers in
-// BENCH_deduce.json; EXPERIMENTS.md holds the before/after table
-// against the pre-trail Clone-per-probe implementation.
+// BENCH_deduce.json; EXPERIMENTS.md holds the before/after tables.
+// TestProbeCommitAllocs pins the single probe at zero allocations.
 
 import (
 	"testing"
@@ -17,11 +17,11 @@ import (
 	"vcsched/internal/workload"
 )
 
-func benchBlock(b *testing.B, app string) *ir.Superblock {
-	b.Helper()
+func benchBlock(tb testing.TB, app string) *ir.Superblock {
+	tb.Helper()
 	p, err := workload.BenchmarkByName(app)
 	if err != nil {
-		b.Fatalf("no workload %s: %v", app, err)
+		tb.Fatalf("no workload %s: %v", app, err)
 	}
 	return p.Generate(0.05, 0).Blocks[0]
 }
@@ -62,29 +62,33 @@ func BenchmarkShave(b *testing.B) {
 	}
 }
 
+// probeCommitState builds BenchmarkProbeCommit's subject: a state of
+// the app's first block on the 4-cluster machine, and its first
+// unpinned node with that node's earliest start, the probe's FixCycle.
+func probeCommitState(tb testing.TB, app string) (st *deduce.State, node, cycle int) {
+	tb.Helper()
+	sb := benchBlock(tb, app)
+	m := machine.FourCluster1Lat()
+	g := sg.Build(sb, m)
+	pins := workload.PinsFor(sb, m.Clusters, 1)
+	st, err := deduce.NewState(sb, m, g, benchDeadlines(sb), deduce.Options{Pins: pins})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for n := 0; n < st.NumNodes(); n++ {
+		if !st.Pinned(n) {
+			return st, n, st.Est(n)
+		}
+	}
+	tb.Skip("no unpinned node")
+	return nil, 0, 0
+}
+
 func BenchmarkProbeCommit(b *testing.B) {
 	for _, app := range []string{"099.go", "130.li"} {
 		app := app
 		b.Run(app, func(b *testing.B) {
-			sb := benchBlock(b, app)
-			m := machine.FourCluster1Lat()
-			g := sg.Build(sb, m)
-			pins := workload.PinsFor(sb, m.Clusters, 1)
-			st, err := deduce.NewState(sb, m, g, benchDeadlines(sb), deduce.Options{Pins: pins})
-			if err != nil {
-				b.Fatal(err)
-			}
-			node := -1
-			for n := 0; n < st.NumNodes(); n++ {
-				if !st.Pinned(n) {
-					node = n
-					break
-				}
-			}
-			if node < 0 {
-				b.Skip("no unpinned node")
-			}
-			cycle := st.Est(node)
+			st, node, cycle := probeCommitState(b, app)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,5 +117,25 @@ func BenchmarkScheduleBlock(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestProbeCommitAllocs pins BenchmarkProbeCommit's probe on 099.go at
+// zero allocations: the trail, the propagation stamps and every rule's
+// scratch live on the arena, and consumer lists come from the shared
+// index.
+func TestProbeCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st, node, cycle := probeCommitState(t, "099.go")
+	allocs := testing.AllocsPerRun(200, func() {
+		err := st.Probe(func(s *deduce.State) error { return s.FixCycle(node, cycle) })
+		if err != nil && !deduce.IsContradiction(err) {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Probe(FixCycle(%d,%d)) on 099.go: %v allocations per probe, want 0", node, cycle, allocs)
 	}
 }

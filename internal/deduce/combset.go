@@ -9,7 +9,8 @@ import "math/bits"
 // contiguous range mask (sg.CombFeasibleAt holds exactly for c in
 // [est(U)−lst(V), lst(U)−est(V)]), and the remaining-combination count
 // is a popcount. Every word mutation is trailed at word granularity
-// (setCombWord), so speculation stays O(changed words).
+// and stamps its pair (setCombWord), so speculation stays O(changed
+// words) and propagation revisits exactly the changed pairs.
 
 // pairRec is the flat per-pair record. Combination membership lives in
 // the state's combWords; base/nbits fix the bit ↔ combination mapping
@@ -22,9 +23,10 @@ type pairRec struct {
 	status PairStatus
 }
 
-// setCombWord assigns one word of the combination bitsets, recording
-// the old value on the trail. gw is the global word index.
-func (st *State) setCombWord(gw int, nw uint64) {
+// setCombWord assigns word w of pair i's combination bitset, recording
+// the old value on the trail and stamping the pair.
+func (st *State) setCombWord(i, w int, nw uint64) {
+	gw := i*st.idx.combW + w
 	old := st.combWords[gw]
 	if old == nw {
 		return
@@ -33,6 +35,7 @@ func (st *State) setCombWord(gw int, nw uint64) {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tCombWord, a: gw, w: old})
 	}
 	st.combWords[gw] = nw
+	st.stampPair(i)
 }
 
 // combHas reports whether combination c remains in pair i's set.
@@ -74,15 +77,14 @@ func (st *State) combClear(i, c int) {
 	if b < 0 || b >= int(p.nbits) {
 		return
 	}
-	gw := i*st.idx.combW + (b >> 6)
-	st.setCombWord(gw, st.combWords[gw]&^(1<<uint(b&63)))
+	w := b >> 6
+	st.setCombWord(i, w, st.combWords[i*st.idx.combW+w]&^(1<<uint(b&63)))
 }
 
 // combClearAll empties pair i's set.
 func (st *State) combClearAll(i int) {
-	base := i * st.idx.combW
 	for w := 0; w < st.idx.combW; w++ {
-		st.setCombWord(base+w, 0)
+		st.setCombWord(i, w, 0)
 	}
 }
 
@@ -90,13 +92,12 @@ func (st *State) combClearAll(i int) {
 func (st *State) combSetOnly(i, c int) {
 	p := &st.pairs[i]
 	b := c - int(p.base)
-	base := i * st.idx.combW
 	for w := 0; w < st.idx.combW; w++ {
 		var nw uint64
 		if b>>6 == w {
 			nw = 1 << uint(b&63)
 		}
-		st.setCombWord(base+w, nw)
+		st.setCombWord(i, w, nw)
 	}
 }
 
@@ -142,7 +143,7 @@ func (st *State) combPruneWindow(i int) int {
 		nw := old & rangeMaskWord(w<<6, loB, hiB)
 		if nw != old {
 			dropped += bits.OnesCount64(old ^ nw)
-			st.setCombWord(base+w, nw)
+			st.setCombWord(i, w, nw)
 		}
 	}
 	return dropped

@@ -53,7 +53,7 @@ func (st *State) DiscardComb(a, b, comb int) error {
 	}
 	st.combClear(i, comb)
 	if p.status != Dropped && st.combCount(i) == 0 {
-		st.trailPair(i)
+		st.touchPair(i)
 		p.status = Dropped
 	}
 	return st.Propagate()
@@ -70,7 +70,7 @@ func (st *State) DropPair(a, b int) error {
 	if p.status == Chosen {
 		return contraf("pair (%d,%d): cannot drop, combination %d chosen", p.u, p.v, p.comb)
 	}
-	st.trailPair(i)
+	st.touchPair(i)
 	p.status = Dropped
 	st.combClearAll(i)
 	return st.Propagate()

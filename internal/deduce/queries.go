@@ -119,7 +119,7 @@ func (st *State) outEdgeCount() (int, error) {
 		}
 	}
 	for v := 0; v < st.nOrig; v++ {
-		for _, c := range st.SB.DataConsumers(v) {
+		for _, c := range st.dataConsumers(v) {
 			add(v, st.vcID(c))
 		}
 	}
@@ -168,7 +168,7 @@ func (st *State) outEdgePairs() (map[[2]int]int, error) {
 		return nil
 	}
 	for v := 0; v < st.nOrig; v++ {
-		for _, c := range st.SB.DataConsumers(v) {
+		for _, c := range st.dataConsumers(v) {
 			if err := add(v, c); err != nil {
 				return nil, err
 			}

@@ -7,11 +7,40 @@ import (
 	"vcsched/internal/sg"
 )
 
+// families are the rule families of one propagation pass, in pass
+// order.
+var families = [...]func(*State) (bool, error){
+	(*State).propagateBounds,
+	(*State).ruleCCCoherence,
+	(*State).rulePrunePairs,
+	(*State).ruleCCResources,
+	(*State).rulePinnedResources,
+	(*State).ruleClusterEdges,
+	(*State).ruleCPLC,
+	(*State).rulePPLC,
+	(*State).ruleWindowPacking,
+}
+
 // Propagate runs every rule family to a fixpoint, returning nil, a
 // contradiction, or ErrBudget. It is the paper's deduction process: each
 // pass may conclude new mandatory changes, which are themselves fed back
 // in until nothing changes.
+//
+// Passes are change-driven (stamps.go): at its turn each family skips
+// the pairs, classes or whole sweep whose inputs did not change since
+// its last clean run. A skipped item is one a full sweep would leave
+// untouched, so every pass makes the mutations of a full sweep in the
+// same order, fails with the same first error and spends the same step.
+// Any error resets every memo to never.
 func (st *State) Propagate() error {
+	err := st.propagate()
+	if err != nil {
+		st.memo = memos{}
+	}
+	return err
+}
+
+func (st *State) propagate() error {
 	if err := injectFault("deduce.propagate"); err != nil {
 		return err
 	}
@@ -20,19 +49,9 @@ func (st *State) Propagate() error {
 			return err
 		}
 		changed := false
-		families := []func() (bool, error){
-			st.propagateBounds,
-			st.ruleCCCoherence,
-			st.rulePrunePairs,
-			st.ruleCCResources,
-			st.rulePinnedResources,
-			st.ruleClusterEdges,
-			st.ruleCPLC,
-			st.rulePPLC,
-			st.ruleWindowPacking,
-		}
 		for _, f := range families {
-			ch, err := f()
+			st.syncVersions()
+			ch, err := f(st)
 			if err != nil {
 				return err
 			}
@@ -49,8 +68,13 @@ func (st *State) Propagate() error {
 
 // propagateBounds is rule U1: earliest starts forward and latest starts
 // backward over all precedence arcs, plus coherence inside connected
-// components (members move together at fixed offsets).
+// components (members move together at fixed offsets). It runs to its
+// own fixpoint, so its memo is the clock at the end of a clean run:
+// with no bound, arc or component change since, a sweep is a no-op.
 func (st *State) propagateBounds() (bool, error) {
+	if max(st.stamp.bounds, st.stamp.arcs, st.stamp.cc) <= st.memo.bounds {
+		return false, nil
+	}
 	changed := false
 	for {
 		pass := false
@@ -79,6 +103,7 @@ func (st *State) propagateBounds() (bool, error) {
 			return changed, contraf("node %d window empty: [%d,%d]", i, st.est[i], st.lst[i])
 		}
 	}
+	st.memo.bounds = st.ar.clock
 	return changed, nil
 }
 
@@ -179,12 +204,19 @@ func (st *State) ccBounds() (bool, error) {
 // through transitive component merges (rule U3): the implied combination
 // is auto-chosen if still available, the pair is dropped if the offset
 // precludes overlap, and a discarded-but-implied combination is a
-// contradiction.
+// contradiction. A pair's inputs are its own record and the components,
+// so with the components unchanged only changed pairs are revisited.
 func (st *State) ruleCCCoherence() (bool, error) {
+	memo := st.memo.coherence
+	all := st.stamp.cc > memo
+	if !all && st.stamp.pairs <= memo {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	for i := range st.pairs {
 		p := &st.pairs[i]
-		if p.status != Open {
+		if p.status != Open || (!all && st.stamp.pair[i] <= memo) {
 			continue
 		}
 		delta, same := st.cc.Delta(int(p.u), int(p.v))
@@ -193,7 +225,7 @@ func (st *State) ruleCCCoherence() (bool, error) {
 		}
 		lo, hi := sg.CombRange(st.lat[p.u], st.lat[p.v])
 		if delta < lo || delta > hi {
-			st.trailPair(i)
+			st.touchPair(i)
 			p.status = Dropped
 			st.combClearAll(i)
 			changed = true
@@ -202,12 +234,13 @@ func (st *State) ruleCCCoherence() (bool, error) {
 		if !st.combHas(i, delta) {
 			return changed, contraf("pair (%d,%d): implied combination %d already discarded", p.u, p.v, delta)
 		}
-		st.trailPair(i)
+		st.touchPair(i)
 		p.status = Chosen
 		p.comb = int32(delta)
 		st.combSetOnly(i, delta)
 		changed = true
 	}
+	st.memo.coherence = start
 	return changed, nil
 }
 
@@ -216,11 +249,21 @@ func (st *State) ruleCCCoherence() (bool, error) {
 // feasibility is a contiguous offset range, so the discard is one AND
 // per bitset word (combPruneWindow); if the pair is forced to overlap,
 // a single surviving combination is mandatory (chosen), and zero
-// surviving combinations contradict.
+// surviving combinations contradict. A pair's inputs are its own record
+// and the bounds of its two instructions; only pairs with a changed
+// input are revisited.
 func (st *State) rulePrunePairs() (bool, error) {
+	memo := st.memo.prune
+	if max(st.stamp.bounds, st.stamp.pairs) <= memo {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	for i := range st.pairs {
 		p := &st.pairs[i]
+		if max(st.stamp.node[p.u], st.stamp.node[p.v], st.stamp.pair[i]) <= memo {
+			continue
+		}
 		if p.status == Dropped {
 			if st.mustOverlap(int(p.u), int(p.v)) {
 				return changed, contraf("pair (%d,%d) dropped but forced to overlap", p.u, p.v)
@@ -238,7 +281,7 @@ func (st *State) rulePrunePairs() (bool, error) {
 			continue
 		}
 		if n == 0 {
-			st.trailPair(i)
+			st.touchPair(i)
 			p.status = Dropped
 			changed = true
 			if st.mustOverlap(int(p.u), int(p.v)) {
@@ -255,6 +298,7 @@ func (st *State) rulePrunePairs() (bool, error) {
 			changed = true
 		}
 	}
+	st.memo.prune = start
 	return changed, nil
 }
 
@@ -265,7 +309,7 @@ func (st *State) mustOverlap(u, v int) bool {
 // commitComb records a chosen combination for pair i: pair state plus
 // the offset relation in the connected-component structure.
 func (st *State) commitComb(i, comb int) error {
-	st.trailPair(i)
+	st.touchPair(i)
 	p := &st.pairs[i]
 	p.status = Chosen
 	p.comb = int32(comb)
@@ -291,8 +335,13 @@ func sortTriples(trips []resTriple) {
 // (rule U3's resource half): members at one relative cycle issue
 // together in any schedule, so their per-class count must fit the
 // machine, and with single-unit clusters same-class co-issuers must
-// spread across clusters (rule D3 / paper Rule 2).
+// spread across clusters (rule D3 / paper Rule 2). Its inputs are the
+// components and the VCG alone.
 func (st *State) ruleCCResources() (bool, error) {
+	if max(st.stamp.cc, st.stamp.vc) <= st.memo.ccRes {
+		return false, nil
+	}
+	start := st.ar.clock
 	st.ccGroupsRebuild()
 	changed := false
 	for gi := range st.ccRoots {
@@ -313,6 +362,7 @@ func (st *State) ruleCCResources() (bool, error) {
 		}
 		changed = changed || ch
 	}
+	st.memo.ccRes = start
 	return changed, nil
 }
 
@@ -343,8 +393,13 @@ func (st *State) spreadTripleRuns(trips []resTriple) (bool, error) {
 }
 
 // rulePinnedResources applies the same co-issue analysis to nodes pinned
-// to absolute cycles, and checks bus capacity among pinned copies.
+// to absolute cycles, and checks bus capacity among pinned copies. Its
+// inputs are the bounds and the VCG.
 func (st *State) rulePinnedResources() (bool, error) {
+	if max(st.stamp.bounds, st.stamp.vc) <= st.memo.pinned {
+		return false, nil
+	}
+	start := st.ar.clock
 	trips := st.ar.trips[:0]
 	pinnedCopies := st.ar.pinnedCopies[:0]
 	for node := 0; node < len(st.est); node++ {
@@ -379,6 +434,7 @@ func (st *State) rulePinnedResources() (bool, error) {
 			}
 		}
 	}
+	st.memo.pinned = start
 	return changed, nil
 }
 
@@ -418,8 +474,13 @@ func (st *State) spreadAcrossClusters(nodes []int, class ir.Class) (bool, error)
 // consumers, live-out pins) and applies the cluster rules: a definite
 // cross-cluster flow materializes its communication (U4); a flow with no
 // room for a communication fuses the two VCs (D4 / paper Rule 1); a
-// fused flow needs nothing.
+// fused flow needs nothing. Its inputs are the bounds, arcs,
+// communications and the VCG.
 func (st *State) ruleClusterEdges() (bool, error) {
+	if max(st.stamp.bounds, st.stamp.arcs, st.stamp.comms, st.stamp.vc) <= st.memo.flows {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	for _, e := range st.SB.Edges {
 		if e.Kind != ir.Data {
@@ -447,6 +508,7 @@ func (st *State) ruleClusterEdges() (bool, error) {
 			return changed, err
 		}
 	}
+	st.memo.flows = start
 	return changed, nil
 }
 
@@ -542,6 +604,7 @@ func (st *State) ensureComm(value int) (node int, changed bool, err error) {
 	st.commIdx[st.commSlot(value)] = int32(len(st.comms))
 	st.comms = append(st.comms, commRec{Node: node, Value: value})
 	st.trailMark(tCommAdd)
+	st.stamp.comms = st.tick()
 	// The copy executes in the value's home cluster.
 	if err := st.vc.Fuse(st.vcID(node), home); err != nil {
 		return 0, true, contraf("copy of value %d cannot join its producer's VC: %v", value, err)
@@ -557,8 +620,12 @@ func (st *State) ensureComm(value int) (node int, changed bool, err error) {
 // producer, so the value's communication is mandatory even though which
 // consumer is remote is unknown (C-PLC, immediately a concrete copy in
 // the broadcast model). Its deadline is bounded by the later of the two
-// consumers.
+// consumers. Its inputs are the bounds, communications and the VCG.
 func (st *State) ruleCPLC() (bool, error) {
+	if max(st.stamp.bounds, st.stamp.comms, st.stamp.vc) <= st.memo.cplc {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	nVals := st.nOrig + len(st.SB.LiveIns)
 	for vi := 0; vi < nVals; vi++ {
@@ -590,6 +657,7 @@ func (st *State) ruleCPLC() (bool, error) {
 			}
 		}
 	}
+	st.memo.cplc = start
 	return changed, nil
 }
 
@@ -597,7 +665,12 @@ func (st *State) ruleCPLC() (bool, error) {
 // incompatible VCs will receive at least one value over the bus, so its
 // earliest start moves past the earliest possible arrival, and a PLC
 // records the pending bus demand until one alternative materializes.
+// Its inputs are the bounds, PLCs and the VCG.
 func (st *State) rulePPLC() (bool, error) {
+	if max(st.stamp.bounds, st.stamp.plcs, st.stamp.vc) <= st.memo.pplc {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	for c := 0; c < st.nOrig; c++ {
 		values := st.idx.consVals[st.idx.consStart[c]:st.idx.consStart[c+1]]
@@ -630,11 +703,13 @@ func (st *State) rulePPLC() (bool, error) {
 				if !st.plcSeenHas(c, min(v1, v2), max(v1, v2)) {
 					st.plcs = append(st.plcs, plcRec{Consumer: c, Alts: [2]int{v1, v2}})
 					st.trailMark(tPLCAdd)
+					st.stamp.plcs = st.tick()
 					changed = true
 				}
 			}
 		}
 	}
+	st.memo.pplc = start
 	return changed, nil
 }
 
@@ -661,8 +736,18 @@ const packingSizeLimit = 80
 // outnumber the capacity cap·(b−a+1), no schedule exists; at exact
 // saturation, instructions merely overlapping [a,b] are pushed outside.
 // Copies are packed against bus capacity with their occupancy, together
-// with pending PLC reservations.
+// with pending PLC reservations. Only classes with changed inputs
+// (packingInputs) are packed again.
 func (st *State) ruleWindowPacking() (bool, error) {
+	memo := st.memo.packing
+	dirty := false
+	for class := ir.Class(0); int(class) < ir.NumClasses; class++ {
+		dirty = dirty || st.packingInputs(class) > memo
+	}
+	if !dirty {
+		return false, nil
+	}
+	start := st.ar.clock
 	changed := false
 	byClass := &st.ar.byClass
 	for c := range byClass {
@@ -673,7 +758,7 @@ func (st *State) ruleWindowPacking() (bool, error) {
 	}
 	for class := ir.Class(0); int(class) < ir.NumClasses; class++ {
 		nodes := byClass[class]
-		if len(nodes) < 2 || len(nodes) > packingSizeLimit {
+		if len(nodes) < 2 || len(nodes) > packingSizeLimit || st.packingInputs(class) <= memo {
 			continue
 		}
 		var cap, dur int
@@ -713,7 +798,19 @@ func (st *State) ruleWindowPacking() (bool, error) {
 		}
 		changed = changed || ch
 	}
+	st.memo.packing = start
 	return changed, nil
+}
+
+// packingInputs returns the latest stamp among D2's inputs for one
+// class: the class's nodes and their bounds. Copies also read the PLCs,
+// the communications that cover them and the bounds of the PLCs'
+// producers and consumers, so any bound.
+func (st *State) packingInputs(class ir.Class) uint64 {
+	if class == ir.Copy {
+		return max(st.stamp.bounds, st.stamp.comms, st.stamp.plcs)
+	}
+	return st.stamp.class[class]
 }
 
 type interval struct {
@@ -735,16 +832,29 @@ func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
 	st.ar.los, st.ar.his = los, his
 	changed := false
 	for _, a := range los {
+		// Demand in [a,b] counts the intervals with lo >= a and hi <= b.
+		// While b sweeps, that set and its right ends stay fixed: a
+		// saturation push moves a counted start to b+1 > a and keeps its
+		// end, and a pull only moves intervals starting before a. So the
+		// counted right ends are sorted once per left edge and demand is
+		// a cursor over them.
+		ends := st.ar.ends[:0]
+		for _, iv := range ivs {
+			if iv.lo >= a {
+				ends = append(ends, iv.hi)
+			}
+		}
+		slices.Sort(ends)
+		st.ar.ends = ends
+		k := 0
 		for _, b := range his {
 			if b < a {
 				continue
 			}
-			demand := 0
-			for _, iv := range ivs {
-				if iv.lo >= a && iv.hi <= b {
-					demand += dur
-				}
+			for k < len(ends) && ends[k] <= b {
+				k++
 			}
+			demand := k * dur
 			room := cap * (b - a + 1)
 			if demand > room {
 				return changed, contraf("window [%d,%d]: demand %d exceeds capacity %d", a, b, demand, room)

@@ -1,0 +1,115 @@
+package deduce
+
+import "vcsched/internal/ir"
+
+// This file makes propagation change-driven. Every mutation of the
+// state takes a stamp from one monotonic clock (per arena), recorded on
+// the input it changed: a node's bounds, a pair's status and
+// combination words, the arc list, the communications, the PLCs. The
+// union-find and the VCG keep their own content versions; syncVersions
+// folds a moved version into the clock as one more stamp.
+//
+// Each rule family remembers in memos the clock at the start of its
+// last clean (error-free) run, 0 meaning never. When the family's turn
+// comes in a pass it skips every pair, class or whole family whose
+// input stamps are all at most its memo: those inputs are exactly what
+// the last clean run saw, that run left the item alone or changed one
+// of the item's own inputs (which then carries a newer stamp), so a
+// full sweep would leave the item untouched again. Skips therefore
+// change no mutation, no mutation order and no error, and Propagate
+// spends exactly the steps a full sweep spends.
+//
+// A trail undo is a change like any other: undoTo stamps every slot it
+// restores (and the structure logs bump their versions), so no memo
+// taken during a rolled-back probe can cover the restored state.
+// NewState and Clone start every memo at never, and an error from any
+// family resets them all.
+
+// stamps holds the clock value of the latest change to each rule input.
+type stamps struct {
+	node   []uint64              // per node: a bound moved
+	pair   []uint64              // per pair: status, chosen comb or a combination word changed
+	class  [ir.NumClasses]uint64 // a bound of a node of the class moved, or the class gained or lost a node
+	bounds uint64                // any bound moved, or a node was added or removed
+	pairs  uint64                // any pair changed
+	arcs   uint64                // an arc was added, tightened or undone
+	comms  uint64                // a communication was materialized or undone
+	plcs   uint64                // a PLC was recorded or undone
+	cc     uint64                // the union-find's membership version moved
+	vc     uint64                // the VCG's content version moved
+
+	// ccVer and vcVer are the structure versions syncVersions last saw
+	// (0 = none yet; both structures start at version 1).
+	ccVer, vcVer uint64
+}
+
+// memos holds, per rule family, the clock at the start of its last
+// clean run (the end, for U1, which runs to its own fixpoint); 0 is
+// never.
+type memos struct {
+	bounds    uint64 // U1 propagateBounds
+	coherence uint64 // U3 ruleCCCoherence
+	prune     uint64 // U2/D1 rulePrunePairs
+	ccRes     uint64 // D3 ruleCCResources
+	pinned    uint64 // D3 rulePinnedResources
+	flows     uint64 // D4/U4 ruleClusterEdges
+	cplc      uint64 // C-PLC ruleCPLC
+	pplc      uint64 // P-PLC rulePPLC
+	packing   uint64 // D2 ruleWindowPacking
+}
+
+// tick advances the arena clock and returns the new stamp.
+func (st *State) tick() uint64 {
+	st.ar.clock++
+	return st.ar.clock
+}
+
+// initStamps stamps every input of a freshly built state with one new
+// clock value, newer than any memo (all memos start at never).
+func (st *State) initStamps() {
+	s := st.tick()
+	st.stamp.node = claim(&st.ar.stampNode, len(st.est), cap(st.est))
+	st.stamp.pair = claim(&st.ar.stampPair, len(st.pairs), len(st.pairs))
+	for i := range st.stamp.node {
+		st.stamp.node[i] = s
+	}
+	for i := range st.stamp.pair {
+		st.stamp.pair[i] = s
+	}
+	for c := range st.stamp.class {
+		st.stamp.class[c] = s
+	}
+	st.stamp.bounds, st.stamp.pairs, st.stamp.arcs, st.stamp.comms, st.stamp.plcs = s, s, s, s, s
+	st.stamp.cc, st.stamp.vc = s, s
+	st.stamp.ccVer, st.stamp.vcVer = st.cc.Version(), st.vc.Version()
+}
+
+// stampNode records a bound move of node n.
+func (st *State) stampNode(n int) {
+	s := st.tick()
+	st.stamp.node[n] = s
+	st.stamp.class[st.class[n]] = s
+	st.stamp.bounds = s
+}
+
+// stampPair records a change to pair i.
+func (st *State) stampPair(i int) {
+	s := st.tick()
+	st.stamp.pair[i] = s
+	st.stamp.pairs = s
+}
+
+// syncVersions folds moved union-find and VCG versions into the clock.
+// Propagate calls it at every family's turn, so a structure change made
+// anywhere (a decision, an earlier family, an undo) carries a stamp
+// newer than every memo taken before it.
+func (st *State) syncVersions() {
+	if v := st.cc.Version(); v != st.stamp.ccVer {
+		st.stamp.ccVer = v
+		st.stamp.cc = st.tick()
+	}
+	if v := st.vc.Version(); v != st.stamp.vcVer {
+		st.stamp.vcVer = v
+		st.stamp.vc = st.tick()
+	}
+}

@@ -26,6 +26,10 @@
 // maps, and the cc-groups cache is a CSR over arena buffers. See
 // DESIGN.md ("Flat state layout").
 //
+// Propagation is change-driven: every mutation is stamped, and each
+// pass revisits only the pairs, classes and rule families whose inputs
+// changed (stamps.go; DESIGN.md, "Change-driven propagation").
+//
 // All rule families are documented in DESIGN.md (U1–U4, D1–D9).
 package deduce
 
@@ -243,6 +247,10 @@ type State struct {
 	ccStart     []int
 	ccMembers   []int
 	ccGroupsVer uint64
+
+	// stamp and memo make propagation change-driven; see stamps.go.
+	stamp stamps
+	memo  memos
 }
 
 // Options configures state construction.
@@ -374,6 +382,7 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 	st.ccStart = claim(&ar.ccStart, 0, n+1)
 	st.ccMembers = claim(&ar.ccMembers, 0, n)
 
+	st.initStamps()
 	// Live-in consumers and live-out producers relate to anchors from
 	// the start; the rules pick the relations up during propagation.
 	if err := st.Propagate(); err != nil {
@@ -517,6 +526,7 @@ func (st *State) addArc(from, to, lat int) bool {
 				st.tr.entries = append(st.tr.entries, trailEntry{kind: tArcLat, a: ai, b: st.arcs[ai].Lat})
 			}
 			st.arcs[ai].Lat = lat
+			st.stamp.arcs = st.tick()
 			return true
 		}
 	}
@@ -524,6 +534,7 @@ func (st *State) addArc(from, to, lat int) bool {
 	st.outA[from] = append(st.outA[from], len(st.arcs)-1)
 	st.inA[to] = append(st.inA[to], len(st.arcs)-1)
 	st.trailMark(tArcAdd)
+	st.stamp.arcs = st.tick()
 	return true
 }
 
@@ -546,6 +557,8 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 	st.cc.Add()
 	st.vc.AddNode()
 	st.trailMark(tNodeAdd)
+	st.stamp.node = append(st.stamp.node, 0)
+	st.stampNode(node)
 	return node, nil
 }
 
@@ -556,12 +569,17 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 // long-lived forks (the parallel portfolio's workers, the differential
 // oracle); short-lived candidate probes use Probe/Begin/Rollback
 // instead. It must not be called while a trail checkpoint is open.
+//
+// The clone starts with every propagation memo at never, so its first
+// Propagate is a full sweep: the trail-clone differential kind compares
+// exactly that against the change-driven passes of the original.
 func (st *State) Clone() *State {
 	if st.tr != nil {
 		panic("deduce: Clone during active trail")
 	}
 	ar := NewArena()
 	ar.idx = st.idx
+	ar.clock = st.ar.clock
 	cp := &State{
 		SB:        st.SB,
 		M:         st.M,
@@ -590,7 +608,10 @@ func (st *State) Clone() *State {
 		// The groups cache is derived data over arena buffers; the
 		// clone rebuilds it on first use.
 		ccGroupsVer: 0,
+		stamp:       st.stamp,
 	}
+	cp.stamp.node = append([]uint64(nil), st.stamp.node...)
+	cp.stamp.pair = append([]uint64(nil), st.stamp.pair...)
 	for i := range st.outA {
 		cp.outA[i] = append([]int(nil), st.outA[i]...)
 		cp.inA[i] = append([]int(nil), st.inA[i]...)
@@ -628,5 +649,11 @@ func (st *State) consumersOf(value int) []int {
 		li := -(value + 1)
 		return st.SB.LiveIns[li].Consumers
 	}
-	return st.SB.DataConsumers(value)
+	return st.dataConsumers(value)
+}
+
+// dataConsumers is ir.Superblock.DataConsumers read from the shared
+// index, without allocating.
+func (st *State) dataConsumers(u int) []int {
+	return st.idx.dataCons[st.idx.dataStart[u]:st.idx.dataStart[u+1]]
 }

@@ -153,7 +153,9 @@ func (st *State) releaseTrail() {
 
 // undoTo reverts the entry log down to checkpoint cp, then the
 // structure-owned logs. Entries are undone most recent first, so a slot
-// mutated several times ends at its oldest recorded value.
+// mutated several times ends at its oldest recorded value. Every
+// restored slot takes a fresh stamp: an undo is a change, so no
+// propagation memo taken during the speculation covers it (stamps.go).
 func (st *State) undoTo(cp trailCP) {
 	tr := st.tr
 	for i := len(tr.entries) - 1; i >= cp.entries; i-- {
@@ -161,36 +163,46 @@ func (st *State) undoTo(cp trailCP) {
 		switch e.kind {
 		case tEst:
 			st.est[e.a] = e.b
+			st.stampNode(e.a)
 		case tLst:
 			st.lst[e.a] = e.b
+			st.stampNode(e.a)
 		case tPairMeta:
 			p := &st.pairs[e.a]
 			p.status = e.status
 			p.comb = int32(e.b)
+			st.stampPair(e.a)
 		case tCombWord:
 			st.combWords[e.a] = e.w
+			st.stampPair(e.a / st.idx.combW)
 		case tArcLat:
 			st.arcs[e.a].Lat = e.b
+			st.stamp.arcs = st.tick()
 		case tArcAdd:
 			n := len(st.arcs) - 1
 			a := st.arcs[n]
 			st.arcs = st.arcs[:n]
 			st.outA[a.From] = st.outA[a.From][:len(st.outA[a.From])-1]
 			st.inA[a.To] = st.inA[a.To][:len(st.inA[a.To])-1]
+			st.stamp.arcs = st.tick()
 		case tCommAdd:
 			n := len(st.comms) - 1
 			st.commIdx[st.commSlot(st.comms[n].Value)] = -1
 			st.comms = st.comms[:n]
+			st.stamp.comms = st.tick()
 		case tPLCAdd:
 			st.plcs = st.plcs[:len(st.plcs)-1]
+			st.stamp.plcs = st.tick()
 		case tNodeAdd:
 			n := len(st.est) - 1
+			st.stampNode(n) // the class loses a node
 			st.class = st.class[:n]
 			st.lat = st.lat[:n]
 			st.est = st.est[:n]
 			st.lst = st.lst[:n]
 			st.outA = st.outA[:n]
 			st.inA = st.inA[:n]
+			st.stamp.node = st.stamp.node[:n]
 		}
 	}
 	tr.entries = tr.entries[:cp.entries]
@@ -198,28 +210,33 @@ func (st *State) undoTo(cp trailCP) {
 	st.vc.TrailUndo(cp.vc)
 }
 
-// setEst moves a node's earliest start, recording the old bound.
+// setEst moves a node's earliest start, recording the old bound and
+// stamping the node.
 func (st *State) setEst(node, v int) {
 	if st.tr != nil {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tEst, a: node, b: st.est[node]})
 	}
 	st.est[node] = v
+	st.stampNode(node)
 }
 
-// setLst moves a node's latest start, recording the old bound.
+// setLst moves a node's latest start, recording the old bound and
+// stamping the node.
 func (st *State) setLst(node, v int) {
 	if st.tr != nil {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: tLst, a: node, b: st.lst[node]})
 	}
 	st.lst[node] = v
+	st.stampNode(node)
 }
 
-// trailPair records pair i's pre-mutation status and chosen comb. Call
-// before the first status/comb mutation of a pair in any code path;
+// touchPair records pair i's pre-mutation status and chosen comb and
+// stamps the pair. Call before every status/comb mutation of a pair;
 // the combination bitset needs no explicit snapshot — setCombWord
-// trails each mutated word itself. Redundant records are harmless
-// (undo runs in reverse, so the oldest snapshot wins).
-func (st *State) trailPair(i int) {
+// trails and stamps each mutated word itself. Redundant records are
+// harmless (undo runs in reverse, so the oldest snapshot wins).
+func (st *State) touchPair(i int) {
+	st.stampPair(i)
 	if st.tr == nil {
 		return
 	}
@@ -228,7 +245,8 @@ func (st *State) trailPair(i int) {
 }
 
 // trailMark appends a fieldless marker entry (arc/comm/PLC/node
-// additions, undone by truncating the corresponding structure).
+// additions, undone by truncating the corresponding structure). The
+// caller stamps the structure.
 func (st *State) trailMark(kind trailKind) {
 	if st.tr != nil {
 		st.tr.entries = append(st.tr.entries, trailEntry{kind: kind})

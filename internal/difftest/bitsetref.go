@@ -19,8 +19,7 @@ const (
 )
 
 // CheckBitsetRef runs only the bitset-vs-reference combination-set
-// cross-check on the superblock (Check runs it too when
-// Options.BitsetRef is set).
+// cross-check on the superblock (Check runs it too).
 //
 // The deduction state stores each pair's remaining combinations as a
 // fixed-width bitset that is mutated incrementally: window pruning is a

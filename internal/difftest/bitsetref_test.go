@@ -6,9 +6,9 @@ import (
 
 // TestBitsetRefReplay50 is the property test of the bitset combination
 // sets: 50 generated superblocks, each replaying a random decision
-// script through the full Check pipeline (so the flag wiring is covered
-// too) and recomputing every pair's surviving set from first principles
-// after construction, every probe rollback and every committed step.
+// script through the full Check pipeline (which always runs it) and
+// recomputing every pair's surviving set from first principles after
+// construction, every probe rollback and every committed step.
 func TestBitsetRefReplay50(t *testing.T) {
 	gen := NewGen(13, 16)
 	for i := 0; i < 50; i++ {
@@ -17,7 +17,6 @@ func TestBitsetRefReplay50(t *testing.T) {
 			PinSeed:     int64(i),
 			Parallelism: -1,
 			OracleLimit: -1,
-			BitsetRef:   true,
 		})
 		for _, v := range rep.Violations {
 			if v.Kind == KindBitsetRef {

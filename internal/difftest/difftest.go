@@ -25,6 +25,7 @@ import (
 
 	"vcsched/internal/cars"
 	"vcsched/internal/core"
+	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/oracle"
@@ -101,19 +102,6 @@ type Options struct {
 	// and — when the pipeline reports tier "sg" — bit-identical to the
 	// serial core driver.
 	Resilient bool
-	// TrailClone also replays a deterministic random decision script
-	// against two deduction universes — one speculating through the
-	// trail (Probe/Begin/Rollback), one through throwaway Clones — and
-	// requires bit-identical fingerprints and error strings after every
-	// step (see CheckTrailClone).
-	TrailClone bool
-	// BitsetRef also replays a deterministic random decision script
-	// against one deduction state, recomputing every pair's surviving
-	// combination set from the SG edge, the current windows and the
-	// committed explicit discards, and requires the incrementally
-	// maintained bitsets to match exactly after construction, every
-	// probe rollback and every committed step (see CheckBitsetRef).
-	BitsetRef bool
 	// CorruptVC, when non-nil, is applied to the VC schedule between
 	// scheduling and cross-checking. It exists for fault injection: tests
 	// use it to simulate a scheduler bug and assert the harness catches
@@ -217,16 +205,18 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	}
 
 	// (f) trail vs Clone speculation: independent of the schedule
-	// outcome, the new O(changes) undo must be observationally identical
-	// to the old full-state copy.
-	if opts.TrailClone {
-		checkTrailClone(rep)
-	}
-
+	// outcome, a random decision script must behave identically under
+	// trail undo and under full-state copies, and every committed state
+	// must be a fixpoint of a full propagation sweep (see
+	// CheckTrailClone).
 	// (g) bitset combination sets vs recomputed reference: the word-level
 	// incremental maintenance must equal a from-scratch recomputation at
-	// every observation point.
-	if opts.BitsetRef {
+	// every observation point (see CheckBitsetRef).
+	// Both drive the deduction engine directly, outside the ladder's
+	// panic recovery, and their two universes would consume armed fault
+	// counts differently; they run whenever fault injection is disarmed.
+	if !faultpoint.Enabled() {
+		checkTrailClone(rep)
 		checkBitsetRef(rep)
 	}
 

@@ -1,8 +1,10 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"vcsched/internal/deduce"
 	"vcsched/internal/ir"
@@ -19,19 +21,21 @@ const (
 )
 
 // CheckTrailClone runs only the trail-vs-Clone speculation cross-check
-// on the superblock (Check runs it too when Options.TrailClone is set;
-// this entry exists so large property-test campaigns can skip the
-// scheduler runs).
+// on the superblock (Check runs it too; this entry exists so large
+// property-test campaigns can skip the scheduler runs).
 //
 // The check maintains two universes that must stay bit-identical: a
-// *trail* universe whose speculative decisions go through
-// State.Probe (Begin/Rollback, the O(changes) undo this PR introduces)
-// and a *clone* universe whose speculative decisions run on a throwaway
-// State.Clone (the pre-existing semantics). A deterministic script of
-// random decisions is replayed against both; after every step the two
-// states' DumpText fingerprints and the decision's error strings must
-// match exactly. Every few steps a decision is committed to both
-// universes so the script walks through genuinely different states.
+// *trail* universe whose speculative decisions go through State.Probe
+// (Begin/Rollback, the O(changes) undo) and a *clone* universe whose
+// speculative decisions run on a throwaway State.Clone. A clone starts
+// with every propagation memo at never, so the clone side also compares
+// a full first sweep against the trail side's change-driven passes. A
+// deterministic script of random decisions is replayed against both;
+// after every step the two states' DumpText fingerprints and the
+// decision's error strings must match exactly. Every few steps a
+// decision is committed to both universes so the script walks through
+// genuinely different states, and after every commit the fixpoint
+// oracle (checkFixpoint) runs on both.
 func CheckTrailClone(sb *ir.Superblock, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{SB: sb, Opts: opts, Pins: workload.PinsFor(sb, opts.Machine.Clusters, opts.PinSeed)}
@@ -48,25 +52,24 @@ func checkTrailClone(rep *Report) {
 	// the two NewState calls must agree on feasibility, error for error.
 	est := sb.EStarts()
 	var trailSt, cloneSt *deduce.State
+	var trailB, cloneB *deduce.Budget
 	for _, slack := range []int{2, 4, 8} {
 		deadlines := make(map[int]int, len(sb.Exits()))
 		for _, x := range sb.Exits() {
 			deadlines[x] = est[x] + slack
 		}
-		mk := func() (*deduce.State, error) {
-			return deduce.NewState(sb, m, g, deadlines, deduce.Options{
-				Pins:   pins,
-				Budget: deduce.NewBudget(rep.Opts.MaxSteps),
-			})
+		mk := func(b *deduce.Budget) (*deduce.State, error) {
+			return deduce.NewState(sb, m, g, deadlines, deduce.Options{Pins: pins, Budget: b})
 		}
-		st1, err1 := mk()
-		st2, err2 := mk()
+		b1, b2 := deduce.NewBudget(rep.Opts.MaxSteps), deduce.NewBudget(rep.Opts.MaxSteps)
+		st1, err1 := mk(b1)
+		st2, err2 := mk(b2)
 		if errString(err1) != errString(err2) {
 			rep.violate(KindTrailClone, "NewState slack %d: %q vs %q", slack, errString(err1), errString(err2))
 			return
 		}
 		if err1 == nil {
-			trailSt, cloneSt = st1, st2
+			trailSt, cloneSt, trailB, cloneB = st1, st2, b1, b2
 			break
 		}
 	}
@@ -116,7 +119,57 @@ func checkTrailClone(rep *Report) {
 		if cerr1 != nil {
 			return // contradiction committed identically; state is spent
 		}
+		for _, u := range []struct {
+			name string
+			st   *deduce.State
+			b    *deduce.Budget
+		}{{"trail", trailSt, trailB}, {"clone", cloneSt, cloneB}} {
+			detail, ok := checkFixpoint(u.st, u.b)
+			if detail != "" {
+				rep.violate(KindTrailClone, "step %d %s: %s universe is not a fixpoint: %s", step, name, u.name, detail)
+				return
+			}
+			if !ok {
+				return // the budget ran out; both universes stop here
+			}
+		}
 	}
+}
+
+// checkFixpoint is the fixpoint oracle of the change-driven
+// propagation: it clones st (every memo at never) and runs one full
+// propagation sweep on the clone. A committed state must already be a
+// fixpoint of every rule, so the sweep spends exactly one step of the
+// shared budget and changes nothing but the "budget used" line. It
+// returns the violation, if any, and false when the budget ran out
+// before the sweep could run.
+func checkFixpoint(st *deduce.State, b *deduce.Budget) (string, bool) {
+	before := st.DumpText()
+	used := b.Used()
+	cp := st.Clone()
+	err := cp.Propagate()
+	if errors.Is(err, deduce.ErrBudget) {
+		return "", false
+	}
+	if err != nil {
+		return fmt.Sprintf("full sweep failed: %v", err), true
+	}
+	if n := b.Used() - used; n != 1 {
+		return fmt.Sprintf("full sweep spent %d steps, want 1", n), true
+	}
+	if a, z := withoutBudget(before), withoutBudget(cp.DumpText()); a != z {
+		return "full sweep changed the state:\n" + firstDiffLine(a, z), true
+	}
+	return "", true
+}
+
+// withoutBudget drops the trailing "budget used" line of a DumpText
+// fingerprint.
+func withoutBudget(dump string) string {
+	if i := strings.LastIndex(dump, "budget used "); i >= 0 {
+		return dump[:i]
+	}
+	return dump
 }
 
 // randomDecision picks one decision from the current state (the two

@@ -7,7 +7,7 @@ import (
 // TestTrailCloneReplay50 is the property test of the speculation trail:
 // 50 generated superblocks, each replaying a random decision script
 // against the trail universe and the Clone universe through the full
-// Check pipeline (so the flag wiring is covered too). Any divergence in
+// Check pipeline (which always runs it). Any divergence in
 // fingerprints or error strings is a violation.
 func TestTrailCloneReplay50(t *testing.T) {
 	gen := NewGen(7, 16)
@@ -17,7 +17,6 @@ func TestTrailCloneReplay50(t *testing.T) {
 			PinSeed:     int64(i),
 			Parallelism: -1,
 			OracleLimit: -1,
-			TrailClone:  true,
 		})
 		for _, v := range rep.Violations {
 			if v.Kind == KindTrailClone {

@@ -18,7 +18,7 @@ import (
 //
 // The production Runner is the resilient degradation ladder (the
 // default when Config.Runner is nil). Synthetic backends — such as the
-// hollow recorded-cost runner in internal/loadsim, borrowed from
+// hollow recorded-cost runner in internal/hollow, borrowed from
 // kubemark's hollow-node idea — implement the same interface so load
 // harnesses can exercise the pipeline at very high request counts
 // without burning scheduler CPU.

@@ -79,15 +79,16 @@ type Config struct {
 	// Runner executes admitted requests on the worker pool. nil picks
 	// the production resilient ladder (built from Ladder). Injecting a
 	// synthetic Runner — e.g. the hollow recorded-cost stub in
-	// internal/loadsim — swaps the scheduler out while keeping the
+	// internal/hollow — swaps the scheduler out while keeping the
 	// whole fingerprint → cache → coalesce → admit → work pipeline
 	// real, so load harnesses measure the service, not the DP.
 	Runner Runner
 	// Now is the clock the service reads for request deadlines, the
 	// worker watchdog and the circuit breaker (nil = time.Now). It is
-	// the clock half of the Runner seam: internal/loadsim injects its
-	// virtual clock here so chaos scenarios exercise deadline,
-	// watchdog and breaker behavior on deterministic simulated time.
+	// the clock half of the Runner seam: internal/loadsim injects
+	// internal/hollow's virtual clock here so chaos scenarios exercise
+	// deadline, watchdog and breaker behavior on deterministic
+	// simulated time.
 	Now func() time.Time
 	// WatchdogGrace arms the worker watchdog: an in-flight execution
 	// still running this long past its request deadline is cancelled,

@@ -242,6 +242,12 @@ func (g *Graph) relayout(w, rows int) {
 // materialized during scheduling) and returns its id.
 func (g *Graph) AddNode() int { return g.addNode() }
 
+// Version returns the content version: it moves on every mutation that
+// can change the partition or the incompatibility sets (fusion, new
+// edge, node addition, reset, trail undo) and never goes back, so a
+// caller that saw the same version twice saw the same graph.
+func (g *Graph) Version() uint64 { return g.version }
+
 // Len returns the total number of nodes (instructions + anchors +
 // additions).
 func (g *Graph) Len() int { return g.uf.Len() }
