@@ -90,6 +90,19 @@ func (h *HollowRunner) Hold() {
 	h.mu.Unlock()
 }
 
+// Step lets exactly one held Run call through the closed gate,
+// blocking until one takes it. Stepping executions one at a time makes
+// their completions, and the virtual-clock readings that follow each
+// one, happen in one order on every run.
+func (h *HollowRunner) Step() {
+	h.mu.Lock()
+	gate := h.gate
+	h.mu.Unlock()
+	if gate != nil {
+		gate <- struct{}{}
+	}
+}
+
 // Release opens the gate, unblocking every held Run call.
 func (h *HollowRunner) Release() {
 	h.mu.Lock()

@@ -159,10 +159,11 @@ func (b *Builder) MustFinishWithProbs(probs []float64) *Superblock {
 // Validate checks the superblock invariants:
 //   - at least one instruction and at least one exit;
 //   - exits are Branch-class and the last instruction is an exit;
-//   - exit probabilities lie in (0,1] and sum to 1 (±1e-6);
+//   - exit probabilities lie in (0,1] and sum to 1 (±1e-6), and none
+//     is NaN;
 //   - no Copy-class instructions (those are materialized by schedulers);
 //   - latencies >= 1, edge latencies >= 0, edge endpoints in range,
-//     no self edges;
+//     no self edges, no two edges with the same (From, To, Kind);
 //   - the dependence graph is acyclic.
 func (sb *Superblock) Validate() error {
 	if len(sb.Instrs) == 0 {
@@ -185,7 +186,8 @@ func (sb *Superblock) Validate() error {
 		if in.Latency < 1 {
 			return fmt.Errorf("ir: superblock %q: instruction %d has latency %d < 1", sb.Name, i, in.Latency)
 		}
-		if in.Prob < 0 || in.Prob > 1 {
+		// Written so that NaN fails: every comparison with NaN is false.
+		if !(in.Prob >= 0 && in.Prob <= 1) {
 			return fmt.Errorf("ir: superblock %q: instruction %d has exit probability %g outside [0,1]", sb.Name, i, in.Prob)
 		}
 		if in.IsExit() && in.Class != Branch {
@@ -196,11 +198,11 @@ func (sb *Superblock) Validate() error {
 	if !sb.Instrs[len(sb.Instrs)-1].IsExit() {
 		return fmt.Errorf("ir: superblock %q: last instruction is not an exit", sb.Name)
 	}
-	if math.Abs(psum-1) > 1e-6 {
+	if !(math.Abs(psum-1) <= 1e-6) {
 		return fmt.Errorf("ir: superblock %q: exit probabilities sum to %g, want 1", sb.Name, psum)
 	}
 	n := len(sb.Instrs)
-	seen := make(map[[2]int]DepKind, len(sb.Edges))
+	seen := make(map[[3]int]bool, len(sb.Edges))
 	for _, e := range sb.Edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("ir: superblock %q: edge %d→%d out of range", sb.Name, e.From, e.To)
@@ -211,11 +213,11 @@ func (sb *Superblock) Validate() error {
 		if e.Latency < 0 {
 			return fmt.Errorf("ir: superblock %q: edge %d→%d has negative latency", sb.Name, e.From, e.To)
 		}
-		key := [2]int{e.From, e.To}
-		if k, dup := seen[key]; dup && k == e.Kind {
+		key := [3]int{e.From, e.To, int(e.Kind)}
+		if seen[key] {
 			return fmt.Errorf("ir: superblock %q: duplicate %s edge %d→%d", sb.Name, e.Kind, e.From, e.To)
 		}
-		seen[key] = e.Kind
+		seen[key] = true
 	}
 	if len(sb.TopoOrder()) != n {
 		return fmt.Errorf("ir: superblock %q: dependence graph has a cycle", sb.Name)

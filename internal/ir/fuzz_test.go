@@ -1,13 +1,20 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// nanExitBlock has a NaN exit probability. NaN fails every ordered
+// comparison, so it is not an exit (NaN > 0 is false) and a range check
+// written as "reject if outside" lets it through: the block would keep a
+// lone exit of probability 0.3 and print without "exit NaN".
+const nanExitBlock = "superblock x\ninst 0 a int 1\ninst 1 b branch 1 exit NaN\ninst 2 c branch 1 exit 0.3\ndep ctrl 1 2 lat 1\n"
+
 // FuzzParseSuperblock checks that arbitrary input never panics the
-// parser and that anything it accepts survives a print/parse round trip
-// unchanged.
+// parser and that anything it accepts prints the reference printer's
+// bytes and survives a print/parse round trip field for field.
 func FuzzParseSuperblock(f *testing.F) {
 	f.Add(PaperFigure1().String())
 	f.Add(Diamond().String())
@@ -16,18 +23,22 @@ func FuzzParseSuperblock(f *testing.F) {
 	f.Add("")
 	f.Add("#comment only\n\n")
 	f.Add("superblock x\nexeccount 99\ninst 0 b branch 2 exit 1\nlivein v 0\nliveout 0\n")
+	f.Add("superblock tiny\ninst 0 a branch 1 exit 1e-07\ninst 1 b branch 1 exit 0.9999999\ndep ctrl 0 1 lat 1\n")
+	f.Add(nanExitBlock)
+	f.Add(strings.Replace(nanExitBlock, "exit 0.3", "exit 1", 1))
 	f.Fuzz(func(t *testing.T, input string) {
 		sb, err := Parse(input)
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}
+		CheckPrinter(t, sb)
 		text := sb.String()
 		again, err := Parse(text)
 		if err != nil {
 			t.Fatalf("re-parse of printed form failed: %v\nprinted:\n%s", err, text)
 		}
-		if again.String() != text {
-			t.Fatalf("print/parse not a fixpoint:\n%s\nvs\n%s", text, again.String())
+		if !reflect.DeepEqual(again, sb) {
+			t.Fatalf("print/parse changed the block:\n%#v\nvs\n%#v", sb, again)
 		}
 	})
 }

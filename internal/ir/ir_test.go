@@ -99,6 +99,19 @@ func TestBuilderValidation(t *testing.T) {
 			b.Data(a, x).Data(a, x)
 			return b.Finish()
 		}},
+		{"duplicate edge behind an edge of the other kind", func() (*Superblock, error) {
+			b := NewBuilder("x")
+			a := b.Instr("a", Int, 1)
+			x := b.Exit("b", 1, 1.0)
+			b.Data(a, x).Ctrl(a, x).Dep(Data, a, x, 3)
+			return b.Finish()
+		}},
+		{"NaN exit probability", func() (*Superblock, error) {
+			b := NewBuilder("x")
+			b.Exit("a", 1, math.NaN())
+			b.Exit("b", 1, 1.0)
+			return b.Finish()
+		}},
 		{"copy class input", func() (*Superblock, error) {
 			b := NewBuilder("x")
 			b.Instr("a", Copy, 1)
@@ -292,6 +305,20 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", text)
 		}
+	}
+}
+
+// TestNaNExitProbabilityRejected: a NaN probability must fail
+// validation, or the printed block (and so its fingerprint) would
+// differ from the block that was parsed.
+func TestNaNExitProbabilityRejected(t *testing.T) {
+	if sb, err := Parse(nanExitBlock); err == nil {
+		t.Fatalf("Parse accepted a NaN exit probability:\n%s", sb)
+	}
+	sb := PaperFigure1()
+	sb.Instrs[4].Prob = math.NaN()
+	if err := sb.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN exit probability")
 	}
 }
 

@@ -2,8 +2,10 @@ package ir
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,38 +24,120 @@ import (
 
 // Write serializes the superblock in .sb form.
 func (sb *Superblock) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "superblock %s\n", sb.Name)
-	fmt.Fprintf(bw, "execcount %d\n", sb.ExecCount)
-	for _, in := range sb.Instrs {
-		if in.IsExit() {
-			fmt.Fprintf(bw, "inst %d %s %s %d exit %g\n", in.ID, in.Name, in.Class, in.Latency, in.Prob)
-		} else {
-			fmt.Fprintf(bw, "inst %d %s %s %d\n", in.ID, in.Name, in.Class, in.Latency)
-		}
-	}
-	for _, e := range sb.Edges {
-		fmt.Fprintf(bw, "dep %s %d %d lat %d\n", e.Kind, e.From, e.To, e.Latency)
-	}
-	for _, li := range sb.LiveIns {
-		fmt.Fprintf(bw, "livein %s", li.Name)
-		for _, c := range li.Consumers {
-			fmt.Fprintf(bw, " %d", c)
-		}
-		fmt.Fprintln(bw)
-	}
-	for _, u := range sb.LiveOuts {
-		fmt.Fprintf(bw, "liveout %d\n", u)
-	}
-	fmt.Fprintln(bw)
-	return bw.Flush()
+	_, err := w.Write(sb.AppendText(make([]byte, 0, sb.textSizeHint())))
+	return err
 }
 
 // String renders the superblock in .sb form.
 func (sb *Superblock) String() string {
-	var b strings.Builder
-	sb.Write(&b) // strings.Builder never errors
-	return b.String()
+	return string(sb.AppendText(make([]byte, 0, sb.textSizeHint())))
+}
+
+// AppendText appends the superblock's .sb form to b and returns the
+// extended slice. It is the one printer: Write, String and
+// AppendCanonical all print through it.
+func (sb *Superblock) AppendText(b []byte) []byte { return sb.appendText(b, nil) }
+
+// AppendCanonical appends the canonical .sb form: AppendText's bytes
+// with the edges in (From, To, Kind) order, so edge declaration order
+// cannot change them. The superblock itself is not touched. Validate
+// rejects duplicate (From, To, Kind) edges, so for a valid block the
+// order is total and the bytes equal those of a Clone whose edges
+// were sorted with SortEdges.
+func (sb *Superblock) AppendCanonical(b []byte) []byte {
+	return sb.appendText(b, sb.canonicalEdgeOrder())
+}
+
+// appendText prints the superblock with its edges visited in order
+// (indices into sb.Edges; nil = declaration order). Probabilities keep
+// the %g spelling: the shortest representation that round-trips.
+func (sb *Superblock) appendText(b []byte, order []int) []byte {
+	b = append(b, "superblock "...)
+	b = append(b, sb.Name...)
+	b = append(b, "\nexeccount "...)
+	b = strconv.AppendInt(b, sb.ExecCount, 10)
+	b = append(b, '\n')
+	for _, in := range sb.Instrs {
+		b = append(b, "inst "...)
+		b = strconv.AppendInt(b, int64(in.ID), 10)
+		b = append(b, ' ')
+		b = append(b, in.Name...)
+		b = append(b, ' ')
+		b = append(b, in.Class.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(in.Latency), 10)
+		if in.IsExit() {
+			b = append(b, " exit "...)
+			b = strconv.AppendFloat(b, in.Prob, 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+	for i := range sb.Edges {
+		e := &sb.Edges[i]
+		if order != nil {
+			e = &sb.Edges[order[i]]
+		}
+		b = append(b, "dep "...)
+		b = append(b, e.Kind.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(e.From), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(e.To), 10)
+		b = append(b, " lat "...)
+		b = strconv.AppendInt(b, int64(e.Latency), 10)
+		b = append(b, '\n')
+	}
+	for _, li := range sb.LiveIns {
+		b = append(b, "livein "...)
+		b = append(b, li.Name...)
+		for _, c := range li.Consumers {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, '\n')
+	}
+	for _, u := range sb.LiveOuts {
+		b = append(b, "liveout "...)
+		b = strconv.AppendInt(b, int64(u), 10)
+		b = append(b, '\n')
+	}
+	return append(b, '\n')
+}
+
+// textSizeHint is a capacity that holds a typical printed block
+// without regrowing.
+func (sb *Superblock) textSizeHint() int {
+	return 32 + len(sb.Name) + 32*len(sb.Instrs) + 24*len(sb.Edges) + 16*len(sb.LiveIns) + 12*len(sb.LiveOuts)
+}
+
+// canonicalEdgeOrder returns the indices of sb.Edges in (From, To,
+// Kind) order, or nil when the edges are declared in that order
+// already (as in every block parsed from canonical text).
+func (sb *Superblock) canonicalEdgeOrder() []int {
+	sorted := true
+	for i := 1; i < len(sb.Edges) && sorted; i++ {
+		sorted = compareEdges(&sb.Edges[i-1], &sb.Edges[i]) <= 0
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]int, len(sb.Edges))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return compareEdges(&sb.Edges[i], &sb.Edges[j]) })
+	return order
+}
+
+// compareEdges orders edges by (From, To, Kind).
+func compareEdges(a, b *Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
 }
 
 // ReadAll parses every superblock in the stream.
@@ -91,8 +175,10 @@ type parser struct {
 }
 
 func newParser(r io.Reader) *parser {
+	// The scanner starts with its own small buffer and doubles it for
+	// long lines, up to a 16 MiB token.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	return &parser{sc: sc}
 }
 

@@ -398,9 +398,13 @@ func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, 
 
 // runOverload measures admission control deterministically: hold the
 // hollow gate so workers+queue fill and stay full, offer Extra more
-// requests that must all shed, then release the gate and let the
-// admitted work finish. Shed rate = extra/(fill+extra) exactly, with
-// no race against worker progress.
+// requests that must all shed, then step the admitted work through the
+// gate one execution at a time. Shed rate = extra/(fill+extra) exactly,
+// with no race against worker progress. Each step waits for the
+// finished request's submitter to read the clock before the next
+// execution pays its cost: the virtual clock sums concurrent sleeps, so
+// a reading taken while another worker runs would land anywhere in
+// that worker's cost.
 func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner, pool []source, mach *machine.Config, opts core.Options, clock hollow.Clock, col *collector) error {
 	fill := d.Service.Workers + d.Service.QueueDepth
 
@@ -409,6 +413,7 @@ func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner,
 
 	var wg sync.WaitGroup
 	var err error
+	recorded := make(chan struct{}, fill)
 	for i := 0; i < fill && err == nil; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -416,6 +421,7 @@ func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner,
 			t0 := clock.Now()
 			res := svc.Submit(d.request(mach, opts, pool[i], 0))
 			col.record(clock.Now().Sub(t0), res)
+			recorded <- struct{}{}
 		}(i)
 		// Every worker takes a request and parks on the gate before the
 		// queue fills: offered all at once, the fill could find the
@@ -439,7 +445,10 @@ func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner,
 		res := svc.Submit(d.request(mach, opts, pool[fill+j], 0))
 		col.record(clock.Now().Sub(t0), res)
 	}
-	runner.Release()
+	for i := 0; i < fill; i++ {
+		runner.Step()
+		<-recorded
+	}
 	wg.Wait()
 	return nil
 }

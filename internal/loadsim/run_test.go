@@ -305,3 +305,30 @@ func TestCorpusJoinsThePoolAheadOfGeneratedBlocks(t *testing.T) {
 		t.Fatalf("empty corpus dir: err = %v", err)
 	}
 }
+
+// TestCheckedInScenariosRepeat runs the two checked-in scenarios that
+// goroutine scheduling could sway and requires every run to report the
+// same numbers: batch (a block repeated within its batch could be a hit
+// or coalesced) and overload-shed (a submitter could read the virtual
+// clock while another worker's cost was being paid).
+func TestCheckedInScenariosRepeat(t *testing.T) {
+	for _, file := range []string{"40_overload_shed.json", "50_batch.json"} {
+		sc, err := LoadScenario(filepath.Join("..", "..", "scenarios", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 30; i++ {
+			rep, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rep, first) {
+				t.Fatalf("%s: run %d differs from run 0:\n%+v\nvs\n%+v", file, i, rep, first)
+			}
+		}
+	}
+}

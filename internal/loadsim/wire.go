@@ -32,7 +32,7 @@ func (w *remote) SubmitBatch(reqs []*service.Request) []service.Result {
 		MaxSteps:  reqs[0].Core.MaxSteps,
 	}
 	for i, req := range reqs {
-		wreq.Blocks[i] = service.Canonical(req.SB).String()
+		wreq.Blocks[i] = string(req.SB.AppendCanonical(nil))
 	}
 	resp, err := w.client.Schedule(wreq)
 	taxonomy := "unreachable"

@@ -80,7 +80,7 @@ func TestWireBatchUnits(t *testing.T) {
 		t.Fatalf("sent %d wire requests, want 2", len(sent))
 	}
 	got := sent[0]
-	if len(got.Blocks) != 4 || got.Blocks[1] != service.Canonical(pool[1].sb).String() {
+	if len(got.Blocks) != 4 || got.Blocks[1] != string(pool[1].sb.AppendCanonical(nil)) {
 		t.Errorf("blocks not the canonical sources: %q", got.Blocks)
 	}
 	if got.Machine != "4c1l" || got.PinSeed != 5 || got.TimeoutMS != 250 || got.MaxSteps != 900 {

@@ -10,8 +10,9 @@
 //
 //	 1. Every superblock is expanded and fingerprinted locally with
 //	    exactly the pipeline the daemon runs (httpapi.BuildRequests +
-//	    service.Fingerprint), so the router addresses the same content
-//	    the shard will cache.
+//	    service.FingerprintText), so the router addresses the same
+//	    content the shard will cache; the leader forwards the canonical
+//	    bytes the fingerprint hashed.
 //	 2. Duplicate fingerprints coalesce in a router-side
 //	    service.Flight BEFORE they reach the ring: one leader forwards,
 //	    followers wait at most their own deadline. Combined with hash
@@ -292,7 +293,7 @@ func (r *Router) RetryAfter() time.Duration {
 // is the original wire request; its Machine/PinSeed/TimeoutMS/MaxSteps
 // fields pass through to the shard verbatim.
 func (r *Router) scheduleBlock(req *service.Request, wreq *service.WireRequest) service.Result {
-	fp := service.Fingerprint(req)
+	fp, text := service.FingerprintText(req)
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
@@ -329,7 +330,7 @@ func (r *Router) scheduleBlock(req *service.Request, wreq *service.WireRequest) 
 			}
 		}
 	}
-	res := r.forwardGuarded(req, fp, wreq)
+	res := r.forwardGuarded(req, fp, text, wreq)
 	r.flight.Finish(fp, res)
 	return res
 }
@@ -337,7 +338,7 @@ func (r *Router) scheduleBlock(req *service.Request, wreq *service.WireRequest) 
 // forwardGuarded never lets a leader die without publishing: a panic
 // anywhere in the forward path becomes a hard-failure result rather
 // than a flight entry whose followers wait forever.
-func (r *Router) forwardGuarded(req *service.Request, fp string, wreq *service.WireRequest) (res service.Result) {
+func (r *Router) forwardGuarded(req *service.Request, fp string, text []byte, wreq *service.WireRequest) (res service.Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res = service.Result{
@@ -347,10 +348,13 @@ func (r *Router) forwardGuarded(req *service.Request, fp string, wreq *service.W
 			}
 		}
 	}()
-	return r.forward(req, fp, wreq)
+	return r.forward(req, fp, text, wreq)
 }
 
-func (r *Router) forward(req *service.Request, fp string, wreq *service.WireRequest) service.Result {
+// forward sends the block's canonical text — the bytes its fingerprint
+// hashed — to the fingerprint's home shard, failing over along the
+// live ring.
+func (r *Router) forward(req *service.Request, fp string, text []byte, wreq *service.WireRequest) service.Result {
 	order := r.liveOrder(fp)
 	if len(order) == 0 {
 		r.mu.Lock()
@@ -367,19 +371,11 @@ func (r *Router) forward(req *service.Request, fp string, wreq *service.WireRequ
 		r.mu.Unlock()
 	}
 
-	// Re-serialize the one superblock through the same canonicalization
-	// the fingerprint hashed, so the shard receives exactly the content
-	// the routing key addressed. Machine/PinSeed/MaxSteps pass through
-	// as the client sent them; the shard applies its own defaults.
-	var sb strings.Builder
-	if err := service.Canonical(req.SB).Write(&sb); err != nil {
-		return service.Result{
-			Block: req.SB.Name, Fingerprint: fp,
-			Err: fmt.Sprintf("serializing block: %v", err), Taxonomy: "internal", HardFailure: true,
-		}
-	}
+	// The shard receives exactly the content the routing key
+	// addressed. Machine/PinSeed/MaxSteps pass through as the client
+	// sent them; the shard applies its own defaults.
 	bwreq := service.WireRequest{
-		Blocks:    []string{sb.String()},
+		Blocks:    []string{string(text)},
 		Machine:   wreq.Machine,
 		PinSeed:   wreq.PinSeed,
 		TimeoutMS: wreq.TimeoutMS,

@@ -525,3 +525,84 @@ func TestNoLiveShardsIsExplicitRefusal(t *testing.T) {
 		t.Fatalf("post-recovery: status %d, %+v", status, resp.Results)
 	}
 }
+
+// unorderedBlock declares its dependences out of (From, To, Kind) order.
+const unorderedBlock = `superblock unordered
+inst 0 a int 1
+inst 1 b mem 2
+inst 2 c int 1
+inst 3 x branch 1 exit 0.25
+inst 4 y branch 1 exit 0.75
+dep ctrl 3 4 lat 1
+dep data 2 4 lat 1
+dep data 0 2 lat 1
+dep data 1 3 lat 2
+dep data 0 1 lat 1
+`
+
+// TestForwardSendsTheFingerprintedBytes records what a shard receives:
+// the router forwards the canonical text its fingerprint hashed, and
+// the shard, rebuilding the request from those bytes, addresses it by
+// the routing fingerprint.
+func TestForwardSendsTheFingerprintedBytes(t *testing.T) {
+	backend := startBackends(t, 1)[0]
+	var (
+		mu   sync.Mutex
+		seen []service.WireRequest
+	)
+	recording := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/schedule" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var wreq service.WireRequest
+			if err := json.Unmarshal(body, &wreq); err != nil {
+				t.Errorf("forwarded body: %v", err)
+			}
+			mu.Lock()
+			seen = append(seen, wreq)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		backend.srv.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer recording.Close()
+	rt := newRouter(t, nil, func(c *Config) { c.Backends = []string{recording.URL} })
+
+	wreq := service.WireRequest{Blocks: []string{unorderedBlock}, Machine: "4c2l"}
+	defaults := httpapi.Defaults{MachineKey: "2c1l", PinSeed: 1, MaxSteps: 20000}
+	reqs, err := httpapi.BuildRequests(&wreq, defaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routing := service.Fingerprint(reqs[0])
+	canonical := string(reqs[0].SB.AppendCanonical(nil))
+	if canonical == reqs[0].SB.String() {
+		t.Fatal("test block is already in canonical edge order")
+	}
+
+	resp, err := rt.Schedule(&wreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Error != "" {
+		t.Fatalf("schedule: %+v", resp.Results)
+	}
+	if len(seen) != 1 || len(seen[0].Blocks) != 1 {
+		t.Fatalf("shard saw %+v, want one request with one block", seen)
+	}
+	if got := seen[0].Blocks[0]; got != canonical {
+		t.Fatalf("forwarded blocks[0]:\n%s\nwant the canonical text:\n%s", got, canonical)
+	}
+	shardReqs, err := httpapi.BuildRequests(&seen[0], defaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := service.Fingerprint(shardReqs[0]); got != routing {
+		t.Fatalf("shard fingerprints the forwarded block %s, routing fingerprint %s", got, routing)
+	}
+	if resp.Results[0].Fingerprint != routing {
+		t.Fatalf("answer carries fingerprint %s, want %s", resp.Results[0].Fingerprint, routing)
+	}
+}

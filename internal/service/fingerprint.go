@@ -3,8 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"strconv"
 
 	"vcsched/internal/core"
 	"vcsched/internal/ir"
@@ -21,9 +20,10 @@ import (
 // Canonicalization makes the address content-based rather than
 // representation-based:
 //
-//   - the superblock is hashed through the same .sb serialization the
-//     rest of the stack round-trips (ir.Superblock.Write), after a
-//     Clone+SortEdges so edge declaration order cannot split entries;
+//   - the superblock is hashed as ir.Superblock.AppendCanonical prints
+//     it: the .sb serialization the rest of the stack round-trips,
+//     with the edges in (From, To, Kind) order so edge declaration
+//     order cannot split entries;
 //   - the options are hashed after core.Options.Normalized, so an
 //     unset knob and its spelled-out default coincide;
 //   - Timeout/Deadline are excluded: a correct schedule does not
@@ -34,19 +34,53 @@ import (
 //     to the serial driver's, so the knob affects wall-clock only;
 //   - Pins are excluded in favor of the PinSeed that generates them.
 func Fingerprint(req *Request) string {
-	h := sha256.New()
-	io.WriteString(h, "vcsched-request-v1\n")
-	fmt.Fprintf(h, "machine %s\n", machineID(req.Machine))
-	fmt.Fprintf(h, "pinseed %d\n", req.PinSeed)
+	fp, _ := FingerprintText(req)
+	return fp
+}
+
+// FingerprintText returns the request's fingerprint together with the
+// canonical .sb bytes it hashed. The fleet router forwards exactly
+// these bytes, so a shard parses and re-addresses the content the
+// routing key named. The hashed document is
+//
+//	vcsched-request-v1
+//	machine <machineID>
+//	pinseed <n>
+//	opts steps=… shave=… cand=… cyccand=… awct=… retries=… variant=… nostage3=… learn=on
+//	<canonical .sb text>
+//
+// built in one buffer and hashed once; text aliases its tail.
+func FingerprintText(req *Request) (fp string, text []byte) {
+	b := make([]byte, 0, 256+32*len(req.SB.Instrs)+24*len(req.SB.Edges))
+	b = append(b, "vcsched-request-v1\nmachine "...)
+	b = appendMachineID(b, req.Machine)
+	b = append(b, "\npinseed "...)
+	b = strconv.AppendInt(b, req.PinSeed, 10)
 	o := normalizeOptions(req.Core)
 	// "learn=on" is a fixed token: it named the default of a removed
 	// conflict-learning option, and keeping it keeps every v1 address
 	// (cache keys, ring placement, wire fingerprints) byte-identical.
-	fmt.Fprintf(h, "opts steps=%d shave=%d cand=%d cyccand=%d awct=%d retries=%d variant=%d nostage3=%t learn=on\n",
-		o.MaxSteps, o.ShaveRounds, o.CandidateLimit, o.CycleCandLimit,
-		o.MaxAWCTIters, o.Retries, o.VariantOffset, o.NoStage3Matching)
-	Canonical(req.SB).Write(h)
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(b, "\nopts steps="...)
+	b = strconv.AppendInt(b, int64(o.MaxSteps), 10)
+	b = append(b, " shave="...)
+	b = strconv.AppendInt(b, int64(o.ShaveRounds), 10)
+	b = append(b, " cand="...)
+	b = strconv.AppendInt(b, int64(o.CandidateLimit), 10)
+	b = append(b, " cyccand="...)
+	b = strconv.AppendInt(b, int64(o.CycleCandLimit), 10)
+	b = append(b, " awct="...)
+	b = strconv.AppendInt(b, int64(o.MaxAWCTIters), 10)
+	b = append(b, " retries="...)
+	b = strconv.AppendInt(b, int64(o.Retries), 10)
+	b = append(b, " variant="...)
+	b = strconv.AppendInt(b, int64(o.VariantOffset), 10)
+	b = append(b, " nostage3="...)
+	b = strconv.AppendBool(b, o.NoStage3Matching)
+	b = append(b, " learn=on\n"...)
+	start := len(b)
+	b = req.SB.AppendCanonical(b)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), b[start:]
 }
 
 // normalizeOptions reduces a core options struct to the vector that
@@ -59,35 +93,33 @@ func normalizeOptions(o core.Options) core.Options {
 	return o.Normalized()
 }
 
-// Canonical returns a copy whose printed form is independent of edge
-// declaration order. It is the canonicalization stage of the pipeline:
-// the bytes a Canonical superblock Writes are the bytes Fingerprint
-// hashes, and the fleet router re-serializes blocks through it so a
-// shard receives exactly the bytes the routing fingerprint addressed.
-func Canonical(sb *ir.Superblock) *ir.Superblock {
-	cp := sb.Clone()
-	cp.SortEdges()
-	return cp
-}
-
-// machineID names a machine deterministically by its full parameter
-// dump: cluster/bus shape plus the per-cluster FU tables in cluster
-// order, so heterogeneous overrides are covered. The dump deliberately
-// ignores Name and the ByKey key — a keyed config whose FU table was
-// mutated afterwards must not collide with the pristine one, and two
-// identical configs under different names deserve one cache entry.
-func machineID(m *machine.Config) string {
-	id := fmt.Sprintf("c=%d b=%d lat=%d pipe=%t fu=", m.Clusters, m.Buses, m.BusLatency, m.BusPipelined)
+// appendMachineID names a machine deterministically by its full
+// parameter dump: cluster/bus shape plus the per-cluster FU tables in
+// cluster order, so heterogeneous overrides are covered. The dump
+// deliberately ignores Name and the ByKey key — a keyed config whose FU
+// table was mutated afterwards must not collide with the pristine one,
+// and two identical configs under different names deserve one cache
+// entry.
+func appendMachineID(b []byte, m *machine.Config) []byte {
+	b = append(b, "c="...)
+	b = strconv.AppendInt(b, int64(m.Clusters), 10)
+	b = append(b, " b="...)
+	b = strconv.AppendInt(b, int64(m.Buses), 10)
+	b = append(b, " lat="...)
+	b = strconv.AppendInt(b, int64(m.BusLatency), 10)
+	b = append(b, " pipe="...)
+	b = strconv.AppendBool(b, m.BusPipelined)
+	b = append(b, " fu="...)
 	for c := 0; c < m.Clusters; c++ {
 		if c > 0 {
-			id += ";"
+			b = append(b, ';')
 		}
 		for cl := 0; cl < ir.NumClasses; cl++ {
 			if cl > 0 {
-				id += ","
+				b = append(b, ',')
 			}
-			id += fmt.Sprint(m.ClusterFU(c, ir.Class(cl)))
+			b = strconv.AppendInt(b, int64(m.ClusterFU(c, ir.Class(cl))), 10)
 		}
 	}
-	return id
+	return b
 }

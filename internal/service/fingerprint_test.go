@@ -7,6 +7,7 @@ import (
 	"vcsched/internal/core"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
+	"vcsched/internal/workload"
 )
 
 func TestFingerprintContentAddressing(t *testing.T) {
@@ -108,5 +109,60 @@ func TestFingerprintGolden(t *testing.T) {
 	const want = "6710d5570ca6c7eb38181b7f730c5dfdf29629502b7494da406cff26a6f64047"
 	if got := Fingerprint(testRequest(ir.PaperFigure1(), 1)); got != want {
 		t.Fatalf("Fingerprint(Figure 1, seed 1) = %s, want %s", got, want)
+	}
+}
+
+// TestFingerprintTextIsTheHashedBlock: the bytes FingerprintText hands
+// the router are the canonical text, they re-parse to a block with the
+// same address, and edge declaration order does not change them.
+func TestFingerprintTextIsTheHashedBlock(t *testing.T) {
+	req := testRequest(ir.PaperFigure1(), 1)
+	fp, text := FingerprintText(req)
+	if fp != Fingerprint(req) {
+		t.Fatal("FingerprintText and Fingerprint disagree")
+	}
+	if string(text) != string(req.SB.AppendCanonical(nil)) {
+		t.Fatalf("FingerprintText returned %q, not the canonical text", text)
+	}
+	sb, err := ir.Parse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Fingerprint(testRequest(sb, 1)); got != fp {
+		t.Fatalf("re-parsed canonical text fingerprints %s, want %s", got, fp)
+	}
+	shuffled := req.SB.Clone()
+	for i, j := 0, len(shuffled.Edges)-1; i < j; i, j = i+1, j-1 {
+		shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
+	}
+	if shuffled.String() == req.SB.String() {
+		t.Fatal("shuffle did not reorder the printed edges")
+	}
+	if _, got := FingerprintText(testRequest(shuffled, 1)); string(got) != string(text) {
+		t.Fatalf("edge order changed the canonical text:\n%s\nvs\n%s", got, text)
+	}
+}
+
+// TestFingerprintAllocs bounds the allocations of one fingerprint of a
+// paper-profile block (099.go.sb0003 on 4c2l): the request document is
+// built in one buffer and hashed once, and the block is neither copied
+// nor printed through fmt, either of which costs an allocation per
+// line.
+func TestFingerprintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	p, err := workload.BenchmarkByName("099.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.ByKey("4c2l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &Request{SB: p.GenerateBlock(3, 0), Machine: m, PinSeed: 1}
+	const ceiling = 8
+	if n := testing.AllocsPerRun(100, func() { Fingerprint(req) }); n > ceiling {
+		t.Fatalf("Fingerprint allocates %.0f times per call, want at most %d", n, ceiling)
 	}
 }

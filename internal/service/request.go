@@ -16,10 +16,13 @@ import (
 // is the caller's.
 type Request struct {
 	// SB is the superblock to schedule. The service never mutates it;
-	// fingerprinting works on a canonicalized copy.
+	// the fingerprint hashes its canonical text
+	// (ir.Superblock.AppendCanonical), which prints the edges in
+	// (From, To, Kind) order without copying or re-sorting the block.
 	SB *ir.Superblock
-	// Machine is the target. Keyed configurations (machine.ByKey)
-	// fingerprint by key; anonymous ones by their full parameter dump.
+	// Machine is the target. Every configuration, keyed
+	// (machine.ByKey) or not, fingerprints by its full parameter dump;
+	// the name and the key are ignored.
 	Machine *machine.Config
 	// PinSeed selects the live-in/live-out pin assignment
 	// (workload.PinsFor), matching cmd/vcsched -seed.

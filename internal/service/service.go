@@ -322,75 +322,78 @@ func (s *Service) Close() {
 // worker. Shed and draining refusals return immediately. Submit is
 // safe for arbitrary concurrent use.
 func (s *Service) Submit(req *Request) Result {
-	res, c, deadline := s.admit(req)
-	if c == nil {
-		return res
-	}
-	// A follower waits at most its own deadline: coalescing must not
-	// silently extend a short-deadline request to its leader's budget.
-	if res.Coalesced {
-		var timer *time.Timer
-		var expired <-chan time.Time
-		if wait := deadline.Sub(s.now()); wait > 0 {
-			timer = time.NewTimer(wait)
-			expired = timer.C
-		}
-		select {
-		case <-c.Done():
-			if timer != nil {
-				timer.Stop()
-			}
-		case <-expired:
-			s.mu.Lock()
-			s.stats.QueueTimeouts++
-			s.mu.Unlock()
-			return Result{
-				Block:       req.SB.Name,
-				Fingerprint: res.Fingerprint,
-				Err:         "deadline expired waiting for the in-flight duplicate",
-				Taxonomy:    "timeout",
-				Coalesced:   true,
-			}
-		}
-		out := c.Result()
-		out.CacheHit = false
-		out.Coalesced = true
-		return out
-	}
-	<-c.Done()
-	return c.Result()
+	adms := s.admit([]*Request{req})
+	return s.await(req, &adms[0])
 }
 
 // SubmitBatch schedules every block concurrently and returns results
-// in request order. Duplicates inside one batch coalesce like any
-// other concurrent duplicates.
+// in request order. The batch is admitted in one step (see admit), so a
+// block repeated within its batch always coalesces with its first copy.
 func (s *Service) SubmitBatch(reqs []*Request) []Result {
+	adms := s.admit(reqs)
 	out := make([]Result, len(reqs))
 	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	for i, r := range reqs {
-		go func(i int, r *Request) {
+	for i := range reqs {
+		if adms[i].call == nil {
+			out[i] = adms[i].res
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
 			defer wg.Done()
-			out[i] = s.Submit(r)
-		}(i, r)
+			out[i] = s.await(reqs[i], &adms[i])
+		}(i)
 	}
 	wg.Wait()
 	return out
 }
 
-// admit runs the front half of the pipeline: fingerprint, cache,
-// singleflight, fault point, bounded queue. It returns either a final
-// result (call == nil: hit, shed, draining, admit failure) or the call
-// to wait on; res.Coalesced distinguishes followers from the leader.
-func (s *Service) admit(req *Request) (res Result, c *Call, deadline time.Time) {
-	// An injected service.admit panic (or a real one in the front half)
-	// must refuse one request, not kill the accept loop. The panic can
-	// only strike before the locked section, whose own deferred Unlock
-	// runs first, so re-locking here is safe.
+// admission is the front half's verdict on one request: either a
+// final result (call == nil: hit, shed, draining, breaker, admission
+// panic) or the call to wait on; res.Coalesced distinguishes followers
+// from the leader.
+type admission struct {
+	fp       string
+	deadline time.Time
+	shed     error // forced by the service.admit fault point
+	panicked bool  // prepare recovered a panic; res is final
+	res      Result
+	call     *Call
+}
+
+// admit runs the front half of the pipeline for a batch: fingerprint,
+// cache, singleflight, breaker, fault point, bounded queue. Every
+// request is prepared outside the lock, then all are admitted in
+// request order under one hold of s.mu. No leader can publish while
+// the lock is held, so a block repeated within its batch finds its
+// first copy in flight and coalesces; admitted one by one, it would
+// race that copy into the cache, and goroutine scheduling would pick
+// hit or coalesced.
+func (s *Service) admit(reqs []*Request) []admission {
+	adms := make([]admission, len(reqs))
+	for i, req := range reqs {
+		s.prepare(req, &adms[i])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, req := range reqs {
+		if !adms[i].panicked {
+			s.admitLocked(req, &adms[i])
+		}
+	}
+	return adms
+}
+
+// prepare runs the unlocked part of one admission: the fingerprint,
+// the deadline and the service.admit fault point, which fires outside
+// the lock so a sleep kind stalls this submission, not the whole
+// service. An injected service.admit panic (or a real one here)
+// refuses this one request.
+func (s *Service) prepare(req *Request, a *admission) {
 	defer func() {
 		if r := recover(); r != nil {
-			c = nil
-			res = Result{
+			a.panicked = true
+			a.res = Result{
 				Block:       req.SB.Name,
 				Err:         fmt.Sprintf("panic during admission: %v", r),
 				Taxonomy:    "panic",
@@ -402,63 +405,107 @@ func (s *Service) admit(req *Request) (res Result, c *Call, deadline time.Time) 
 			s.mu.Unlock()
 		}
 	}()
-	fp := Fingerprint(req)
-	deadline = s.now().Add(s.clampDeadline(req.Deadline))
+	a.fp = Fingerprint(req)
+	a.deadline = s.now().Add(s.clampDeadline(req.Deadline))
+	a.shed = injectAdmitFault()
+}
 
-	// The service.admit fault point fires outside the lock: a sleep
-	// kind must stall this submission, not the whole service.
-	forcedShed := injectAdmitFault()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// admitLocked admits one prepared request. s.mu must be held.
+func (s *Service) admitLocked(req *Request, a *admission) {
+	fp := a.fp
 	s.stats.Requests++
 	if s.draining {
 		s.stats.Shed++
-		return Result{Block: req.SB.Name, Fingerprint: fp, Err: "service draining", Taxonomy: "draining", Shed: true}, nil, deadline
+		a.res = Result{Block: req.SB.Name, Fingerprint: fp, Err: "service draining", Taxonomy: "draining", Shed: true}
+		return
 	}
 	if s.cache != nil {
 		if cached, ok := s.cache.Get(fp); ok {
 			s.stats.CacheHits++
 			cached.CacheHit = true
-			return cached, nil, deadline
+			a.res = cached
+			return
 		}
 	}
 	if inflight, ok := s.flight.Lookup(fp); ok {
 		// Coalescing runs before the breaker check so duplicates of a
 		// half-open probe join the probe instead of fast-failing.
 		s.stats.Coalesced++
-		return Result{Fingerprint: fp, Coalesced: true}, inflight, deadline
+		a.res, a.call = Result{Fingerprint: fp, Coalesced: true}, inflight
+		return
 	}
 	if s.cfg.BreakerThreshold > 0 {
 		if denied, b := s.breakerDenies(fp); denied {
 			s.stats.BreakerFastFails++
-			return Result{
+			a.res = Result{
 				Block:       req.SB.Name,
 				Fingerprint: fp,
 				Err: fmt.Sprintf("circuit breaker open: %d consecutive hard failures (%s) on this fingerprint, cooling off",
 					b.consecutive, b.taxonomy),
 				Taxonomy: "poisoned",
-			}, nil, deadline
+			}
+			return
 		}
 	}
-	if forcedShed != nil {
+	if a.shed != nil {
 		s.stats.Shed++
-		return Result{Block: req.SB.Name, Fingerprint: fp, Err: forcedShed.Error(), Taxonomy: "shed", Shed: true}, nil, deadline
+		a.res = Result{Block: req.SB.Name, Fingerprint: fp, Err: a.shed.Error(), Taxonomy: "shed", Shed: true}
+		return
 	}
 	// Register-then-maybe-Forget is safe only because s.mu is held: no
 	// concurrent submission can Lookup the entry between the two, so a
 	// shed leaves no stranded followers behind.
 	leader := s.flight.Register(fp)
-	j := &job{req: req, fp: fp, deadline: deadline, call: leader}
 	select {
-	case s.queue <- j:
+	case s.queue <- &job{req: req, fp: fp, deadline: a.deadline, call: leader}:
 		s.stats.CacheMisses++
-		return Result{Fingerprint: fp}, leader, deadline
+		a.res, a.call = Result{Fingerprint: fp}, leader
 	default:
 		s.flight.Forget(fp)
 		s.stats.Shed++
-		return Result{Block: req.SB.Name, Fingerprint: fp, Err: "admission queue full", Taxonomy: "shed", Shed: true}, nil, deadline
+		a.res = Result{Block: req.SB.Name, Fingerprint: fp, Err: "admission queue full", Taxonomy: "shed", Shed: true}
 	}
+}
+
+// await finishes one admitted request: a final result returns at
+// once, a leader waits for its execution, and a follower waits at
+// most its own deadline — coalescing must not silently extend a
+// short-deadline request to its leader's budget.
+func (s *Service) await(req *Request, a *admission) Result {
+	if a.call == nil {
+		return a.res
+	}
+	if a.res.Coalesced {
+		var timer *time.Timer
+		var expired <-chan time.Time
+		if wait := a.deadline.Sub(s.now()); wait > 0 {
+			timer = time.NewTimer(wait)
+			expired = timer.C
+		}
+		select {
+		case <-a.call.Done():
+			if timer != nil {
+				timer.Stop()
+			}
+		case <-expired:
+			s.mu.Lock()
+			s.stats.QueueTimeouts++
+			s.mu.Unlock()
+			return Result{
+				Block:       req.SB.Name,
+				Fingerprint: a.fp,
+				Err:         "deadline expired waiting for the in-flight duplicate",
+				Taxonomy:    "timeout",
+				Coalesced:   true,
+			}
+		}
+		out := a.call.Result()
+		out.CacheHit = false
+		out.Coalesced = true
+		return out
+	}
+	<-a.call.Done()
+	return a.call.Result()
 }
 
 func (s *Service) clampDeadline(d time.Duration) time.Duration {

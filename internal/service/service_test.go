@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +141,26 @@ func TestSubmitBatchOrderAndDedup(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheMisses != 2 {
 		t.Fatalf("batch with one duplicate computed %d times: %+v", st.CacheMisses, st)
+	}
+}
+
+// TestBatchDuplicateAlwaysCoalesces: a block repeated within its batch
+// joins its first copy in flight, even when the runner finishes at
+// once, so the duplicate can never race the first copy into the cache.
+func TestBatchDuplicateAlwaysCoalesces(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2, DefaultDeadline: 20 * time.Second, Runner: newScriptedRunner()})
+	const batches = 200
+	for i := 0; i < batches; i++ {
+		a, b := ir.PaperFigure1(), ir.Diamond()
+		a.Name = fmt.Sprintf("a%d", i)
+		b.Name = fmt.Sprintf("b%d", i)
+		out := s.SubmitBatch([]*Request{testRequest(a, 1), testRequest(b, 1), testRequest(a, 1)})
+		if !out[2].Coalesced || out[2].CacheHit || out[2].Schedule != out[0].Schedule {
+			t.Fatalf("batch %d: duplicate served as %+v, want coalesced with %+v", i, out[2], out[0])
+		}
+	}
+	if st := s.Stats(); st.Coalesced != batches || st.CacheHits != 0 || st.CacheMisses != 2*batches {
+		t.Fatalf("stats %+v, want %d coalesced, 0 hits, %d misses", st, batches, 2*batches)
 	}
 }
 
