@@ -6,14 +6,14 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 GO_LDFLAGS := -ldflags '-X vcsched/internal/version.Version=$(VERSION)'
 
-.PHONY: check build vet test race bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo slo-short slo-gate
+.PHONY: check build vet test race bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo-short
 
 # check is the tier-1 gate (see ROADMAP.md): vet (gofmt included),
 # build, the full test suite under the race detector (the fault-
 # injection, chaos, watchdog, breaker and client suites among it, each
 # run once), the env-armed fault CLI run, the scheduling-service and
 # sharded-fleet smoke runs, and the SLO scenario suite (chaos scenarios
-# included) gated against its baseline. Everything must be green
+# included) checked against its golden document. Everything must be green
 # before a change lands.
 check: vet build race faults service-smoke fleet-smoke slo-short
 
@@ -71,26 +71,20 @@ faults:
 	VCSCHED_FAULTS='core.stage=panic:0:5,deduce.shave=contra:0:4' \
 		$(GO) run ./cmd/vcsched -example -resilient -report -print=false
 
-# slo replays the checked-in declarative scenario suite (scenarios/)
-# through the in-process load harness (internal/loadsim) with hollow
-# workers on a virtual clock, records the measured service-level
-# objectives in BENCH_service.json, and gates them against the
-# checked-in BENCH_service_baseline.json: p99 latency, cache hit rate,
-# shed rate within tolerance bands, hard failures unconditionally zero.
-# The suite is deterministic, so slo-short (one run, the CI and
-# tier-1 form) measures the same numbers as slo (five runs). After an
-# intentional SLO change, refresh the baseline with
-# `cp BENCH_service.json BENCH_service_baseline.json` and commit it.
-slo:
-	$(GO) run $(GO_LDFLAGS) ./cmd/vcslo -suite scenarios -runs 5 -out BENCH_service.json
-	$(MAKE) slo-gate
-
+# slo-short replays the checked-in declarative scenario suite
+# (scenarios/) through the in-process load harness (internal/loadsim)
+# with hollow workers on a virtual clock, writes the measured
+# service-level objectives to results/slo/BENCH_service.json (not
+# tracked), and checks them against the golden BENCH_service.json. The
+# suite repeats exactly, so every field but `version` must be equal;
+# escaped hard failures, watchdog leaks and identity violations must be
+# zero. After an intentional SLO change, re-record the golden file with
+# `go run ./cmd/vcslo -suite scenarios -runs 1 -out BENCH_service.json`
+# and say in the commit why it moved.
 slo-short:
-	$(GO) run $(GO_LDFLAGS) ./cmd/vcslo -suite scenarios -runs 1 -out BENCH_service.json
-	$(MAKE) slo-gate
-
-slo-gate:
-	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -service -baseline BENCH_service_baseline.json -current BENCH_service.json
+	mkdir -p results/slo
+	$(GO) run $(GO_LDFLAGS) ./cmd/vcslo -suite scenarios -runs 1 -out results/slo/BENCH_service.json
+	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -service -baseline BENCH_service.json -current results/slo/BENCH_service.json
 
 # service-smoke drives the scheduling service end to end: build
 # vcschedd and vcload under the race detector, start the daemon on an

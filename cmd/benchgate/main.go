@@ -22,40 +22,36 @@
 //
 //	benchgate -baseline BENCH_baseline.json -current BENCH_deduce.json
 //
-// With -service the gate switches to service-level objectives: it
-// compares a BENCH_service.json recorded by cmd/vcslo against the
-// checked-in BENCH_service_baseline.json, scenario by scenario:
+// With -service the gate checks service-level objectives instead: it
+// compares a document recorded by cmd/vcslo against the checked-in
+// golden BENCH_service.json. The scenario suite runs on a virtual clock
+// and repeats exactly, so there are no tolerance bands:
 //
-//   - p99 latency may exceed the baseline by at most -p99-tol
-//     (fractional) plus -p99-slack-ms (absolute grace for
-//     sub-millisecond baselines);
+//   - every field of every golden scenario must equal the current
+//     run's, and both documents must name the same scenarios; only the
+//     document's version stamp may differ. A change that moves an SLO
+//     number re-records the golden file and says why;
 //
-//   - the cache hit rate may drop below the baseline by at most
-//     -hit-tol (absolute rate points);
-//
-//   - the shed rate may deviate from the baseline in either direction
-//     by at most -shed-tol — shedding more means capacity regressed,
-//     shedding less than an overload baseline means admission control
-//     stopped refusing work it must refuse;
-//
-//   - the hard-failure count must be zero, baseline or not. There is
-//     no tolerance band for a scheduler that breaks requests. Chaos
+//   - the hard-failure count must be zero, golden or not. Chaos
 //     scenarios report deliberately injected failures separately
 //     (injected/poisoned), so this stays an escaped-failure gate;
 //
 //   - watchdog leaks and warm/cold identity violations must likewise
-//     be zero, baseline or not — a watchdog-killed execution still
-//     running at drain or a warm result that differs from its cold
-//     bytes is broken regardless of tolerance.
+//     be zero — a watchdog-killed execution still running at drain or
+//     a warm result that differs from its cold bytes is broken
+//     whatever the golden file says.
 //
-//     benchgate -service -baseline BENCH_service_baseline.json -current BENCH_service.json
+//     benchgate -service -current results/slo/BENCH_service.json
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"vcsched/internal/loadsim"
 	"vcsched/internal/version"
@@ -78,14 +74,10 @@ type bench struct {
 
 func main() {
 	service := flag.Bool("service", false, "gate service-level SLOs (vcslo documents) instead of microbenchmarks")
-	baselinePath := flag.String("baseline", "", "checked-in baseline document (default BENCH_baseline.json; BENCH_service_baseline.json with -service)")
-	currentPath := flag.String("current", "", "freshly recorded document (default BENCH_deduce.json; BENCH_service.json with -service)")
+	baselinePath := flag.String("baseline", "", "checked-in baseline document (default BENCH_baseline.json; the golden BENCH_service.json with -service)")
+	currentPath := flag.String("current", "", "freshly recorded document (default BENCH_deduce.json; required with -service)")
 	allocsTol := flag.Float64("allocs-tol", 0.10, "allowed fractional allocs/op increase over baseline")
 	nsTol := flag.Float64("ns-tol", 1.50, "allowed fractional ns/op increase over baseline")
-	p99Tol := flag.Float64("p99-tol", 0.50, "allowed fractional p99 latency increase over baseline (-service)")
-	p99SlackMS := flag.Float64("p99-slack-ms", 2.0, "absolute p99 grace in ms on top of the band (-service)")
-	hitTol := flag.Float64("hit-tol", 0.05, "allowed absolute cache-hit-rate drop below baseline (-service)")
-	shedTol := flag.Float64("shed-tol", 0.05, "allowed absolute shed-rate deviation from baseline, either direction (-service)")
 	showVersion := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -94,23 +86,22 @@ func main() {
 	}
 	if *baselinePath == "" {
 		if *service {
-			*baselinePath = "BENCH_service_baseline.json"
+			*baselinePath = "BENCH_service.json"
 		} else {
 			*baselinePath = "BENCH_baseline.json"
 		}
 	}
 	if *currentPath == "" {
 		if *service {
-			*currentPath = "BENCH_service.json"
-		} else {
-			*currentPath = "BENCH_deduce.json"
+			fatal(errors.New("-service needs -current: the default baseline is the golden BENCH_service.json"))
 		}
+		*currentPath = "BENCH_deduce.json"
 	}
 
 	var violations, notes []string
 	var gated int
 	if *service {
-		baseline, err := readServiceDoc(*baselinePath)
+		golden, err := readServiceDoc(*baselinePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,10 +109,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		violations, notes = gateService(baseline, current, sloTolerances{
-			p99Tol: *p99Tol, p99SlackMS: *p99SlackMS, hitTol: *hitTol, shedTol: *shedTol,
-		})
-		gated = len(baseline.Scenarios)
+		violations = gateService(golden, current)
+		gated = len(golden.Scenarios)
 	} else {
 		baseline, err := readDoc(*baselinePath)
 		if err != nil {
@@ -144,8 +133,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *service {
-		fmt.Printf("benchgate: %d scenarios within tolerance (p99 +%.0f%%+%.1fms, hit -%.0fpp, shed ±%.0fpp, hard failures 0)\n",
-			gated, 100**p99Tol, *p99SlackMS, 100**hitTol, 100**shedTol)
+		fmt.Printf("benchgate: %d scenarios equal the golden document (version aside); hard failures, watchdog leaks and identity violations 0\n", gated)
 	} else {
 		fmt.Printf("benchgate: %d benchmarks within tolerance (allocs +%.0f%%, ns +%.0f%%)\n",
 			gated, 100**allocsTol, 100**nsTol)
@@ -210,21 +198,17 @@ func gate(baseline, current *benchDoc, allocsTol, nsTol float64) (violations, no
 	return violations, notes
 }
 
-// sloTolerances bundles the -service bands.
-type sloTolerances struct {
-	p99Tol     float64 // fractional p99 increase
-	p99SlackMS float64 // absolute p99 grace
-	hitTol     float64 // absolute hit-rate drop
-	shedTol    float64 // absolute shed-rate deviation, either direction
-}
-
+// readServiceDoc reads a vcslo document. A field the code does not know
+// is an error, so a golden file can hold nothing the gate ignores.
 func readServiceDoc(path string) (*loadsim.Document, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var doc loadsim.Document
-	if err := json.Unmarshal(b, &doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(doc.Scenarios) == 0 {
@@ -233,57 +217,83 @@ func readServiceDoc(path string) (*loadsim.Document, error) {
 	return &doc, nil
 }
 
-// gateService compares every baseline scenario's SLOs against the
-// current document. Hard failures are gated unconditionally — even in
-// scenarios the baseline does not know yet.
-func gateService(baseline, current *loadsim.Document, tol sloTolerances) (violations, notes []string) {
+// gateService compares the current document with the golden one,
+// scenario by scenario and field by field, and applies the zero gates
+// to every current scenario, golden or not.
+func gateService(golden, current *loadsim.Document) (violations []string) {
 	cur := make(map[string]loadsim.Report, len(current.Scenarios))
 	for _, r := range current.Scenarios {
 		cur[r.Scenario] = r
+		violations = append(violations, unconditionalSLOs(r)...)
 	}
-	seen := make(map[string]bool, len(baseline.Scenarios))
-	for _, base := range baseline.Scenarios {
-		seen[base.Scenario] = true
-		got, ok := cur[base.Scenario]
+	known := make(map[string]bool, len(golden.Scenarios))
+	for _, want := range golden.Scenarios {
+		known[want.Scenario] = true
+		got, ok := cur[want.Scenario]
 		if !ok {
 			violations = append(violations,
-				fmt.Sprintf("%s: present in baseline but not in current run (lost coverage)", base.Scenario))
+				fmt.Sprintf("%s: present in golden document but not in current run (lost coverage)", want.Scenario))
 			continue
 		}
-		violations = append(violations, unconditionalSLOs(got)...)
-		if limit := base.P99MS*(1+tol.p99Tol) + tol.p99SlackMS; got.P99MS > limit {
-			violations = append(violations,
-				fmt.Sprintf("%s: p99 %.3fms exceeds baseline %.3fms by more than %.0f%%+%.1fms (limit %.3fms)",
-					base.Scenario, got.P99MS, base.P99MS, 100*tol.p99Tol, tol.p99SlackMS, limit))
-		}
-		if floor := base.HitRate - tol.hitTol; got.HitRate < floor {
-			violations = append(violations,
-				fmt.Sprintf("%s: hit rate %.1f%% below baseline %.1f%% by more than %.0fpp (floor %.1f%%)",
-					base.Scenario, 100*got.HitRate, 100*base.HitRate, 100*tol.hitTol, 100*floor))
-		}
-		if dev := got.ShedRate - base.ShedRate; dev > tol.shedTol || dev < -tol.shedTol {
-			violations = append(violations,
-				fmt.Sprintf("%s: shed rate %.1f%% deviates from baseline %.1f%% by more than %.0fpp",
-					base.Scenario, 100*got.ShedRate, 100*base.ShedRate, 100*tol.shedTol))
-		}
+		violations = append(violations, fieldDiffs(want, got)...)
 	}
 	for _, r := range current.Scenarios {
-		if seen[r.Scenario] {
-			continue
+		if !known[r.Scenario] {
+			violations = append(violations,
+				fmt.Sprintf("%s: not in golden document (re-record BENCH_service.json)", r.Scenario))
 		}
-		violations = append(violations, unconditionalSLOs(r)...)
-		notes = append(notes,
-			fmt.Sprintf("%s: not in baseline, SLOs not gated (add it to BENCH_service_baseline.json)", r.Scenario))
 	}
-	return violations, notes
+	return violations
 }
 
-// unconditionalSLOs are the invariants with no tolerance band and no
-// baseline requirement: a scheduler that breaks requests
-// (hard_failures counts only failures the chaos layer did NOT inject),
-// leaks a watchdog-killed execution, or serves a warm result that is
-// not byte-identical to the cold one is broken regardless of what any
-// baseline says.
+// fieldDiffs names every JSON field in which got differs from want.
+// Fields are compared in their encoded form, the form the golden file
+// stores; an omitted field is a zero value.
+func fieldDiffs(want, got loadsim.Report) []string {
+	w, g := jsonFields(want), jsonFields(got)
+	keys := make([]string, 0, len(w)+len(g))
+	for k := range w {
+		keys = append(keys, k)
+	}
+	for k := range g {
+		if _, ok := w[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	var diffs []string
+	for _, k := range keys {
+		if !bytes.Equal(w[k], g[k]) {
+			diffs = append(diffs, fmt.Sprintf("%s: %s is %s, golden %s", want.Scenario, k, shown(g[k]), shown(w[k])))
+		}
+	}
+	return diffs
+}
+
+func jsonFields(r loadsim.Report) map[string]json.RawMessage {
+	b, err := json.Marshal(r)
+	if err != nil {
+		panic(err) // a Report is plain data
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+func shown(v json.RawMessage) string {
+	if v == nil {
+		return "omitted"
+	}
+	return string(v)
+}
+
+// unconditionalSLOs are the zero gates, which hold with or without a
+// golden entry: a scheduler that breaks requests (hard_failures counts
+// only failures the chaos layer did NOT inject), leaks a watchdog-
+// killed execution, or serves a warm result that is not byte-identical
+// to the cold one is broken whatever the golden file says.
 func unconditionalSLOs(r loadsim.Report) []string {
 	var v []string
 	if r.HardFailures > 0 {

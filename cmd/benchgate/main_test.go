@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,119 +82,136 @@ func sdoc(reports ...loadsim.Report) *loadsim.Document {
 	return &loadsim.Document{Scenarios: reports}
 }
 
-func tols() sloTolerances {
-	return sloTolerances{p99Tol: 0.50, p99SlackMS: 2.0, hitTol: 0.05, shedTol: 0.05}
+// count returns how many violations contain substr.
+func count(violations []string, substr string) int {
+	n := 0
+	for _, v := range violations {
+		if strings.Contains(v, substr) {
+			n++
+		}
+	}
+	return n
 }
 
-func TestGateServiceWithinBandsPasses(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.50, ShedRate: 0})
-	cur := sdoc(loadsim.Report{Scenario: "steady", P99MS: 14, HitRate: 0.47, ShedRate: 0.02})
-	violations, notes := gateService(base, cur, tols())
-	if len(violations) != 0 || len(notes) != 0 {
-		t.Fatalf("violations %v notes %v, want none", violations, notes)
+func TestGateServiceIdenticalPasses(t *testing.T) {
+	r := loadsim.Report{Scenario: "steady", Runs: 1, Requests: 10, Blocks: 10, OK: 10, CacheHits: 5,
+		Taxonomy: map[string]int{"ok": 10}, HitRate: 0.5, P99MS: 10, DurationMS: 99}
+	golden := &loadsim.Document{Version: "abc", Scenarios: []loadsim.Report{r}}
+	current := &loadsim.Document{Version: "def-dirty", Scenarios: []loadsim.Report{r}}
+	if violations := gateService(golden, current); len(violations) != 0 {
+		t.Fatalf("violations %v, want none: only the version differs", violations)
 	}
 }
 
 func TestGateServiceP99RegressionFails(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.50})
-	cur := sdoc(loadsim.Report{Scenario: "steady", P99MS: 17.5, HitRate: 0.50})
-	violations, _ := gateService(base, cur, tols())
-	if len(violations) != 1 || !strings.Contains(violations[0], "p99") {
-		t.Fatalf("violations %v, want one p99 violation", violations)
-	}
-}
-
-func TestGateServiceP99SlackForTinyBaselines(t *testing.T) {
-	// A 0ms baseline (all cache hits, virtual clock) must not fail on
-	// any nonzero measurement: the absolute slack covers it.
-	base := sdoc(loadsim.Report{Scenario: "warm", P99MS: 0, HitRate: 0.9})
-	cur := sdoc(loadsim.Report{Scenario: "warm", P99MS: 1.5, HitRate: 0.9})
-	if violations, _ := gateService(base, cur, tols()); len(violations) != 0 {
-		t.Fatalf("violations %v, want none (within absolute slack)", violations)
+	golden := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.50})
+	cur := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10.001, HitRate: 0.50})
+	violations := gateService(golden, cur)
+	if len(violations) != 1 || !strings.Contains(violations[0], "p99_ms is 10.001, golden 10") {
+		t.Fatalf("violations %v, want one p99_ms violation", violations)
 	}
 }
 
 func TestGateServiceHitRateDropFails(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.50})
+	golden := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.50})
 	cur := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.40})
-	violations, _ := gateService(base, cur, tols())
-	if len(violations) != 1 || !strings.Contains(violations[0], "hit rate") {
-		t.Fatalf("violations %v, want one hit-rate violation", violations)
+	violations := gateService(golden, cur)
+	if len(violations) != 1 || !strings.Contains(violations[0], "hit_rate") {
+		t.Fatalf("violations %v, want one hit_rate violation", violations)
 	}
-	// A hit rate above baseline is an improvement, not a violation.
+	// A better hit rate fails too: the suite is deterministic, so any
+	// move means the golden file must be re-recorded.
 	better := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10, HitRate: 0.70})
-	if violations, _ := gateService(base, better, tols()); len(violations) != 0 {
-		t.Fatalf("improved hit rate flagged: %v", violations)
+	if violations := gateService(golden, better); len(violations) != 1 {
+		t.Fatalf("violations %v, want one hit_rate violation", violations)
 	}
 }
 
 func TestGateServiceShedRateDeviatesBothWays(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "overload", P99MS: 10, ShedRate: 0.44})
+	golden := sdoc(loadsim.Report{Scenario: "overload", P99MS: 10, ShedRate: 0.44})
 	over := sdoc(loadsim.Report{Scenario: "overload", P99MS: 10, ShedRate: 0.60})
-	if violations, _ := gateService(base, over, tols()); len(violations) != 1 || !strings.Contains(violations[0], "shed rate") {
+	if violations := gateService(golden, over); len(violations) != 1 || !strings.Contains(violations[0], "shed_rate") {
 		t.Fatalf("shedding more not flagged: %v", violations)
 	}
-	// Shedding far less than the overload baseline means admission
-	// control stopped refusing work it must refuse.
+	// Shedding less than the overload golden means admission control
+	// stopped refusing work it must refuse.
 	under := sdoc(loadsim.Report{Scenario: "overload", P99MS: 10, ShedRate: 0.10})
-	if violations, _ := gateService(base, under, tols()); len(violations) != 1 || !strings.Contains(violations[0], "shed rate") {
+	if violations := gateService(golden, under); len(violations) != 1 || !strings.Contains(violations[0], "shed_rate") {
 		t.Fatalf("shedding less not flagged: %v", violations)
 	}
 }
 
+// Omitted (omitempty) fields compare as zero values: a counter that
+// appears where the golden file has none is a difference.
+func TestGateServiceOmittedFieldDiffers(t *testing.T) {
+	golden := sdoc(loadsim.Report{Scenario: "fleet", P99MS: 1})
+	cur := sdoc(loadsim.Report{Scenario: "fleet", P99MS: 1, LeaderExecs: 64})
+	violations := gateService(golden, cur)
+	if len(violations) != 1 || !strings.Contains(violations[0], "leader_execs is 64, golden omitted") {
+		t.Fatalf("violations %v, want one leader_execs violation", violations)
+	}
+}
+
 func TestGateServiceHardFailuresAlwaysFail(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10})
+	golden := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10})
 	cur := sdoc(
 		loadsim.Report{Scenario: "steady", P99MS: 10, HardFailures: 1},
 		loadsim.Report{Scenario: "brand-new", P99MS: 1, HardFailures: 2},
 	)
-	violations, notes := gateService(base, cur, tols())
-	if len(violations) != 2 {
-		t.Fatalf("violations %v, want hard-failure violations for both scenarios", violations)
-	}
-	for _, v := range violations {
-		if !strings.Contains(v, "hard failures") {
-			t.Fatalf("unexpected violation %q", v)
-		}
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "not gated") {
-		t.Fatalf("notes %v, want one not-gated note for the new scenario", notes)
+	violations := gateService(golden, cur)
+	// Both scenarios trip the zero gate, golden entry or not; the known
+	// one also differs from the golden file and the new one is missing
+	// from it.
+	if count(violations, "escaped hard failures") != 2 ||
+		count(violations, "steady: hard_failures is 1") != 1 ||
+		count(violations, "brand-new: not in golden document") != 1 ||
+		len(violations) != 4 {
+		t.Fatalf("violations %v, want zero-gate violations for both scenarios, one field diff and one unknown scenario", violations)
 	}
 }
 
 // TestGateServiceChaosInvariantsAlwaysFail: watchdog leaks and
-// warm/cold identity violations, like escaped hard failures, have no
-// tolerance band and need no baseline entry.
+// warm/cold identity violations, like escaped hard failures, fail
+// with or without a golden entry.
 func TestGateServiceChaosInvariantsAlwaysFail(t *testing.T) {
-	base := sdoc(loadsim.Report{Scenario: "chaos-faults", P99MS: 10})
+	golden := sdoc(loadsim.Report{Scenario: "chaos-faults", P99MS: 10})
 	cur := sdoc(
 		loadsim.Report{Scenario: "chaos-faults", P99MS: 10, WatchdogLeaks: 1},
 		loadsim.Report{Scenario: "chaos-new", P99MS: 1, IdentityViolations: 3},
 	)
-	violations, _ := gateService(base, cur, tols())
-	if len(violations) != 2 {
-		t.Fatalf("violations %v, want one per scenario", violations)
-	}
-	if !strings.Contains(violations[0], "watchdog") || !strings.Contains(violations[1], "byte-identical") {
+	violations := gateService(golden, cur)
+	if count(violations, "still running at drain") != 1 || count(violations, "not byte-identical") != 1 {
 		t.Fatalf("violations %v, want watchdog-leak and identity violations", violations)
 	}
 
 	// Injected/poisoned counts alone are fine: chaos scenarios are
 	// SUPPOSED to absorb injected failures without escaping any.
-	clean := sdoc(loadsim.Report{Scenario: "chaos-faults", P99MS: 10, Injected: 20, Poisoned: 7, WatchdogKills: 4})
-	if violations, _ := gateService(base, clean, tols()); len(violations) != 0 {
+	clean := loadsim.Report{Scenario: "chaos-faults", P99MS: 10, Injected: 20, Poisoned: 7, WatchdogKills: 4}
+	if violations := gateService(sdoc(clean), sdoc(clean)); len(violations) != 0 {
 		t.Fatalf("injected-only chaos report flagged: %v", violations)
 	}
 }
 
 func TestGateServiceMissingScenarioFails(t *testing.T) {
-	base := sdoc(
+	golden := sdoc(
 		loadsim.Report{Scenario: "steady", P99MS: 10},
 		loadsim.Report{Scenario: "overload", P99MS: 10},
 	)
 	cur := sdoc(loadsim.Report{Scenario: "steady", P99MS: 10})
-	violations, _ := gateService(base, cur, tols())
+	violations := gateService(golden, cur)
 	if len(violations) != 1 || !strings.Contains(violations[0], "lost coverage") {
 		t.Fatalf("violations %v, want one lost-coverage violation", violations)
+	}
+}
+
+// A golden file may hold no field the gate would silently drop.
+func TestReadServiceDocRejectsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.json")
+	body := `{"version": "v", "scenarios": [{"scenario": "steady", "p99_ms": 1, "p99_tol": 0.5}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readServiceDoc(path); err == nil || !strings.Contains(err.Error(), "p99_tol") {
+		t.Fatalf("err = %v, want an unknown-field error", err)
 	}
 }

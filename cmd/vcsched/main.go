@@ -39,7 +39,7 @@ func main() {
 	save := flag.String("save", "", "append the VC schedules in .sched form to this file")
 	seed := flag.Int64("seed", 1, "live-in/live-out pin seed")
 	resil := flag.Bool("resilient", false, "run the VC side through the degradation ladder (SG → retry → CARS → naive); every block ends with a valid schedule")
-	report := flag.Bool("report", false, "with -resilient, print the per-block outcome record (tier, retries, error chain per attempt)")
+	report := flag.Bool("report", false, "with -resilient, print the per-block outcome record (tier, error chain per attempt)")
 	showVersion := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()
 	if *showVersion {

@@ -36,8 +36,7 @@ func main() {
 	machineKey := flag.String("machine", "2c1l", "default machine for requests that name none")
 	seed := flag.Int64("seed", 1, "default live-in/live-out pin seed")
 	steps := flag.Int("steps", 20000, "default deduction step budget per scheduling attempt (0 = core default)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = from -parallel)")
-	parallel := flag.Int("parallel", 4, "base parallelism the pool is sized from when -workers is 0")
+	workers := flag.Int("workers", 4, "worker pool size; each worker runs one serial search at a time")
 	queueDepth := flag.Int("queue", 0, "admission queue bound (0 = 4x workers); a full queue sheds")
 	cacheEntries := flag.Int("cache", 0, "result cache entries (0 = 4096, negative = disable)")
 	deadline := flag.Duration("deadline", 5*time.Second, "default per-request deadline")
@@ -59,7 +58,7 @@ func main() {
 		CacheEntries:    *cacheEntries,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		Ladder:          ladderConfig(*steps, *parallel),
+		Ladder:          ladderConfig(*steps),
 	})
 	mux := httpapi.SchedulerMux(svc, httpapi.Defaults{MachineKey: *machineKey, PinSeed: *seed, MaxSteps: *steps})
 
@@ -112,11 +111,9 @@ func main() {
 }
 
 // ladderConfig builds the degradation-ladder template the service's
-// workers run: default tier-2 retries/decay, the given step budget as
-// the base search bound. Parallelism sizes the pool (each search then
-// runs the serial driver — identical results, see internal/service).
-func ladderConfig(steps, parallel int) resilient.Options {
-	return resilient.Options{Core: core.Options{MaxSteps: steps, Parallelism: parallel}}
+// workers run: the given step budget bounds each block's SG search.
+func ladderConfig(steps int) resilient.Options {
+	return resilient.Options{Core: core.Options{MaxSteps: steps}}
 }
 
 func fatal(err error) {

@@ -2,16 +2,17 @@
 // (scenarios/*.json) through the in-process load harness
 // (internal/loadsim) and records the measured service-level objectives
 // — latency percentiles, cache hit rate, shed rate, taxonomy histogram
-// and hard-failure count — in BENCH_service.json, next to the
-// microbenchmark document BENCH_deduce.json.
+// and hard-failure count — in one JSON document.
 //
-//	go run ./cmd/vcslo -suite scenarios -out BENCH_service.json
+//	go run ./cmd/vcslo -suite scenarios -out results/slo/BENCH_service.json
 //
-// cmd/benchgate -service compares the document against the checked-in
-// BENCH_service_baseline.json with tolerance bands (make slo /
-// slo-short), so a service-level performance regression is a red
-// build. vcslo itself exits non-zero when any scenario hard-fails or
-// cannot run — a hollow-worker scenario has no excuse for either.
+// The suite runs on a virtual clock and repeats exactly, so
+// cmd/benchgate -service (make slo-short) requires the document to
+// equal the checked-in golden BENCH_service.json in every field but
+// `version`; a change that moves an SLO re-records the golden file with
+// -out BENCH_service.json. vcslo itself exits non-zero when any
+// scenario hard-fails or cannot run — a hollow-worker scenario has no
+// excuse for either.
 package main
 
 import (

@@ -98,8 +98,7 @@ type BlockResult struct {
 	VCExits map[int]int   // exit cycles of the VC schedule (for Fig. 12)
 
 	// Outcome is the resilient pipeline's per-block record (tier used,
-	// tier-2 retries, error chain per attempt); nil unless
-	// Config.Resilient was set.
+	// error chain per attempt); nil unless Config.Resilient was set.
 	Outcome *resilient.Outcome
 
 	CARSAWCT  float64

@@ -84,12 +84,6 @@ type Options struct {
 	// clamped to 1): heuristic dead-ends are order-sensitive, so
 	// rotating the candidate order recovers many feasible AWCTs.
 	Retries int
-	// VariantOffset shifts the perturbed decision orders: attempt v runs
-	// as variant VariantOffset+v. A re-run with a different offset
-	// explores genuinely different orders instead of repeating the ones
-	// that already failed — the resilient pipeline's tier-2 retries use
-	// it. Zero (the default) reproduces the historical orders.
-	VariantOffset int
 	// Parallelism is the number of concurrent portfolio workers running
 	// the perturbed-order attempts (0 or 1 = the serial driver; values
 	// below 1 are clamped to 1). The committed schedule is identical to
@@ -291,7 +285,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 				stats.Elapsed = time.Since(start)
 				return nil, stats, err
 			}
-			s.variant = opts.VariantOffset + v
+			s.variant = v
 			before := s.stepsSpent()
 			schedule, err := s.safeAttempt(vector)
 			stats.AttemptsLaunched++

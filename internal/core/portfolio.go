@@ -91,7 +91,7 @@ func pfBefore(seqA, varA, seqB, varB int) bool {
 // (superblock, machine, SG, distance matrix, tails) is shared read-only.
 func (s *scheduler) runAttempt(jb pfJob) pfResult {
 	w := *s
-	w.variant = s.opts.VariantOffset + jb.variant
+	w.variant = jb.variant
 	w.cancel = jb.cancel
 	// Each worker needs a private arena: the copied scheduler would
 	// otherwise share s.arena across concurrent goroutines.

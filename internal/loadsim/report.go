@@ -11,7 +11,7 @@ import (
 
 // Report is the measured outcome of one scenario run (or of several
 // aggregated runs): the SLO fields BENCH_service.json records and
-// cmd/benchgate compares against the checked-in baseline. Counters are
+// cmd/benchgate compares with the checked-in golden copy. Counters are
 // per block sent; latencies are per submission (a batch is one
 // submission carrying Batch blocks).
 type Report struct {

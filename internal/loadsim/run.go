@@ -22,9 +22,9 @@
 // shards, and Replay (cmd/vcload) offers the same traffic over HTTP.
 //
 // cmd/vcslo replays the checked-in suite under scenarios/ and emits
-// BENCH_service.json; cmd/benchgate -service compares it against the
-// checked-in baseline with tolerance bands, making a service-level
-// regression a red build.
+// a BENCH_service.json document; cmd/benchgate -service requires it to
+// equal the checked-in golden copy in every field but the version, so
+// any service-level change is a red build until it is re-recorded.
 package loadsim
 
 import (

@@ -19,7 +19,7 @@ var errNegativeRPS = errors.New("loadsim: rps must be >= 0 (0 = unpaced)")
 // JSON; cmd/vcslo replays them and records the measured SLOs in
 // BENCH_service.json.
 type Scenario struct {
-	// Name identifies the scenario in reports and baselines.
+	// Name identifies the scenario in reports and golden documents.
 	Name string `json:"name"`
 	// Seed drives every random choice (source picks, duplicate
 	// pattern, deadline mix), so a scenario is a deterministic request

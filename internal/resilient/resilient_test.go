@@ -2,7 +2,9 @@ package resilient
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"time"
 
 	"vcsched/internal/core"
 	"vcsched/internal/faultpoint"
@@ -77,10 +79,18 @@ func TestPanicFaultDegradesToCARS(t *testing.T) {
 	}
 }
 
-// Spurious contradictions on every propagation make the whole SG search
-// (and its retries) exhaust; the ladder must land on CARS with the
-// retry count recorded.
-func TestContradictionFaultDegradesWithRetries(t *testing.T) {
+// attemptTiers is the ladder's attempt log, one tier per rung tried.
+func attemptTiers(out *Outcome) []Tier {
+	tiers := make([]Tier, len(out.Attempts))
+	for i, a := range out.Attempts {
+		tiers[i] = a.Tier
+	}
+	return tiers
+}
+
+// Spurious contradictions on every propagation make the SG search
+// exhaust; the ladder must go straight to CARS, with one SG attempt.
+func TestContradictionFaultDegradesToCARS(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	faultpoint.Arm("deduce.propagate", faultpoint.Fault{Kind: faultpoint.KindContra})
@@ -95,40 +105,33 @@ func TestContradictionFaultDegradesWithRetries(t *testing.T) {
 	if out.Tier != TierCARS {
 		t.Fatalf("tier = %s, want cars\n%s", out.Tier, out)
 	}
-	if out.Retries != 2 {
-		t.Errorf("retries = %d, want 2 (the default)", out.Retries)
+	if got, want := attemptTiers(out), []Tier{TierSG, TierCARS}; !slices.Equal(got, want) {
+		t.Errorf("attempts %v, want %v\n%s", got, want, out)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("accepted schedule invalid: %v", err)
 	}
 }
 
-// A fault that poisons only the first attempt must be absorbed by the
-// tier-2 retry (perturbed order, fresh run), not demote all the way to
-// CARS.
-func TestRetryTierRecovers(t *testing.T) {
+// The caller's Timeout bounds the only SG search: once it has passed,
+// the ladder falls straight to CARS instead of searching on.
+func TestTimeoutFallsStraightToCARS(t *testing.T) {
 	faultpoint.Reset()
-	defer faultpoint.Reset()
-	// Fires on the first stage entry only (every=1000000 pushes the
-	// second firing far beyond this test).
-	faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindContra, Every: 1000000})
-
-	// Diamond schedules on its very first exit vector (verified by the
-	// identity test above), so MaxAWCTIters=1 isolates the fault as the
-	// only reason tier 1 fails.
 	sb := ir.Diamond()
 	m := machine.TwoCluster1Lat()
 	pins := workload.PinsFor(sb, m.Clusters, 1)
-	opts := Options{Core: core.Options{Pins: pins, MaxAWCTIters: 1, Retries: 1}}
-	s, out, err := Schedule(sb, m, opts)
+	s, out, err := Schedule(sb, m, Options{Core: core.Options{Pins: pins, Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatalf("pipeline failed outright: %v", err)
 	}
-	if out.Tier != TierRetry {
-		t.Fatalf("tier = %s, want sg-retry\n%s", out.Tier, out)
+	if out.Tier != TierCARS {
+		t.Fatalf("tier = %s, want cars\n%s", out.Tier, out)
 	}
-	if out.Retries != 1 {
-		t.Errorf("retries = %d, want 1", out.Retries)
+	if got, want := attemptTiers(out), []Tier{TierSG, TierCARS}; !slices.Equal(got, want) {
+		t.Fatalf("attempts %v, want %v\n%s", got, want, out)
+	}
+	if got := out.Attempts[0].Err; got != core.ErrTimeout.Error() {
+		t.Errorf("sg attempt error %q, want %q", got, core.ErrTimeout)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("accepted schedule invalid: %v", err)

@@ -46,7 +46,7 @@ func Fingerprint(req *Request) string {
 //	vcsched-request-v1
 //	machine <machineID>
 //	pinseed <n>
-//	opts steps=… shave=… cand=… cyccand=… awct=… retries=… variant=… nostage3=… learn=on
+//	opts steps=… shave=… cand=… cyccand=… awct=… retries=… variant=0 nostage3=… learn=on
 //	<canonical .sb text>
 //
 // built in one buffer and hashed once; text aliases its tail.
@@ -57,8 +57,9 @@ func FingerprintText(req *Request) (fp string, text []byte) {
 	b = append(b, "\npinseed "...)
 	b = strconv.AppendInt(b, req.PinSeed, 10)
 	o := normalizeOptions(req.Core)
-	// "learn=on" is a fixed token: it named the default of a removed
-	// conflict-learning option, and keeping it keeps every v1 address
+	// "variant=0" and "learn=on" are fixed tokens: they named the
+	// defaults of a removed variant-offset option and a removed
+	// conflict-learning option, and keeping them keeps every v1 address
 	// (cache keys, ring placement, wire fingerprints) byte-identical.
 	b = append(b, "\nopts steps="...)
 	b = strconv.AppendInt(b, int64(o.MaxSteps), 10)
@@ -72,9 +73,7 @@ func FingerprintText(req *Request) (fp string, text []byte) {
 	b = strconv.AppendInt(b, int64(o.MaxAWCTIters), 10)
 	b = append(b, " retries="...)
 	b = strconv.AppendInt(b, int64(o.Retries), 10)
-	b = append(b, " variant="...)
-	b = strconv.AppendInt(b, int64(o.VariantOffset), 10)
-	b = append(b, " nostage3="...)
+	b = append(b, " variant=0 nostage3="...)
 	b = strconv.AppendBool(b, o.NoStage3Matching)
 	b = append(b, " learn=on\n"...)
 	start := len(b)

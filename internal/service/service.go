@@ -199,7 +199,6 @@ type Stats struct {
 	// Retry-After hint on shed responses.
 	AvgServiceMS float64 `json:"avg_service_ms"`
 	TierSG       int64   `json:"tier_sg"`
-	TierRetry    int64   `json:"tier_sg_retry"`
 	TierCARS     int64   `json:"tier_cars"`
 	TierNaive    int64   `json:"tier_naive"`
 }
@@ -559,8 +558,6 @@ func (s *Service) finish(j *job, res Result, cacheable bool, dur time.Duration) 
 		switch res.Tier {
 		case resilient.TierSG.String():
 			s.stats.TierSG++
-		case resilient.TierRetry.String():
-			s.stats.TierRetry++
 		case resilient.TierCARS.String():
 			s.stats.TierCARS++
 		case resilient.TierNaive.String():

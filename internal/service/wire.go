@@ -152,7 +152,6 @@ func MergeStats(snaps ...Stats) Stats {
 		out.BreakerFastFails += s.BreakerFastFails
 		out.BreakerOpen += s.BreakerOpen
 		out.TierSG += s.TierSG
-		out.TierRetry += s.TierRetry
 		out.TierCARS += s.TierCARS
 		out.TierNaive += s.TierNaive
 		if !s.Draining {
