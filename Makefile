@@ -109,5 +109,6 @@ fleet-smoke:
 fuzz-smoke:
 	$(GO) run ./cmd/vcfuzz -budget 60 -seed 1 -out results/repros
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseSuperblock -fuzztime 10s
+	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzReadAll -fuzztime 10s
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzValidate -fuzztime 10s
 	$(GO) test ./internal/httpapi -run '^$$' -fuzz FuzzBuildRequests -fuzztime 10s

@@ -170,55 +170,14 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoRetries measures the design value of within-AWCT
-// retries: the same corpus scheduled with Retries=1.
-func BenchmarkAblationNoRetries(b *testing.B) {
-	p, _ := workload.BenchmarkByName("epicenc")
-	blocks := p.Generate(0.2, 0).Blocks
-	m := machine.FourCluster2Lat()
-	for i := 0; i < b.N; i++ {
-		var tc float64
-		for _, sb := range blocks {
-			pins := workload.PinsFor(sb, m.Clusters, 1)
-			s, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: 2 * time.Second, Retries: 1})
-			if err != nil {
-				continue
-			}
-			tc += s.AWCT() * float64(sb.ExecCount)
-		}
-		b.ReportMetric(tc, "total-cycles")
-	}
-}
-
-// BenchmarkAblationNoMatching measures the design value of the
-// maximum-weight matching in the outedge stage: pairs are treated one at
-// a time instead (§4.4.1.2's global-view argument).
-func BenchmarkAblationNoMatching(b *testing.B) {
-	p, _ := workload.BenchmarkByName("epicenc")
-	blocks := p.Generate(0.2, 0).Blocks
-	m := machine.FourCluster2Lat()
-	for i := 0; i < b.N; i++ {
-		var tc float64
-		for _, sb := range blocks {
-			pins := workload.PinsFor(sb, m.Clusters, 1)
-			s, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: 2 * time.Second, NoStage3Matching: true})
-			if err != nil {
-				continue
-			}
-			tc += s.AWCT() * float64(sb.ExecCount)
-		}
-		b.ReportMetric(tc, "total-cycles")
-	}
-}
-
 // BenchmarkPortfolioParallelism compares serial against parallel
-// portfolio wall-clock over the same multi-retry workload. With
-// Retries raised above the default each AWCT value carries several
-// perturbed-order attempts, which is exactly the work the portfolio
-// driver spreads over workers; the committed schedules are identical
-// (see TestPortfolioMatchesSerial), so only ns/op should move. On a
-// single-CPU machine NumCPU is 1 and the "parallel" arm degenerates to
-// the serial driver — the knob never makes things slower than serial.
+// portfolio wall-clock over the same workload. Each AWCT value carries
+// several perturbed-order attempts, which is exactly the work the
+// portfolio driver spreads over workers; the committed schedules are
+// identical (see TestPortfolioMatchesSerial), so only ns/op should
+// move. On a single-CPU machine NumCPU is 1 and the "parallel" arm
+// degenerates to the serial driver — the knob never makes things
+// slower than serial.
 func BenchmarkPortfolioParallelism(b *testing.B) {
 	p, _ := workload.BenchmarkByName("epicenc")
 	blocks := p.Generate(0.2, 0).Blocks
@@ -228,9 +187,7 @@ func BenchmarkPortfolioParallelism(b *testing.B) {
 			var tc float64
 			for _, sb := range blocks {
 				pins := workload.PinsFor(sb, m.Clusters, 1)
-				s, _, err := core.Schedule(sb, m, core.Options{
-					Pins: pins, Retries: 6, Parallelism: parallelism,
-				})
+				s, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Parallelism: parallelism})
 				if err != nil {
 					continue
 				}
@@ -241,28 +198,4 @@ func BenchmarkPortfolioParallelism(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("parallel", func(b *testing.B) { run(b, runtime.NumCPU()) })
-}
-
-// BenchmarkAblationShaveDepth measures the design value of bound
-// shaving at different probing depths.
-func BenchmarkAblationShaveDepth(b *testing.B) {
-	p, _ := workload.BenchmarkByName("epicenc")
-	blocks := p.Generate(0.2, 0).Blocks
-	m := machine.FourCluster2Lat()
-	for _, rounds := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "shave1", 2: "shave2", 4: "shave4"}[rounds], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var tc float64
-				for _, sb := range blocks {
-					pins := workload.PinsFor(sb, m.Clusters, 1)
-					s, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: 2 * time.Second, ShaveRounds: rounds})
-					if err != nil {
-						continue
-					}
-					tc += s.AWCT() * float64(sb.ExecCount)
-				}
-				b.ReportMetric(tc, "total-cycles")
-			}
-		})
-	}
 }

@@ -38,7 +38,7 @@ func main() {
 	dot := flag.Bool("dot", false, "emit Graphviz DOT for each block's dependence and scheduling graphs instead of scheduling")
 	save := flag.String("save", "", "append the VC schedules in .sched form to this file")
 	seed := flag.Int64("seed", 1, "live-in/live-out pin seed")
-	resil := flag.Bool("resilient", false, "run the VC side through the degradation ladder (SG → retry → CARS → naive); every block ends with a valid schedule")
+	resil := flag.Bool("resilient", false, "run the VC side through the degradation ladder (SG → CARS → naive); every block ends with a valid schedule")
 	report := flag.Bool("report", false, "with -resilient, print the per-block outcome record (tier, error chain per attempt)")
 	showVersion := flag.Bool("version", false, "print the version and exit")
 	flag.Parse()

@@ -22,10 +22,8 @@ import (
 	"syscall"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/httpapi"
 	"vcsched/internal/machine"
-	"vcsched/internal/resilient"
 	"vcsched/internal/service"
 	"vcsched/internal/version"
 )
@@ -58,7 +56,6 @@ func main() {
 		CacheEntries:    *cacheEntries,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		Ladder:          ladderConfig(*steps),
 	})
 	mux := httpapi.SchedulerMux(svc, httpapi.Defaults{MachineKey: *machineKey, PinSeed: *seed, MaxSteps: *steps})
 
@@ -108,12 +105,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vcschedd: drain timed out")
 		os.Exit(1)
 	}
-}
-
-// ladderConfig builds the degradation-ladder template the service's
-// workers run: the given step budget bounds each block's SG search.
-func ladderConfig(steps int) resilient.Options {
-	return resilient.Options{Core: core.Options{MaxSteps: steps}}
 }
 
 func fatal(err error) {

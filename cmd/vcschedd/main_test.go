@@ -13,14 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/hollow"
 	"vcsched/internal/httpapi"
 	"vcsched/internal/ir"
 	"vcsched/internal/leakcheck"
-	"vcsched/internal/resilient"
 	"vcsched/internal/service"
 	"vcsched/internal/vcclient"
 	"vcsched/internal/version"
@@ -31,7 +29,6 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 	return newTestServerWithConfig(t, service.Config{
 		Workers:         2,
 		DefaultDeadline: 30 * time.Second,
-		Ladder:          resilient.Options{Core: core.Options{MaxSteps: 20000}},
 	})
 }
 

@@ -42,11 +42,6 @@ type Config struct {
 	Machines   []*machine.Config
 	Apps       []workload.AppProfile
 	Workers    int // parallel scheduling workers (default: NumCPU)
-	// Parallelism is passed through to core.Options.Parallelism: the
-	// number of portfolio workers *within* one block's VC search
-	// (default 1 = the serial driver). Schedules are identical either
-	// way; only VCTime changes.
-	Parallelism int
 	// Resilient routes the VC side of every block through the
 	// degradation ladder (internal/resilient): the block always ends
 	// with a Validate-clean schedule and an Outcome naming the tier
@@ -231,7 +226,7 @@ func runBlock(sb *ir.Superblock, m *machine.Config, cfg Config, timeout time.Dur
 	r.CARSAWCT = cs.AWCT()
 	r.CARSExits = cs.ExitCycles()
 
-	copts := core.Options{Pins: pins, Timeout: timeout, Parallelism: cfg.Parallelism}
+	copts := core.Options{Pins: pins, Timeout: timeout}
 	start = time.Now()
 	var vs *sched.Schedule
 	if cfg.Resilient {

@@ -94,7 +94,7 @@ func TestBadBlockSkippedNotFatal(t *testing.T) {
 	b.Data(f, x)
 	bad := b.MustFinish()
 
-	r := runBlock(bad, m, Config{Seed: 1, Parallelism: 1}, time.Second)
+	r := runBlock(bad, m, Config{Seed: 1}, time.Second)
 	if !r.Skipped() {
 		t.Fatalf("block with unschedulable FP instr not skipped: %+v", r)
 	}
@@ -111,7 +111,7 @@ func TestBadBlockSkippedNotFatal(t *testing.T) {
 	i1 := gb.Instr("i1", ir.Int, 1)
 	x2 := gb.Exit("x2", 1, 1.0)
 	gb.Data(i1, x2)
-	good := runBlock(gb.MustFinish(), m, Config{Seed: 1, Parallelism: 1}, time.Second)
+	good := runBlock(gb.MustFinish(), m, Config{Seed: 1}, time.Second)
 	if good.Skipped() {
 		t.Fatalf("integer-only block skipped: %q", good.Err)
 	}
@@ -142,7 +142,7 @@ func TestVCFailureKeepsBaseline(t *testing.T) {
 		}
 	}
 	m := machine.TwoCluster1Lat()
-	r := runBlock(big, m, Config{Seed: 1, Parallelism: 1}, time.Nanosecond)
+	r := runBlock(big, m, Config{Seed: 1}, time.Nanosecond)
 	if r.Skipped() {
 		t.Fatalf("CARS side unexpectedly failed: %q", r.Err)
 	}

@@ -56,7 +56,7 @@ type Options struct {
 	Pins sched.Pins
 	// Timeout bounds wall-clock scheduling time (<= 0 = none).
 	Timeout time.Duration
-	// MaxSteps bounds deduction passes (0 = default 400000; < 0 =
+	// MaxSteps bounds deduction passes (0 = DefaultMaxSteps; < 0 =
 	// unlimited). In serial mode the budget is shared across the whole
 	// search. With Parallelism > 1 every attempt runs on its own budget
 	// of MaxSteps (workers cannot meaningfully share a step counter),
@@ -64,36 +64,12 @@ type Options struct {
 	// visit order afterwards, so the outcome — schedule or error — is
 	// identical to serial mode in every case.
 	MaxSteps int
-	// ShaveRounds controls the bound-probing depth (0 = default 2;
-	// negative values are clamped to 0, disabling the probing).
-	ShaveRounds int
-	// CandidateLimit is the number of most-constraining candidates
-	// studied per stage iteration (0 = default 3; values below 1 are
-	// clamped to 1 — at least one candidate must be studied).
-	CandidateLimit int
-	// CycleCandLimit caps the cycles studied per stage-2/6 candidate
-	// (0 = default 6; values below 2 are clamped to 2 — both window
-	// boundaries are always studied).
-	CycleCandLimit int
-	// MaxAWCTIters caps the AWCT enumeration (0 = default 64; values
-	// below 1 are clamped to 1 — the initial exit vector is always
-	// tried).
-	MaxAWCTIters int
-	// Retries is the number of perturbed decision orders tried per AWCT
-	// value before bumping it (0 = default 3; values below 1 are
-	// clamped to 1): heuristic dead-ends are order-sensitive, so
-	// rotating the candidate order recovers many feasible AWCTs.
-	Retries int
 	// Parallelism is the number of concurrent portfolio workers running
 	// the perturbed-order attempts (0 or 1 = the serial driver; values
 	// below 1 are clamped to 1). The committed schedule is identical to
 	// the serial driver's — only wall-clock time changes; see
 	// portfolio.go for the determinism argument.
 	Parallelism int
-	// NoStage3Matching disables the maximum-weight matching in the
-	// outedge-elimination stage, falling back to one VC pair at a time
-	// (an ablation of the paper's global-view argument in §4.4.1.2).
-	NoStage3Matching bool
 	// Trace, when non-nil, receives search progress lines (AWCT
 	// attempts, stage failures) for debugging. With Parallelism > 1 it
 	// is called concurrently from the portfolio workers and must be
@@ -101,42 +77,31 @@ type Options struct {
 	Trace func(format string, args ...any)
 }
 
-// Normalized returns the options with every default filled in and
-// every clamp applied — the exact configuration Schedule runs with.
-// Layers that key work off an options vector (the scheduling service
-// fingerprints requests with it) normalize first, so a request leaving
-// a knob at zero and one spelling out the documented default share one
-// identity. Pins and Trace are passed through untouched.
-func (o Options) Normalized() Options { return o.withDefaults() }
+// DefaultMaxSteps is the deduction step budget of a search whose
+// Options.MaxSteps is 0.
+const DefaultMaxSteps = 400000
+
+// The search's fixed configuration: the one the paper evaluates.
+const (
+	// shaveRounds is the bound-probing depth of deduce.State.Shave.
+	shaveRounds = 2
+	// candidateLimit is the number of most-constraining candidates
+	// studied per stage iteration.
+	candidateLimit = 3
+	// cycleCandLimit caps the cycles studied per stage-2/6 candidate
+	// (both window boundaries among them).
+	cycleCandLimit = 6
+	// maxAWCTIters caps the AWCT enumeration.
+	maxAWCTIters = 64
+	// retries is the number of perturbed decision orders tried per AWCT
+	// value before bumping it: heuristic dead-ends are order-sensitive,
+	// so rotating the candidate order recovers many feasible AWCTs.
+	retries = 3
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxSteps == 0 {
-		o.MaxSteps = 400000 // < 0 stays: unlimited
-	}
-	if o.ShaveRounds == 0 {
-		o.ShaveRounds = 2
-	} else if o.ShaveRounds < 0 {
-		o.ShaveRounds = 0
-	}
-	if o.CandidateLimit == 0 {
-		o.CandidateLimit = 3
-	} else if o.CandidateLimit < 1 {
-		o.CandidateLimit = 1
-	}
-	if o.CycleCandLimit == 0 {
-		o.CycleCandLimit = 6
-	} else if o.CycleCandLimit < 2 {
-		o.CycleCandLimit = 2
-	}
-	if o.MaxAWCTIters == 0 {
-		o.MaxAWCTIters = 64
-	} else if o.MaxAWCTIters < 1 {
-		o.MaxAWCTIters = 1
-	}
-	if o.Retries == 0 {
-		o.Retries = 3
-	} else if o.Retries < 1 {
-		o.Retries = 1
+		o.MaxSteps = DefaultMaxSteps // < 0 stays: unlimited
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
@@ -274,13 +239,13 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	// coordinate differs from the rule's pick.)
 	queue := newVectorQueue(s)
 	queue.push(append([]int(nil), ests...))
-	for iter := 0; iter < opts.MaxAWCTIters; iter++ {
+	for iter := 0; iter < maxAWCTIters; iter++ {
 		vector, ok := queue.pop()
 		if !ok {
 			break
 		}
 		stats.AWCTTried++
-		for v := 0; v < opts.Retries; v++ {
+		for v := 0; v < retries; v++ {
 			if err := s.checkTime(); err != nil {
 				stats.Elapsed = time.Since(start)
 				return nil, stats, err
@@ -329,7 +294,7 @@ func (s *scheduler) exhaustErr() error {
 	if err := s.checkTime(); err != nil {
 		return err
 	}
-	return fmt.Errorf("%w: no schedule within %d AWCT values", ErrExhausted, s.opts.MaxAWCTIters)
+	return fmt.Errorf("%w: no schedule within %d AWCT values", ErrExhausted, maxAWCTIters)
 }
 
 // newScheduler precomputes the immutable search context. tail[u] is the
@@ -495,7 +460,7 @@ func (s *scheduler) probe(deadlines map[int]int) error {
 	if err != nil {
 		return err
 	}
-	return st.Shave(s.opts.ShaveRounds)
+	return st.Shave(shaveRounds)
 }
 
 func (s *scheduler) stateOpts(pinExits bool) deduce.Options {
@@ -650,7 +615,7 @@ func (s *scheduler) attempt(vector []int) (*sched.Schedule, error) {
 		return nil, err
 	}
 	s.curStage = "shave"
-	if err := st.Shave(s.opts.ShaveRounds); err != nil {
+	if err := st.Shave(shaveRounds); err != nil {
 		return nil, err
 	}
 	stages := []struct {

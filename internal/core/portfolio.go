@@ -12,13 +12,14 @@ import (
 
 // The parallel portfolio driver.
 //
-// For every exit-cycle vector the serial driver tries Options.Retries
-// perturbed decision orders in sequence; the attempts are independent
-// (each builds a fresh deduce.State from the immutable superblock,
-// machine and scheduling graph), so they can run concurrently. The
-// driver below runs them on Options.Parallelism workers, each with its
-// own scheduler copy and deduce.Budget — no shared mutable state — and
-// speculates one AWCT vector ahead when workers would otherwise idle.
+// For every exit-cycle vector the serial driver tries its perturbed
+// decision orders (retries of them) in sequence; the attempts are
+// independent (each builds a fresh deduce.State from the immutable
+// superblock, machine and scheduling graph), so they can run
+// concurrently. The driver below runs them on Options.Parallelism
+// workers, each with its own scheduler copy and deduce.Budget — no
+// shared mutable state — and speculates one AWCT vector ahead when
+// workers would otherwise idle.
 //
 // Determinism. The serial driver commits the first success in
 // lexicographic (vector enumeration index, variant) order, so the
@@ -118,16 +119,15 @@ func (s *scheduler) runAttempt(jb pfJob) pfResult {
 // parallel-only cancellation accounting.
 func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule, error) {
 	opts := s.opts
-	retries := opts.Retries
 
 	// Speculative vector chain: vectors[k] is the k-th vector the serial
 	// driver would pop assuming every earlier vector fails.
 	queue := newVectorQueue(s)
 	queue.push(append([]int(nil), ests...))
 	var vectors [][]int
-	chainDone := false // the queue ran dry or MaxAWCTIters was reached
+	chainDone := false // the queue ran dry or maxAWCTIters was reached
 	extendChain := func() bool {
-		if chainDone || len(vectors) >= opts.MaxAWCTIters {
+		if chainDone || len(vectors) >= maxAWCTIters {
 			chainDone = true
 			return false
 		}

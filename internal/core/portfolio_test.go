@@ -199,33 +199,13 @@ func TestTimeoutPrompt(t *testing.T) {
 	}
 }
 
-// TestNegativeOptionsClamped: negative knob values must not silently
-// produce zero-iteration searches.
+// TestNegativeOptionsClamped: negative Parallelism and Timeout values
+// must clamp to the serial driver and no deadline.
 func TestNegativeOptionsClamped(t *testing.T) {
 	o := Options{
-		Retries:        -3,
-		CandidateLimit: -1,
-		CycleCandLimit: -9,
-		ShaveRounds:    -2,
-		MaxAWCTIters:   -7,
-		Parallelism:    -5,
-		Timeout:        -time.Second,
+		Parallelism: -5,
+		Timeout:     -time.Second,
 	}.withDefaults()
-	if o.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", o.Retries)
-	}
-	if o.CandidateLimit != 1 {
-		t.Errorf("CandidateLimit = %d, want 1", o.CandidateLimit)
-	}
-	if o.CycleCandLimit != 2 {
-		t.Errorf("CycleCandLimit = %d, want 2", o.CycleCandLimit)
-	}
-	if o.ShaveRounds != 0 {
-		t.Errorf("ShaveRounds = %d, want 0", o.ShaveRounds)
-	}
-	if o.MaxAWCTIters != 1 {
-		t.Errorf("MaxAWCTIters = %d, want 1", o.MaxAWCTIters)
-	}
 	if o.Parallelism != 1 {
 		t.Errorf("Parallelism = %d, want 1", o.Parallelism)
 	}
@@ -234,7 +214,7 @@ func TestNegativeOptionsClamped(t *testing.T) {
 	}
 	// And the scheduler must still work under the clamped extremes.
 	s, _, err := Schedule(ir.Diamond(), machine.TwoCluster1Lat(), Options{
-		Retries: -1, CandidateLimit: -1, CycleCandLimit: -1, MaxAWCTIters: -1,
+		Parallelism: -1, Timeout: -time.Second,
 	})
 	if err != nil {
 		t.Fatalf("clamped options: %v", err)

@@ -88,7 +88,7 @@ func (s *scheduler) stageCombinations(st *deduce.State) error {
 			return nil
 		}
 		rotate(open, s.variant)
-		limit := min(s.opts.CandidateLimit, len(open))
+		limit := min(candidateLimit, len(open))
 		// Choosing a combination keeps parallelism available, so
 		// dropping the pair is normally the last resort. The final retry
 		// inverts that: a conservative, list-scheduler-like search
@@ -147,7 +147,7 @@ func (s *scheduler) fixNodes(st *deduce.State, list func() []int) error {
 		}
 		rotate(nodes, s.variant)
 		node := nodes[0] // least slack first (rotated across retries)
-		cycles := spreadCycles(st.Est(node), st.Lst(node), s.opts.CycleCandLimit)
+		cycles := spreadCycles(st.Est(node), st.Lst(node), cycleCandLimit)
 		if s.variant%2 == 1 {
 			reverse(cycles)
 		}
@@ -262,11 +262,7 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 		for _, p := range all {
 			edges = append(edges, matching.Edge{U: idx(p.a), V: idx(p.b), Weight: p.w})
 		}
-		var match []matching.Edge
-		if !s.opts.NoStage3Matching {
-			match = matching.MaxWeight(len(order), edges)
-		}
-		if len(match) > 0 {
+		if match := matching.MaxWeight(len(order), edges); len(match) > 0 {
 			err := st.Probe(func(x *deduce.State) error { return fuseAll(x, match, order) })
 			if err == nil {
 				if err := fuseAll(st, match, order); err != nil {

@@ -34,9 +34,8 @@ func TestExhaustVerdictHonorsExpiredDeadline(t *testing.T) {
 }
 
 // Race a 1ms deadline against a large block. With an unlimited step
-// budget and a practically-infinite AWCT iteration cap, the only legal
-// outcomes are success or ErrTimeout; ErrExhausted would mean the
-// expired deadline was misclassified.
+// budget the only legal outcomes are success or ErrTimeout;
+// ErrExhausted would mean the expired deadline was misclassified.
 func TestDeadlineRaceNeverExhausts(t *testing.T) {
 	sb := largestWorkloadBlock(t)
 	m := machine.FourCluster2Lat()
@@ -48,11 +47,10 @@ func TestDeadlineRaceNeverExhausts(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		for _, par := range []int{1, 4} {
 			_, _, err := Schedule(sb, m, Options{
-				Pins:         pins,
-				Timeout:      time.Millisecond,
-				MaxSteps:     -1,
-				MaxAWCTIters: 1 << 20,
-				Parallelism:  par,
+				Pins:        pins,
+				Timeout:     time.Millisecond,
+				MaxSteps:    -1,
+				Parallelism: par,
 			})
 			if errors.Is(err, ErrExhausted) {
 				t.Fatalf("rep %d parallelism %d: expired deadline classified as exhaustion: %v", i, par, err)

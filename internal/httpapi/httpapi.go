@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/service"
@@ -66,7 +65,7 @@ func BuildRequests(wreq *service.WireRequest, d Defaults) ([]*service.Request, e
 				Machine:  m,
 				PinSeed:  seed,
 				Deadline: time.Duration(wreq.TimeoutMS) * time.Millisecond,
-				Core:     core.Options{MaxSteps: steps},
+				MaxSteps: steps,
 			}
 			if err := req.Validate(); err != nil {
 				return nil, err

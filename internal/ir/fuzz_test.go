@@ -43,7 +43,9 @@ func FuzzParseSuperblock(f *testing.F) {
 	})
 }
 
-// FuzzReadAll checks multi-block streams.
+// FuzzReadAll checks multi-block streams: every block ReadAll accepts
+// is valid, and the printed blocks, concatenated, read back as the same
+// blocks field for field.
 func FuzzReadAll(f *testing.F) {
 	f.Add(PaperFigure1().String() + Diamond().String())
 	f.Add("superblock a\ninst 0 x branch 1 exit 1\n\nsuperblock b\ninst 0 y branch 1 exit 1\n")
@@ -52,10 +54,19 @@ func FuzzReadAll(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var text strings.Builder
 		for _, sb := range blocks {
 			if err := sb.Validate(); err != nil {
 				t.Fatalf("ReadAll returned an invalid block: %v", err)
 			}
+			text.WriteString(sb.String())
+		}
+		again, err := ReadAll(strings.NewReader(text.String()))
+		if err != nil {
+			t.Fatalf("re-reading the printed blocks failed: %v\nprinted:\n%s", err, text.String())
+		}
+		if !reflect.DeepEqual(again, blocks) {
+			t.Fatalf("print/ReadAll changed the blocks:\n%#v\nvs\n%#v", blocks, again)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/hollow"
 	"vcsched/internal/machine"
 	"vcsched/internal/service"
@@ -30,7 +29,7 @@ func TestCoalescingUnderDuplicateHeavyHollowLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := buildPool(&Scenario{Name: "coal", Seed: 1, Gen: 1, MaxInstrs: 12, Machine: "2c1l", PinSeed: 1}, m, core.Options{})
+	pool, err := buildPool(&Scenario{Name: "coal", Seed: 1, Gen: 1, MaxInstrs: 12, Machine: "2c1l", PinSeed: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/hollow"
 	"vcsched/internal/leakcheck"
 	"vcsched/internal/machine"
@@ -33,7 +32,7 @@ func TestGracefulDrainUnderSustainedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	const load = 6
-	pool, err := buildPool(&Scenario{Name: "drain", Seed: 2, Gen: load, MaxInstrs: 12, Machine: "2c1l", PinSeed: 1}, m, core.Options{})
+	pool, err := buildPool(&Scenario{Name: "drain", Seed: 2, Gen: load, MaxInstrs: 12, Machine: "2c1l", PinSeed: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}

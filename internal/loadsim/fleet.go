@@ -32,7 +32,7 @@ func newFleet(d *Scenario, cfg service.Config, clock hollow.Clock) (*fleet, erro
 	if err != nil {
 		return nil, err
 	}
-	defaults := httpapi.Defaults{MachineKey: d.Machine, PinSeed: d.PinSeed, MaxSteps: d.Service.MaxSteps}
+	defaults := httpapi.Defaults{MachineKey: d.Machine, PinSeed: d.PinSeed}
 	f := &fleet{front: &remote{client: front}}
 	var backends []string
 	for i := 0; i < d.Fleet.Shards; i++ {

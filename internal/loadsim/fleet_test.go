@@ -1,6 +1,7 @@
 package loadsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,7 +74,6 @@ func TestFleetValidation(t *testing.T) {
 		want   string
 	}{
 		{"zero shards", func(sc *Scenario) { sc.Fleet.Shards = 0 }, "fleet.shards"},
-		{"no hollow", func(sc *Scenario) { sc.Hollow = nil; sc.VirtualClock = false }, "fleet requires hollow"},
 		{"overload", func(sc *Scenario) {
 			sc.Stages = nil
 			sc.Overload = &OverloadSpec{Extra: 2}
@@ -111,5 +111,30 @@ func TestFleetConcurrentTrafficExecutesOnce(t *testing.T) {
 	if rep.LeaderExecs != rep.DistinctSources || rep.CacheHits+rep.Coalesced == 0 {
 		t.Fatalf("leader execs %d for %d distinct sources, hits %d, coalesced %d",
 			rep.LeaderExecs, rep.DistinctSources, rep.CacheHits, rep.Coalesced)
+	}
+}
+
+// TestFleetBatchesRepeat: the router fingerprints and joins a batch's
+// blocks in request order before it forwards any, so a block repeated
+// within its batch always coalesces with its first copy, and every run
+// reports the same numbers.
+func TestFleetBatchesRepeat(t *testing.T) {
+	sc := fleetScenario("fleet-batch", &FleetSpec{Shards: 4})
+	sc.Batch = 3
+	first, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Coalesced == 0 {
+		t.Fatalf("batch 3 at dup_rate 0.8 coalesced nothing: %+v", first)
+	}
+	for i := 1; i < 10; i++ {
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, first) {
+			t.Fatalf("run %d differs from run 0:\n%+v\nvs\n%+v", i, rep, first)
+		}
 	}
 }

@@ -38,14 +38,12 @@ import (
 	"sync"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/hollow"
 	"vcsched/internal/ir"
 	"vcsched/internal/leakcheck"
 	"vcsched/internal/machine"
-	"vcsched/internal/resilient"
 	"vcsched/internal/service"
 	"vcsched/internal/stats"
 )
@@ -54,10 +52,15 @@ import (
 // in the overload flow.
 const statsWait = 10 * time.Second
 
-// Run executes one scenario against a fresh service instance and
-// returns the measured report.
+// Run executes one scenario against a fresh service instance on
+// hollow workers and returns the measured report. A scenario without
+// hollow workers is refused: the real scheduler is load-tested over
+// HTTP, by vcload against vcschedd.
 func Run(sc *Scenario) (*Report, error) {
 	d := sc.withDefaults()
+	if d.Hollow == nil {
+		return nil, fmt.Errorf("loadsim: scenario %s: the in-process harness runs hollow workers only; replay real-scheduler traffic with vcload against vcschedd", d.Name)
+	}
 	m, pool, err := prepare(&d)
 	if err != nil {
 		return nil, err
@@ -68,7 +71,18 @@ func Run(sc *Scenario) (*Report, error) {
 		clock = hollow.NewVirtualClock()
 	}
 
-	coreOpts := core.Options{MaxSteps: d.Service.MaxSteps}
+	hcfg := hollow.HollowConfig{
+		CostMin: time.Duration(d.Hollow.CostMinMS * float64(time.Millisecond)),
+		CostMax: time.Duration(d.Hollow.CostMaxMS * float64(time.Millisecond)),
+		Clock:   clock,
+	}
+	if len(d.Hollow.Poison) > 0 {
+		hcfg.Poison = make(map[string]bool, len(d.Hollow.Poison))
+		for _, p := range d.Hollow.Poison {
+			hcfg.Poison[pool[p].fp] = true
+		}
+	}
+	runner := hollow.NewHollowRunner(hcfg)
 	cfg := service.Config{
 		Workers:          d.Service.Workers,
 		QueueDepth:       d.Service.QueueDepth,
@@ -78,7 +92,7 @@ func Run(sc *Scenario) (*Report, error) {
 		BreakerThreshold: d.Service.BreakerThreshold,
 		BreakerCooloff:   time.Duration(d.Service.BreakerCooloffMS) * time.Millisecond,
 		Now:              clock.Now,
-		Ladder:           resilient.Options{Core: coreOpts},
+		Runner:           runner,
 	}
 	if d.VirtualClock {
 		// On simulated time the real-time sweeper is both meaningless
@@ -88,22 +102,6 @@ func Run(sc *Scenario) (*Report, error) {
 		// are judged deterministically at completion.
 		cfg.WatchdogInterval = time.Hour
 	}
-	var runner *hollow.HollowRunner
-	if d.Hollow != nil {
-		hcfg := hollow.HollowConfig{
-			CostMin: time.Duration(d.Hollow.CostMinMS * float64(time.Millisecond)),
-			CostMax: time.Duration(d.Hollow.CostMaxMS * float64(time.Millisecond)),
-			Clock:   clock,
-		}
-		if len(d.Hollow.Poison) > 0 {
-			hcfg.Poison = make(map[string]bool, len(d.Hollow.Poison))
-			for _, p := range d.Hollow.Poison {
-				hcfg.Poison[pool[p].fp] = true
-			}
-		}
-		runner = hollow.NewHollowRunner(hcfg)
-		cfg.Runner = runner
-	}
 
 	// Chaos scenarios take over the (global) faultpoint registry and
 	// sleeper for the duration of the run: KindSleep stalls advance the
@@ -111,7 +109,7 @@ func Run(sc *Scenario) (*Report, error) {
 	// reset afterwards no matter how the run ends. The goroutine
 	// baseline is captured before the service spins up so the post-drain
 	// leak check covers the service's own goroutines too.
-	chaotic := len(d.Faults) > 0 || (d.Hollow != nil && len(d.Hollow.Poison) > 0)
+	chaotic := len(d.Faults) > 0 || len(d.Hollow.Poison) > 0
 	baseline := runtime.NumGoroutine()
 	if d.VirtualClock {
 		prevSleeper := faultpoint.SetSleeper(clock.Sleep)
@@ -145,11 +143,11 @@ func Run(sc *Scenario) (*Report, error) {
 	col := newCollector(d.Name)
 	start := clock.Now()
 	if d.Overload != nil {
-		if err := runOverload(&d, shards[0], runner, pool, m, coreOpts, clock, col); err != nil {
+		if err := runOverload(&d, shards[0], runner, pool, m, clock, col); err != nil {
 			return nil, err
 		}
 	} else {
-		runStages(&d, target, pool, m, coreOpts, clock, chaos, col)
+		runStages(&d, target, pool, m, clock, chaos, col)
 	}
 	col.rep.DurationMS = stats.Millis(clock.Now().Sub(start))
 
@@ -208,7 +206,7 @@ func prepare(d *Scenario) (*machine.Config, []source, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("loadsim: scenario %s: %w", d.Name, err)
 	}
-	pool, err := buildPool(d, m, core.Options{MaxSteps: d.Service.MaxSteps})
+	pool, err := buildPool(d, m)
 	return m, pool, err
 }
 
@@ -224,9 +222,9 @@ type source struct {
 // pairwise-distinct fingerprints (the generator very occasionally
 // repeats a block, and the overload flow needs genuinely unique
 // fingerprints).
-func buildPool(d *Scenario, m *machine.Config, opts core.Options) ([]source, error) {
+func buildPool(d *Scenario, m *machine.Config) ([]source, error) {
 	fingerprint := func(sb *ir.Superblock) string {
-		return service.Fingerprint(&service.Request{SB: sb, Machine: m, PinSeed: d.PinSeed, Core: opts})
+		return service.Fingerprint(d.request(m, source{sb: sb}, 0))
 	}
 	blocks, err := readCorpus(d.Corpus)
 	if err != nil {
@@ -286,8 +284,8 @@ func readCorpus(dir string) ([]*ir.Superblock, error) {
 	return blocks, nil
 }
 
-func (d *Scenario) request(m *machine.Config, opts core.Options, src source, deadline time.Duration) *service.Request {
-	return &service.Request{SB: src.sb, Machine: m, PinSeed: d.PinSeed, Deadline: deadline, Core: opts}
+func (d *Scenario) request(m *machine.Config, src source, deadline time.Duration) *service.Request {
+	return &service.Request{SB: src.sb, Machine: m, PinSeed: d.PinSeed, Deadline: deadline}
 }
 
 // submission is one pre-drawn unit of offered load: the source picks
@@ -349,13 +347,13 @@ type submitter interface {
 // loop — pacing, submission and measurement interleave in one
 // goroutine, so virtual-clock latencies are exact. Higher concurrency
 // uses a dispatcher plus a worker pool.
-func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, opts core.Options, clock hollow.Clock, chaos *chaosController, col *collector) {
+func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, clock hollow.Clock, chaos *chaosController, col *collector) {
 	subs := drawSubmissions(d, len(pool))
 
 	deliver := func(s submission) {
 		reqs := make([]*service.Request, len(s.picks))
 		for i, p := range s.picks {
-			reqs[i] = d.request(mach, opts, pool[p], s.deadline)
+			reqs[i] = d.request(mach, pool[p], s.deadline)
 		}
 		t0 := clock.Now()
 		out := svc.SubmitBatch(reqs)
@@ -405,7 +403,7 @@ func runStages(d *Scenario, svc submitter, pool []source, mach *machine.Config, 
 // execution pays its cost: the virtual clock sums concurrent sleeps, so
 // a reading taken while another worker runs would land anywhere in
 // that worker's cost.
-func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner, pool []source, mach *machine.Config, opts core.Options, clock hollow.Clock, col *collector) error {
+func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner, pool []source, mach *machine.Config, clock hollow.Clock, col *collector) error {
 	fill := d.Service.Workers + d.Service.QueueDepth
 
 	runner.Hold()
@@ -419,7 +417,7 @@ func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner,
 		go func(i int) {
 			defer wg.Done()
 			t0 := clock.Now()
-			res := svc.Submit(d.request(mach, opts, pool[i], 0))
+			res := svc.Submit(d.request(mach, pool[i], 0))
 			col.record(clock.Now().Sub(t0), res)
 			recorded <- struct{}{}
 		}(i)
@@ -442,7 +440,7 @@ func runOverload(d *Scenario, svc *service.Service, runner *hollow.HollowRunner,
 	}
 	for j := 0; j < d.Overload.Extra; j++ {
 		t0 := clock.Now()
-		res := svc.Submit(d.request(mach, opts, pool[fill+j], 0))
+		res := svc.Submit(d.request(mach, pool[fill+j], 0))
 		col.record(clock.Now().Sub(t0), res)
 	}
 	for i := 0; i < fill; i++ {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/service"
 )
@@ -263,6 +262,27 @@ func TestMergePoolsRunsAndRecomputes(t *testing.T) {
 	}
 }
 
+// TestRunRefusesRealScheduler: the in-process harness runs hollow
+// workers only, in every mode; a scenario without them is pointed at
+// vcload.
+func TestRunRefusesRealScheduler(t *testing.T) {
+	cases := map[string]*Scenario{
+		"stages":        {Name: "real", Gen: 4, Stages: []Stage{{Requests: 4}}},
+		"virtual clock": {Name: "real", Gen: 4, Stages: []Stage{{Requests: 4}}, VirtualClock: true},
+		"overload": {Name: "real", Gen: 8, Overload: &OverloadSpec{Extra: 1},
+			Service: ServiceSpec{Workers: 1, QueueDepth: 1}},
+		"fleet": {Name: "real", Gen: 4, Stages: []Stage{{Requests: 4}}, Fleet: &FleetSpec{Shards: 2}},
+	}
+	for name, sc := range cases {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v, want the scenario valid", name, err)
+		}
+		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "vcload") {
+			t.Errorf("%s: Run() = %v, want a refusal pointing to vcload", name, err)
+		}
+	}
+}
+
 // TestCorpusJoinsThePoolAheadOfGeneratedBlocks: every superblock of the
 // corpus files, in file-name order and under its own name, precedes
 // the Gen generated sources, and picks range over the whole pool.
@@ -289,7 +309,7 @@ func TestCorpusJoinsThePoolAheadOfGeneratedBlocks(t *testing.T) {
 	if got, want := strings.Join(names, ","), "first,second,third,corpus-src000,corpus-src001"; got != want {
 		t.Fatalf("pool = %s, want %s", got, want)
 	}
-	if fp := service.Fingerprint(sc.request(m, core.Options{}, pool[1], 0)); fp != pool[1].fp {
+	if fp := service.Fingerprint(sc.request(m, pool[1], 0)); fp != pool[1].fp {
 		t.Fatalf("corpus source fingerprint %s, a submission hashes to %s", pool[1].fp, fp)
 	}
 	seen := map[int]bool{}

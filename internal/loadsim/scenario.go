@@ -59,16 +59,15 @@ type Scenario struct {
 	// Service sizes the service under test.
 	Service ServiceSpec `json:"service"`
 	// Hollow swaps the resilient ladder for the recorded-cost hollow
-	// runner; nil runs the real scheduler.
+	// runner. Run requires it: the in-process harness runs hollow
+	// workers only.
 	Hollow *HollowSpec `json:"hollow,omitempty"`
-	// VirtualClock runs the scenario on simulated time (requires
-	// Hollow — the real ladder pays its cost in real CPU, which a
-	// virtual clock cannot observe).
+	// VirtualClock runs the scenario on simulated time.
 	VirtualClock bool `json:"virtual_clock,omitempty"`
 	// Overload switches to the deterministic overload flow: fill the
 	// worker pool and admission queue while the hollow gate is held,
 	// then offer Extra more requests that must all shed (requires
-	// Hollow and explicit Service.Workers/QueueDepth).
+	// explicit Service.Workers/QueueDepth).
 	Overload *OverloadSpec `json:"overload,omitempty"`
 	// Faults is the scheduled chaos script: faultpoint arms bound to
 	// virtual-time windows (requires VirtualClock and Concurrency 1 —
@@ -77,8 +76,8 @@ type Scenario struct {
 	// to the baseline after the drain.
 	Faults []FaultWindow `json:"faults,omitempty"`
 	// Fleet shards the scenario across N service replicas behind the
-	// real internal/router, all in process (requires Hollow; see
-	// fleet.go). nil runs the single service the other scenarios use.
+	// real internal/router, all in process (see fleet.go). nil runs the
+	// single service the other scenarios use.
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 }
 
@@ -101,9 +100,6 @@ type ServiceSpec struct {
 	QueueDepth        int   `json:"queue_depth,omitempty"`
 	CacheEntries      int   `json:"cache_entries,omitempty"`
 	DefaultDeadlineMS int64 `json:"default_deadline_ms,omitempty"`
-	// MaxSteps is the deduction step budget for real-ladder (non
-	// hollow) scenarios.
-	MaxSteps int `json:"max_steps,omitempty"`
 	// WatchdogGraceMS arms the worker watchdog: executions stuck
 	// longer than deadline+grace are killed (0 = watchdog off).
 	WatchdogGraceMS int64 `json:"watchdog_grace_ms,omitempty"`
@@ -224,9 +220,6 @@ func (sc Scenario) Validate() error {
 			return fail("hollow.cost_max_ms below cost_min_ms")
 		}
 	}
-	if d.VirtualClock && d.Hollow == nil {
-		return fail("virtual_clock requires hollow workers (the real ladder pays its cost in real CPU)")
-	}
 	if d.Service.WatchdogGraceMS < 0 || d.Service.BreakerThreshold < 0 || d.Service.BreakerCooloffMS < 0 {
 		return fail("watchdog_grace_ms, breaker_threshold and breaker_cooloff_ms must be >= 0")
 	}
@@ -258,9 +251,6 @@ func (sc Scenario) Validate() error {
 		if d.Fleet.Replicas < 0 {
 			return fail("fleet.replicas must be >= 0")
 		}
-		if d.Hollow == nil {
-			return fail("fleet requires hollow workers (N real ladders would fight for the same CPUs)")
-		}
 		if d.Overload != nil {
 			return fail("fleet and overload cannot be combined (overload fills one specific queue)")
 		}
@@ -269,9 +259,6 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	if d.Overload != nil {
-		if d.Hollow == nil {
-			return fail("overload requires hollow workers (the gate that makes shedding deterministic)")
-		}
 		if d.Overload.Extra < 1 {
 			return fail("overload.extra must be >= 1")
 		}

@@ -49,12 +49,6 @@ func TestScenarioValidate(t *testing.T) {
 		{"deadline band zero weight", func(s *Scenario) { s.DeadlineMix = []DeadlineBand{{MS: 5, Weight: 0}} }, "weight"},
 		{"hollow negative cost", func(s *Scenario) { s.Hollow.CostMinMS = -1 }, "cost_min_ms"},
 		{"hollow inverted costs", func(s *Scenario) { s.Hollow.CostMaxMS = 0.5 }, "cost_max_ms"},
-		{"virtual clock without hollow", func(s *Scenario) { s.Hollow = nil }, "virtual_clock"},
-		{"overload without hollow", func(s *Scenario) {
-			s.Hollow = nil
-			s.VirtualClock = false
-			s.Overload = &OverloadSpec{Extra: 1}
-		}, "overload requires hollow"},
 		{"overload zero extra", func(s *Scenario) { s.Overload = &OverloadSpec{} }, "extra"},
 		{"overload implicit sizing", func(s *Scenario) {
 			s.Service.Workers = 0

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/hollow"
 	"vcsched/internal/service"
 	"vcsched/internal/stats"
@@ -29,7 +28,7 @@ func (w *remote) SubmitBatch(reqs []*service.Request) []service.Result {
 		Machine:   reqs[0].Machine.Key(),
 		PinSeed:   reqs[0].PinSeed,
 		TimeoutMS: reqs[0].Deadline.Milliseconds(),
-		MaxSteps:  reqs[0].Core.MaxSteps,
+		MaxSteps:  reqs[0].MaxSteps,
 	}
 	for i, req := range reqs {
 		wreq.Blocks[i] = string(req.SB.AppendCanonical(nil))
@@ -67,7 +66,7 @@ func Replay(sc *Scenario, client *vcclient.Client) (*Report, error) {
 	}
 	col := newCollector(d.Name)
 	start := time.Now()
-	runStages(&d, &remote{client: client}, pool, m, core.Options{}, hollow.WallClock{}, nil, col)
+	runStages(&d, &remote{client: client}, pool, m, hollow.WallClock{}, nil, col)
 	col.rep.DurationMS = stats.Millis(time.Since(start))
 	col.rep.finalize()
 	return &col.rep, nil

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/httpapi"
 	"vcsched/internal/machine"
 	"vcsched/internal/service"
@@ -31,13 +30,14 @@ func TestWireBatchUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &Scenario{Name: "wire", Seed: 3, Gen: 4, MaxInstrs: 12, Machine: "4c1l", PinSeed: 5}
-	pool, err := buildPool(sc, m, core.Options{})
+	pool, err := buildPool(sc, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := make([]*service.Request, len(pool))
 	for i, src := range pool {
-		reqs[i] = sc.request(m, core.Options{MaxSteps: 900}, src, 250*time.Millisecond)
+		reqs[i] = sc.request(m, src, 250*time.Millisecond)
+		reqs[i].MaxSteps = 900
 	}
 
 	var sent []service.WireRequest

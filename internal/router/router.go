@@ -259,18 +259,32 @@ func (r *Router) Draining() bool {
 // Schedule expands, fingerprints, coalesces and routes a wire request,
 // returning the batch response with the same verdicts one daemon would
 // compute. The error return is a bad request (caller answers 400).
+//
+// Every block is fingerprinted and joins the flight in request order
+// before any forward starts, so a block repeated within its batch
+// always follows its first copy. Joined from racing goroutines, it
+// could find that copy already finished and lead again, as a cache hit
+// on its shard, and goroutine scheduling would pick which.
 func (r *Router) Schedule(wreq *service.WireRequest) (service.WireResponse, error) {
 	reqs, err := httpapi.BuildRequests(wreq, r.cfg.Defaults)
 	if err != nil {
 		return service.WireResponse{}, err
 	}
+	joins := make([]joined, len(reqs))
+	for i, req := range reqs {
+		joins[i] = r.join(req)
+	}
 	results := make([]service.Result, len(reqs))
 	var wg sync.WaitGroup
-	wg.Add(len(reqs))
 	for i, req := range reqs {
+		if joins[i].call == nil {
+			results[i] = joins[i].res
+			continue
+		}
+		wg.Add(1)
 		go func(i int, req *service.Request) {
 			defer wg.Done()
-			results[i] = r.scheduleBlock(req, wreq)
+			results[i] = r.complete(req, &joins[i], wreq)
 		}(i, req)
 	}
 	wg.Wait()
@@ -288,19 +302,28 @@ func (r *Router) RetryAfter() time.Duration {
 	return hint
 }
 
-// scheduleBlock runs one superblock through the router pipeline:
-// fingerprint, fleet-wide singleflight, ring placement, forward. wreq
-// is the original wire request; its Machine/PinSeed/TimeoutMS/MaxSteps
-// fields pass through to the shard verbatim.
-func (r *Router) scheduleBlock(req *service.Request, wreq *service.WireRequest) service.Result {
+// joined is one block's place in the router pipeline after its
+// fingerprint: either a final result (call == nil: the router is
+// draining) or the flight call it leads or follows.
+type joined struct {
+	fp     string
+	text   []byte // the canonical bytes fp hashed
+	call   *service.Call
+	leader bool
+	res    service.Result
+}
+
+// join fingerprints one superblock and joins the fleet-wide
+// singleflight.
+func (r *Router) join(req *service.Request) joined {
 	fp, text := service.FingerprintText(req)
 	r.mu.Lock()
 	if r.draining {
 		r.mu.Unlock()
-		return service.Result{
+		return joined{fp: fp, res: service.Result{
 			Block: req.SB.Name, Fingerprint: fp,
 			Err: "router draining", Taxonomy: "draining", Shed: true,
-		}
+		}}
 	}
 	r.blocks++
 	r.mu.Unlock()
@@ -310,29 +333,40 @@ func (r *Router) scheduleBlock(req *service.Request, wreq *service.WireRequest) 
 		r.mu.Lock()
 		r.coalesced++
 		r.mu.Unlock()
-		// A follower waits at most its own clamped deadline — fleet
-		// coalescing must not silently extend a short-deadline request
-		// to its leader's budget (same rule as service.Submit).
-		timer := time.NewTimer(r.clampDeadline(req.Deadline))
-		defer timer.Stop()
-		select {
-		case <-c.Done():
-			out := c.Result()
-			out.Block = req.SB.Name
-			out.CacheHit = false
-			out.Coalesced = true
-			return out
-		case <-timer.C:
-			return service.Result{
-				Block: req.SB.Name, Fingerprint: fp,
-				Err:      "deadline expired waiting for the in-flight duplicate",
-				Taxonomy: "timeout", Coalesced: true,
-			}
+	}
+	return joined{fp: fp, text: text, call: c, leader: leader}
+}
+
+// complete finishes one joined block: a leader forwards it along the
+// ring and publishes the result to its followers; a follower waits for
+// that result. wreq is the original wire request; its
+// Machine/PinSeed/TimeoutMS/MaxSteps fields pass through to the shard
+// verbatim.
+func (r *Router) complete(req *service.Request, j *joined, wreq *service.WireRequest) service.Result {
+	if j.leader {
+		res := r.forwardGuarded(req, j.fp, j.text, wreq)
+		r.flight.Finish(j.fp, res)
+		return res
+	}
+	// A follower waits at most its own clamped deadline — fleet
+	// coalescing must not silently extend a short-deadline request to
+	// its leader's budget (same rule as service.Submit).
+	timer := time.NewTimer(r.clampDeadline(req.Deadline))
+	defer timer.Stop()
+	select {
+	case <-j.call.Done():
+		out := j.call.Result()
+		out.Block = req.SB.Name
+		out.CacheHit = false
+		out.Coalesced = true
+		return out
+	case <-timer.C:
+		return service.Result{
+			Block: req.SB.Name, Fingerprint: j.fp,
+			Err:      "deadline expired waiting for the in-flight duplicate",
+			Taxonomy: "timeout", Coalesced: true,
 		}
 	}
-	res := r.forwardGuarded(req, fp, text, wreq)
-	r.flight.Finish(fp, res)
-	return res
 }
 
 // forwardGuarded never lets a leader die without publishing: a panic

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/difftest"
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
@@ -27,10 +26,10 @@ func propertyBlocks(t *testing.T) []*ir.Superblock {
 
 func propertyRequest(sb *ir.Superblock) *Request {
 	return &Request{
-		SB:      sb,
-		Machine: machine.TwoCluster1Lat(),
-		PinSeed: 1,
-		Core:    core.Options{MaxSteps: 20000},
+		SB:       sb,
+		Machine:  machine.TwoCluster1Lat(),
+		PinSeed:  1,
+		MaxSteps: 20000,
 	}
 }
 
@@ -47,7 +46,7 @@ func TestCachePropertyWarmEqualsCold(t *testing.T) {
 	s := newTestService(t, Config{Workers: 4, CacheEntries: 1024, DefaultDeadline: 30 * time.Second})
 	for _, sb := range propertyBlocks(t) {
 		req := propertyRequest(sb)
-		wantSched, wantExits, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.Core)
+		wantSched, wantExits, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.MaxSteps)
 
 		cold := s.Submit(req)
 		if !cold.OK() {
@@ -87,7 +86,7 @@ func TestCachePropertyUnderWorkerFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i, sb := range propertyBlocks(t) {
 		req := propertyRequest(sb)
-		wantSched, wantExits, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.Core)
+		wantSched, wantExits, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.MaxSteps)
 
 		kind := faultpoint.KindPanic
 		if i%2 == 1 {

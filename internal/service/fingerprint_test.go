@@ -35,21 +35,21 @@ func TestFingerprintContentAddressing(t *testing.T) {
 		t.Fatal("edge declaration order changed the fingerprint")
 	}
 
-	// Unset knobs normalize to their documented defaults.
+	// An unset step budget hashes as the default it runs with.
+	unset := testRequest(ir.PaperFigure1(), 1)
+	unset.MaxSteps = 0
 	dflt := testRequest(ir.PaperFigure1(), 1)
-	dflt.Core = core.Options{MaxSteps: 20000, ShaveRounds: 2, CandidateLimit: 3, CycleCandLimit: 6, MaxAWCTIters: 64, Retries: 3}
-	if got := Fingerprint(dflt); got != fp {
-		t.Fatal("spelled-out defaults fingerprint differently from unset knobs")
+	dflt.MaxSteps = core.DefaultMaxSteps
+	if Fingerprint(unset) != Fingerprint(dflt) {
+		t.Fatal("MaxSteps 0 and the spelled-out default fingerprint differently")
 	}
 
-	// Wall-clock budget and portfolio width never change a correct
-	// result, so they must not split cache entries.
+	// The wall-clock budget never changes a correct result, so it must
+	// not split cache entries.
 	hurried := testRequest(ir.PaperFigure1(), 1)
 	hurried.Deadline = 7 * time.Millisecond
-	hurried.Core.Timeout = time.Second
-	hurried.Core.Parallelism = 8
 	if got := Fingerprint(hurried); got != fp {
-		t.Fatal("deadline/parallelism changed the fingerprint")
+		t.Fatal("deadline changed the fingerprint")
 	}
 }
 
@@ -69,7 +69,7 @@ func TestFingerprintSplitsOnMeaningfulDifferences(t *testing.T) {
 	}
 
 	steps := testRequest(ir.PaperFigure1(), 1)
-	steps.Core.MaxSteps = 12345
+	steps.MaxSteps = 12345
 	if Fingerprint(steps) == fp {
 		t.Fatal("step budget not fingerprinted")
 	}
@@ -77,12 +77,6 @@ func TestFingerprintSplitsOnMeaningfulDifferences(t *testing.T) {
 	block := testRequest(ir.Diamond(), 1)
 	if Fingerprint(block) == fp {
 		t.Fatal("superblock not fingerprinted")
-	}
-
-	ablation := testRequest(ir.PaperFigure1(), 1)
-	ablation.Core.NoStage3Matching = true
-	if Fingerprint(ablation) == fp {
-		t.Fatal("stage-3 ablation knob not fingerprinted")
 	}
 }
 

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"vcsched/internal/core"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 )
 
-// Request is one block to schedule. The service derives pins from
-// PinSeed (exactly like cmd/vcsched does), maps Deadline onto the
-// scheduler's wall-clock budget, and forces the per-search knobs it
-// owns (Pins, Timeout, Parallelism, Trace); every other field of Core
-// is the caller's.
+// Request is one block to schedule: the block, the machine, the pin
+// seed and the step budget are everything that can change its
+// schedule, and all four are hashed into its fingerprint. The service
+// derives pins from PinSeed (exactly like cmd/vcsched does) and maps
+// Deadline onto the scheduler's wall-clock budget; every search runs
+// the serial driver.
 type Request struct {
 	// SB is the superblock to schedule. The service never mutates it;
 	// the fingerprint hashes its canonical text
@@ -33,8 +33,10 @@ type Request struct {
 	// request up becomes core.Options.Timeout, which core maps onto
 	// deduce.Budget.SetDeadline.
 	Deadline time.Duration
-	// Core carries the search knobs (MaxSteps, ShaveRounds, …).
-	Core core.Options
+	// MaxSteps is the search's deduction step budget, as in
+	// core.Options.MaxSteps (0 = core.DefaultMaxSteps; < 0 =
+	// unlimited).
+	MaxSteps int
 }
 
 // Validate rejects requests the pipeline cannot serve before they

@@ -41,22 +41,20 @@ type Runner interface {
 }
 
 // ladderRunner is the production Runner: the internal/resilient
-// degradation ladder with the request's remaining deadline mapped onto
-// core.Options.Timeout (which core wires into deduce.Budget.
-// SetDeadline, so the deadline interrupts propagation runs deep inside
-// the DP).
-type ladderRunner struct {
-	ladder resilient.Options
-}
+// degradation ladder with the request's step budget, the pins of its
+// seed and its remaining deadline mapped onto core.Options.Timeout
+// (which core wires into deduce.Budget.SetDeadline, so the deadline
+// interrupts propagation runs deep inside the DP). Every search runs
+// the serial driver: parallelism lives in the pool, and results are
+// identical.
+type ladderRunner struct{}
 
-func (l ladderRunner) Run(req *Request, fp string, remaining time.Duration) (Result, bool) {
-	opts := l.ladder
-	opts.Core = req.Core
-	opts.Core.Pins = workload.PinsFor(req.SB, req.Machine.Clusters, req.PinSeed)
-	opts.Core.Timeout = remaining // → deduce.Budget.SetDeadline inside core
-	opts.Core.Parallelism = 1     // parallelism lives in the pool; results are identical
-	opts.Core.Trace = nil
-
+func (ladderRunner) Run(req *Request, fp string, remaining time.Duration) (Result, bool) {
+	opts := resilient.Options{Core: core.Options{
+		MaxSteps: req.MaxSteps,
+		Pins:     workload.PinsFor(req.SB, req.Machine.Clusters, req.PinSeed),
+		Timeout:  remaining,
+	}}
 	schedule, out, err := resilient.Schedule(req.SB, req.Machine, opts)
 	if err != nil {
 		return Result{

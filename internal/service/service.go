@@ -10,9 +10,9 @@
 //
 //	 1. Every request is reduced to a content-addressed fingerprint
 //	    (see Fingerprint): a hash of the canonical superblock bytes, the
-//	    machine configuration, the pin seed and the normalized options
-//	    vector. Two requests with the same fingerprint are guaranteed to
-//	    deserve byte-identical responses.
+//	    machine configuration, the pin seed and the step budget. Two
+//	    requests with the same fingerprint are guaranteed to deserve
+//	    byte-identical responses.
 //	 2. The fingerprint indexes an LRU result cache. A hit returns the
 //	    cached response — byte-identical to the cold run that produced
 //	    it — without touching a worker.
@@ -24,8 +24,8 @@
 //	    is full the request is shed immediately with an explicit shed
 //	    response — the service degrades by refusing work, never by
 //	    growing its queue without bound.
-//	 5. A fixed pool of workers (sized from core.Options.Parallelism)
-//	    drains the queue. Each worker runs the block through the
+//	 5. A fixed pool of workers (sized by Config.Workers) drains the
+//	    queue. Each worker runs the block through the
 //	    internal/resilient degradation ladder, so a poisoned request
 //	    degrades per the error taxonomy instead of killing the daemon,
 //	    and maps the request's remaining deadline onto core.Options.
@@ -48,14 +48,12 @@ import (
 
 // Config sizes the service. The zero value selects sensible defaults.
 type Config struct {
-	// Workers is the worker pool size. 0 derives it from the base
-	// core options' Parallelism (the knob that already expresses "how
-	// many concurrent searches this host should run"); values below 1
-	// are clamped to 1. Inside a worker every search runs the serial
-	// driver — the parallel portfolio commit is bit-identical to the
-	// serial one (see internal/core/portfolio.go), so moving the
-	// parallelism from "workers inside one search" to "searches in
-	// flight" changes throughput, never results.
+	// Workers is the worker pool size. 0 takes Ladder.Core.Parallelism;
+	// values below 1 are clamped to 1. Inside a worker every search
+	// runs the serial driver — the parallel portfolio commit is
+	// bit-identical to the serial one (see internal/core/portfolio.go),
+	// so moving the parallelism from "workers inside one search" to
+	// "searches in flight" changes throughput, never results.
 	Workers int
 	// QueueDepth bounds the admission queue (0 = 4×Workers; values
 	// below 1 are clamped to 1). A full queue sheds.
@@ -71,17 +69,16 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps requested deadlines (0 = 60s).
 	MaxDeadline time.Duration
-	// Ladder is the degradation-ladder configuration template. Its
-	// Core field is the base options vector; per-request knobs
-	// (MaxSteps, PinSeed, …) override it, and the service forces
-	// Pins/Timeout/Parallelism/Trace per request.
+	// Ladder sizes the worker pool when Workers is 0, through its
+	// Core.Parallelism; no other field of it is read. A search takes
+	// its options from the request alone (see Request).
 	Ladder resilient.Options
 	// Runner executes admitted requests on the worker pool. nil picks
-	// the production resilient ladder (built from Ladder). Injecting a
-	// synthetic Runner — e.g. the hollow recorded-cost stub in
-	// internal/hollow — swaps the scheduler out while keeping the
-	// whole fingerprint → cache → coalesce → admit → work pipeline
-	// real, so load harnesses measure the service, not the DP.
+	// the production resilient ladder. Injecting a synthetic Runner —
+	// e.g. the hollow recorded-cost stub in internal/hollow — swaps the
+	// scheduler out while keeping the whole fingerprint → cache →
+	// coalesce → admit → work pipeline real, so load harnesses measure
+	// the service, not the DP.
 	Runner Runner
 	// Now is the clock the service reads for request deadlines, the
 	// worker watchdog and the circuit breaker (nil = time.Now). It is
@@ -110,7 +107,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
-		c.Workers = c.Ladder.Core.Normalized().Parallelism
+		c.Workers = c.Ladder.Core.Parallelism
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
@@ -243,7 +240,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	runner := cfg.Runner
 	if runner == nil {
-		runner = ladderRunner{ladder: cfg.Ladder}
+		runner = ladderRunner{}
 	}
 	s := &Service{
 		cfg:      cfg,

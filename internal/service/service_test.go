@@ -20,13 +20,13 @@ import (
 // cold single-shot run (cmd/vcsched -resilient -save) would: the
 // resilient ladder with pins from the seed, serial driver, generous
 // wall clock.
-func directLadder(t *testing.T, sb *ir.Superblock, m *machine.Config, pinSeed int64, opts core.Options) (schedule, exits, tier string) {
+func directLadder(t *testing.T, sb *ir.Superblock, m *machine.Config, pinSeed int64, steps int) (schedule, exits, tier string) {
 	t.Helper()
-	lopts := resilient.Options{Core: opts}
-	lopts.Core.Pins = workload.PinsFor(sb, m.Clusters, pinSeed)
-	lopts.Core.Timeout = 30 * time.Second
-	lopts.Core.Parallelism = 1
-	s, out, err := resilient.Schedule(sb, m, lopts)
+	s, out, err := resilient.Schedule(sb, m, resilient.Options{Core: core.Options{
+		MaxSteps: steps,
+		Pins:     workload.PinsFor(sb, m.Clusters, pinSeed),
+		Timeout:  30 * time.Second,
+	}})
 	if err != nil {
 		t.Fatalf("reference ladder failed on %s: %v", sb.Name, err)
 	}
@@ -39,10 +39,10 @@ func directLadder(t *testing.T, sb *ir.Superblock, m *machine.Config, pinSeed in
 
 func testRequest(sb *ir.Superblock, seed int64) *Request {
 	return &Request{
-		SB:      sb,
-		Machine: machine.TwoCluster1Lat(),
-		PinSeed: seed,
-		Core:    core.Options{MaxSteps: 20000},
+		SB:       sb,
+		Machine:  machine.TwoCluster1Lat(),
+		PinSeed:  seed,
+		MaxSteps: 20000,
 	}
 }
 
@@ -56,7 +56,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 func TestSubmitMatchesDirectLadderAndCaches(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, DefaultDeadline: 20 * time.Second})
 	req := testRequest(ir.PaperFigure1(), 1)
-	wantSched, wantExits, wantTier := directLadder(t, req.SB, req.Machine, req.PinSeed, req.Core)
+	wantSched, wantExits, wantTier := directLadder(t, req.SB, req.Machine, req.PinSeed, req.MaxSteps)
 
 	cold := s.Submit(req)
 	if !cold.OK() {
@@ -84,6 +84,23 @@ func TestSubmitMatchesDirectLadderAndCaches(t *testing.T) {
 	}
 	if st.TierSG != 1 {
 		t.Fatalf("expected one tier-sg result, stats %+v", st)
+	}
+}
+
+// TestStepBudgetReachesTheSearch: the request's MaxSteps is the SG
+// search's budget. PaperFigure1 on 2c1l exhausts a 1-step budget and
+// falls to CARS, and finds its SG schedule within 20000 steps.
+func TestStepBudgetReachesTheSearch(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, DefaultDeadline: 20 * time.Second})
+	for _, c := range []struct {
+		steps int
+		tier  string
+	}{{1, "cars"}, {20000, "sg"}} {
+		req := testRequest(ir.PaperFigure1(), 1)
+		req.MaxSteps = c.steps
+		if res := s.Submit(req); !res.OK() || res.Tier != c.tier {
+			t.Errorf("MaxSteps %d: tier %q (err %q), want %q", c.steps, res.Tier, res.Err, c.tier)
+		}
 	}
 }
 
@@ -303,7 +320,7 @@ func TestWorkerFaultsDoNotPoisonCacheOrPool(t *testing.T) {
 		// populated by the previous iteration — the fault must hit a
 		// worker, not a cache hit.
 		req := testRequest(ir.PaperFigure1(), int64(seed+1))
-		want, _, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.Core)
+		want, _, _ := directLadder(t, req.SB, req.Machine, req.PinSeed, req.MaxSteps)
 		faultpoint.Reset()
 		faultpoint.Arm("service.worker", faultpoint.Fault{Kind: kind})
 		res := s.Submit(req)
