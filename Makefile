@@ -37,27 +37,30 @@ race:
 
 # bench runs the deduction-engine microbenchmarks (Shave, single
 # probe, end-to-end block schedule) 5 times, records the averaged
-# numbers in BENCH_deduce.json (EXPERIMENTS.md tracks before/after),
-# and gates the result against the checked-in BENCH_baseline.json:
-# allocs/op is deterministic so its band is tight (+10%); ns/op gets a
-# wide band that still catches order-of-magnitude cliffs on noisy
-# shared runners. bench-short is the single-run CI form; same gate.
-# After an intentional improvement, refresh the baseline with
-# `cp BENCH_deduce.json BENCH_baseline.json` and commit it.
+# numbers in results/bench/BENCH_deduce.json (not tracked;
+# EXPERIMENTS.md tracks before/after), and gates the result against
+# the checked-in BENCH_baseline.json: allocs/op is deterministic so its
+# band is tight (+10%); ns/op gets a wide band that still catches
+# order-of-magnitude cliffs on noisy shared runners. bench-short is the
+# single-run CI form; same gate. After an intentional improvement,
+# refresh the baseline with
+# `cp results/bench/BENCH_deduce.json BENCH_baseline.json` and commit it.
 bench:
+	mkdir -p results/bench
 	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock' \
-		-benchmem -count=5 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > BENCH_deduce.json
-	cat BENCH_deduce.json
+		-benchmem -count=5 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > results/bench/BENCH_deduce.json
+	cat results/bench/BENCH_deduce.json
 	$(MAKE) bench-gate
 
 bench-short:
+	mkdir -p results/bench
 	$(GO) test -bench='BenchmarkShave|BenchmarkProbeCommit|BenchmarkScheduleBlock' \
-		-benchmem -count=1 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > BENCH_deduce.json
-	cat BENCH_deduce.json
+		-benchmem -count=1 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > results/bench/BENCH_deduce.json
+	cat results/bench/BENCH_deduce.json
 	$(MAKE) bench-gate
 
 bench-gate:
-	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -baseline BENCH_baseline.json -current BENCH_deduce.json
+	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -baseline BENCH_baseline.json -current results/bench/BENCH_deduce.json
 
 # bench-figures runs the paper-figure reproduction benchmarks at the
 # repository root (the pre-existing `bench` target).

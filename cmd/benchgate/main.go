@@ -1,7 +1,7 @@
 // Command benchgate compares a freshly recorded benchmark document
-// (benchjson output, e.g. BENCH_deduce.json) against a checked-in
-// baseline (BENCH_baseline.json) and exits non-zero when any benchmark
-// regressed beyond its tolerance band.
+// (benchjson output, e.g. results/bench/BENCH_deduce.json) against a
+// checked-in baseline (BENCH_baseline.json) and exits non-zero when
+// any benchmark regressed beyond its tolerance band.
 //
 // The two metrics have very different noise profiles, so they get
 // separate bands:
@@ -20,7 +20,7 @@
 // current document passes with a note (update the baseline to start
 // gating it).
 //
-//	benchgate -baseline BENCH_baseline.json -current BENCH_deduce.json
+//	benchgate -current results/bench/BENCH_deduce.json
 //
 // With -service the gate checks service-level objectives instead: it
 // compares a document recorded by cmd/vcslo against the checked-in
@@ -75,7 +75,7 @@ type bench struct {
 func main() {
 	service := flag.Bool("service", false, "gate service-level SLOs (vcslo documents) instead of microbenchmarks")
 	baselinePath := flag.String("baseline", "", "checked-in baseline document (default BENCH_baseline.json; the golden BENCH_service.json with -service)")
-	currentPath := flag.String("current", "", "freshly recorded document (default BENCH_deduce.json; required with -service)")
+	currentPath := flag.String("current", "", "freshly recorded document (required)")
 	allocsTol := flag.Float64("allocs-tol", 0.10, "allowed fractional allocs/op increase over baseline")
 	nsTol := flag.Float64("ns-tol", 1.50, "allowed fractional ns/op increase over baseline")
 	showVersion := flag.Bool("version", false, "print the version and exit")
@@ -92,10 +92,7 @@ func main() {
 		}
 	}
 	if *currentPath == "" {
-		if *service {
-			fatal(errors.New("-service needs -current: the default baseline is the golden BENCH_service.json"))
-		}
-		*currentPath = "BENCH_deduce.json"
+		fatal(errors.New("-current is required: the baseline is the checked-in document, not a fresh run"))
 	}
 
 	var violations, notes []string

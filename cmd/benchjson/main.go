@@ -4,7 +4,7 @@
 // benchmark. Lines that are not benchmark results pass through
 // unparsed; the tool never fails on extra output.
 //
-//	go test -bench=. -benchmem -count=5 ./internal/deduce | benchjson > BENCH_deduce.json
+//	go test -bench=. -benchmem -count=5 ./internal/deduce | benchjson > results/bench/BENCH_deduce.json
 package main
 
 import (

@@ -3,8 +3,10 @@
 // consistent-hash ring, so the fleet-wide result cache is a partition
 // rather than N copies. Duplicate fingerprints coalesce in the router
 // before they reach any shard; draining, unreachable or repeatedly
-// failing shards are ejected from the ring (their keys spill to the
-// ring successor) and readmitted when they recover.
+// failing shards are skipped (their keys spill to the next live ring
+// successor) and take their keys back when they recover. The ring's
+// 128 virtual nodes per backend and the per-shard breaker (3
+// consecutive transport failures eject a shard for 5s) are fixed.
 //
 //	go run ./cmd/vcrouter -backends http://127.0.0.1:8457,http://127.0.0.1:8458
 //
@@ -37,7 +39,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8460", "listen address (port 0 = pick a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for harnesses)")
 	backends := flag.String("backends", "", "comma-separated vcschedd base URLs (required)")
-	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = default 128)")
 	machineKey := flag.String("machine", "2c1l", "default machine for fingerprinting requests that name none (match the shards)")
 	seed := flag.Int64("seed", 1, "default pin seed for fingerprinting (match the shards)")
 	steps := flag.Int("steps", 20000, "default step budget for fingerprinting (match the shards)")
@@ -46,8 +47,6 @@ func main() {
 	retries := flag.Int("retries", 2, "per-block forward retries after the first try (walks the ring successors)")
 	tryTimeout := flag.Duration("try-timeout", 2*time.Minute, "per-forward-attempt timeout")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge a slow forward against the next ring successor after this long (0 = off)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive transport failures that eject a shard from the ring (negative = off)")
-	breakerCooloff := flag.Duration("breaker-cooloff", 5*time.Second, "how long an ejected shard sits out before a half-open probe")
 	healthInterval := flag.Duration("health-interval", time.Second, "shard /v1/healthz poll period (negative = off)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long SIGTERM waits for in-flight work")
 	showVersion := flag.Bool("version", false, "print the version and exit")
@@ -71,18 +70,15 @@ func main() {
 
 	rt, err := router.New(router.Config{
 		Backends: urls,
-		Replicas: *replicas,
 		Defaults: httpapi.Defaults{MachineKey: *machineKey, PinSeed: *seed, MaxSteps: *steps},
 		Client: vcclient.Config{
 			TryTimeout: *tryTimeout,
 			Retries:    *retries,
 			HedgeAfter: *hedgeAfter,
 		},
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooloff:   *breakerCooloff,
-		HealthInterval:   *healthInterval,
-		DefaultDeadline:  *deadline,
-		MaxDeadline:      *maxDeadline,
+		HealthInterval:  *healthInterval,
+		DefaultDeadline: *deadline,
+		MaxDeadline:     *maxDeadline,
 	})
 	if err != nil {
 		fatal(err)

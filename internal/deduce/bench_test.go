@@ -3,7 +3,8 @@ package deduce_test
 // Microbenchmarks of the speculation hot path: Shave (two probes per
 // unpinned node per round), a single probe, and the end-to-end block
 // schedule. Run via `make bench`, which records the numbers in
-// BENCH_deduce.json; EXPERIMENTS.md holds the before/after tables.
+// results/bench/BENCH_deduce.json; EXPERIMENTS.md holds the
+// before/after tables.
 // TestProbeCommitAllocs pins the single probe at zero allocations.
 
 import (

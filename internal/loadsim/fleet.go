@@ -44,7 +44,6 @@ func newFleet(d *Scenario, cfg service.Config, clock hollow.Clock) (*fleet, erro
 	}
 	f.router, err = router.New(router.Config{
 		Backends:       backends,
-		Replicas:       d.Fleet.Replicas,
 		Defaults:       defaults,
 		Client:         vcclient.Config{HTTPClient: client},
 		HealthInterval: -1,

@@ -132,9 +132,6 @@ type FleetSpec struct {
 	// topology expressed through the fleet path, the baseline the
 	// sharded runs are compared against).
 	Shards int `json:"shards"`
-	// Replicas is virtual nodes per shard on the hash ring (0 = the
-	// ring default).
-	Replicas int `json:"replicas,omitempty"`
 	// ExactOnce makes the run fail if any fingerprint executed more
 	// than once across the whole fleet — the partition-correctness
 	// invariant of hash routing.
@@ -247,9 +244,6 @@ func (sc Scenario) Validate() error {
 	if d.Fleet != nil {
 		if d.Fleet.Shards < 1 {
 			return fail("fleet.shards must be >= 1")
-		}
-		if d.Fleet.Replicas < 0 {
-			return fail("fleet.replicas must be >= 0")
 		}
 		if d.Overload != nil {
 			return fail("fleet and overload cannot be combined (overload fills one specific queue)")

@@ -1,43 +1,38 @@
 // Package ring is a consistent-hash ring with virtual nodes: the
 // placement layer of the sharded scheduling fleet. Each member (a
-// vcschedd backend) contributes Replicas points on a 64-bit hash
-// circle; a key (a request fingerprint) is owned by the member whose
-// point is the first at or clockwise after the key's hash.
+// vcschedd backend) contributes 128 points on a 64-bit hash circle; a
+// key (a request fingerprint) belongs first to the member whose point
+// is the first at or clockwise after the key's hash, then to the
+// members met further clockwise.
 //
-// Two properties make this the right router for a partitioned result
-// cache:
+// A ring is built once, from the configured members, and never
+// changes, so it needs no lock. Liveness is the caller's business:
+// Successors lists every member, and a caller that skips the members
+// it considers down sends each key exactly where a ring rebuilt from
+// the live members alone would. Two properties follow:
 //
 //   - deterministic placement: the ring is a pure function of its
-//     member set, so every router replica — and the in-process loadsim
-//     fleet harness — maps a fingerprint to the same home shard;
-//   - minimal movement: removing a member moves only the keys that
-//     member owned (they spill to their ring successors), and adding
-//     one steals only the keys it now owns. The rest of the fleet's
-//     cache partition is untouched, which is what keeps the aggregate
-//     hit rate flat through membership churn.
-//
-// The ring is safe for concurrent use: the router mutates membership
-// from health pollers and breaker ejections while request goroutines
-// look keys up.
+//     member set, so every router — and the in-process loadsim fleet
+//     harness — maps a fingerprint to the same home shard;
+//   - minimal movement: skipping a member moves only the keys that
+//     member owned (they spill to their next live successor), and
+//     taking it back moves only those keys home again. The rest of the
+//     fleet's cache partition is untouched, which is what keeps the
+//     aggregate hit rate flat through shard loss.
 package ring
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
-	"sync"
 )
 
-// DefaultReplicas is the virtual-node count used when New is given a
-// non-positive replica count. 128 points per member keeps the
+// replicas is the virtual-node count per member. 128 points keep the
 // worst-case ownership skew across a handful of shards within a few
-// tens of percent of fair share (see TestDistributionSkew).
-const DefaultReplicas = 128
-
-// ErrEmpty is returned by lookups on a ring with no members — the
-// fleet analogue of "no live backends".
-var ErrEmpty = errors.New("ring: no members")
+// tens of percent of fair share (see TestDistributionSkew). It is a
+// constant because every router must place a key the same way.
+const replicas = 128
 
 // point is one virtual node: a position on the hash circle and the
 // member that owns it.
@@ -46,22 +41,32 @@ type point struct {
 	member string
 }
 
-// Ring is a consistent-hash ring. The zero value is not usable; build
-// with New.
+// Ring is an immutable consistent-hash ring. Build it with New.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []point // sorted by (hash, member)
-	members  map[string]struct{}
+	points []point // sorted by (hash, member); replicas per member
 }
 
-// New builds an empty ring with the given virtual-node count per
-// member (non-positive selects DefaultReplicas).
-func New(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
+// New builds the ring of members. Their order does not matter, and a
+// member listed twice counts once.
+func New(members []string) *Ring {
+	members = slices.Clone(members)
+	slices.Sort(members)
+	members = slices.Compact(members)
+	r := &Ring{}
+	for _, m := range members {
+		for i := 0; i < replicas; i++ {
+			r.points = append(r.points, point{hash: hashKey(fmt.Sprintf("%s#%d", m, i)), member: m})
+		}
 	}
-	return &Ring{replicas: replicas, members: make(map[string]struct{})}
+	// Ties (two virtual nodes hashing identically) are broken by member
+	// name so the sorted order — and therefore placement — is total.
+	sort.Slice(r.points, func(i, j int) bool {
+		if r.points[i].hash != r.points[j].hash {
+			return r.points[i].hash < r.points[j].hash
+		}
+		return r.points[i].member < r.points[j].member
+	})
+	return r
 }
 
 // hashKey is the ring's placement hash: FNV-1a (stable across
@@ -81,107 +86,23 @@ func hashKey(s string) uint64 {
 	return z
 }
 
-// Add inserts a member's virtual nodes. Adding a present member is a
-// no-op, so health pollers can re-admit without tracking state.
-func (r *Ring) Add(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; ok {
-		return
-	}
-	r.members[member] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, point{hash: hashKey(fmt.Sprintf("%s#%d", member, i)), member: member})
-	}
-	// Ties (two virtual nodes hashing identically) are broken by member
-	// name so the sorted order — and therefore placement — is total.
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].member < r.points[j].member
-	})
-}
-
-// Remove ejects a member and all its virtual nodes. Its keys fall to
-// their ring successors; no other key moves. Removing an absent member
-// is a no-op.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Contains reports whether member is in the ring.
-func (r *Ring) Contains(member string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.members[member]
-	return ok
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Members returns the member set in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Get returns the member that owns key, or ErrEmpty on an empty ring.
-func (r *Ring) Get(key string) (string, error) {
-	succ := r.Successors(key, 1)
-	if len(succ) == 0 {
-		return "", ErrEmpty
-	}
-	return succ[0], nil
-}
-
-// Successors returns up to n distinct members in ring order starting
-// at key's owner: the home shard first, then the shards its keys would
-// spill to as members ahead of it are ejected. The result is the
-// fleet's per-key failover (and cross-shard hedging) order.
-func (r *Ring) Successors(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 || n <= 0 {
+// Successors returns every member once, in ring order from key's home
+// shard: the home first, then the shards its keys spill to as members
+// ahead of them are skipped. It is the fleet's per-key failover (and
+// cross-shard hedging) order; an empty ring returns nil.
+func (r *Ring) Successors(key string) []string {
+	if len(r.points) == 0 {
 		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
 	}
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	n := len(r.points) / replicas // distinct members
 	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
+	for i := 0; len(out) < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.member]; dup {
-			continue
+		if !slices.Contains(out, p.member) {
+			out = append(out, p.member)
 		}
-		seen[p.member] = struct{}{}
-		out = append(out, p.member)
 	}
 	return out
 }

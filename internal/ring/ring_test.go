@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -13,56 +14,38 @@ func keys(n int) []string {
 	return out
 }
 
-func build(members ...string) *Ring {
-	r := New(0)
-	for _, m := range members {
-		r.Add(m)
-	}
-	return r
-}
-
-// Every key maps to exactly one live member, and the mapping is
+// Every key maps to exactly one home member, and the mapping is
 // deterministic across repeated lookups and across independently
-// built rings with the same member set.
+// built rings with the same member set: member order does not matter,
+// and a duplicate member counts once.
 func TestEveryKeyMapsToExactlyOneLiveMember(t *testing.T) {
 	members := []string{"shard-0", "shard-1", "shard-2", "shard-3", "shard-4"}
-	r := build(members...)
-	other := build("shard-4", "shard-2", "shard-0", "shard-3", "shard-1") // insertion order must not matter
-	live := make(map[string]bool, len(members))
-	for _, m := range members {
-		live[m] = true
-	}
+	r := New(members)
+	other := New([]string{"shard-4", "shard-2", "shard-0", "shard-3", "shard-1", "shard-2"})
 	for _, k := range keys(10000) {
-		owner, err := r.Get(k)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", k, err)
+		succ := r.Successors(k)
+		if len(succ) == 0 || !slices.Contains(members, succ[0]) {
+			t.Fatalf("Successors(%q) = %v, want a configured member first", k, succ)
 		}
-		if !live[owner] {
-			t.Fatalf("Get(%q) = %q, not a live member", k, owner)
+		if again := r.Successors(k); !slices.Equal(again, succ) {
+			t.Fatalf("Successors(%q) unstable: %v then %v", k, succ, again)
 		}
-		if again, _ := r.Get(k); again != owner {
-			t.Fatalf("Get(%q) unstable: %q then %q", k, owner, again)
-		}
-		if indep, _ := other.Get(k); indep != owner {
-			t.Fatalf("Get(%q) differs across identically-membered rings: %q vs %q", k, owner, indep)
+		if indep := other.Successors(k); !slices.Equal(indep, succ) {
+			t.Fatalf("Successors(%q) differs across identically-membered rings: %v vs %v", k, succ, indep)
 		}
 	}
 }
 
-// With the default virtual-node count, ownership shares stay within a
-// generous band around fair share — the property that makes the ring a
-// cache partitioner rather than a hot-spot generator.
+// Ownership shares stay within a generous band around fair share —
+// the property that makes the ring a cache partitioner rather than a
+// hot-spot generator.
 func TestDistributionSkew(t *testing.T) {
 	members := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	r := build(members...)
+	r := New(members)
 	counts := make(map[string]int, len(members))
 	ks := keys(20000)
 	for _, k := range ks {
-		owner, err := r.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[owner]++
+		counts[r.Successors(k)[0]]++
 	}
 	fair := float64(len(ks)) / float64(len(members))
 	for _, m := range members {
@@ -73,59 +56,46 @@ func TestDistributionSkew(t *testing.T) {
 	}
 }
 
-// Removing one of N members moves exactly the removed member's keys
-// (they spill to successors) and roughly 1/N of the keyspace — the
+// Skipping one of N members moves exactly that member's keys (they
+// spill to successors) and roughly 1/N of the keyspace — the
 // minimal-movement property.
 func TestMinimalKeyMovementOnRemove(t *testing.T) {
 	members := []string{"shard-0", "shard-1", "shard-2", "shard-3", "shard-4"}
-	r := build(members...)
-	ks := keys(10000)
-	before := make(map[string]string, len(ks))
-	for _, k := range ks {
-		before[k], _ = r.Get(k)
-	}
-
+	r := New(members)
 	const victim = "shard-2"
-	r.Remove(victim)
 	moved := 0
-	for _, k := range ks {
-		after, err := r.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, k := range keys(10000) {
+		succ := r.Successors(k)
+		before := succ[0]
+		after := slices.DeleteFunc(succ, func(m string) bool { return m == victim })[0]
 		if after == victim {
-			t.Fatalf("key %q still owned by removed member", k)
+			t.Fatalf("key %q still owned by skipped member", k)
 		}
-		if before[k] != after {
-			if before[k] != victim {
-				t.Fatalf("key %q moved from surviving member %q to %q — removal must only move the victim's keys",
-					k, before[k], after)
+		if before != after {
+			if before != victim {
+				t.Fatalf("key %q moved from surviving member %q to %q — skipping must only move the victim's keys",
+					k, before, after)
 			}
 			moved++
 		}
 	}
-	frac := float64(moved) / float64(len(ks))
+	frac := float64(moved) / 10000
 	if frac < 0.05 || frac > 0.45 {
-		t.Errorf("removal moved %.1f%% of keys, want roughly 1/N = 20%%", 100*frac)
+		t.Errorf("skipping moved %.1f%% of keys, want roughly 1/N = 20%%", 100*frac)
 	}
 }
 
 // Adding a member steals keys only for itself: no key moves between
 // two pre-existing members.
 func TestMinimalKeyMovementOnAdd(t *testing.T) {
-	r := build("shard-0", "shard-1", "shard-2")
-	ks := keys(10000)
-	before := make(map[string]string, len(ks))
-	for _, k := range ks {
-		before[k], _ = r.Get(k)
-	}
-	r.Add("shard-3")
+	before := New([]string{"shard-0", "shard-1", "shard-2"})
+	after := New([]string{"shard-0", "shard-1", "shard-2", "shard-3"})
 	stolen := 0
-	for _, k := range ks {
-		after, _ := r.Get(k)
-		if after != before[k] {
-			if after != "shard-3" {
-				t.Fatalf("key %q moved from %q to pre-existing member %q on add", k, before[k], after)
+	for _, k := range keys(10000) {
+		was, is := before.Successors(k)[0], after.Successors(k)[0]
+		if is != was {
+			if is != "shard-3" {
+				t.Fatalf("key %q moved from %q to pre-existing member %q on add", k, was, is)
 			}
 			stolen++
 		}
@@ -135,80 +105,58 @@ func TestMinimalKeyMovementOnAdd(t *testing.T) {
 	}
 }
 
+// Skipping the members that are down sends every key where a ring
+// built from the live members alone would: for each non-empty live
+// subset of five members, the full ring's successors with the others
+// skipped equal the subset ring's successors. A rebuilt ring is the
+// placement the fleet had when it removed and re-added members, so
+// skipping keeps every key where it was.
+func TestSkippingMembersEqualsRebuildingTheRing(t *testing.T) {
+	members := []string{"shard-0", "shard-1", "shard-2", "shard-3", "shard-4"}
+	full := New(members)
+	ks := keys(4000)
+	for mask := 1; mask < 1<<len(members); mask++ {
+		var live []string
+		for i, m := range members {
+			if mask&(1<<i) != 0 {
+				live = append(live, m)
+			}
+		}
+		sub := New(live)
+		for _, k := range ks {
+			skipped := slices.DeleteFunc(full.Successors(k), func(m string) bool { return !slices.Contains(live, m) })
+			if want := sub.Successors(k); !slices.Equal(skipped, want) {
+				t.Fatalf("live %v, key %q: skipping gives %v, rebuilt ring gives %v", live, k, skipped, want)
+			}
+		}
+	}
+}
+
 func TestEmptyRing(t *testing.T) {
-	r := New(64)
-	if _, err := r.Get("anything"); err != ErrEmpty {
-		t.Fatalf("Get on empty ring: err = %v, want ErrEmpty", err)
-	}
-	if succ := r.Successors("anything", 3); succ != nil {
+	if succ := New(nil).Successors("anything"); succ != nil {
 		t.Fatalf("Successors on empty ring = %v, want nil", succ)
-	}
-	// Draining the last member brings ErrEmpty back.
-	r.Add("only")
-	r.Remove("only")
-	if _, err := r.Get("anything"); err != ErrEmpty {
-		t.Fatalf("Get after removing last member: err = %v, want ErrEmpty", err)
 	}
 }
 
 func TestSuccessorsDistinctAndOrdered(t *testing.T) {
 	members := []string{"a", "b", "c", "d"}
-	r := build(members...)
+	r := New(members)
 	for _, k := range keys(500) {
-		succ := r.Successors(k, 4)
-		if len(succ) != 4 {
-			t.Fatalf("Successors(%q, 4) = %v", k, succ)
+		succ := r.Successors(k)
+		if len(succ) != len(members) {
+			t.Fatalf("Successors(%q) = %v, want every member", k, succ)
 		}
 		seen := map[string]bool{}
 		for _, m := range succ {
 			if seen[m] {
-				t.Fatalf("Successors(%q, 4) repeats %q: %v", k, m, succ)
+				t.Fatalf("Successors(%q) repeats %q: %v", k, m, succ)
 			}
 			seen[m] = true
 		}
-		if home, _ := r.Get(k); home != succ[0] {
-			t.Fatalf("Successors(%q)[0] = %q, Get = %q", k, succ[0], home)
-		}
-		// Asking for more than the membership truncates.
-		if all := r.Successors(k, 10); len(all) != 4 {
-			t.Fatalf("Successors(%q, 10) = %v, want 4 members", k, all)
-		}
-		// The spill target after ejecting the home is the next successor.
-		r2 := build(members...)
-		r2.Remove(succ[0])
-		if spill, _ := r2.Get(k); spill != succ[1] {
+		// The spill target when the home is down is the next successor.
+		rest := slices.DeleteFunc(slices.Clone(members), func(m string) bool { return m == succ[0] })
+		if spill := New(rest).Successors(k)[0]; spill != succ[1] {
 			t.Fatalf("key %q spilled to %q, want ring successor %q", k, spill, succ[1])
-		}
-	}
-}
-
-func TestMembershipOps(t *testing.T) {
-	r := New(8)
-	r.Add("x")
-	r.Add("x") // idempotent
-	r.Add("y")
-	if got := r.Members(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("Members = %v", got)
-	}
-	if r.Len() != 2 || !r.Contains("x") || r.Contains("z") {
-		t.Fatalf("Len/Contains inconsistent: %v", r.Members())
-	}
-	r.Remove("z") // absent: no-op
-	r.Remove("x")
-	if r.Contains("x") || r.Len() != 1 {
-		t.Fatalf("remove failed: %v", r.Members())
-	}
-	// Re-adding restores the exact same placement (pure function of
-	// the member set and replica count).
-	a := New(8)
-	a.Add("x")
-	a.Add("y")
-	r.Add("x")
-	for _, k := range keys(200) {
-		want, _ := a.Get(k)
-		got, _ := r.Get(k)
-		if got != want {
-			t.Fatalf("placement after remove+re-add differs for %q: %q vs %q", k, got, want)
 		}
 	}
 }

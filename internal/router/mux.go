@@ -34,7 +34,7 @@ func (r *Router) Mux() http.Handler {
 		httpapi.WriteScheduleResponse(w, resp, r.RetryAfter)
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, req *http.Request) {
-		httpapi.HealthzHandler(w, r.Draining() || r.live.Len() == 0)
+		httpapi.HealthzHandler(w, r.Draining() || r.liveShards() == 0)
 	})
 	mux.HandleFunc("/v1/statsz", func(w http.ResponseWriter, req *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, r.Stats())

@@ -20,17 +20,20 @@
 //	    execute exactly once fleet-wide.
 //	 3. The fingerprint's home shard comes from the ring
 //	    (ring.Successors); draining, unreachable or breaker-ejected
-//	    shards drop out of the ring and their keys spill to the next
+//	    shards are skipped and their keys spill to the next live
 //	    successor — the rest of the partition is untouched.
 //	 4. The forward itself reuses internal/vcclient: per-try timeouts,
 //	    bounded retries with Retry-After-floored backoff, and hedging
 //	    that walks the successor list so a slow shard races a DIFFERENT
 //	    shard on the idempotent endpoint.
 //
-// Health is tracked two ways: a per-shard /v1/healthz poller (drain
-// detection between requests) and a per-shard consecutive-transport-
-// failure breaker fed by vcclient's Observe hook (fast ejection under
-// traffic, half-open readmission after a cooloff).
+// The ring is built once from the configured backends and never
+// changes. A shard's liveness lives in its own state alone, fed two
+// ways: a per-shard /v1/healthz poller (drain detection between
+// requests) and a per-shard consecutive-transport-failure breaker fed
+// by vcclient's Observe hook (fast ejection under traffic, half-open
+// readmission after a cooloff on the router clock). Forwards, healthz
+// and statsz all read it through shard.live.
 package router
 
 import (
@@ -38,6 +41,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,9 +60,6 @@ import (
 type Config struct {
 	// Backends are the vcschedd base URLs the ring shards over.
 	Backends []string
-	// Replicas is the ring's virtual-node count per backend
-	// (0 = ring.DefaultReplicas).
-	Replicas int
 	// Defaults fills request fields the caller omitted, exactly like
 	// the daemon's flags do. Router and shards should agree on these:
 	// a mismatch only shifts which shard a fingerprint calls home (the
@@ -68,12 +69,6 @@ type Config struct {
 	// Retries, Backoff*, HedgeAfter, Seed, Sleep). BaseURL and Observe
 	// are owned by the router and ignored if set.
 	Client vcclient.Config
-	// BreakerThreshold ejects a shard from the ring after this many
-	// consecutive transport failures (0 = 3; negative disables).
-	BreakerThreshold int
-	// BreakerCooloff is how long an ejected shard sits out before a
-	// half-open readmission with one strike left (0 = 5s).
-	BreakerCooloff time.Duration
 	// HealthInterval is the /v1/healthz poll period (0 = 1s; negative
 	// disables polling — breaker ejection still works).
 	HealthInterval time.Duration
@@ -89,12 +84,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooloff <= 0 {
-		c.BreakerCooloff = 5 * time.Second
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = time.Second
 	}
@@ -113,18 +102,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// The per-shard transport breaker: breakerThreshold consecutive
+// transport failures eject a shard for breakerCooloff. After the
+// cooloff the breaker is half-open: one failed try ejects the shard
+// again, one successful try closes the breaker.
+const (
+	breakerThreshold = 3
+	breakerCooloff   = 5 * time.Second
+)
+
 // shard is the router's view of one backend.
 type shard struct {
 	url string
 
 	mu           sync.Mutex
 	healthy      bool      // last /v1/healthz observation
-	ejectedUntil time.Time // breaker cooloff end; zero when closed
+	ejectedUntil time.Time // end of the latest breaker cooloff; zero while closed
 	consecFails  int
 	tries        int64
 	errors       int64
 	hedges       int64
 	sheds        int64
+}
+
+// live reports whether the shard takes traffic at now: its last health
+// observation was good and no breaker cooloff is running. Reading it
+// changes nothing.
+func (sh *shard) live(now time.Time) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.healthy && !now.Before(sh.ejectedUntil)
 }
 
 // ShardStats is one backend's slice of the aggregate statsz.
@@ -151,9 +158,9 @@ type Stats struct {
 	LiveShards int    `json:"live_shards"`
 	// Blocks counts superblocks routed; Coalesced the ones that joined
 	// an in-flight duplicate instead of forwarding; Rehomed the leader
-	// forwards whose live home differed from the full-ring home (keys
-	// spilled to a successor); Unroutable the blocks refused because no
-	// live shard remained.
+	// forwards whose first live ring successor was not the home shard
+	// (keys spilled to a successor); Unroutable the blocks refused
+	// because no live shard remained.
 	Blocks     int64          `json:"blocks"`
 	Coalesced  int64          `json:"coalesced"`
 	Rehomed    int64          `json:"rehomed"`
@@ -170,8 +177,7 @@ type Stats struct {
 // New, stop with Close.
 type Router struct {
 	cfg    Config
-	live   *ring.Ring // current membership: healthy, non-ejected shards
-	full   *ring.Ring // all configured backends, for rehoming accounting
+	ring   *ring.Ring // every configured backend, built once
 	flight *service.Flight
 	client *vcclient.Client
 	now    func() time.Time
@@ -201,8 +207,6 @@ func New(cfg Config) (*Router, error) {
 	ccfg.BaseURL = ""
 	r := &Router{
 		cfg:      cfg,
-		live:     ring.New(cfg.Replicas),
-		full:     ring.New(cfg.Replicas),
 		flight:   service.NewFlight(),
 		now:      cfg.Now,
 		shards:   make(map[string]*shard, len(cfg.Backends)),
@@ -214,6 +218,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r.client = client
+	var urls []string
 	for _, raw := range cfg.Backends {
 		url := strings.TrimRight(raw, "/")
 		if url == "" {
@@ -223,9 +228,9 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate backend %s", url)
 		}
 		r.shards[url] = &shard{url: url, healthy: true}
-		r.live.Add(url)
-		r.full.Add(url)
+		urls = append(urls, url)
 	}
+	r.ring = ring.New(urls)
 	if cfg.HealthInterval > 0 {
 		for url := range r.shards {
 			r.pollers.Add(1)
@@ -386,10 +391,13 @@ func (r *Router) forwardGuarded(req *service.Request, fp string, text []byte, wr
 }
 
 // forward sends the block's canonical text — the bytes its fingerprint
-// hashed — to the fingerprint's home shard, failing over along the
-// live ring.
+// hashed — to the fingerprint's home shard, failing over along its
+// ring successors with the shards that are not live skipped.
 func (r *Router) forward(req *service.Request, fp string, text []byte, wreq *service.WireRequest) service.Result {
-	order := r.liveOrder(fp)
+	order := r.ring.Successors(fp)
+	home := order[0]
+	now := r.now()
+	order = slices.DeleteFunc(order, func(url string) bool { return !r.shards[url].live(now) })
 	if len(order) == 0 {
 		r.mu.Lock()
 		r.unroutable++
@@ -399,7 +407,7 @@ func (r *Router) forward(req *service.Request, fp string, text []byte, wreq *ser
 			Err: "no live shard in the ring", Taxonomy: "unroutable", Shed: true,
 		}
 	}
-	if home, err := r.full.Get(fp); err == nil && home != order[0] {
+	if order[0] != home {
 		r.mu.Lock()
 		r.rehomed++
 		r.mu.Unlock()
@@ -449,29 +457,6 @@ func (r *Router) clampDeadline(d time.Duration) time.Duration {
 	return d
 }
 
-// liveOrder readmits shards whose breaker cooloff expired (half-open:
-// one strike left), then returns the fingerprint's failover order over
-// the live ring.
-func (r *Router) liveOrder(fp string) []string {
-	now := r.now()
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		if !sh.ejectedUntil.IsZero() && !now.Before(sh.ejectedUntil) {
-			sh.ejectedUntil = time.Time{}
-			// Half-open: the readmitted shard carries threshold-1
-			// strikes, so a single failed probe re-ejects it.
-			if r.cfg.BreakerThreshold > 0 {
-				sh.consecFails = r.cfg.BreakerThreshold - 1
-			}
-			if sh.healthy {
-				r.live.Add(sh.url)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return r.live.Successors(fp, len(r.shards))
-}
-
 // observe is the vcclient per-try hook: it drives the per-shard
 // counters and the consecutive-transport-failure breaker.
 func (r *Router) observe(ti vcclient.TryInfo) {
@@ -479,6 +464,7 @@ func (r *Router) observe(ti vcclient.TryInfo) {
 	if !ok {
 		return
 	}
+	now := r.now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.tries++
@@ -488,25 +474,32 @@ func (r *Router) observe(ti vcclient.TryInfo) {
 	if ti.Shed {
 		sh.sheds++
 	}
-	if ti.Err != nil {
-		sh.errors++
-		sh.consecFails++
-		if r.cfg.BreakerThreshold > 0 && sh.consecFails >= r.cfg.BreakerThreshold && sh.ejectedUntil.IsZero() {
-			sh.ejectedUntil = r.now().Add(r.cfg.BreakerCooloff)
-			r.live.Remove(sh.url)
+	if ti.Err == nil {
+		sh.consecFails = 0
+		// A success closes a closed or half-open breaker; one from a
+		// try already in flight does not end a running cooloff.
+		if !now.Before(sh.ejectedUntil) {
+			sh.ejectedUntil = time.Time{}
 		}
 		return
 	}
-	sh.consecFails = 0
-	if sh.healthy && sh.ejectedUntil.IsZero() {
-		r.live.Add(sh.url) // idempotent
+	sh.errors++
+	sh.consecFails++
+	switch {
+	case now.Before(sh.ejectedUntil):
+		// Cooloff running: an in-flight try's failure changes nothing.
+	case !sh.ejectedUntil.IsZero() || sh.consecFails >= breakerThreshold:
+		// A half-open shard's failed try, or the closed breaker's
+		// last strike, starts a fresh cooloff.
+		sh.ejectedUntil = now.Add(breakerCooloff)
 	}
 }
 
 // SetHealth records a health observation for a backend: an unhealthy
-// (draining or unreachable) shard leaves the ring so its keys spill to
-// their successors; a healthy, non-ejected one rejoins. Exposed so
-// tests and external watchers can drive membership without the poller.
+// (draining or unreachable) shard is skipped, so its keys spill to
+// their successors, until it reports healthy again and no breaker
+// cooloff is running. Exposed so tests and external watchers can
+// drive health without the poller.
 func (r *Router) SetHealth(url string, healthy bool) {
 	sh, ok := r.shards[url]
 	if !ok {
@@ -515,13 +508,18 @@ func (r *Router) SetHealth(url string, healthy bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.healthy = healthy
-	if !healthy {
-		r.live.Remove(url)
-		return
+}
+
+// liveShards counts the shards that take traffic now.
+func (r *Router) liveShards() int {
+	now := r.now()
+	n := 0
+	for _, sh := range r.shards {
+		if sh.live(now) {
+			n++
+		}
 	}
-	if sh.ejectedUntil.IsZero() {
-		r.live.Add(url)
-	}
+	return n
 }
 
 // poll watches one backend's /v1/healthz until Close.
@@ -581,8 +579,8 @@ func (r *Router) Stats() Stats {
 	st.Rehomed = r.rehomed
 	st.Unroutable = r.unroutable
 	r.mu.Unlock()
-	st.LiveShards = r.live.Len()
 
+	now := r.now()
 	var reachable []service.Stats
 	for i, url := range urls {
 		sh := r.shards[url]
@@ -590,7 +588,7 @@ func (r *Router) Stats() Stats {
 		ss := ShardStats{
 			URL:     url,
 			Healthy: sh.healthy,
-			Ejected: !sh.ejectedUntil.IsZero(),
+			Ejected: now.Before(sh.ejectedUntil),
 			Tries:   sh.tries,
 			Errors:  sh.errors,
 			Hedges:  sh.hedges,
@@ -598,6 +596,9 @@ func (r *Router) Stats() Stats {
 			Stats:   scraped[i],
 		}
 		sh.mu.Unlock()
+		if ss.Healthy && !ss.Ejected { // shard.live's rule
+			st.LiveShards++
+		}
 		st.PerShard = append(st.PerShard, ss)
 		if scraped[i] != nil {
 			reachable = append(reachable, *scraped[i])

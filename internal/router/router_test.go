@@ -3,12 +3,14 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,7 +303,7 @@ func TestDrainMidLoadRehomesKeysWithoutHardFailures(t *testing.T) {
 	wave1.Wait()
 	// Wait for the poller to observe the 503 and eject.
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.live.Contains(victim.url()) {
+	for rt.shards[victim.url()].live(rt.now()) {
 		if time.Now().After(deadline) {
 			t.Fatal("poller never ejected the draining shard")
 		}
@@ -322,7 +324,7 @@ func TestDrainMidLoadRehomesKeysWithoutHardFailures(t *testing.T) {
 		t.Fatalf("%d requests escaped as failures through the drain, first: %+v", len(failures), failures[0])
 	}
 	mu.Unlock()
-	// Count the fingerprints whose full-ring home was the victim: each
+	// Count the fingerprints whose home shard was the victim: each
 	// of them had a second-wave leader forward to a ring successor.
 	victimOwned := 0
 	for _, b := range blocks {
@@ -330,7 +332,7 @@ func TestDrainMidLoadRehomesKeysWithoutHardFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if home, _ := rt.full.Get(service.Fingerprint(reqs[0])); home == victim.url() {
+		if rt.ring.Successors(service.Fingerprint(reqs[0]))[0] == victim.url() {
 			victimOwned++
 		}
 	}
@@ -357,14 +359,14 @@ func TestDrainMidLoadRehomesKeysWithoutHardFailures(t *testing.T) {
 }
 
 // A shard that dies without draining (connection refused) trips the
-// router's consecutive-failure breaker: it leaves the ring after
-// BreakerThreshold transport errors and traffic keeps flowing.
+// router's consecutive-failure breaker: it is skipped after
+// breakerThreshold transport errors and traffic keeps flowing.
 func TestBreakerEjectsUnreachableShard(t *testing.T) {
-	const threshold = 2
+	const threshold = breakerThreshold
 	backends := startBackends(t, 3)
+	clock := hollow.NewVirtualClock()
 	rt := newRouter(t, backends, func(c *Config) {
-		c.BreakerThreshold = threshold
-		c.BreakerCooloff = time.Hour // no readmission inside the test
+		c.Now = clock.Now // no readmission inside the test
 		c.Client = vcclient.Config{Retries: 3, TryTimeout: 2 * time.Second, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond}
 	})
 	front := httptest.NewServer(rt.Mux())
@@ -374,8 +376,8 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 	dead := backends[1]
 	dead.srv.Close()
 
-	// Send blocks whose full-ring home is the dead shard: each one's
-	// first try goes there, so BreakerThreshold of them must trip the
+	// Send blocks whose home shard is the dead shard: each one's
+	// first try goes there, so breakerThreshold of them must trip the
 	// breaker whatever ring placement the ephemeral ports produce. One
 	// more after the trip must not try the dead shard at all.
 	sent := 0
@@ -384,7 +386,7 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if home, _ := rt.full.Get(service.Fingerprint(reqs[0])); home != dead.url() {
+		if rt.ring.Successors(service.Fingerprint(reqs[0]))[0] != dead.url() {
 			continue
 		}
 		status, resp := postRouter(t, front, service.WireRequest{Blocks: []string{b}})
@@ -420,6 +422,136 @@ func TestBreakerEjectsUnreachableShard(t *testing.T) {
 	if st.LiveShards != 2 {
 		t.Errorf("live shards = %d, want 2", st.LiveShards)
 	}
+}
+
+// failingTransport fails every round trip while fail is set and passes
+// the rest to the default transport.
+type failingTransport struct{ fail atomic.Bool }
+
+func (f *failingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if f.fail.Load() {
+		return nil, errors.New("injected transport failure")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// getHealthz answers the router's /v1/healthz status code.
+func getHealthz(t *testing.T, front *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Get(front.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// getStatsz decodes the router's /v1/statsz document.
+func getStatsz(t *testing.T, front *httptest.Server) Stats {
+	t.Helper()
+	resp, err := http.Get(front.URL + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("statsz: %v", err)
+	}
+	return st
+}
+
+// Once a breaker cooloff has run out and the shard reports healthy,
+// the shard is live again for healthz and statsz too, before any
+// schedule request: all three read one liveness rule.
+func TestHealthzFollowsBreakerCooloff(t *testing.T) {
+	backends := startBackends(t, 1)
+	clock := hollow.NewVirtualClock()
+	transport := &failingTransport{}
+	rt := newRouter(t, backends, func(c *Config) {
+		c.Now = clock.Now
+		c.Client = vcclient.Config{HTTPClient: &http.Client{Transport: transport}}
+	})
+	front := httptest.NewServer(rt.Mux())
+	defer front.Close()
+
+	transport.fail.Store(true)
+	for _, b := range genBlocks(101, breakerThreshold) {
+		resp, err := rt.Schedule(&service.WireRequest{Blocks: []string{b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := resp.Results[0]; r.Taxonomy != "unreachable" {
+			t.Fatalf("forward through a failing transport: %+v, want unreachable", r)
+		}
+	}
+	if code := getHealthz(t, front); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with the only shard ejected = %d, want 503", code)
+	}
+	if st := getStatsz(t, front); st.LiveShards != 0 || !st.PerShard[0].Ejected {
+		t.Fatalf("after %d failed forwards: live_shards %d, per_shard %+v; want the shard ejected", breakerThreshold, st.LiveShards, st.PerShard[0])
+	}
+
+	transport.fail.Store(false)
+	clock.Sleep(breakerCooloff)
+	rt.SetHealth(backends[0].url(), true) // as the poller would
+	if code := getHealthz(t, front); code != http.StatusOK {
+		t.Fatalf("healthz after the cooloff = %d, want 200", code)
+	}
+	if st := getStatsz(t, front); st.LiveShards != 1 || st.PerShard[0].Ejected {
+		t.Fatalf("after the cooloff: live_shards %d, per_shard %+v; want the shard live", st.LiveShards, st.PerShard[0])
+	}
+}
+
+// The breaker's whole cycle on the router clock: breakerThreshold
+// failures eject a shard for breakerCooloff, a success from an
+// in-flight try does not end the cooloff early, the shard is half-open
+// once it ends, one failure then ejects it again, and one success
+// closes the breaker.
+func TestBreakerCycleOnRouterClock(t *testing.T) {
+	const url = "http://shard-0"
+	clock := hollow.NewVirtualClock()
+	rt, err := New(Config{Backends: []string{url}, HealthInterval: -1, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	fail := vcclient.TryInfo{Target: url, Err: errors.New("connection refused")}
+	ok := vcclient.TryInfo{Target: url}
+	expect := func(step string, want bool) {
+		t.Helper()
+		if got := rt.shards[url].live(clock.Now()); got != want {
+			t.Fatalf("%s: live = %v, want %v", step, got, want)
+		}
+	}
+	tripClosed := func() {
+		t.Helper()
+		for i := 1; i < breakerThreshold; i++ {
+			rt.observe(fail)
+			expect(fmt.Sprintf("closed breaker, %d failures", i), true)
+		}
+		rt.observe(fail)
+		expect("closed breaker, threshold failures", false)
+	}
+
+	tripClosed()
+	clock.Sleep(breakerCooloff - time.Nanosecond)
+	expect("1ns before the cooloff ends", false)
+	rt.observe(ok)
+	expect("success from an in-flight try during the cooloff", false)
+	clock.Sleep(time.Nanosecond)
+	expect("cooloff over: half-open", true)
+
+	rt.observe(fail)
+	expect("half-open, one failure", false)
+	clock.Sleep(breakerCooloff - time.Nanosecond)
+	expect("1ns before the fresh cooloff ends", false)
+	clock.Sleep(time.Nanosecond)
+	expect("fresh cooloff over: half-open", true)
+
+	rt.observe(ok)
+	expect("half-open, one success", true)
+	tripClosed()
 }
 
 // The aggregate statsz merges shard snapshots deterministically: two
@@ -508,13 +640,8 @@ func TestNoLiveShardsIsExplicitRefusal(t *testing.T) {
 	if r := resp.Results[0]; !r.Shed || r.Taxonomy != "unroutable" {
 		t.Fatalf("result = %+v, want unroutable shed", r)
 	}
-	hc, err := http.Get(front.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc.Body.Close()
-	if hc.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with zero live shards = %d, want 503", hc.StatusCode)
+	if code := getHealthz(t, front); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with zero live shards = %d, want 503", code)
 	}
 
 	// Recovery: shards report healthy again, traffic flows.
