@@ -8,24 +8,27 @@ GO_LDFLAGS := -ldflags '-X vcsched/internal/version.Version=$(VERSION)'
 
 .PHONY: check build vet test race bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo-short
 
-# check is the tier-1 gate (see ROADMAP.md): vet (gofmt included),
-# build, the full test suite under the race detector (the fault-
-# injection, chaos, watchdog, breaker and client suites among it, each
-# run once), the env-armed fault CLI run, the scheduling-service and
-# sharded-fleet smoke runs, and the SLO scenario suite (chaos scenarios
-# included) checked against its golden document. Everything must be green
-# before a change lands.
+# check is the tier-1 gate (see ROADMAP.md): vet (the benchmark module
+# and gofmt included), build, the full test suite under the race
+# detector (the fault-injection, chaos, watchdog, breaker and client
+# suites among it, each run once), the env-armed fault CLI run, the
+# scheduling-service and sharded-fleet smoke runs, and the SLO scenario
+# suite (chaos scenarios included) checked against its golden document.
+# Everything must be green before a change lands.
 check: vet build race faults service-smoke fleet-smoke slo-short
 
 build:
 	$(GO) build $(GO_LDFLAGS) ./...
 
-# vet also fails on any file gofmt would change, in every package of
-# the root module (perfbench is a separate module and stays out).
-# Files are listed per package directory because gofmt recurses into
-# a directory argument, and the root directory holds everything.
+# vet also vets the benchmark module (perfbench is a separate module,
+# so ./... skips it, and a deleted API it still reads would otherwise
+# break only the benchmark run), and fails on any file gofmt would
+# change, in every package of the root module. Files are listed per
+# package directory because gofmt recurses into a directory argument,
+# and the root directory holds everything.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@unformatted="$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do gofmt -l "$$d"/*.go; done)"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 

@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 10, 11, 12, baselines or all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 10, 11, 12 or all")
 	scale := flag.Float64("scale", 0.5, "corpus scale factor (1.0 = paper-sized run)")
 	seed := flag.Int64("seed", 1, "live-in/live-out pin seed")
 	workers := flag.Int("workers", 0, "parallel scheduling workers (0 = NumCPU)")
@@ -34,6 +34,12 @@ func main() {
 	if *showVersion {
 		fmt.Println("experiments", version.String())
 		return
+	}
+	switch *fig {
+	case "10", "11", "12", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "experiments: unknown -fig %q (want 10, 11, 12 or all)\n", *fig)
+		os.Exit(2)
 	}
 
 	var w io.Writer = os.Stdout
@@ -72,12 +78,6 @@ func main() {
 	}
 	if *fig == "all" || *fig == "12" {
 		if err := bench.Figure12(w, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *fig == "baselines" {
-		if err := bench.BaselineComparison(w, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -177,21 +177,6 @@ func TestFigureRendering(t *testing.T) {
 	}
 }
 
-func TestBaselineComparison(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Scale = 0.04
-	var sb strings.Builder
-	if err := BaselineComparison(&sb, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"two-phase", "CARS", "VC", "1.0000"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("baseline comparison missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFigure12CrossInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-input sweep is slow")

@@ -29,20 +29,6 @@ import (
 // an error indicates an impossible machine (e.g. a class with no units)
 // or an internal inconsistency.
 func Schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins) (*sched.Schedule, error) {
-	return schedule(sb, m, pins, nil)
-}
-
-// ScheduleFixed list-schedules with a precomputed cluster assignment
-// (assign[u] = cluster of instruction u): the phase-2 engine of the
-// two-phase baseline family. Scheduling freedom is temporal only.
-func ScheduleFixed(sb *ir.Superblock, m *machine.Config, pins sched.Pins, assign []int) (*sched.Schedule, error) {
-	if len(assign) != sb.N() {
-		return nil, fmt.Errorf("cars: assignment covers %d of %d instructions", len(assign), sb.N())
-	}
-	return schedule(sb, m, pins, assign)
-}
-
-func schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int) (*sched.Schedule, error) {
 	// Fault point for exercising the degradation ladder's last rung:
 	// KindPanic panics inside Fire; any other armed kind becomes a
 	// scheduling error.
@@ -70,7 +56,6 @@ func schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins, fixed []int
 		m:        m,
 		out:      sched.New(sb, m, pins),
 		prio:     priorities(sb),
-		fixed:    fixed,
 		fuBusy:   make(map[fuSlot]int),
 		busBusy:  make(map[int]int),
 		commOf:   make(map[int]int),
@@ -91,11 +76,10 @@ type fuSlot struct {
 }
 
 type state struct {
-	sb    *ir.Superblock
-	m     *machine.Config
-	out   *sched.Schedule
-	prio  []float64
-	fixed []int // optional precomputed cluster per instruction
+	sb   *ir.Superblock
+	m    *machine.Config
+	out  *sched.Schedule
+	prio []float64
 
 	fuBusy   map[fuSlot]int
 	busBusy  map[int]int
@@ -217,13 +201,6 @@ type placement struct {
 // and returns the winner by (fewest new comms, lightest cluster load,
 // lowest index).
 func (s *state) bestCluster(u, t int) (int, bool) {
-	if s.fixed != nil {
-		k := s.fixed[u]
-		if _, ok := s.feasibleAt(u, t, k); ok {
-			return k, true
-		}
-		return -1, false
-	}
 	bestK, bestComms, bestLoad := -1, 0, 0
 	for k := 0; k < s.m.Clusters; k++ {
 		pl, ok := s.feasibleAt(u, t, k)

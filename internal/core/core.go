@@ -21,11 +21,12 @@
 //     occupancy rules of the DP).
 //
 // If any stage runs out of alternatives the AWCT value is infeasible:
-// the enumeration bumps the exit vector (by the smallest exit
-// probability whose branch can move without pushing the others) and
-// retries. A deterministic step budget and a wall-clock timeout bound
-// compilation time; on exhaustion the caller is expected to fall back to
-// a list scheduler (the paper uses CARS beyond its thresholds).
+// the enumeration moves on to the next exit vector in AWCT order (a
+// failed vector enqueues every one-cycle move of an exit that pushes no
+// other exit, Section 4.2) and retries. A deterministic step budget
+// and a wall-clock timeout bound compilation time; on exhaustion the
+// caller is expected to fall back to a list scheduler (the paper uses
+// CARS beyond its thresholds).
 package core
 
 import (
@@ -185,7 +186,7 @@ type scheduler struct {
 	deadline time.Time
 	cancel   <-chan struct{} // set on portfolio workers; closed when a sibling wins
 	dist     [][]int
-	tail     []int  // longest completion tail from each node (see bump)
+	tail     []int  // longest completion tail from each node (see bumpCandidates)
 	variant  int    // perturbs candidate order across retries of one AWCT
 	curStage string // pipeline stage currently running (panic context)
 
@@ -360,7 +361,7 @@ func (s *scheduler) checkTime() error {
 	return nil
 }
 
-// exitIndex returns the exits and a lookup from exit id to vector slot.
+// exits returns the block's exits in vector-slot order.
 func (s *scheduler) exits() []int { return s.sb.Exits() }
 
 func (s *scheduler) awctOf(vector []int) float64 {
@@ -511,29 +512,6 @@ func (s *scheduler) bumpSuccessors(vector []int) [][]int {
 		out = append(out, next)
 	}
 	return out
-}
-
-// bump is the paper's single-path rule: among the qualifying exits, the
-// one with the lowest probability moves. The best-first enumeration in
-// Schedule generalizes it; bump documents (and tests) the base rule.
-func (s *scheduler) bump(vector []int) []int {
-	exits := s.exits()
-	best := -1
-	for _, i := range s.bumpCandidates(vector) {
-		if best < 0 || s.sb.Instrs[exits[i]].Prob < s.sb.Instrs[exits[best]].Prob {
-			best = i
-		}
-	}
-	next := append([]int(nil), vector...)
-	next[best]++
-	// Keep the vector dependence-consistent.
-	x := exits[best]
-	for j, z := range exits {
-		if d := s.dist[x][z]; d != ir.NegInf && next[j] < next[best]+d {
-			next[j] = next[best] + d
-		}
-	}
-	return next
 }
 
 // vectorQueue is a small best-first queue of exit-cycle vectors ordered

@@ -41,26 +41,27 @@ func TestRotateAndReverse(t *testing.T) {
 	}
 }
 
+// TestBumpRule checks Section 4.2's rule as the enumeration applies it:
+// every exit that can move one cycle without pushing another exit
+// yields one successor vector.
 func TestBumpRule(t *testing.T) {
 	// Figure 1: exits B0 (prob 0.3) and B1 (prob 0.7), dist(B0,B1) = 1.
 	sb := ir.PaperFigure1()
 	s := newScheduler(sb, machine.PaperExampleSection5(), Options{})
-	// From (4,7): B0 can move (5+1 ≤ 7) and has the lower probability.
-	got := s.bump([]int{4, 7})
-	if !reflect.DeepEqual(got, []int{5, 7}) {
-		t.Errorf("bump(4,7) = %v, want [5 7]", got)
-	}
-	// From (6,7): B0 cannot move without pushing B1, so B1 moves.
-	got = s.bump([]int{6, 7})
-	if !reflect.DeepEqual(got, []int{6, 8}) {
-		t.Errorf("bump(6,7) = %v, want [6 8]", got)
-	}
-	// The vector stays dependence-consistent when the mover drags
-	// later exits: from (4,5), moving B0 to 5 forces B1 to 6 — but the
-	// rule prefers a mover that pushes nobody, so B1 moves instead.
-	got = s.bump([]int{4, 5})
-	if !reflect.DeepEqual(got, []int{4, 6}) {
-		t.Errorf("bump(4,5) = %v, want [4 6]", got)
+	for _, tc := range []struct {
+		from []int
+		want [][]int
+	}{
+		// B0 can move (5+1 ≤ 7); the final exit always can.
+		{[]int{4, 7}, [][]int{{5, 7}, {4, 8}}},
+		// B0 cannot move without pushing B1, so only B1 moves.
+		{[]int{6, 7}, [][]int{{6, 8}}},
+		// Moving B0 to 5 would push B1 to 6, so only B1 moves.
+		{[]int{4, 5}, [][]int{{4, 6}}},
+	} {
+		if got := s.bumpSuccessors(tc.from); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("bumpSuccessors(%v) = %v, want %v", tc.from, got, tc.want)
+		}
 	}
 }
 

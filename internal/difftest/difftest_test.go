@@ -16,8 +16,10 @@ import (
 
 // TestCheckCleanOnKnownBlocks: the harness must report nothing on the
 // paper's worked example and a spread of generated corpus blocks across
-// all three evaluation machines — any violation here is a bug in either
-// the schedulers or the harness itself.
+// all three evaluation machines, and on every one of those blocks on
+// two heterogeneous machines (the paper's §2.1 extension) — any
+// violation here is a bug in either the schedulers or the harness
+// itself.
 func TestCheckCleanOnKnownBlocks(t *testing.T) {
 	machines := machine.EvaluationConfigs()
 	g := NewGen(11, 0)
@@ -25,11 +27,32 @@ func TestCheckCleanOnKnownBlocks(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		blocks = append(blocks, g.Next())
 	}
-	for i, sb := range blocks {
-		m := machines[i%len(machines)]
+	check := func(sb *ir.Superblock, m *machine.Config) {
+		t.Helper()
 		rep := Check(sb, Options{Machine: m})
 		for _, v := range rep.Violations {
 			t.Errorf("%s on %s: %s", sb.Name, m.Name, v)
+		}
+	}
+	for i, sb := range blocks {
+		check(sb, machines[i%len(machines)])
+	}
+
+	// A fat cluster 0 with two int units beside a thin one.
+	fat := machine.TwoCluster1Lat()
+	fat.Name = "2clust 1b 1lat int0x2"
+	fu := fat.FU
+	fu[ir.Int] = 2
+	fat.SetClusterFU(0, fu)
+	// Cluster 1 has no mem or fp units.
+	thin := machine.TwoCluster1Lat()
+	thin.Name = "2clust 1b 1lat nomemfp1"
+	var intOnly [ir.NumClasses]int
+	intOnly[ir.Int], intOnly[ir.Branch] = 1, 1
+	thin.SetClusterFU(1, intOnly)
+	for _, m := range []*machine.Config{fat, thin} {
+		for _, sb := range blocks {
+			check(sb, m)
 		}
 	}
 }

@@ -53,16 +53,6 @@ func (b *Builder) add(in Instr) int {
 	return in.ID
 }
 
-// IsExitID reports whether the given id was created with Exit.
-func (b *Builder) IsExitID(id int) bool {
-	for _, x := range b.exitIDs {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // LiveIn declares a value live on entry consumed by the given
 // instructions.
 func (b *Builder) LiveIn(name string, consumers ...int) *Builder {
