@@ -1,8 +1,9 @@
 // Command vcfuzz runs the differential fuzzing harness of
 // internal/difftest: it generates random superblocks, schedules each
-// with the virtual-cluster scheduler, and cross-checks the result
-// against the static validator, the lockstep simulator, the exhaustive
-// oracle and the parallel portfolio driver, plus metamorphic invariants.
+// with the virtual-cluster scheduler and with the degradation ladder,
+// and cross-checks the results against the static validator, the
+// lockstep simulator, the exhaustive oracle, CARS and the parallel
+// portfolio driver, plus metamorphic invariants.
 // Violations are shrunk to minimal reproducers and written as
 // self-contained .sb files.
 //
@@ -76,6 +77,7 @@ func main() {
 		PinSeed:       *pinSeed,
 		MaxSteps:      *steps,
 		Parallelism:   *parallel,
+		Resilient:     true,
 		OracleLimit:   *oracleLim,
 		ReproDir:      *out,
 		MaxViolations: *maxViol,

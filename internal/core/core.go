@@ -26,7 +26,9 @@
 // other exit, Section 4.2) and retries. A deterministic step budget
 // and a wall-clock timeout bound compilation time; on exhaustion the
 // caller is expected to fall back to a list scheduler (the paper uses
-// CARS beyond its thresholds).
+// CARS beyond its thresholds). A caller that already holds a schedule
+// passes its AWCT as Options.Ceiling, and the enumeration then stops
+// at the first exit vector that cannot beat it.
 package core
 
 import (
@@ -50,6 +52,11 @@ var ErrTimeout = errors.New("core: timeout")
 // gives out.
 var ErrExhausted = errors.New("core: search exhausted")
 
+// ErrNoBetter is returned when the search proves, or reaches, an AWCT
+// at or above Options.Ceiling: no schedule it could still return
+// would beat the caller's.
+var ErrNoBetter = errors.New("core: no schedule below the ceiling")
+
 // Options tunes the scheduler. The zero value selects sensible defaults.
 type Options struct {
 	// Pins assigns live-in/live-out values to clusters (shared with the
@@ -71,6 +78,15 @@ type Options struct {
 	// the serial driver's — only wall-clock time changes; see
 	// portfolio.go for the determinism argument.
 	Parallelism int
+	// Ceiling is the AWCT of a schedule the caller already holds (0 =
+	// none). The search then returns a schedule only if it is strictly
+	// below the ceiling, and ErrNoBetter otherwise: before it builds
+	// anything when the dependence bound reaches the ceiling, right
+	// after the bound probes when the enhanced bound does, and else at
+	// the first exit vector whose AWCT reaches it. Below the ceiling the
+	// search is unchanged, so a schedule it returns is the one the
+	// search without a ceiling returns.
+	Ceiling float64
 	// Trace, when non-nil, receives search progress lines (AWCT
 	// attempts, stage failures) for debugging. With Parallelism > 1 it
 	// is called concurrently from the portfolio workers and must be
@@ -98,6 +114,10 @@ const (
 	// value before bumping it: heuristic dead-ends are order-sensitive,
 	// so rotating the candidate order recovers many feasible AWCTs.
 	retries = 3
+	// awctEps absorbs float rounding when an AWCT is compared with the
+	// ceiling: equal weighted sums over different exit vectors may
+	// differ in their last bits.
+	awctEps = 1e-9
 )
 
 func (o Options) withDefaults() Options {
@@ -209,6 +229,11 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 		opts.MaxSteps = n
 	}
 	start := time.Now()
+	if opts.Ceiling > 0 && opts.Ceiling <= sb.CriticalAWCT()+awctEps {
+		// Not even the dependence bound beats the ceiling: build no SG.
+		stats.Elapsed = time.Since(start)
+		return nil, stats, ErrNoBetter
+	}
 	s := newScheduler(sb, m, opts)
 	if opts.Timeout > 0 {
 		s.deadline = start.Add(opts.Timeout)
@@ -223,9 +248,17 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	ests, err := s.safeExitEsts()
 	if err != nil {
 		stats.Elapsed = time.Since(start)
+		stats.StepsSpent = s.stepsSpent()
 		return nil, stats, s.mapErr(err)
 	}
 	stats.MinAWCT = s.awctOf(ests)
+	if s.reached(stats.MinAWCT) {
+		// The enhanced bound reaches the ceiling: try no vector, and
+		// start no portfolio workers.
+		stats.Elapsed = time.Since(start)
+		stats.StepsSpent = s.stepsSpent()
+		return nil, stats, s.stopErr(true)
+	}
 
 	if opts.Parallelism > 1 {
 		schedule, perr := s.schedulePortfolio(&stats, ests)
@@ -237,18 +270,25 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	// in increasing AWCT order; a failed vector enqueues every
 	// single-exit bump the Section 4.2 rule allows. (A strict
 	// lowest-probability-only path can skip feasible vectors whose bump
-	// coordinate differs from the rule's pick.)
+	// coordinate differs from the rule's pick.) The first vector that
+	// reaches the ceiling ends the search: every later one is no lower.
 	queue := newVectorQueue(s)
 	queue.push(append([]int(nil), ests...))
 	for iter := 0; iter < maxAWCTIters; iter++ {
-		vector, ok := queue.pop()
+		vector, awct, ok := queue.pop()
 		if !ok {
 			break
+		}
+		if s.reached(awct) {
+			stats.Elapsed = time.Since(start)
+			stats.StepsSpent = s.stepsSpent()
+			return nil, stats, s.stopErr(true)
 		}
 		stats.AWCTTried++
 		for v := 0; v < retries; v++ {
 			if err := s.checkTime(); err != nil {
 				stats.Elapsed = time.Since(start)
+				stats.StepsSpent = s.stepsSpent()
 				return nil, stats, err
 			}
 			s.variant = v
@@ -257,7 +297,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 			stats.AttemptsLaunched++
 			rec := Attempt{AWCTIndex: stats.AWCTTried - 1, Variant: v, Steps: s.stepsSpent() - before}
 			if s.opts.Trace != nil {
-				s.opts.Trace("attempt vector=%v awct=%.3f variant=%d err=%v", vector, s.awctOf(vector), v, err)
+				s.opts.Trace("attempt vector=%v awct=%.3f variant=%d err=%v", vector, awct, v, err)
 			}
 			if err == nil {
 				rec.Outcome = AttemptSucceeded
@@ -284,16 +324,26 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	}
 	stats.Elapsed = time.Since(start)
 	stats.StepsSpent = s.stepsSpent()
-	return nil, stats, s.exhaustErr()
+	return nil, stats, s.stopErr(false)
 }
 
-// exhaustErr is the verdict when the AWCT enumeration ends without a
-// schedule. The deadline may have expired between checkTime polls —
+// reached reports whether an AWCT reaches the ceiling, so that nothing
+// at or above it can beat the caller's schedule.
+func (s *scheduler) reached(awct float64) bool {
+	return s.opts.Ceiling > 0 && awct >= s.opts.Ceiling-awctEps
+}
+
+// stopErr is the verdict when the AWCT enumeration ends without a
+// schedule: ErrNoBetter when it stopped at the ceiling, exhaustion
+// otherwise. The deadline may have expired between checkTime polls —
 // e.g. during a stage whose contradictions mask the budget's deadline
-// signal — and an expired deadline is a timeout, never exhaustion.
-func (s *scheduler) exhaustErr() error {
+// signal — and an expired deadline is a timeout, never either of them.
+func (s *scheduler) stopErr(atCeiling bool) error {
 	if err := s.checkTime(); err != nil {
 		return err
+	}
+	if atCeiling {
+		return ErrNoBetter
 	}
 	return fmt.Errorf("%w: no schedule within %d AWCT values", ErrExhausted, maxAWCTIters)
 }
@@ -545,9 +595,10 @@ func (q *vectorQueue) push(v []int) {
 	q.awct = append(q.awct, q.s.awctOf(v))
 }
 
-func (q *vectorQueue) pop() ([]int, bool) {
+// pop removes and returns the lowest-AWCT vector and its AWCT.
+func (q *vectorQueue) pop() ([]int, float64, bool) {
 	if len(q.items) == 0 {
-		return nil, false
+		return nil, 0, false
 	}
 	best := 0
 	for i := 1; i < len(q.items); i++ {
@@ -555,12 +606,12 @@ func (q *vectorQueue) pop() ([]int, bool) {
 			best = i
 		}
 	}
-	v := q.items[best]
+	v, awct := q.items[best], q.awct[best]
 	q.items[best] = q.items[len(q.items)-1]
 	q.items = q.items[:len(q.items)-1]
 	q.awct[best] = q.awct[len(q.awct)-1]
 	q.awct = q.awct[:len(q.awct)-1]
-	return v, true
+	return v, awct, true
 }
 
 // safeAttempt is attempt with panic recovery: a crash anywhere in the

@@ -136,12 +136,17 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
-// TestBudgetFallback: a tiny step budget must abort with ErrExhausted.
+// TestBudgetFallback: a tiny step budget must abort with ErrExhausted,
+// and the stats count the steps the bound probes spent before it ran
+// out.
 func TestBudgetFallback(t *testing.T) {
 	sb := ir.PaperFigure1()
-	_, _, err := Schedule(sb, machine.PaperExampleSection5(), Options{MaxSteps: 3})
+	_, st, err := Schedule(sb, machine.PaperExampleSection5(), Options{MaxSteps: 3})
 	if err == nil || err == ErrTimeout {
 		t.Fatalf("err = %v, want budget exhaustion", err)
+	}
+	if st.StepsSpent < 3 {
+		t.Errorf("StepsSpent = %d after exhausting a 3-step budget", st.StepsSpent)
 	}
 }
 
@@ -228,5 +233,33 @@ func TestDeterminism(t *testing.T) {
 		if s1.Place[i] != s2.Place[i] {
 			t.Errorf("instruction %d placed differently: %+v vs %+v", i, s1.Place[i], s2.Place[i])
 		}
+	}
+}
+
+// TestNoOverlapVariantRescuesBlock: on this block the first two
+// decision orders commit in stage 1 to combinations that the DP
+// refutes only in stage 2, at every exit cycle, so only the third
+// variant, which prefers no-overlap decisions, schedules it (at AWCT
+// 8, the optimum). It is one of the random tiny blocks that
+// internal/oracle's TestSchedulersNeverBeatOracle draws.
+func TestNoOverlapVariantRescuesBlock(t *testing.T) {
+	b := ir.NewBuilder("tiny")
+	m0 := b.Instr("mem0", ir.Mem, 2)
+	m1 := b.Instr("mem1", ir.Mem, 2)
+	i2 := b.Instr("int2", ir.Int, 1)
+	i3 := b.Instr("int3", ir.Int, 1)
+	i4 := b.Instr("int4", ir.Int, 1)
+	x := b.Exit("x", 1, 1.0)
+	b.Data(m0, m1).Data(m1, i2).Data(i2, i3).Data(i2, i4).Data(m0, x).Data(i3, x).Data(i4, x)
+	sb := b.MustFinish()
+	s, st, err := Schedule(sb, machine.TwoCluster1Lat(), Options{})
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	if s.AWCT() != 8 {
+		t.Errorf("AWCT = %g, want 8", s.AWCT())
+	}
+	if won := st.Attempts[len(st.Attempts)-1]; won.Variant != retries-1 {
+		t.Errorf("won by %+v, want the no-overlap variant %d", won, retries-1)
 	}
 }

@@ -125,7 +125,10 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 	queue := newVectorQueue(s)
 	queue.push(append([]int(nil), ests...))
 	var vectors [][]int
-	chainDone := false // the queue ran dry or maxAWCTIters was reached
+	// chainDone: the queue ran dry, maxAWCTIters was reached, or the
+	// next vector reached the ceiling (atCeiling), where the serial
+	// driver stops too.
+	chainDone, atCeiling := false, false
 	extendChain := func() bool {
 		if chainDone || len(vectors) >= maxAWCTIters {
 			chainDone = true
@@ -136,9 +139,9 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 				queue.push(succ)
 			}
 		}
-		v, ok := queue.pop()
-		if !ok {
-			chainDone = true
+		v, awct, ok := queue.pop()
+		if !ok || s.reached(awct) {
+			chainDone, atCeiling = true, ok // ok: a vector was left, at the ceiling
 			return false
 		}
 		vectors = append(vectors, v)
@@ -198,9 +201,10 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 			if seq >= len(vectors) {
 				if chainDone {
 					// Every vector of the complete chain contradicted
-					// within budget: serial exhaustion (or a timeout, if
-					// the deadline expired on the way — exhaustErr checks).
-					return verdict{decided: true, seq: len(vectors) - 1, err: s.exhaustErr()}
+					// within budget: serial exhaustion or a stop at the
+					// ceiling (or a timeout, if the deadline expired on
+					// the way — stopErr checks).
+					return verdict{decided: true, seq: len(vectors) - 1, err: s.stopErr(atCeiling)}
 				}
 				return verdict{}
 			}
@@ -372,5 +376,5 @@ func (s *scheduler) schedulePortfolio(stats *Stats, ests []int) (*sched.Schedule
 		return nil, final.err
 	}
 	stats.AWCTTried = len(vectors)
-	return nil, s.exhaustErr()
+	return nil, s.stopErr(atCeiling)
 }

@@ -23,7 +23,8 @@ func samePlacement(t *testing.T, name string, serial, parallel *scheduleStatsErr
 		if parallel.err == nil {
 			t.Fatalf("%s: serial err=%v, parallel succeeded", name, serial.err)
 		}
-		if errors.Is(serial.err, ErrExhausted) != errors.Is(parallel.err, ErrExhausted) {
+		if errors.Is(serial.err, ErrExhausted) != errors.Is(parallel.err, ErrExhausted) ||
+			errors.Is(serial.err, ErrNoBetter) != errors.Is(parallel.err, ErrNoBetter) {
 			t.Fatalf("%s: serial err=%v, parallel err=%v", name, serial.err, parallel.err)
 		}
 		if serial.stats.AWCTTried != parallel.stats.AWCTTried {

@@ -13,23 +13,29 @@ import (
 // The enumeration verdict must re-check the wall clock: a deadline that
 // expired between checkTime polls (e.g. inside a stage whose
 // contradictions mask the budget's deadline signal) is a timeout, not
-// an exhausted search.
+// an exhausted search or a stop at the ceiling.
 func TestExhaustVerdictHonorsExpiredDeadline(t *testing.T) {
 	sb := largestWorkloadBlock(t)
 	m := machine.TwoCluster1Lat()
 
 	s := newScheduler(sb, m, Options{})
-	if err := s.exhaustErr(); !errors.Is(err, ErrExhausted) {
+	if err := s.stopErr(false); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("no deadline: err = %v, want ErrExhausted", err)
+	}
+	if err := s.stopErr(true); err != ErrNoBetter {
+		t.Fatalf("no deadline, at the ceiling: err = %v, want ErrNoBetter", err)
 	}
 
 	s = newScheduler(sb, m, Options{})
 	s.deadline = time.Now().Add(-time.Second)
-	if err := s.exhaustErr(); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("expired deadline: err = %v, want ErrTimeout", err)
-	}
-	if err := s.exhaustErr(); errors.Is(err, ErrExhausted) {
-		t.Fatal("expired deadline still reported as exhaustion")
+	for _, atCeiling := range []bool{false, true} {
+		err := s.stopErr(atCeiling)
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("expired deadline (at ceiling %v): err = %v, want ErrTimeout", atCeiling, err)
+		}
+		if errors.Is(err, ErrExhausted) || errors.Is(err, ErrNoBetter) {
+			t.Fatalf("expired deadline (at ceiling %v) still reported as %v", atCeiling, err)
+		}
 	}
 }
 

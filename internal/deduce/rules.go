@@ -440,15 +440,30 @@ func (st *State) rulePinnedResources() (bool, error) {
 
 // spreadAcrossClusters handles a set of same-class nodes that certainly
 // issue in the same cycle: more than the machine holds is a
-// contradiction; with single-unit clusters every pair must go to
-// different clusters (their VCs become incompatible — paper Rule 2).
+// contradiction, and so is one virtual cluster holding more of them
+// than the fattest cluster has units (a VC lands on one cluster); with
+// single-unit clusters every pair must go to different clusters (their
+// VCs become incompatible — paper Rule 2).
 func (st *State) spreadAcrossClusters(nodes []int, class ir.Class) (bool, error) {
 	if len(nodes) > st.M.TotalFU(class) {
 		return false, contraf("%d %s instructions forced into one cycle on a machine with %d unit(s)",
 			len(nodes), class, st.M.TotalFU(class))
 	}
-	if st.M.MaxClusterFU(class) != 1 {
-		return false, nil // only the single-unit case yields pairwise facts
+	if fat := st.M.MaxClusterFU(class); fat != 1 {
+		// Multi-unit clusters yield no pairwise facts, only a cap per VC.
+		for _, u := range nodes {
+			same := 0
+			for _, w := range nodes {
+				if st.vc.SameVC(st.vcID(u), st.vcID(w)) {
+					same++
+				}
+			}
+			if same > fat {
+				return false, contraf("%d %s instructions share a cycle and a virtual cluster; no cluster has more than %d %s unit(s)",
+					same, class, fat, class)
+			}
+		}
+		return false, nil
 	}
 	changed := false
 	for i := 0; i < len(nodes); i++ {

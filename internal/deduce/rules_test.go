@@ -345,3 +345,28 @@ func TestNoBusFusesEverything(t *testing.T) {
 		t.Error("bus-less flow not fused")
 	}
 }
+
+// TestVCUnitCapOnFatCluster: a virtual cluster lands on one cluster, so
+// it cannot issue more same-class instructions in one cycle than the
+// fattest cluster has units, even when the machine as a whole can.
+func TestVCUnitCapOnFatCluster(t *testing.T) {
+	b := ir.NewBuilder("fat")
+	a := b.Instr("a", ir.Int, 1)
+	c := b.Instr("b", ir.Int, 1)
+	d := b.Instr("c", ir.Int, 1)
+	x := b.Exit("x", 1, 1.0)
+	sb := b.MustFinish()
+	m := machine.TwoCluster1Lat()
+	fu := m.FU
+	fu[ir.Int] = 2
+	m.SetClusterFU(0, fu) // 3 int units in all, at most 2 on a cluster
+	// The exit at cycle 0 ends the region at 1: all three issue at 0.
+	st := mk(t, sb, m, map[int]int{x: 0}, sched.Pins{})
+	if err := st.FuseVC(a, c); err != nil {
+		t.Fatalf("two co-issued ints on one VC refused: %v", err)
+	}
+	err := st.FuseVC(c, d)
+	if err == nil || !IsContradiction(err) {
+		t.Fatalf("three co-issued ints on one VC with at most 2 int units per cluster: err %v, want a contradiction", err)
+	}
+}

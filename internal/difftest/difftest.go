@@ -59,6 +59,7 @@ const (
 	KindCARSValidate   = "cars-validate"   // baseline schedule fails the validator
 	KindCARSSim        = "cars-sim"        // baseline schedule fails the simulator
 	KindCARSOracle     = "cars-oracle"     // baseline beats the exhaustive optimum
+	KindCARSBound      = "cars-bound"      // baseline beats a proven lower bound
 
 	KindTrailClone = "trail-clone" // trail-based speculation diverged from the Clone-based oracle
 	KindBitsetRef  = "bitset-ref"  // bitset combination sets diverged from the recomputed reference
@@ -66,6 +67,7 @@ const (
 	KindResilient         = "resilient"          // degradation ladder hard-failed or reported an inconsistent outcome
 	KindResilientValidate = "resilient-validate" // resilient schedule fails the validator
 	KindResilientOracle   = "resilient-oracle"   // resilient schedule beats the exhaustive optimum
+	KindResilientCARS     = "resilient-cars"     // ladder delivered other than the better of CARS and the search
 )
 
 // Violation is one cross-check failure.
@@ -99,8 +101,8 @@ type Options struct {
 	// (internal/resilient) on the block and cross-checks it: whatever
 	// tier produced the result must be Validate-clean, consistent with
 	// its own Outcome record, never better than the exhaustive optimum,
-	// and — when the pipeline reports tier "sg" — bit-identical to the
-	// serial core driver.
+	// never worse than CARS, and — when the pipeline reports tier "sg"
+	// — bit-identical to the serial core driver.
 	Resilient bool
 	// CorruptVC, when non-nil, is applied to the VC schedule between
 	// scheduling and cross-checking. It exists for fault injection: tests
@@ -150,7 +152,8 @@ func (r *Report) violate(kind, format string, args ...any) {
 }
 
 // errClass folds an error into the equivalence the serial-vs-parallel
-// identity is stated over: success, exhaustion, timeout, or other.
+// identity is stated over: success, exhaustion, timeout, a stop at the
+// ceiling, or other.
 func errClass(err error) string {
 	switch {
 	case err == nil:
@@ -159,8 +162,40 @@ func errClass(err error) string {
 		return "exhausted"
 	case errors.Is(err, core.ErrTimeout):
 		return "timeout"
+	case errors.Is(err, core.ErrNoBetter):
+		return "no-better"
 	}
 	return "error: " + err.Error()
+}
+
+// checkSerialParallel runs the portfolio driver with the options of a
+// serial run and holds it to that run's result: the same error class
+// and, on success, the same rendered bytes; on failure, the same
+// enumeration depth (the portfolio's determinism claim). what names
+// the run in violations.
+func checkSerialParallel(rep *Report, what string, opts core.Options, vc *sched.Schedule, stats core.Stats, err error) {
+	par := opts
+	par.Parallelism = rep.Opts.Parallelism
+	pvc, pstats, perr := core.Schedule(rep.SB, rep.Opts.Machine, par)
+	switch {
+	case errClass(err) != errClass(perr):
+		rep.violate(KindSerialParallel, "%s: serial %s vs parallel %s", what, errClass(err), errClass(perr))
+	case err == nil:
+		var sbuf, pbuf bytes.Buffer
+		if werr := vc.WriteText(&sbuf); werr != nil {
+			rep.violate(KindSerialParallel, "%s: serial WriteText: %v", what, werr)
+		}
+		if werr := pvc.WriteText(&pbuf); werr != nil {
+			rep.violate(KindSerialParallel, "%s: parallel WriteText: %v", what, werr)
+		}
+		if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
+			rep.violate(KindSerialParallel, "%s: rendered schedules differ:\nserial:\n%sparallel:\n%s",
+				what, sbuf.String(), pbuf.String())
+		}
+	case stats.AWCTTried != pstats.AWCTTried:
+		rep.violate(KindSerialParallel, "%s: failing AWCTTried %d serial vs %d parallel",
+			what, stats.AWCTTried, pstats.AWCTTried)
+	}
 }
 
 // Check schedules the superblock and runs every cross-check that applies.
@@ -178,29 +213,39 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	vc, stats, err := core.Schedule(sb, m, base)
 	rep.VC, rep.VCErr = vc, err
 
-	// (d) serial vs parallel portfolio: the rendered bytes and the error
-	// class must be identical (PR 1's determinism claim).
+	// The baseline checks run regardless of the VC outcome: CARS always
+	// succeeds, and its schedule must satisfy validator and simulator,
+	// and respect both lower bounds the search's ceiling exits trust.
+	cs, cerr := cars.Schedule(sb, m, pins)
+	if cerr != nil {
+		rep.violate(KindCARSValidate, "cars refused a valid superblock: %v", cerr)
+		cs = nil
+	}
+	if cs != nil {
+		if verr := cs.Validate(); verr != nil {
+			rep.violate(KindCARSValidate, "%v", verr)
+		} else if got, serr := sim.ExpectedCycles(cs); serr != nil {
+			rep.violate(KindCARSSim, "%v", serr)
+		} else if math.Abs(got-cs.AWCT()) > eps {
+			rep.violate(KindCARSSim, "simulated %g vs AWCT %g", got, cs.AWCT())
+		}
+		if cs.AWCT() < sb.CriticalAWCT()-eps {
+			rep.violate(KindCARSBound, "CARS AWCT %g beats dependence bound %g", cs.AWCT(), sb.CriticalAWCT())
+		}
+		if cs.AWCT() < stats.MinAWCT-eps {
+			rep.violate(KindCARSBound, "CARS AWCT %g beats enhanced lower bound %g", cs.AWCT(), stats.MinAWCT)
+		}
+	}
+
+	// (d) serial vs parallel portfolio, without a ceiling and with
+	// CARS's AWCT as the ceiling, as the ladder runs the search.
 	if opts.Parallelism > 1 {
-		par := base
-		par.Parallelism = opts.Parallelism
-		pvc, pstats, perr := core.Schedule(sb, m, par)
-		if errClass(err) != errClass(perr) {
-			rep.violate(KindSerialParallel, "serial %s vs parallel %s", errClass(err), errClass(perr))
-		} else if err == nil {
-			var sbuf, pbuf bytes.Buffer
-			if werr := vc.WriteText(&sbuf); werr != nil {
-				rep.violate(KindSerialParallel, "serial WriteText: %v", werr)
-			}
-			if werr := pvc.WriteText(&pbuf); werr != nil {
-				rep.violate(KindSerialParallel, "parallel WriteText: %v", werr)
-			}
-			if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
-				rep.violate(KindSerialParallel, "rendered schedules differ:\nserial:\n%sparallel:\n%s",
-					sbuf.String(), pbuf.String())
-			}
-		} else if stats.AWCTTried != pstats.AWCTTried {
-			rep.violate(KindSerialParallel, "failing AWCTTried %d serial vs %d parallel",
-				stats.AWCTTried, pstats.AWCTTried)
+		checkSerialParallel(rep, "no ceiling", base, vc, stats, err)
+		if cs != nil {
+			capped := base
+			capped.Ceiling = cs.AWCT()
+			capVC, capStats, capErr := core.Schedule(sb, m, capped)
+			checkSerialParallel(rep, "ceiling", capped, capVC, capStats, capErr)
 		}
 	}
 
@@ -218,23 +263,6 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	if !faultpoint.Enabled() {
 		checkTrailClone(rep)
 		checkBitsetRef(rep)
-	}
-
-	// The baseline checks run regardless of the VC outcome: CARS always
-	// succeeds, and its schedule must satisfy validator and simulator.
-	cs, cerr := cars.Schedule(sb, m, pins)
-	if cerr != nil {
-		rep.violate(KindCARSValidate, "cars refused a valid superblock: %v", cerr)
-		cs = nil
-	}
-	if cs != nil {
-		if verr := cs.Validate(); verr != nil {
-			rep.violate(KindCARSValidate, "%v", verr)
-		} else if got, serr := sim.ExpectedCycles(cs); serr != nil {
-			rep.violate(KindCARSSim, "%v", serr)
-		} else if math.Abs(got-cs.AWCT()) > eps {
-			rep.violate(KindCARSSim, "simulated %g vs AWCT %g", got, cs.AWCT())
-		}
 	}
 
 	// (c) exhaustive oracle on tiny blocks: nothing may beat it. The
@@ -256,8 +284,8 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 
 	// (e) degradation ladder: the resilient pipeline may fall back to a
 	// weaker tier, but whatever it returns must still clear every
-	// correctness oracle, and its tier-1 claim must be the serial core
-	// result byte for byte.
+	// correctness oracle, it must never be worse than CARS, and its
+	// tier-sg claim must be the serial core result byte for byte.
 	if opts.Resilient {
 		rs, rout, rerr := resilient.Schedule(sb, m, resilient.Options{Core: base})
 		switch {
@@ -278,6 +306,16 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 			if opt != nil && rs.AWCT() < opt.AWCT()-eps {
 				rep.violate(KindResilientOracle, "tier %s AWCT %g beats exhaustive optimum %g",
 					rout.Tier, rs.AWCT(), opt.AWCT())
+			}
+			if cs != nil && rs.AWCT() > cs.AWCT()+eps {
+				rep.violate(KindResilientCARS, "tier %s AWCT %g is worse than CARS's %g", rout.Tier, rs.AWCT(), cs.AWCT())
+			}
+			// With no faults armed, the ladder's search repeats the serial
+			// core run up to CARS's AWCT, so a serial schedule below CARS
+			// must be what the ladder delivers.
+			if cs != nil && err == nil && vc.AWCT() < cs.AWCT()-eps && rout.Tier != resilient.TierSG && !faultpoint.Enabled() {
+				rep.violate(KindResilientCARS, "tier %s (reason %s) kept AWCT %g, the search finds %g",
+					rout.Tier, rout.Reason, rs.AWCT(), vc.AWCT())
 			}
 			if rout.Tier == resilient.TierSG {
 				if err != nil {

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"vcsched/internal/core"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/sched"
+	"vcsched/internal/workload"
 )
 
 // TestCheckCleanOnKnownBlocks: the harness must report nothing on the
@@ -38,12 +41,7 @@ func TestCheckCleanOnKnownBlocks(t *testing.T) {
 		check(sb, machines[i%len(machines)])
 	}
 
-	// A fat cluster 0 with two int units beside a thin one.
-	fat := machine.TwoCluster1Lat()
-	fat.Name = "2clust 1b 1lat int0x2"
-	fu := fat.FU
-	fu[ir.Int] = 2
-	fat.SetClusterFU(0, fu)
+	fat := fatInt0()
 	// Cluster 1 has no mem or fp units.
 	thin := machine.TwoCluster1Lat()
 	thin.Name = "2clust 1b 1lat nomemfp1"
@@ -54,6 +52,46 @@ func TestCheckCleanOnKnownBlocks(t *testing.T) {
 		for _, sb := range blocks {
 			check(sb, m)
 		}
+	}
+}
+
+// fatInt0 is 2c1l with a fat cluster 0, two int units beside a thin
+// cluster 1.
+func fatInt0() *machine.Config {
+	fat := machine.TwoCluster1Lat()
+	fat.Name = "2clust 1b 1lat int0x2"
+	fu := fat.FU
+	fu[ir.Int] = 2
+	fat.SetClusterFU(0, fu)
+	return fat
+}
+
+// TestFatClusterMatchesPlainMachine: every 2c1l schedule is valid on
+// the fat machine, and on 130.li.sb0140 (pin seed 0, 20,000 steps) the
+// search finds one as good, AWCT 8.544, in 257 steps. It depends on the
+// rule that a virtual cluster holds no more co-issued ints than the
+// fattest cluster has units; without it the search settled for 10.022.
+func TestFatClusterMatchesPlainMachine(t *testing.T) {
+	g := NewGen(11, 0)
+	var sb *ir.Superblock
+	for i := 0; i < 9 && (sb == nil || sb.Name != "130.li.sb0140"); i++ {
+		sb = g.Next()
+	}
+	if sb.Name != "130.li.sb0140" {
+		t.Fatalf("generator seed 11 no longer draws 130.li.sb0140 among its first 9 blocks")
+	}
+	opts := core.Options{Pins: workload.PinsFor(sb, 2, 0), MaxSteps: 20000}
+	plain, _, err := core.Schedule(sb, machine.TwoCluster1Lat(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, st, err := core.Schedule(sb, fatInt0(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(s.AWCT()-8.544) > eps || math.Abs(plain.AWCT()-8.544) > eps || st.StepsSpent != 257 {
+		t.Errorf("fat machine: AWCT %.3f in %d steps, plain 2c1l %.3f; want 8.544 in 257 steps on both",
+			s.AWCT(), st.StepsSpent, plain.AWCT())
 	}
 }
 

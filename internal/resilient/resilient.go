@@ -1,29 +1,35 @@
 // Package resilient wraps the SG scheduler in a supervised per-block
-// pipeline with an explicit degradation ladder — the paper's protocol
-// (SG search up to a threshold, then CARS) plus a last resort:
+// pipeline with an explicit degradation ladder. The paper runs CARS
+// only as the fallback past its compile-time thresholds; here CARS,
+// which does no search and takes microseconds, runs first and is the
+// incumbent the search has to beat:
 //
-//	sg     one SG search (core.Schedule, exactly as configured); it
-//	       ends at its step budget or at the caller's Timeout;
-//	cars   the CARS list scheduler (the paper's own fallback beyond
-//	       its thresholds);
+//	cars   the CARS list scheduler; its AWCT becomes the search's
+//	       ceiling (core.Options.Ceiling);
+//	sg     one SG search (core.Schedule as configured, plus that
+//	       ceiling); it ends at its step budget, at the caller's
+//	       Timeout, or as soon as it cannot beat CARS, and its schedule
+//	       is delivered only when its AWCT is strictly below CARS's;
 //	naive  a single-home serialization that cannot fail for any
-//	       schedulable input (see naive.go).
+//	       schedulable input (see naive.go), for blocks where CARS and
+//	       the search both fail.
 //
-// Each block gets exactly one SG search, so the search stops at the
-// caller's deadline; only the CARS and naive passes, which do no
-// search, run after it.
+// If CARS fails, the search runs with no ceiling. Each block gets
+// exactly one SG search, so the search stops at the caller's deadline.
 //
 // Every tier's output is re-checked through sched.Validate before it
 // is accepted — an invalid schedule demotes to the next tier instead
 // of escaping — and every tier runs under panic recovery, so one
 // broken block degrades gracefully instead of killing a batch run or
 // a portfolio worker pool. The Outcome record says which tier
-// produced the schedule, what every earlier attempt died of, and how
-// long each took.
+// produced the schedule, why CARS was kept when it was, what every
+// attempt died of, and how long each took.
 //
-// With no faults injected and a healthy scheduler, the SG tier succeeds
-// and the pipeline's output is bit-identical to calling core.Schedule
-// directly: the ladder adds no perturbation to the happy path.
+// With no faults injected, a schedule the ladder delivers from the sg
+// tier is bit-identical to calling core.Schedule directly with no
+// ceiling: the ceiling only ends the search early, it never changes
+// what the search finds below it. The ladder delivers the sg tier
+// exactly when that schedule beats CARS.
 package resilient
 
 import (
@@ -74,10 +80,68 @@ func (t Tier) String() string {
 	return "unknown"
 }
 
+// Reason says why the ladder delivered CARS's schedule.
+type Reason uint8
+
+const (
+	// ReasonNone: CARS's schedule was not delivered.
+	ReasonNone Reason = iota
+	// ReasonAtBound: a lower bound already reached CARS's AWCT, so the
+	// search tried no exit vector; CARS's schedule is optimal.
+	ReasonAtBound
+	// ReasonAtCeiling: the search tried exit vectors and reached CARS's
+	// AWCT without a schedule below it.
+	ReasonAtCeiling
+	// ReasonExhausted: the step budget or the AWCT enumeration ran out.
+	ReasonExhausted
+	// ReasonTimeout: the caller's deadline passed during the search.
+	ReasonTimeout
+	// ReasonSGError: the search panicked, failed on an internal error,
+	// or returned an invalid schedule.
+	ReasonSGError
+)
+
+func (r Reason) String() string {
+	switch r {
+	case ReasonNone:
+		return "none"
+	case ReasonAtBound:
+		return "at-bound"
+	case ReasonAtCeiling:
+		return "at-ceiling"
+	case ReasonExhausted:
+		return "exhausted"
+	case ReasonTimeout:
+		return "timeout"
+	case ReasonSGError:
+		return "sg-error"
+	}
+	return "unknown"
+}
+
+// reasonOf classifies why a search under CARS's ceiling did not
+// deliver: err is its error (nil only if it returned a schedule that
+// does not beat CARS, which the ceiling rules out).
+func reasonOf(err error, stats *core.Stats) Reason {
+	switch {
+	case errors.Is(err, core.ErrNoBetter):
+		if stats.AWCTTried == 0 {
+			return ReasonAtBound
+		}
+		return ReasonAtCeiling
+	case errors.Is(err, core.ErrTimeout):
+		return ReasonTimeout
+	case errors.Is(err, core.ErrExhausted):
+		return ReasonExhausted
+	}
+	return ReasonSGError
+}
+
 // Options configures the pipeline.
 type Options struct {
-	// Core is handed to the SG scheduler unchanged; its Pins also pin
-	// the CARS and naive passes.
+	// Core is handed to the SG scheduler, with Ceiling set to CARS's
+	// AWCT (0 when CARS fails); its Pins also pin the CARS and naive
+	// passes.
 	Core core.Options
 }
 
@@ -93,16 +157,22 @@ type TierAttempt struct {
 type Outcome struct {
 	Block    string
 	Tier     Tier    // tier that produced the schedule; TierNone = hard failure
+	Reason   Reason  // why CARS was delivered; ReasonNone unless Tier == TierCARS
 	AWCT     float64 // of the accepted schedule
 	Elapsed  time.Duration
 	Attempts []TierAttempt
 	SGStats  *core.Stats // stats of the accepted SG run, else nil
 }
 
-// String renders a one-line report: tier, AWCT, attempts.
+// String renders a one-line report: tier (with the reason when it is
+// CARS), AWCT, then one line per failed attempt.
 func (o *Outcome) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: tier=%s awct=%.3f elapsed=%v", o.Block, o.Tier, o.AWCT, o.Elapsed.Round(time.Microsecond))
+	fmt.Fprintf(&b, "%s: tier=%s", o.Block, o.Tier)
+	if o.Reason != ReasonNone {
+		fmt.Fprintf(&b, " reason=%s", o.Reason)
+	}
+	fmt.Fprintf(&b, " awct=%.3f elapsed=%v", o.AWCT, o.Elapsed.Round(time.Microsecond))
 	for _, a := range o.Attempts {
 		if a.Err != "" {
 			fmt.Fprintf(&b, "\n  %s: %s", a.Tier, a.Err)
@@ -127,8 +197,8 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 		return s, out, nil
 	}
 	// try runs one rung under panic recovery and validates its output.
-	// It returns the schedule to accept, or records why the rung failed.
-	try := func(tier Tier, run func() (*sched.Schedule, error)) *sched.Schedule {
+	// It returns the schedule to accept, or nil and why the rung failed.
+	try := func(tier Tier, run func() (*sched.Schedule, error)) (*sched.Schedule, error) {
 		att := TierAttempt{Tier: tier}
 		t0 := time.Now()
 		s, err := func() (s *sched.Schedule, err error) {
@@ -153,31 +223,36 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 			att.Panic = errors.As(err, &pe)
 		}
 		out.Attempts = append(out.Attempts, att)
-		if err != nil {
-			return nil
-		}
-		return s
+		return s, err
 	}
-	// The SG scheduler as configured: one search, bounded by the step
-	// budget and the caller's Timeout.
+	// CARS, the incumbent.
+	carsSched, _ := try(TierCARS, func() (*sched.Schedule, error) {
+		return cars.Schedule(sb, m, opts.Core.Pins)
+	})
+
+	// One SG search, bounded by the step budget and the caller's
+	// Timeout, that stops as soon as it cannot beat CARS.
+	copts := opts.Core
+	copts.Ceiling = 0
+	if carsSched != nil {
+		copts.Ceiling = carsSched.AWCT()
+	}
 	var sgStats core.Stats
-	if s := try(TierSG, func() (*sched.Schedule, error) {
-		s, stats, err := core.Schedule(sb, m, opts.Core)
+	s, err := try(TierSG, func() (*sched.Schedule, error) {
+		s, stats, err := core.Schedule(sb, m, copts)
 		sgStats = stats
 		return s, err
-	}); s != nil {
+	})
+	if s != nil && (carsSched == nil || s.AWCT() < carsSched.AWCT()) {
 		return accept(TierSG, s, &sgStats)
 	}
-
-	// CARS, the paper's fallback.
-	if s := try(TierCARS, func() (*sched.Schedule, error) {
-		return cars.Schedule(sb, m, opts.Core.Pins)
-	}); s != nil {
-		return accept(TierCARS, s, nil)
+	if carsSched != nil {
+		out.Reason = reasonOf(err, &sgStats)
+		return accept(TierCARS, carsSched, nil)
 	}
 
 	// The serialization that cannot fail for schedulable inputs.
-	if s := try(TierNaive, func() (*sched.Schedule, error) {
+	if s, _ := try(TierNaive, func() (*sched.Schedule, error) {
 		return naiveSchedule(sb, m, opts.Core.Pins)
 	}); s != nil {
 		return accept(TierNaive, s, nil)

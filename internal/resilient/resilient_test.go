@@ -6,73 +6,123 @@ import (
 	"testing"
 	"time"
 
+	"vcsched/internal/cars"
 	"vcsched/internal/core"
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
+	"vcsched/internal/sched"
 	"vcsched/internal/workload"
 )
 
-// With no faults armed, tier 1 is core.Schedule verbatim: the pipeline
-// must return a bit-identical schedule.
+// beatsCARS is 124.m88ksim.sb0001, a block on which the search beats
+// CARS on 2c1l with pin seed 1: CARS reaches AWCT 4.486, the search
+// 3.743, which is its enhanced bound.
+func beatsCARS(t *testing.T) *ir.Superblock {
+	t.Helper()
+	p, err := workload.BenchmarkByName("124.m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.GenerateBlock(1, 0)
+}
+
+func writeText(t *testing.T, s *sched.Schedule) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// With no faults armed the ladder delivers the better of CARS and the
+// search, byte for byte: the search's schedule, identical to
+// core.Schedule without a ceiling, exactly when it beats CARS, and
+// CARS's schedule otherwise. The paper's Figure 1 ties CARS at 9.400
+// after the search refutes 9.1, so it gets CARS at the ceiling.
 func TestTier1BitIdenticalToCore(t *testing.T) {
 	faultpoint.Reset()
 	m := machine.TwoCluster1Lat()
-	for _, sb := range []*ir.Superblock{ir.PaperFigure1(), ir.Diamond(), ir.Straight(12)} {
+	for _, c := range []struct {
+		sb     *ir.Superblock
+		tier   Tier
+		reason Reason
+	}{
+		{beatsCARS(t), TierSG, ReasonNone},
+		{ir.PaperFigure1(), TierCARS, ReasonAtCeiling},
+		{ir.Diamond(), TierCARS, ReasonAtBound},
+		{ir.Straight(12), TierCARS, ReasonAtBound},
+	} {
+		sb := c.sb
 		pins := workload.PinsFor(sb, m.Clusters, 1)
 		opts := core.Options{Pins: pins}
 
-		want, _, err := core.Schedule(sb, m, opts)
+		vc, _, err := core.Schedule(sb, m, opts)
 		if err != nil {
 			t.Fatalf("core on %s: %v", sb.Name, err)
+		}
+		cs, err := cars.Schedule(sb, m, pins)
+		if err != nil {
+			t.Fatalf("cars on %s: %v", sb.Name, err)
 		}
 		got, out, err := Schedule(sb, m, Options{Core: opts})
 		if err != nil {
 			t.Fatalf("resilient on %s: %v", sb.Name, err)
 		}
-		if out.Tier != TierSG {
-			t.Fatalf("%s: tier = %s, want sg", sb.Name, out.Tier)
+		if out.Tier != c.tier || out.Reason != c.reason {
+			t.Fatalf("%s: tier %s reason %s, want %s %s\n%s", sb.Name, out.Tier, out.Reason, c.tier, c.reason, out)
+		}
+		want := cs
+		if c.tier == TierSG {
+			want = vc
+		}
+		if (vc.AWCT() < cs.AWCT()) != (c.tier == TierSG) {
+			t.Errorf("%s: core AWCT %.3f, CARS %.3f, but the ladder delivered %s", sb.Name, vc.AWCT(), cs.AWCT(), out.Tier)
 		}
 		if out.AWCT != got.AWCT() {
 			t.Errorf("%s: outcome AWCT %.3f != schedule AWCT %.3f", sb.Name, out.AWCT, got.AWCT())
 		}
-		var wb, gb bytes.Buffer
-		if err := want.WriteText(&wb); err != nil {
-			t.Fatal(err)
+		if wb, gb := writeText(t, want), writeText(t, got); !bytes.Equal(wb, gb) {
+			t.Errorf("%s: ladder schedule differs from %s's:\n--- %s\n%s--- resilient\n%s",
+				sb.Name, c.tier, c.tier, wb, gb)
 		}
-		if err := got.WriteText(&gb); err != nil {
-			t.Fatal(err)
+		if got, want := attemptTiers(out), []Tier{TierCARS, TierSG}; !slices.Equal(got, want) {
+			t.Errorf("%s: attempts %v, want %v", sb.Name, got, want)
 		}
-		if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-			t.Errorf("%s: resilient tier-1 schedule differs from core.Schedule:\n--- core\n%s--- resilient\n%s",
-				sb.Name, wb.String(), gb.String())
-		}
-		if len(out.Attempts) != 1 || out.Attempts[0].Err != "" {
-			t.Errorf("%s: attempts = %+v, want one clean tier-1 record", sb.Name, out.Attempts)
+		if c.tier == TierSG {
+			for _, a := range out.Attempts {
+				if a.Err != "" {
+					t.Errorf("%s: attempt %+v failed on a block the search wins", sb.Name, a)
+				}
+			}
 		}
 	}
 }
 
 // A panic injected into the stage loop must surface as a recovered
-// PanicError on the SG tier and demote the block to CARS — never kill
+// PanicError on the SG tier and leave the block to CARS — never kill
 // the process.
 func TestPanicFaultDegradesToCARS(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindPanic})
 
-	sb := ir.PaperFigure1()
+	sb := beatsCARS(t)
 	m := machine.TwoCluster1Lat()
 	pins := workload.PinsFor(sb, m.Clusters, 1)
 	s, out, err := Schedule(sb, m, Options{Core: core.Options{Pins: pins}})
 	if err != nil {
 		t.Fatalf("pipeline failed outright: %v", err)
 	}
-	if out.Tier != TierCARS {
-		t.Fatalf("tier = %s, want cars\n%s", out.Tier, out)
+	if out.Tier != TierCARS || out.Reason != ReasonSGError {
+		t.Fatalf("tier %s reason %s, want cars sg-error\n%s", out.Tier, out.Reason, out)
 	}
-	if !out.Attempts[0].Panic {
-		t.Errorf("tier-1 attempt not marked as panicked: %+v", out.Attempts[0])
+	if got, want := attemptTiers(out), []Tier{TierCARS, TierSG}; !slices.Equal(got, want) {
+		t.Fatalf("attempts %v, want %v\n%s", got, want, out)
+	}
+	if !out.Attempts[1].Panic {
+		t.Errorf("SG attempt not marked as panicked: %+v", out.Attempts[1])
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("accepted schedule invalid: %v", err)
@@ -88,25 +138,30 @@ func attemptTiers(out *Outcome) []Tier {
 	return tiers
 }
 
-// Spurious contradictions on every propagation make the SG search
-// exhaust; the ladder must go straight to CARS, with one SG attempt.
+// Spurious contradictions on every propagation refute every exit cycle
+// the bound probes try, so the enhanced bound climbs past CARS's AWCT
+// and the search stops there; the ladder must keep CARS, with one SG
+// attempt.
 func TestContradictionFaultDegradesToCARS(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	faultpoint.Arm("deduce.propagate", faultpoint.Fault{Kind: faultpoint.KindContra})
 
-	sb := ir.Diamond()
+	sb := beatsCARS(t)
 	m := machine.TwoCluster1Lat()
 	pins := workload.PinsFor(sb, m.Clusters, 1)
 	s, out, err := Schedule(sb, m, Options{Core: core.Options{Pins: pins}})
 	if err != nil {
 		t.Fatalf("pipeline failed outright: %v", err)
 	}
-	if out.Tier != TierCARS {
-		t.Fatalf("tier = %s, want cars\n%s", out.Tier, out)
+	if out.Tier != TierCARS || out.Reason != ReasonAtBound {
+		t.Fatalf("tier %s reason %s, want cars at-bound\n%s", out.Tier, out.Reason, out)
 	}
-	if got, want := attemptTiers(out), []Tier{TierSG, TierCARS}; !slices.Equal(got, want) {
+	if got, want := attemptTiers(out), []Tier{TierCARS, TierSG}; !slices.Equal(got, want) {
 		t.Errorf("attempts %v, want %v\n%s", got, want, out)
+	}
+	if got := out.Attempts[1].Err; got != core.ErrNoBetter.Error() {
+		t.Errorf("sg attempt error %q, want %q", got, core.ErrNoBetter)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("accepted schedule invalid: %v", err)
@@ -114,23 +169,23 @@ func TestContradictionFaultDegradesToCARS(t *testing.T) {
 }
 
 // The caller's Timeout bounds the only SG search: once it has passed,
-// the ladder falls straight to CARS instead of searching on.
+// the search stops and the ladder keeps CARS instead of searching on.
 func TestTimeoutFallsStraightToCARS(t *testing.T) {
 	faultpoint.Reset()
-	sb := ir.Diamond()
+	sb := beatsCARS(t)
 	m := machine.TwoCluster1Lat()
 	pins := workload.PinsFor(sb, m.Clusters, 1)
 	s, out, err := Schedule(sb, m, Options{Core: core.Options{Pins: pins, Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatalf("pipeline failed outright: %v", err)
 	}
-	if out.Tier != TierCARS {
-		t.Fatalf("tier = %s, want cars\n%s", out.Tier, out)
+	if out.Tier != TierCARS || out.Reason != ReasonTimeout {
+		t.Fatalf("tier %s reason %s, want cars timeout\n%s", out.Tier, out.Reason, out)
 	}
-	if got, want := attemptTiers(out), []Tier{TierSG, TierCARS}; !slices.Equal(got, want) {
+	if got, want := attemptTiers(out), []Tier{TierCARS, TierSG}; !slices.Equal(got, want) {
 		t.Fatalf("attempts %v, want %v\n%s", got, want, out)
 	}
-	if got := out.Attempts[0].Err; got != core.ErrTimeout.Error() {
+	if got := out.Attempts[1].Err; got != core.ErrTimeout.Error() {
 		t.Errorf("sg attempt error %q, want %q", got, core.ErrTimeout)
 	}
 	if err := s.Validate(); err != nil {

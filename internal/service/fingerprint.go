@@ -48,10 +48,12 @@ func Fingerprint(req *Request) string {
 //	<canonical .sb text>
 //
 // built in one buffer and hashed once; text aliases its tail.
-// Everything after the step budget on the opts line is a fixed token
-// naming the search configuration core runs with; keeping it keeps
-// every v1 address (cache keys, ring placement, wire fingerprints)
-// byte-identical.
+// Everything after the step budget on the opts line is a frozen v1
+// label, not a description of the search: core no longer has the
+// options it names, runs no conflict learning and, in the ladder,
+// searches under CARS's AWCT, but the label keeps its bytes so every
+// v1 address (cache keys, ring placement, wire fingerprints, the
+// hollow costs of the SLO suite) stays byte-identical.
 func FingerprintText(req *Request) (fp string, text []byte) {
 	b := make([]byte, 0, 256+32*len(req.SB.Instrs)+24*len(req.SB.Edges))
 	b = append(b, "vcsched-request-v1\nmachine "...)

@@ -195,9 +195,12 @@ type Stats struct {
 	// AvgServiceMS is the EWMA per-job service time backing the
 	// Retry-After hint on shed responses.
 	AvgServiceMS float64 `json:"avg_service_ms"`
-	TierSG       int64   `json:"tier_sg"`
-	TierCARS     int64   `json:"tier_cars"`
-	TierNaive    int64   `json:"tier_naive"`
+	// Scheduled results per ladder tier. The ladder runs CARS first, so
+	// TierSG counts only searches that beat CARS's AWCT, and TierCARS
+	// also counts blocks where CARS met a bound or the search's ceiling.
+	TierSG    int64 `json:"tier_sg"`
+	TierCARS  int64 `json:"tier_cars"`
+	TierNaive int64 `json:"tier_naive"`
 }
 
 // job is one admitted request waiting for (or on) a worker.

@@ -53,9 +53,21 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return s
 }
 
+// beatsCARS is 124.m88ksim.sb0001, a block on which the search beats
+// CARS on 2c1l with pin seed 1 (AWCT 3.743 against 4.486), so the
+// ladder delivers the search's schedule.
+func beatsCARS(t *testing.T) *ir.Superblock {
+	t.Helper()
+	p, err := workload.BenchmarkByName("124.m88ksim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.GenerateBlock(1, 0)
+}
+
 func TestSubmitMatchesDirectLadderAndCaches(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, DefaultDeadline: 20 * time.Second})
-	req := testRequest(ir.PaperFigure1(), 1)
+	req := testRequest(beatsCARS(t), 1)
 	wantSched, wantExits, wantTier := directLadder(t, req.SB, req.Machine, req.PinSeed, req.MaxSteps)
 
 	cold := s.Submit(req)
@@ -88,15 +100,15 @@ func TestSubmitMatchesDirectLadderAndCaches(t *testing.T) {
 }
 
 // TestStepBudgetReachesTheSearch: the request's MaxSteps is the SG
-// search's budget. PaperFigure1 on 2c1l exhausts a 1-step budget and
-// falls to CARS, and finds its SG schedule within 20000 steps.
+// search's budget. 124.m88ksim.sb0001 on 2c1l exhausts a 1-step budget
+// and keeps CARS, and finds its better SG schedule within 20000 steps.
 func TestStepBudgetReachesTheSearch(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, DefaultDeadline: 20 * time.Second})
 	for _, c := range []struct {
 		steps int
 		tier  string
 	}{{1, "cars"}, {20000, "sg"}} {
-		req := testRequest(ir.PaperFigure1(), 1)
+		req := testRequest(beatsCARS(t), 1)
 		req.MaxSteps = c.steps
 		if res := s.Submit(req); !res.OK() || res.Tier != c.tier {
 			t.Errorf("MaxSteps %d: tier %q (err %q), want %q", c.steps, res.Tier, res.Err, c.tier)
