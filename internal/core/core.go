@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"vcsched/internal/deduce"
+	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/sched"
@@ -443,7 +444,10 @@ func (s *scheduler) horizon() int {
 // enhancedExitEsts computes the per-exit earliest starts enhanced by the
 // DP (Section 4.2): starting from the dependence-based earliest starts,
 // each exit is probed with the others relaxed to the horizon; if the DP
-// refutes the exit at its current cycle, the cycle is bumped.
+// refutes the exit at its current cycle, the cycle is bumped. Only a
+// contradiction the DP derived refutes a cycle: an injected one
+// (faultpoint.ErrInjected) proves nothing and is returned as the
+// error, like any other failure of a probe.
 func (s *scheduler) enhancedExitEsts() ([]int, error) {
 	exits := s.exits()
 	base := s.sb.EStarts()
@@ -478,7 +482,7 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 			if err == nil {
 				continue
 			}
-			if !deduce.IsContradiction(err) {
+			if !deduce.IsContradiction(err) || errors.Is(err, faultpoint.ErrInjected) {
 				return nil, err
 			}
 			ests[i]++

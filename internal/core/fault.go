@@ -28,7 +28,8 @@ func starveSteps() (int, bool) {
 // injectStageFault consults a per-stage fault point from inside an
 // attempt. KindPanic panics inside Fire (recovered by the attempt
 // wrapper into a *PanicError); the other kinds translate to the
-// domain errors the stage machinery produces naturally.
+// domain errors the stage machinery produces naturally, a
+// contradiction marked as injected.
 func injectStageFault(point string) error {
 	f, ok := faultpoint.Fire(point)
 	if !ok {
@@ -36,7 +37,7 @@ func injectStageFault(point string) error {
 	}
 	switch f.Kind {
 	case faultpoint.KindContra:
-		return fmt.Errorf("%w: injected contradiction (faultpoint %s)", deduce.ErrContradiction, point)
+		return faultpoint.Injected(fmt.Errorf("%w: injected contradiction (faultpoint %s)", deduce.ErrContradiction, point))
 	case faultpoint.KindStarve:
 		return fmt.Errorf("%w: injected starvation (faultpoint %s)", deduce.ErrBudget, point)
 	case faultpoint.KindSleep:

@@ -41,11 +41,12 @@ type Arena struct {
 	vc *vcg.Graph
 
 	// clock is the propagation stamp clock (stamps.go): monotonic over
-	// every state the arena backs. stampNode/stampPair back the per-node
-	// and per-pair stamps.
-	clock     uint64
-	stampNode []uint64
-	stampPair []uint64
+	// every state the arena backs. stampNode/stampPair/stampPairBlk back
+	// the per-node, per-pair and per-64-pair-block stamps.
+	clock        uint64
+	stampNode    []uint64
+	stampPair    []uint64
+	stampPairBlk []uint64
 
 	// tr is the speculation trail's backing storage (entry log +
 	// checkpoint stack). The trail is live only between Begin and the
@@ -74,6 +75,7 @@ type Arena struct {
 	ends         []int
 	byClass      [ir.NumClasses][]int
 	plcAlts      []int
+	dirty        []uint64 // dirtyPairs' pair bitset
 
 	// Metrics scratch.
 	repSeen    []bool
@@ -160,6 +162,14 @@ type sgIndex struct {
 	// 64-bit words: enough for the widest feasible span of any SG edge.
 	combW int
 
+	// pairW is the width in 64-bit words of a bitset over the pairs, and
+	// incident holds one such row per original instruction: bit i of
+	// row n is set when n is an endpoint of pair i. rulePrunePairs ORs
+	// the rows of the instructions whose bounds moved to find the pairs
+	// it must revisit (dirtyPairs).
+	pairW    int
+	incident []uint64
+
 	// pairAt maps U*nOrig+V (U < V) to the dense pair index, −1 when
 	// the pair has no SG edge.
 	pairAt []int32
@@ -184,12 +194,17 @@ func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 	for i := range idx.pairAt {
 		idx.pairAt[i] = -1
 	}
+	idx.pairW = (len(g.Edges) + 63) >> 6
+	idx.incident = make([]uint64, n*idx.pairW)
 	for ei, e := range g.Edges {
 		idx.pairAt[e.U*n+e.V] = int32(ei)
 		span := e.Combs[len(e.Combs)-1] - e.Combs[0] + 1
 		if w := (span + 63) >> 6; w > idx.combW {
 			idx.combW = w
 		}
+		bit := uint64(1) << uint(ei&63)
+		idx.incident[e.U*idx.pairW+ei>>6] |= bit
+		idx.incident[e.V*idx.pairW+ei>>6] |= bit
 	}
 	idx.consStart = make([]int32, n+1)
 	for c := 0; c < n; c++ {

@@ -8,11 +8,12 @@ import (
 
 // injectFault consults the fault-injection registry for point and, when
 // a fault fires, translates it into the domain error the surrounding
-// deduction code produces naturally: KindContra becomes a contradiction,
-// KindStarve a budget exhaustion, KindSleep a real-time stall (for
-// deadline races). KindPanic never reaches this function — Fire panics
-// itself with a faultpoint.PanicValue. With the registry disarmed (the
-// production default) this is a single atomic load.
+// deduction code produces naturally: KindContra becomes a contradiction
+// (marked with faultpoint.Injected, so it refutes nothing), KindStarve a
+// budget exhaustion, KindSleep a real-time stall (for deadline races).
+// KindPanic never reaches this function — Fire panics itself with a
+// faultpoint.PanicValue. With the registry disarmed (the production
+// default) this is a single atomic load.
 func injectFault(point string) error {
 	f, ok := faultpoint.Fire(point)
 	if !ok {
@@ -20,7 +21,7 @@ func injectFault(point string) error {
 	}
 	switch f.Kind {
 	case faultpoint.KindContra:
-		return contraf("injected contradiction (faultpoint %s)", point)
+		return faultpoint.Injected(contraf("injected contradiction (faultpoint %s)", point))
 	case faultpoint.KindStarve:
 		return fmt.Errorf("%w: injected starvation (faultpoint %s)", ErrBudget, point)
 	case faultpoint.KindSleep:

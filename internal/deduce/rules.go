@@ -1,6 +1,7 @@
 package deduce
 
 import (
+	"math/bits"
 	"slices"
 
 	"vcsched/internal/ir"
@@ -31,13 +32,16 @@ var families = [...]func(*State) (bool, error){
 // its last clean run. A skipped item is one a full sweep would leave
 // untouched, so every pass makes the mutations of a full sweep in the
 // same order, fails with the same first error and spends the same step.
-// Any error resets every memo to never.
+// Any error resets every memo to never; a nil return marks the state a
+// clean fixpoint, which a later rollback can restore with its memos.
 func (st *State) Propagate() error {
-	err := st.propagate()
-	if err != nil {
+	if err := st.propagate(); err != nil {
 		st.memo = memos{}
+		st.fix = fixpoint{}
+		return err
 	}
-	return err
+	st.markFixpoint()
+	return nil
 }
 
 func (st *State) propagate() error {
@@ -214,34 +218,84 @@ func (st *State) ruleCCCoherence() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	for i := range st.pairs {
-		p := &st.pairs[i]
-		if p.status != Open || (!all && st.stamp.pair[i] <= memo) {
-			continue
-		}
-		delta, same := st.cc.Delta(int(p.u), int(p.v))
-		if !same {
-			continue
-		}
-		lo, hi := sg.CombRange(st.lat[p.u], st.lat[p.v])
-		if delta < lo || delta > hi {
+	for wi, w := range st.dirtyPairs(memo, false, all) {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			p := &st.pairs[i]
+			if p.status != Open {
+				continue
+			}
+			delta, same := st.cc.Delta(int(p.u), int(p.v))
+			if !same {
+				continue
+			}
+			lo, hi := sg.CombRange(st.lat[p.u], st.lat[p.v])
+			if delta < lo || delta > hi {
+				st.touchPair(i)
+				p.status = Dropped
+				st.combClearAll(i)
+				changed = true
+				continue
+			}
+			if !st.combHas(i, delta) {
+				return changed, contraf("pair (%d,%d): implied combination %d already discarded", p.u, p.v, delta)
+			}
 			st.touchPair(i)
-			p.status = Dropped
-			st.combClearAll(i)
+			p.status = Chosen
+			p.comb = int32(delta)
+			st.combSetOnly(i, delta)
 			changed = true
-			continue
 		}
-		if !st.combHas(i, delta) {
-			return changed, contraf("pair (%d,%d): implied combination %d already discarded", p.u, p.v, delta)
-		}
-		st.touchPair(i)
-		p.status = Chosen
-		p.comb = int32(delta)
-		st.combSetOnly(i, delta)
-		changed = true
 	}
 	st.memo.coherence = start
 	return changed, nil
+}
+
+// dirtyPairs returns, as a bitset over pair indexes in arena scratch,
+// the pairs a pair rule with the given memo must revisit: every pair
+// with all; otherwise each pair whose own stamp is newer than memo and,
+// with bounds, each pair with an endpoint whose bounds moved since
+// (sgIndex.incident). Blocks of 64 pairs whose newest stamp is at most
+// memo are skipped whole. Visiting pair i changes no bound and no
+// other pair's stamp, so the set is fixed when the sweep starts and
+// the sweep visits exactly the pairs a per-pair stamp check would.
+func (st *State) dirtyPairs(memo uint64, bounds, all bool) []uint64 {
+	pw := st.idx.pairW
+	d := claim(&st.ar.dirty, pw, pw)
+	if all {
+		for k := range d {
+			d[k] = ^uint64(0)
+		}
+		if tail := len(st.pairs) & 63; tail != 0 {
+			d[pw-1] = 1<<uint(tail) - 1
+		}
+		return d
+	}
+	clear(d)
+	if bounds && st.stamp.bounds > memo {
+		for n := 0; n < st.nOrig; n++ {
+			if st.stamp.node[n] <= memo {
+				continue
+			}
+			row := st.idx.incident[n*pw : (n+1)*pw]
+			for k, w := range row {
+				d[k] |= w
+			}
+		}
+	}
+	if st.stamp.pairs > memo {
+		for b, newest := range st.stamp.pairBlk {
+			if newest <= memo {
+				continue
+			}
+			for k, s := range st.stamp.pair[b<<6 : min(b<<6+64, len(st.pairs))] {
+				if s > memo {
+					d[b] |= 1 << uint(k)
+				}
+			}
+		}
+	}
+	return d
 }
 
 // rulePrunePairs is rule U2 plus deduction rule D1: combinations whose
@@ -251,7 +305,7 @@ func (st *State) ruleCCCoherence() (bool, error) {
 // a single surviving combination is mandatory (chosen), and zero
 // surviving combinations contradict. A pair's inputs are its own record
 // and the bounds of its two instructions; only pairs with a changed
-// input are revisited.
+// input are revisited, found through dirtyPairs.
 func (st *State) rulePrunePairs() (bool, error) {
 	memo := st.memo.prune
 	if max(st.stamp.bounds, st.stamp.pairs) <= memo {
@@ -259,43 +313,43 @@ func (st *State) rulePrunePairs() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	for i := range st.pairs {
-		p := &st.pairs[i]
-		if max(st.stamp.node[p.u], st.stamp.node[p.v], st.stamp.pair[i]) <= memo {
-			continue
-		}
-		if p.status == Dropped {
-			if st.mustOverlap(int(p.u), int(p.v)) {
-				return changed, contraf("pair (%d,%d) dropped but forced to overlap", p.u, p.v)
+	for wi, w := range st.dirtyPairs(memo, true, false) {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			p := &st.pairs[i]
+			if p.status == Dropped {
+				if st.mustOverlap(int(p.u), int(p.v)) {
+					return changed, contraf("pair (%d,%d) dropped but forced to overlap", p.u, p.v)
+				}
+				continue
 			}
-			continue
-		}
-		if st.combPruneWindow(i) > 0 {
-			changed = true
-		}
-		n := st.combCount(i)
-		if p.status == Chosen {
+			if st.combPruneWindow(i) > 0 {
+				changed = true
+			}
+			n := st.combCount(i)
+			if p.status == Chosen {
+				if n == 0 {
+					return changed, contraf("pair (%d,%d): chosen combination %d became infeasible", p.u, p.v, p.comb)
+				}
+				continue
+			}
 			if n == 0 {
-				return changed, contraf("pair (%d,%d): chosen combination %d became infeasible", p.u, p.v, p.comb)
+				st.touchPair(i)
+				p.status = Dropped
+				changed = true
+				if st.mustOverlap(int(p.u), int(p.v)) {
+					return changed, contraf("pair (%d,%d): no combination left but overlap forced", p.u, p.v)
+				}
+				continue
 			}
-			continue
-		}
-		if n == 0 {
-			st.touchPair(i)
-			p.status = Dropped
-			changed = true
-			if st.mustOverlap(int(p.u), int(p.v)) {
-				return changed, contraf("pair (%d,%d): no combination left but overlap forced", p.u, p.v)
+			if n == 1 && st.mustOverlap(int(p.u), int(p.v)) {
+				// D1: mandatory choice.
+				c, _ := st.combFirst(i)
+				if err := st.commitComb(i, c); err != nil {
+					return changed, err
+				}
+				changed = true
 			}
-			continue
-		}
-		if n == 1 && st.mustOverlap(int(p.u), int(p.v)) {
-			// D1: mandatory choice.
-			c, _ := st.combFirst(i)
-			if err := st.commitComb(i, c); err != nil {
-				return changed, err
-			}
-			changed = true
 		}
 	}
 	st.memo.prune = start

@@ -19,24 +19,31 @@ import "vcsched/internal/ir"
 // change no mutation, no mutation order and no error, and Propagate
 // spends exactly the steps a full sweep spends.
 //
-// A trail undo is a change like any other: undoTo stamps every slot it
-// restores (and the structure logs bump their versions), so no memo
-// taken during a rolled-back probe can cover the restored state.
-// NewState and Clone start every memo at never, and an error from any
-// family resets them all.
+// A rollback to a clean fixpoint keeps what propagation knows. A
+// checkpoint is clean when the last Propagate returned nil and neither
+// the clock nor the union-find or VCG version has moved since: the
+// state is then a fixpoint of every rule, where a full sweep changes
+// nothing. Rolling back to it restores that very state, so undoTo
+// stamps nothing, syncs the structure versions and sets every memo to
+// the clock (restoreFixpoint). Any other rollback is a change like any
+// other: undoTo stamps every slot it restores (and the structure logs
+// bump their versions), so no memo taken during the rolled-back probe
+// can cover the restored state. NewState and Clone start every memo at
+// never, and an error from any family resets them all.
 
 // stamps holds the clock value of the latest change to each rule input.
 type stamps struct {
-	node   []uint64              // per node: a bound moved
-	pair   []uint64              // per pair: status, chosen comb or a combination word changed
-	class  [ir.NumClasses]uint64 // a bound of a node of the class moved, or the class gained or lost a node
-	bounds uint64                // any bound moved, or a node was added or removed
-	pairs  uint64                // any pair changed
-	arcs   uint64                // an arc was added, tightened or undone
-	comms  uint64                // a communication was materialized or undone
-	plcs   uint64                // a PLC was recorded or undone
-	cc     uint64                // the union-find's membership version moved
-	vc     uint64                // the VCG's content version moved
+	node    []uint64              // per node: a bound moved
+	pair    []uint64              // per pair: status, chosen comb or a combination word changed
+	pairBlk []uint64              // per block of 64 pairs: the newest of its pairs' stamps
+	class   [ir.NumClasses]uint64 // a bound of a node of the class moved, or the class gained or lost a node
+	bounds  uint64                // any bound moved, or a node was added or removed
+	pairs   uint64                // any pair changed
+	arcs    uint64                // an arc was added, tightened or undone
+	comms   uint64                // a communication was materialized or undone
+	plcs    uint64                // a PLC was recorded or undone
+	cc      uint64                // the union-find's membership version moved
+	vc      uint64                // the VCG's content version moved
 
 	// ccVer and vcVer are the structure versions syncVersions last saw
 	// (0 = none yet; both structures start at version 1).
@@ -58,6 +65,13 @@ type memos struct {
 	packing   uint64 // D2 ruleWindowPacking
 }
 
+// fixpoint identifies the state the last clean Propagate left: the
+// clock and the union-find and VCG versions when it returned nil. The
+// zero value is none.
+type fixpoint struct {
+	clock, ccVer, vcVer uint64
+}
+
 // tick advances the arena clock and returns the new stamp.
 func (st *State) tick() uint64 {
 	st.ar.clock++
@@ -70,11 +84,15 @@ func (st *State) initStamps() {
 	s := st.tick()
 	st.stamp.node = claim(&st.ar.stampNode, len(st.est), cap(st.est))
 	st.stamp.pair = claim(&st.ar.stampPair, len(st.pairs), len(st.pairs))
+	st.stamp.pairBlk = claim(&st.ar.stampPairBlk, st.idx.pairW, st.idx.pairW)
 	for i := range st.stamp.node {
 		st.stamp.node[i] = s
 	}
 	for i := range st.stamp.pair {
 		st.stamp.pair[i] = s
+	}
+	for i := range st.stamp.pairBlk {
+		st.stamp.pairBlk[i] = s
 	}
 	for c := range st.stamp.class {
 		st.stamp.class[c] = s
@@ -96,6 +114,7 @@ func (st *State) stampNode(n int) {
 func (st *State) stampPair(i int) {
 	s := st.tick()
 	st.stamp.pair[i] = s
+	st.stamp.pairBlk[i>>6] = s
 	st.stamp.pairs = s
 }
 
@@ -112,4 +131,29 @@ func (st *State) syncVersions() {
 		st.stamp.vcVer = v
 		st.stamp.vc = st.tick()
 	}
+}
+
+// markFixpoint records that the state is a clean fixpoint: Propagate
+// just returned nil.
+func (st *State) markFixpoint() {
+	st.fix = fixpoint{clock: st.ar.clock, ccVer: st.cc.Version(), vcVer: st.vc.Version()}
+}
+
+// atFixpoint reports whether the state is still the clean fixpoint
+// markFixpoint recorded: nothing has been stamped and neither structure
+// version has moved since.
+func (st *State) atFixpoint() bool {
+	return st.fix.clock != 0 && st.fix == fixpoint{clock: st.ar.clock, ccVer: st.cc.Version(), vcVer: st.vc.Version()}
+}
+
+// restoreFixpoint finishes a rollback to a checkpoint opened at a clean
+// fixpoint. The state is that fixpoint again, where a full sweep of any
+// family changes nothing, so every memo may cover every input: the
+// structure versions the undo moved are synced without a stamp, and
+// every memo is set to the clock.
+func (st *State) restoreFixpoint() {
+	st.stamp.ccVer, st.stamp.vcVer = st.cc.Version(), st.vc.Version()
+	c := st.ar.clock
+	st.memo = memos{bounds: c, coherence: c, prune: c, ccRes: c, pinned: c, flows: c, cplc: c, pplc: c, packing: c}
+	st.markFixpoint()
 }

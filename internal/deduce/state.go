@@ -248,9 +248,11 @@ type State struct {
 	ccMembers   []int
 	ccGroupsVer uint64
 
-	// stamp and memo make propagation change-driven; see stamps.go.
+	// stamp and memo make propagation change-driven, and fix marks the
+	// state the last clean Propagate left; see stamps.go.
 	stamp stamps
 	memo  memos
+	fix   fixpoint
 }
 
 // Options configures state construction.
@@ -570,9 +572,10 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 // oracle); short-lived candidate probes use Probe/Begin/Rollback
 // instead. It must not be called while a trail checkpoint is open.
 //
-// The clone starts with every propagation memo at never, so its first
-// Propagate is a full sweep: the trail-clone differential kind compares
-// exactly that against the change-driven passes of the original.
+// The clone starts with every propagation memo at never and no known
+// fixpoint, so its first Propagate is a full sweep: the trail-clone
+// differential kind compares exactly that against the change-driven
+// passes of the original.
 func (st *State) Clone() *State {
 	if st.tr != nil {
 		panic("deduce: Clone during active trail")
@@ -612,6 +615,7 @@ func (st *State) Clone() *State {
 	}
 	cp.stamp.node = append([]uint64(nil), st.stamp.node...)
 	cp.stamp.pair = append([]uint64(nil), st.stamp.pair...)
+	cp.stamp.pairBlk = append([]uint64(nil), st.stamp.pairBlk...)
 	for i := range st.outA {
 		cp.outA[i] = append([]int(nil), st.outA[i]...)
 		cp.inA[i] = append([]int(nil), st.inA[i]...)

@@ -21,6 +21,14 @@ import (
 // Everything else on State (superblock, machine, SG, deadlines, the
 // shared sgIndex, pins, budget) is immutable during decisions.
 //
+// Almost every checkpoint opens at a clean propagation fixpoint (the
+// search studies each candidate from a state the last decision left
+// propagated), and a rollback to such a checkpoint keeps what
+// propagation knows: the restored state is that fixpoint, so the undo
+// stamps nothing and leaves every memo covering every input
+// (stamps.go). A rollback to any other checkpoint stamps every slot it
+// restores.
+//
 // The budget is deliberately NOT restored on rollback: speculative work
 // costs real deduction steps, exactly as it did when probes ran on
 // clones sharing the parent's budget. This keeps budget accounting —
@@ -52,12 +60,14 @@ type trailEntry struct {
 	w      uint64
 }
 
-// trailCP is one Begin checkpoint: a position in the entry log plus the
-// marks of the two structure-owned logs.
+// trailCP is one Begin checkpoint: a position in the entry log, the
+// marks of the two structure-owned logs, and whether it opened at a
+// clean fixpoint.
 type trailCP struct {
 	entries int
 	cc      int
 	vc      vcg.Mark
+	clean   bool
 }
 
 // trail is the mutation log of one State while speculation is active.
@@ -93,6 +103,7 @@ func (st *State) Begin() {
 		entries: len(st.tr.entries),
 		cc:      st.cc.TrailMark(),
 		vc:      st.vc.TrailMark(),
+		clean:   st.atFixpoint(),
 	})
 }
 
@@ -112,7 +123,9 @@ func (st *State) Commit() {
 }
 
 // Rollback closes the innermost checkpoint, undoing every mutation
-// recorded since its Begin in reverse order.
+// recorded since its Begin in reverse order. A checkpoint opened at a
+// clean fixpoint restores that fixpoint with every propagation memo
+// kept (stamps.go).
 func (st *State) Rollback() {
 	tr := st.tr
 	if tr == nil || len(tr.cps) == 0 {
@@ -153,49 +166,44 @@ func (st *State) releaseTrail() {
 
 // undoTo reverts the entry log down to checkpoint cp, then the
 // structure-owned logs. Entries are undone most recent first, so a slot
-// mutated several times ends at its oldest recorded value. Every
-// restored slot takes a fresh stamp: an undo is a change, so no
-// propagation memo taken during the speculation covers it (stamps.go).
+// mutated several times ends at its oldest recorded value. Unless cp
+// opened at a clean fixpoint, every restored slot takes a fresh stamp
+// (restamp): such an undo is a change, so no propagation memo taken
+// during the speculation covers it (stamps.go).
 func (st *State) undoTo(cp trailCP) {
 	tr := st.tr
 	for i := len(tr.entries) - 1; i >= cp.entries; i-- {
 		e := tr.entries[i]
+		if !cp.clean {
+			st.restamp(e)
+		}
 		switch e.kind {
 		case tEst:
 			st.est[e.a] = e.b
-			st.stampNode(e.a)
 		case tLst:
 			st.lst[e.a] = e.b
-			st.stampNode(e.a)
 		case tPairMeta:
 			p := &st.pairs[e.a]
 			p.status = e.status
 			p.comb = int32(e.b)
-			st.stampPair(e.a)
 		case tCombWord:
 			st.combWords[e.a] = e.w
-			st.stampPair(e.a / st.idx.combW)
 		case tArcLat:
 			st.arcs[e.a].Lat = e.b
-			st.stamp.arcs = st.tick()
 		case tArcAdd:
 			n := len(st.arcs) - 1
 			a := st.arcs[n]
 			st.arcs = st.arcs[:n]
 			st.outA[a.From] = st.outA[a.From][:len(st.outA[a.From])-1]
 			st.inA[a.To] = st.inA[a.To][:len(st.inA[a.To])-1]
-			st.stamp.arcs = st.tick()
 		case tCommAdd:
 			n := len(st.comms) - 1
 			st.commIdx[st.commSlot(st.comms[n].Value)] = -1
 			st.comms = st.comms[:n]
-			st.stamp.comms = st.tick()
 		case tPLCAdd:
 			st.plcs = st.plcs[:len(st.plcs)-1]
-			st.stamp.plcs = st.tick()
 		case tNodeAdd:
 			n := len(st.est) - 1
-			st.stampNode(n) // the class loses a node
 			st.class = st.class[:n]
 			st.lat = st.lat[:n]
 			st.est = st.est[:n]
@@ -208,6 +216,30 @@ func (st *State) undoTo(cp trailCP) {
 	tr.entries = tr.entries[:cp.entries]
 	st.cc.TrailUndo(cp.cc)
 	st.vc.TrailUndo(cp.vc)
+	if cp.clean {
+		st.restoreFixpoint()
+	}
+}
+
+// restamp stamps the slot entry e is about to restore. A removed node
+// is stamped before it goes: its class loses a node.
+func (st *State) restamp(e trailEntry) {
+	switch e.kind {
+	case tEst, tLst:
+		st.stampNode(e.a)
+	case tPairMeta:
+		st.stampPair(e.a)
+	case tCombWord:
+		st.stampPair(e.a / st.idx.combW)
+	case tArcLat, tArcAdd:
+		st.stamp.arcs = st.tick()
+	case tCommAdd:
+		st.stamp.comms = st.tick()
+	case tPLCAdd:
+		st.stamp.plcs = st.tick()
+	case tNodeAdd:
+		st.stampNode(len(st.est) - 1)
+	}
 }
 
 // setEst moves a node's earliest start, recording the old bound and

@@ -35,7 +35,12 @@ const (
 // decision's error strings must match exactly. Every few steps a
 // decision is committed to both universes so the script walks through
 // genuinely different states, and after every commit the fixpoint
-// oracle (checkFixpoint) runs on both.
+// oracle (checkFixpoint) runs on both. A committed contradiction does
+// not end the script: the states are then no fixpoint, so the oracle
+// stops running, but the probes and commits go on being compared.
+// That is the only way a checkpoint opens away from a clean fixpoint,
+// where a rollback must stamp what it restores instead of keeping the
+// propagation memos.
 func CheckTrailClone(sb *ir.Superblock, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{SB: sb, Opts: opts, Pins: workload.PinsFor(sb, opts.Machine.Clusters, opts.PinSeed)}
@@ -82,6 +87,7 @@ func checkTrailClone(rep *Report) {
 	}
 
 	rng := rand.New(rand.NewSource(rep.Opts.PinSeed<<8 ^ int64(sb.N())))
+	contradicted := false
 	for step := 0; step < trailCloneSteps; step++ {
 		name, op := randomDecision(rng, trailSt)
 
@@ -116,8 +122,12 @@ func checkTrailClone(rep *Report) {
 				step, name, firstDiffLine(d1, d2))
 			return
 		}
-		if cerr1 != nil {
-			return // contradiction committed identically; state is spent
+		if cerr1 != nil && !deduce.IsContradiction(cerr1) {
+			return // the budget ran out (or worse), identically in both
+		}
+		contradicted = contradicted || cerr1 != nil
+		if contradicted {
+			continue // no fixpoint to check; keep comparing the universes
 		}
 		for _, u := range []struct {
 			name string
@@ -175,12 +185,14 @@ func withoutBudget(dump string) string {
 // randomDecision picks one decision from the current state (the two
 // universes are verified identical before every call, so reading either
 // yields the same script). All parameters are captured by value: the
-// returned closure reads nothing the probe/commit sequence mutates.
+// returned closure reads nothing the probe/commit sequence mutates. A
+// contradicted state may hold an empty window; fixing such a node picks
+// its estart.
 func randomDecision(rng *rand.Rand, st *deduce.State) (string, func(*deduce.State) error) {
 	switch rng.Intn(6) {
 	case 0:
 		node := rng.Intn(st.NumNodes())
-		cycle := st.Est(node) + rng.Intn(st.Slack(node)+1)
+		cycle := st.Est(node) + rng.Intn(max(st.Slack(node), 0)+1)
 		return fmt.Sprintf("FixCycle(%d,%d)", node, cycle),
 			func(s *deduce.State) error { return s.FixCycle(node, cycle) }
 	case 1:

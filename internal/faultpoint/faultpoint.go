@@ -24,6 +24,7 @@
 package faultpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -33,6 +34,21 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// ErrInjected marks an error a fault point injected. A call site that
+// translates a fault into its domain error wraps the result with
+// Injected, so a caller that draws a conclusion from an error (a
+// contradiction read as a refutation) can tell a fault from a finding.
+var ErrInjected = errors.New("faultpoint: injected fault")
+
+// Injected returns err marked as injected: its text is err's, and
+// errors.Is matches both err's chain and ErrInjected.
+func Injected(err error) error { return injectedError{err} }
+
+type injectedError struct{ err error }
+
+func (e injectedError) Error() string   { return e.err.Error() }
+func (e injectedError) Unwrap() []error { return []error{e.err, ErrInjected} }
 
 // Kind is the failure a fault point injects.
 type Kind uint8

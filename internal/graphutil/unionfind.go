@@ -2,52 +2,59 @@
 // the scheduling packages: plain union-find (virtual clusters) and
 // union-find with relative offsets (connected components of the
 // scheduling graph, where members have fixed cycle distances).
+//
+// Both structures keep every element's representative in a flat array
+// (a label, not a parent pointer), and each set's members on a circular
+// list threaded through the elements, so a query is one array read and
+// a merge relabels the losing set. The choice of the surviving
+// representative is the classic one (union by size for UnionFind, by
+// rank for OffsetUF), so the representatives are those of a
+// disjoint-set forest with the same rule.
 package graphutil
 
 import "fmt"
 
-// UnionFind is a disjoint-set forest with path compression and union by
-// size. It supports trail-scoped speculation: between TrailMark and
-// TrailUndo/TrailStop every structural change (Union, Add) is recorded
-// in an op log so it can be reverted in O(changes), and path compression
-// is suspended so that undo restores the exact pre-mark forest. Find
-// results (the representative) are identical with or without
-// compression, so speculative and committed execution observe the same
-// values.
+// UnionFind is a disjoint-set structure with union by size. Find is one
+// array read; Union relabels the smaller set. It supports trail-scoped
+// speculation: between TrailMark and TrailUndo/TrailStop every
+// structural change (Union, Add) is recorded in an op log so it can be
+// reverted in O(changes), restoring the exact pre-mark labels.
 type UnionFind struct {
-	parent   []int
-	size     []int
+	elems    []ufElem
 	sets     int
 	trailing bool
 	ops      []ufOp
 }
 
+// ufElem is one element: its representative, the next member of its
+// set on the set's circular list, and (at representatives) the set
+// size.
+type ufElem struct {
+	root, next, size int32
+}
+
 // ufOp is one reversible UnionFind mutation. ry < 0 marks an Add (undo
-// truncates); otherwise it is a Union that re-parented root ry under
-// root rx (undo detaches ry and returns its size to it).
-type ufOp struct{ ry, rx int }
+// truncates); otherwise it is a Union that relabelled root ry's set to
+// root rx (undo splits the lists and relabels them back).
+type ufOp struct{ ry, rx int32 }
 
 // NewUnionFind creates n singleton sets 0..n-1.
 func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int, n), size: make([]int, n), sets: n}
-	for i := range u.parent {
-		u.parent[i] = i
-		u.size[i] = 1
-	}
+	u := &UnionFind{}
+	u.Reset(n)
 	return u
 }
 
 // Len returns the number of elements.
-func (u *UnionFind) Len() int { return len(u.parent) }
+func (u *UnionFind) Len() int { return len(u.elems) }
 
 // Sets returns the current number of disjoint sets.
 func (u *UnionFind) Sets() int { return u.sets }
 
 // Add appends a new singleton element and returns its index.
 func (u *UnionFind) Add() int {
-	i := len(u.parent)
-	u.parent = append(u.parent, i)
-	u.size = append(u.size, 1)
+	i := len(u.elems)
+	u.elems = append(u.elems, ufElem{root: int32(i), next: int32(i), size: 1})
 	u.sets++
 	if u.trailing {
 		u.ops = append(u.ops, ufOp{ry: -1})
@@ -56,44 +63,51 @@ func (u *UnionFind) Add() int {
 }
 
 // Find returns the representative of x's set.
-func (u *UnionFind) Find(x int) int {
-	if u.trailing {
-		for u.parent[x] != x {
-			x = u.parent[x]
-		}
-		return x
-	}
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
-	}
-	return x
-}
+func (u *UnionFind) Find(x int) int { return int(u.elems[x].root) }
 
 // Same reports whether x and y are in the same set.
-func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
+func (u *UnionFind) Same(x, y int) bool { return u.elems[x].root == u.elems[y].root }
 
 // Union merges the sets of x and y and returns the surviving
-// representative.
+// representative: the root of the larger set, x's on a tie.
 func (u *UnionFind) Union(x, y int) int {
-	rx, ry := u.Find(x), u.Find(y)
+	rx, ry := u.elems[x].root, u.elems[y].root
 	if rx == ry {
-		return rx
+		return int(rx)
 	}
-	if u.size[rx] < u.size[ry] {
+	if u.elems[rx].size < u.elems[ry].size {
 		rx, ry = ry, rx
 	}
-	u.parent[ry] = rx
-	u.size[rx] += u.size[ry]
+	u.relabel(ry, rx)
+	u.splice(rx, ry)
+	u.elems[rx].size += u.elems[ry].size
 	u.sets--
 	if u.trailing {
 		u.ops = append(u.ops, ufOp{ry: ry, rx: rx})
 	}
-	return rx
+	return int(rx)
+}
+
+// relabel sets the representative of every member on first's list.
+func (u *UnionFind) relabel(first, root int32) {
+	m := first
+	for {
+		u.elems[m].root = root
+		if m = u.elems[m].next; m == first {
+			return
+		}
+	}
+}
+
+// splice joins the circular lists through a and b when they are
+// distinct lists, and splits them again when a and b are on one list
+// that an earlier splice of the same two elements joined.
+func (u *UnionFind) splice(a, b int32) {
+	u.elems[a].next, u.elems[b].next = u.elems[b].next, u.elems[a].next
 }
 
 // SetSize returns the size of x's set.
-func (u *UnionFind) SetSize(x int) int { return u.size[u.Find(x)] }
+func (u *UnionFind) SetSize(x int) int { return int(u.elems[u.elems[x].root].size) }
 
 // TrailMark enables trailing (if not already active) and returns a mark
 // for the current op-log position, suitable for TrailUndo.
@@ -108,47 +122,43 @@ func (u *UnionFind) TrailMark() int {
 func (u *UnionFind) TrailLen() int { return len(u.ops) }
 
 // TrailUndo reverts every mutation recorded after mark, most recent
-// first, restoring the exact forest at TrailMark time.
+// first, restoring the exact labels and lists at TrailMark time.
 func (u *UnionFind) TrailUndo(mark int) {
 	for i := len(u.ops) - 1; i >= mark; i-- {
 		op := u.ops[i]
 		if op.ry < 0 { // Add
-			n := len(u.parent) - 1
-			u.parent = u.parent[:n]
-			u.size = u.size[:n]
+			u.elems = u.elems[:len(u.elems)-1]
 			u.sets--
 			continue
 		}
-		u.size[op.rx] -= u.size[op.ry]
-		u.parent[op.ry] = op.ry
+		u.splice(op.rx, op.ry)
+		u.relabel(op.ry, op.ry)
+		u.elems[op.rx].size -= u.elems[op.ry].size
 		u.sets++
 	}
 	u.ops = u.ops[:mark]
 }
 
 // TrailStop ends trailing: the op log is discarded (keeping its backing
-// array for reuse) and path compression resumes.
+// array for reuse).
 func (u *UnionFind) TrailStop() {
 	u.trailing = false
 	u.ops = u.ops[:0]
 }
 
 // Reset reinitializes the structure to n singleton sets, reusing the
-// backing arrays (including capacity gained from previous growth). It
+// backing array (including capacity gained from previous growth). It
 // must not be called while a trail is active.
 func (u *UnionFind) Reset(n int) {
 	if u.trailing {
 		panic("graphutil: UnionFind.Reset during active trail")
 	}
-	if cap(u.parent) < n {
-		u.parent = make([]int, n)
-		u.size = make([]int, n)
+	if cap(u.elems) < n {
+		u.elems = make([]ufElem, n)
 	}
-	u.parent = u.parent[:n]
-	u.size = u.size[:n]
-	for i := 0; i < n; i++ {
-		u.parent[i] = i
-		u.size[i] = 1
+	u.elems = u.elems[:n]
+	for i := range u.elems {
+		u.elems[i] = ufElem{root: int32(i), next: int32(i), size: 1}
 	}
 	u.sets = n
 	u.ops = u.ops[:0]
@@ -161,17 +171,13 @@ func (u *UnionFind) Clone() *UnionFind {
 	if u.trailing {
 		panic("graphutil: UnionFind.Clone during active trail")
 	}
-	return &UnionFind{
-		parent: append([]int(nil), u.parent...),
-		size:   append([]int(nil), u.size...),
-		sets:   u.sets,
-	}
+	return &UnionFind{elems: append([]ufElem(nil), u.elems...), sets: u.sets}
 }
 
 // Groups returns the members of every set, keyed by representative.
 func (u *UnionFind) Groups() map[int][]int {
 	g := make(map[int][]int)
-	for i := range u.parent {
+	for i := range u.elems {
 		r := u.Find(i)
 		g[r] = append(g[r], i)
 	}
@@ -184,49 +190,52 @@ func (u *UnionFind) Groups() map[int][]int {
 // Offset(y) in any assignment consistent with the recorded relations.
 // It models the paper's connected components: choosing a combination
 // fixes the cycle distance between two instructions.
-// Like UnionFind, it supports trail-scoped speculation via
-// TrailMark/TrailUndo/TrailStop; while trailing, path compression is
-// suspended (Find results are unaffected) and Relate/Add are logged for
-// O(changes) reversal.
+// Like UnionFind, it keeps each element's representative and offset in
+// a flat array, so Find, Same and Delta are array reads; a merging
+// Relate relabels the set of the lower-ranked root. It supports
+// trail-scoped speculation via TrailMark/TrailUndo/TrailStop: Relate
+// and Add are logged for O(changes) reversal.
 type OffsetUF struct {
-	parent   []int
-	rank     []int
-	off      []int // offset to parent
+	elems    []offElem
 	trailing bool
 	ops      []offOp
 	// version stamps set membership: bumped by every Add, merging
-	// Relate, and undoing TrailUndo (monotonic). Path compression does
-	// not change membership and leaves it alone, so callers can key
+	// Relate, and undoing TrailUndo (monotonic), so callers can key
 	// caches of the partition on it.
 	version uint64
 }
 
+// offElem is one element: its representative, its offset to the
+// representative (value(x) − value(root)), the next member of its set
+// on the set's circular list, and (at representatives) the union rank.
+type offElem struct {
+	root, next, rank int32
+	off              int
+}
+
 // offOp is one reversible OffsetUF mutation. ry < 0 marks an Add;
-// otherwise root ry was re-parented under root rx, bumping rx's rank if
-// rankBumped. Roots always carry offset 0, so undo resets off[ry] to 0.
+// otherwise root ry's set was relabelled to root rx, every member's
+// offset shifted by −d, and rx's rank bumped if rankBumped.
 type offOp struct {
-	ry, rx     int
+	ry, rx     int32
 	rankBumped bool
+	d          int
 }
 
 // NewOffsetUF creates n singletons with offset 0.
 func NewOffsetUF(n int) *OffsetUF {
-	o := &OffsetUF{parent: make([]int, n), rank: make([]int, n), off: make([]int, n), version: 1}
-	for i := range o.parent {
-		o.parent[i] = i
-	}
+	o := &OffsetUF{}
+	o.Reset(n)
 	return o
 }
 
 // Len returns the number of elements.
-func (o *OffsetUF) Len() int { return len(o.parent) }
+func (o *OffsetUF) Len() int { return len(o.elems) }
 
 // Add appends a new singleton element and returns its index.
 func (o *OffsetUF) Add() int {
-	i := len(o.parent)
-	o.parent = append(o.parent, i)
-	o.rank = append(o.rank, 0)
-	o.off = append(o.off, 0)
+	i := len(o.elems)
+	o.elems = append(o.elems, offElem{root: int32(i), next: int32(i)})
 	o.version++
 	if o.trailing {
 		o.ops = append(o.ops, offOp{ry: -1})
@@ -236,38 +245,20 @@ func (o *OffsetUF) Add() int {
 
 // Find returns the representative of x and x's offset to it.
 func (o *OffsetUF) Find(x int) (root, offset int) {
-	if o.trailing {
-		off := 0
-		for o.parent[x] != x {
-			off += o.off[x]
-			x = o.parent[x]
-		}
-		return x, off
-	}
-	if o.parent[x] == x {
-		return x, 0
-	}
-	root, parentOff := o.Find(o.parent[x])
-	o.parent[x] = root
-	o.off[x] += parentOff
-	return root, o.off[x]
+	e := &o.elems[x]
+	return int(e.root), e.off
 }
 
 // Same reports whether x and y are in one set.
-func (o *OffsetUF) Same(x, y int) bool {
-	rx, _ := o.Find(x)
-	ry, _ := o.Find(y)
-	return rx == ry
-}
+func (o *OffsetUF) Same(x, y int) bool { return o.elems[x].root == o.elems[y].root }
 
 // Delta returns value(x) − value(y) if x and y are in the same set.
 func (o *OffsetUF) Delta(x, y int) (delta int, sameSet bool) {
-	rx, ox := o.Find(x)
-	ry, oy := o.Find(y)
-	if rx != ry {
+	ex, ey := &o.elems[x], &o.elems[y]
+	if ex.root != ey.root {
 		return 0, false
 	}
-	return ox - oy, true
+	return ex.off - ey.off, true
 }
 
 // Relate records value(x) − value(y) = delta. If x and y were already
@@ -285,20 +276,41 @@ func (o *OffsetUF) Relate(x, y, delta int) error {
 	// value(rx) = value(x) − ox; value(ry) = value(y) − oy.
 	// value(x) − value(y) = delta ⇒ value(rx) − value(ry) = delta − ox + oy.
 	d := delta - ox + oy
-	if o.rank[rx] < o.rank[ry] {
+	if o.elems[rx].rank < o.elems[ry].rank {
 		rx, ry, d = ry, rx, -d
 	}
-	o.parent[ry] = rx
-	o.off[ry] = -d // value(ry) − value(rx) = −d
-	bumped := o.rank[rx] == o.rank[ry]
+	// value(ry) − value(rx) = −d, so every member of ry's set moves its
+	// offset by −d.
+	o.shift(int32(ry), int32(rx), -d)
+	o.splice(int32(rx), int32(ry))
+	bumped := o.elems[rx].rank == o.elems[ry].rank
 	if bumped {
-		o.rank[rx]++
+		o.elems[rx].rank++
 	}
 	o.version++
 	if o.trailing {
-		o.ops = append(o.ops, offOp{ry: ry, rx: rx, rankBumped: bumped})
+		o.ops = append(o.ops, offOp{ry: int32(ry), rx: int32(rx), rankBumped: bumped, d: d})
 	}
 	return nil
+}
+
+// shift relabels every member on first's list to root and adds by to
+// its offset.
+func (o *OffsetUF) shift(first, root int32, by int) {
+	m := first
+	for {
+		e := &o.elems[m]
+		e.root = root
+		e.off += by
+		if m = e.next; m == first {
+			return
+		}
+	}
+}
+
+// splice joins or splits circular lists, as UnionFind.splice does.
+func (o *OffsetUF) splice(a, b int32) {
+	o.elems[a].next, o.elems[b].next = o.elems[b].next, o.elems[a].next
 }
 
 // Version returns the membership version: it changes exactly when set
@@ -321,30 +333,27 @@ func (o *OffsetUF) TrailUndo(mark int) {
 	for i := len(o.ops) - 1; i >= mark; i-- {
 		op := o.ops[i]
 		if op.ry < 0 { // Add
-			n := len(o.parent) - 1
-			o.parent = o.parent[:n]
-			o.rank = o.rank[:n]
-			o.off = o.off[:n]
+			o.elems = o.elems[:len(o.elems)-1]
 			continue
 		}
-		o.parent[op.ry] = op.ry
-		o.off[op.ry] = 0
+		o.splice(op.rx, op.ry)
+		o.shift(op.ry, op.ry, op.d)
 		if op.rankBumped {
-			o.rank[op.rx]--
+			o.elems[op.rx].rank--
 		}
 	}
 	o.ops = o.ops[:mark]
 }
 
 // TrailStop ends trailing: the op log is discarded (keeping its backing
-// array for reuse) and path compression resumes.
+// array for reuse).
 func (o *OffsetUF) TrailStop() {
 	o.trailing = false
 	o.ops = o.ops[:0]
 }
 
 // Reset reinitializes the structure to n singletons with offset 0,
-// reusing the backing arrays. The membership version keeps advancing
+// reusing the backing array. The membership version keeps advancing
 // monotonically across resets, so caches keyed on Version never confuse
 // two states that happen to share the storage. It must not be called
 // while a trail is active.
@@ -352,18 +361,12 @@ func (o *OffsetUF) Reset(n int) {
 	if o.trailing {
 		panic("graphutil: OffsetUF.Reset during active trail")
 	}
-	if cap(o.parent) < n {
-		o.parent = make([]int, n)
-		o.rank = make([]int, n)
-		o.off = make([]int, n)
+	if cap(o.elems) < n {
+		o.elems = make([]offElem, n)
 	}
-	o.parent = o.parent[:n]
-	o.rank = o.rank[:n]
-	o.off = o.off[:n]
-	for i := 0; i < n; i++ {
-		o.parent[i] = i
-		o.rank[i] = 0
-		o.off[i] = 0
+	o.elems = o.elems[:n]
+	for i := range o.elems {
+		o.elems[i] = offElem{root: int32(i), next: int32(i)}
 	}
 	o.version++
 	o.ops = o.ops[:0]
@@ -379,24 +382,20 @@ func (o *OffsetUF) Clone() *OffsetUF {
 	if o.trailing {
 		panic("graphutil: OffsetUF.Clone during active trail")
 	}
-	return &OffsetUF{
-		parent:  append([]int(nil), o.parent...),
-		rank:    append([]int(nil), o.rank...),
-		off:     append([]int(nil), o.off...),
-		version: o.version,
-	}
+	return &OffsetUF{elems: append([]offElem(nil), o.elems...), version: o.version}
 }
 
 // Members returns all elements in x's set together with their offsets
 // relative to x (member value − x value).
 func (o *OffsetUF) Members(x int) map[int]int {
-	rx, ox := o.Find(x)
+	ex := o.elems[x]
 	m := make(map[int]int)
-	for i := range o.parent {
-		ri, oi := o.Find(i)
-		if ri == rx {
-			m[i] = oi - ox
+	i := ex.root
+	for {
+		e := &o.elems[i]
+		m[int(i)] = e.off - ex.off
+		if i = e.next; i == ex.root {
+			return m
 		}
 	}
-	return m
 }

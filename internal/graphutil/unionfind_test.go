@@ -135,49 +135,153 @@ func TestOffsetUFAddClone(t *testing.T) {
 	}
 }
 
-// TestOffsetUFAgainstReference replays random relation sequences against
-// a naive reference that stores concrete values, checking that Relate
-// accepts exactly the consistent relations and that Delta matches.
+// refForest is the reference disjoint-set forest the randomized tests
+// compare against: plain parent pointers, no compression, and the
+// classic choice of the surviving root (by rank or by size, ties to the
+// first argument's root). The flat union-finds must name the same
+// representative for every element: the sorted component order the
+// deduction rules visit depends on it.
+type refForest struct {
+	parent, weight []int
+	byRank         bool
+}
+
+func newRefForest(n int, byRank bool) *refForest {
+	f := &refForest{byRank: byRank}
+	for i := 0; i < n; i++ {
+		f.add()
+	}
+	return f
+}
+
+func (f *refForest) add() {
+	f.parent = append(f.parent, len(f.parent))
+	if f.byRank {
+		f.weight = append(f.weight, 0)
+	} else {
+		f.weight = append(f.weight, 1)
+	}
+}
+
+func (f *refForest) find(x int) int {
+	for f.parent[x] != x {
+		x = f.parent[x]
+	}
+	return x
+}
+
+func (f *refForest) union(x, y int) {
+	rx, ry := f.find(x), f.find(y)
+	if rx == ry {
+		return
+	}
+	if f.weight[rx] < f.weight[ry] {
+		rx, ry = ry, rx
+	}
+	f.parent[ry] = rx
+	switch {
+	case !f.byRank:
+		f.weight[rx] += f.weight[ry]
+	case f.weight[rx] == f.weight[ry]:
+		f.weight[rx]++
+	}
+}
+
+func (f *refForest) clone() *refForest {
+	return &refForest{parent: append([]int(nil), f.parent...), weight: append([]int(nil), f.weight...), byRank: f.byRank}
+}
+
+// refTrail interleaves trail operations into a randomized replay: it
+// opens a checkpoint (TrailMark plus a snapshot of the reference),
+// rolls the innermost one back (TrailUndo plus the snapshot), or keeps
+// it (as an inner commit does; closing the outermost ends the trail).
+type refTrail[T any] struct {
+	marks []int
+	snaps []T
+}
+
+// step draws one trail operation, or none, and applies it through the
+// callbacks; it returns the reference to continue with.
+func (tr *refTrail[T]) step(rng *rand.Rand, ref T, mark func() int, undo func(int), stop func(), snap func(T) T) T {
+	switch rng.Intn(8) {
+	case 0:
+		tr.marks = append(tr.marks, mark())
+		tr.snaps = append(tr.snaps, snap(ref))
+	case 1, 2:
+		if n := len(tr.marks); n > 0 {
+			undo(tr.marks[n-1])
+			ref = tr.snaps[n-1]
+			tr.marks, tr.snaps = tr.marks[:n-1], tr.snaps[:n-1]
+			if n == 1 {
+				stop()
+			}
+		}
+	case 3:
+		if n := len(tr.marks); n > 0 {
+			tr.marks, tr.snaps = tr.marks[:n-1], tr.snaps[:n-1]
+			if n == 1 {
+				stop()
+			}
+		}
+	}
+	return ref
+}
+
+// TestOffsetUFAgainstReference replays random relation sequences, with
+// element additions and trail checkpoints interleaved, against a
+// reference that stores concrete values and a rank-based forest. Relate
+// must accept exactly the consistent relations, every Find must name
+// the reference's representative, and every offset must match the
+// concrete values.
 func TestOffsetUFAgainstReference(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		o := NewOffsetUF(n)
-		// Reference: assign each element a concrete value; an element's
-		// component is tracked with a plain union-find, and a relation
-		// is consistent iff it matches the concrete value difference
-		// (when in the same component) — we *construct* relations from
-		// the concrete values, so all same-component relations are
+		// Each element gets a concrete value; relations are constructed
+		// from the values, so every same-component relation is
 		// consistent and cross-component relations adopt the values.
-		vals := make([]int, n)
+		// Values outlive a rolled-back Add: a re-added element reuses
+		// its slot's value.
+		const steps = 60
+		vals := make([]int, n+steps)
 		for i := range vals {
 			vals[i] = rng.Intn(21) - 10
 		}
-		comp := NewUnionFind(n)
-		for step := 0; step < 40; step++ {
-			x, y := rng.Intn(n), rng.Intn(n)
-			if x == y {
-				continue
-			}
-			if rng.Intn(4) == 0 && comp.Same(x, y) {
+		ref := newRefForest(n, true)
+		var tr refTrail[*refForest]
+		for step := 0; step < steps; step++ {
+			ref = tr.step(rng, ref, o.TrailMark, o.TrailUndo, o.TrailStop, (*refForest).clone)
+			x, y := rng.Intn(o.Len()), rng.Intn(o.Len())
+			switch {
+			case rng.Intn(8) == 0:
+				o.Add()
+				ref.add()
+			case x == y:
+			case rng.Intn(4) == 0 && ref.find(x) == ref.find(y):
 				// Deliberately inconsistent relation.
 				wrong := vals[x] - vals[y] + 1 + rng.Intn(3)
 				if err := o.Relate(x, y, wrong); err == nil {
 					return false
 				}
-				continue
+			default:
+				if err := o.Relate(x, y, vals[x]-vals[y]); err != nil {
+					return false
+				}
+				ref.union(x, y)
 			}
-			if err := o.Relate(x, y, vals[x]-vals[y]); err != nil {
+			if o.Len() != len(ref.parent) {
 				return false
 			}
-			comp.Union(x, y)
-			// Spot check a random pair.
-			a, b := rng.Intn(n), rng.Intn(n)
+			for i := 0; i < o.Len(); i++ {
+				root, off := o.Find(i)
+				if root != ref.find(i) || off != vals[i]-vals[root] {
+					return false
+				}
+			}
+			a, b := rng.Intn(o.Len()), rng.Intn(o.Len())
 			d, ok := o.Delta(a, b)
-			if ok != comp.Same(a, b) {
-				return false
-			}
-			if ok && d != vals[a]-vals[b] {
+			if ok != (ref.find(a) == ref.find(b)) || (ok && d != vals[a]-vals[b]) {
 				return false
 			}
 		}
@@ -188,39 +292,45 @@ func TestOffsetUFAgainstReference(t *testing.T) {
 	}
 }
 
+// TestUnionFindRandomAgainstReference replays random unions, with
+// element additions and trail checkpoints interleaved, against a
+// size-based reference forest: every Find must name the reference's
+// representative, and the set count and sizes must agree.
 func TestUnionFindRandomAgainstReference(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
 		u := NewUnionFind(n)
-		// Reference: component labels recomputed by flood fill over the
-		// recorded union operations.
-		label := make([]int, n)
-		for i := range label {
-			label[i] = i
-		}
-		relabel := func(from, to int) {
-			for i := range label {
-				if label[i] == from {
-					label[i] = to
+		ref := newRefForest(n, false)
+		var tr refTrail[*refForest]
+		for step := 0; step < 60; step++ {
+			ref = tr.step(rng, ref, u.TrailMark, u.TrailUndo, u.TrailStop, (*refForest).clone)
+			if rng.Intn(8) == 0 {
+				u.Add()
+				ref.add()
+			} else {
+				x, y := rng.Intn(u.Len()), rng.Intn(u.Len())
+				u.Union(x, y)
+				ref.union(x, y)
+			}
+			if u.Len() != len(ref.parent) {
+				return false
+			}
+			sets := 0
+			for i := 0; i < u.Len(); i++ {
+				r := ref.find(i)
+				if u.Find(i) != r || u.SetSize(i) != ref.weight[r] {
+					return false
+				}
+				if r == i {
+					sets++
 				}
 			}
-		}
-		for step := 0; step < 50; step++ {
-			x, y := rng.Intn(n), rng.Intn(n)
-			u.Union(x, y)
-			relabel(label[x], label[y])
-			a, b := rng.Intn(n), rng.Intn(n)
-			if u.Same(a, b) != (label[a] == label[b]) {
+			if u.Sets() != sets {
 				return false
 			}
 		}
-		// Set count matches distinct labels.
-		distinct := map[int]bool{}
-		for _, l := range label {
-			distinct[l] = true
-		}
-		return u.Sets() == len(distinct)
+		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -138,10 +138,11 @@ func attemptTiers(out *Outcome) []Tier {
 	return tiers
 }
 
-// Spurious contradictions on every propagation refute every exit cycle
-// the bound probes try, so the enhanced bound climbs past CARS's AWCT
-// and the search stops there; the ladder must keep CARS, with one SG
-// attempt.
+// Spurious contradictions on every propagation are faults, not
+// refutations: the first bound probe returns its injected contradiction
+// as the search's error instead of raising the bound past CARS's AWCT,
+// so the ladder keeps CARS as an sg-error, with one SG attempt, and
+// never claims CARS reached a lower bound.
 func TestContradictionFaultDegradesToCARS(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
@@ -154,14 +155,14 @@ func TestContradictionFaultDegradesToCARS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline failed outright: %v", err)
 	}
-	if out.Tier != TierCARS || out.Reason != ReasonAtBound {
-		t.Fatalf("tier %s reason %s, want cars at-bound\n%s", out.Tier, out.Reason, out)
+	if out.Tier != TierCARS || out.Reason != ReasonSGError {
+		t.Fatalf("tier %s reason %s, want cars sg-error\n%s", out.Tier, out.Reason, out)
 	}
 	if got, want := attemptTiers(out), []Tier{TierCARS, TierSG}; !slices.Equal(got, want) {
 		t.Errorf("attempts %v, want %v\n%s", got, want, out)
 	}
-	if got := out.Attempts[1].Err; got != core.ErrNoBetter.Error() {
-		t.Errorf("sg attempt error %q, want %q", got, core.ErrNoBetter)
+	if got, want := out.Attempts[1].Err, "deduce: contradiction: injected contradiction (faultpoint deduce.propagate)"; got != want {
+		t.Errorf("sg attempt error %q, want %q", got, want)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("accepted schedule invalid: %v", err)

@@ -387,7 +387,7 @@ func (g *Graph) TrailUndo(m Mark) {
 }
 
 // TrailStop ends trailing: both op logs are discarded (keeping backing
-// arrays for reuse) and union-find path compression resumes.
+// arrays for reuse).
 func (g *Graph) TrailStop() {
 	g.trailing = false
 	g.ops = g.ops[:0]
