@@ -83,12 +83,10 @@ func (s *scheduler) stageCombinations(st *deduce.State) error {
 		if err := s.checkTime(); err != nil {
 			return err
 		}
-		open := st.OpenPairs()
-		if len(open) == 0 {
+		pairs := s.candidatePairs(st)
+		if len(pairs) == 0 {
 			return nil
 		}
-		rotate(open, s.variant)
-		limit := min(candidateLimit, len(open))
 		// Choosing a combination keeps parallelism available, so
 		// dropping the pair is normally the last resort. The final retry
 		// inverts that: a conservative, list-scheduler-like search
@@ -96,7 +94,7 @@ func (s *scheduler) stageCombinations(st *deduce.State) error {
 		// ends the aggressive merging runs into.
 		conservative := s.variant%3 == 2
 		var cands []candidate
-		for _, pi := range open[:limit] {
+		for _, pi := range pairs {
 			p := st.PairAt(pi)
 			u, v := p.U, p.V
 			combs := p.Combs // PairAt materializes a fresh slice
@@ -122,6 +120,16 @@ func (s *scheduler) stageCombinations(st *deduce.State) error {
 	}
 }
 
+// candidatePairs returns the pairs stage 1 studies next: the first
+// candidateLimit of the most-constraining-first order rotated by the
+// variant. The query returns only the prefix they come from, or all of
+// the order when it is shorter, where the rotation wraps.
+func (s *scheduler) candidatePairs(st *deduce.State) []int {
+	open := st.OpenPairs(s.variant + candidateLimit)
+	rotate(open, s.variant)
+	return open[:min(candidateLimit, len(open))]
+}
+
 // stageFixInstrs is stage 2: pin every original instruction that still
 // has slack, least-slack candidate first; the alternatives are feasible
 // cycles spread across its window.
@@ -136,12 +144,14 @@ func (s *scheduler) stageFixCopies(st *deduce.State) error {
 	return s.fixNodes(st, st.UnpinnedCopies)
 }
 
-func (s *scheduler) fixNodes(st *deduce.State, list func() []int) error {
+func (s *scheduler) fixNodes(st *deduce.State, list func(k int) []int) error {
 	for {
 		if err := s.checkTime(); err != nil {
 			return err
 		}
-		nodes := list()
+		// Only the node at position variant of the order is studied, so
+		// the query returns the prefix up to it, as in candidatePairs.
+		nodes := list(s.variant + 1)
 		if len(nodes) == 0 {
 			return nil
 		}
@@ -175,7 +185,8 @@ func (s *scheduler) fixNodes(st *deduce.State, list func() []int) error {
 }
 
 // rotate moves the first k%len elements to the back, perturbing the
-// candidate order across retries.
+// candidate order across retries. It rotates in place, by three
+// reversals.
 func rotate[T any](xs []T, k int) {
 	if len(xs) < 2 {
 		return
@@ -184,8 +195,9 @@ func rotate[T any](xs []T, k int) {
 	if k == 0 {
 		return
 	}
-	out := append(append(make([]T, 0, len(xs)), xs[k:]...), xs[:k]...)
-	copy(xs, out)
+	reverse(xs[:k])
+	reverse(xs[k:])
+	reverse(xs)
 }
 
 func reverse[T any](xs []T) {

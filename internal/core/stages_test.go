@@ -3,11 +3,14 @@ package core
 import (
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"vcsched/internal/deduce"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
+	"vcsched/internal/sg"
 	"vcsched/internal/workload"
 )
 
@@ -38,6 +41,83 @@ func TestRotateAndReverse(t *testing.T) {
 	reverse(one)
 	if one[0] != 9 {
 		t.Error("singleton mangled")
+	}
+}
+
+// fullPairOrder is stage 1's reference order: every Open pair,
+// stable-sorted by combination slack, as the query sorted them before
+// it returned a prefix.
+func fullPairOrder(st *deduce.State) []int {
+	slack := func(i int) int {
+		p := st.PairAt(i)
+		return st.Slack(p.U) + st.Slack(p.V) + len(p.Combs)
+	}
+	var idx []int
+	for i := 0; i < st.NumPairs(); i++ {
+		if st.PairAt(i).Status == deduce.Open {
+			idx = append(idx, i)
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return slack(idx[a]) < slack(idx[b]) })
+	return idx
+}
+
+// TestCandidatePairsFollowFullOrder checks stage 1's candidates against
+// the full order: for variants 0–2 they are rotate(order, variant)
+// [:min(3, n)] for n open pairs, on states a decision script walks down
+// to its last open pairs, so states with n < variant+3, where the
+// rotation wraps, are among them.
+func TestCandidatePairsFollowFullOrder(t *testing.T) {
+	wraps := 0
+	for _, p := range workload.Benchmarks()[:6] {
+		sb := p.GenerateBlock(0, 0)
+		if sb.N() > 24 {
+			continue
+		}
+		m := machine.TwoCluster1Lat()
+		est := sb.EStarts()
+		deadlines := make(map[int]int, len(sb.Exits()))
+		for _, x := range sb.Exits() {
+			deadlines[x] = est[x] + 4
+		}
+		st, err := deduce.NewState(sb, m, sg.Build(sb, m), deadlines,
+			deduce.Options{Pins: workload.PinsFor(sb, m.Clusters, 1), PinExits: true})
+		if err != nil {
+			continue
+		}
+		for {
+			full := fullPairOrder(st)
+			n := len(full)
+			for v := 0; v < retries; v++ {
+				want := append([]int(nil), full...)
+				rotate(want, v)
+				want = want[:min(candidateLimit, n)]
+				got := (&scheduler{variant: v}).candidatePairs(st)
+				if !reflect.DeepEqual(append([]int{}, got...), append([]int{}, want...)) {
+					t.Fatalf("%s, %d open, variant %d: candidates %v, want %v (order %v)", sb.Name, n, v, got, want, full)
+				}
+				if n > 0 && n < v+candidateLimit {
+					wraps++
+				}
+			}
+			if n == 0 {
+				break
+			}
+			// Resolve the most constraining pair: its first combination,
+			// else drop it; stop when both contradict.
+			pr := st.PairAt(full[0])
+			if st.Probe(func(x *deduce.State) error { return x.ChooseComb(pr.U, pr.V, pr.Combs[0]) }) == nil {
+				err = st.ChooseComb(pr.U, pr.V, pr.Combs[0])
+			} else {
+				err = st.DropPair(pr.U, pr.V)
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+	if wraps == 0 {
+		t.Fatal("no state had fewer open pairs than variant+3")
 	}
 }
 

@@ -55,11 +55,11 @@ type Arena struct {
 	// first probe on a block — the last piece of the flat-state push.
 	tr trail
 
-	// cc-groups cache (CSR) + rebuild scratch.
-	ccRoots   []int
-	ccStart   []int
-	ccMembers []int
-	ccRootOf  []int32
+	// cc-groups cache: the backing arrays of the state's two CSR
+	// entries (ccgroups.go), plus rebuild scratch.
+	ccRoots   [2][]int
+	ccStart   [2][]int
+	ccMembers [2][]int
 	ccSlot    []int32
 	ccCursor  []int32
 	ccSeen    []bool
@@ -72,10 +72,15 @@ type Arena struct {
 	ivs          []interval
 	los          []int
 	his          []int
-	ends         []int
+	hiKeys       []int64 // packIntervals' (right end, index) keys
+	live         []int32 // packIntervals' counted intervals by right end
 	byClass      [ir.NumClasses][]int
 	plcAlts      []int
 	dirty        []uint64 // dirtyPairs' pair bitset
+
+	// Candidate-query scratch (queries.go).
+	sel    []keyed
+	selOut []int
 
 	// Metrics scratch.
 	repSeen    []bool

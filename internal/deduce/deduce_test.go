@@ -128,7 +128,7 @@ func TestSection5FullManualSchedule(t *testing.T) {
 		t.Fatalf("map cluster 1: %v", err)
 	}
 	// Pin any copies that still have slack.
-	for _, node := range st.UnpinnedCopies() {
+	for _, node := range st.UnpinnedCopies(st.NumNodes()) {
 		if err := st.FixCycle(node, st.Est(node)); err != nil {
 			t.Fatalf("pin copy %d: %v", node, err)
 		}

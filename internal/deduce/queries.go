@@ -202,20 +202,19 @@ func (st *State) outEdgePairs() (map[[2]int]int, error) {
 // graph.
 func (st *State) OutEdges() (map[[2]int]int, error) { return st.outEdgePairs() }
 
-// OpenPairs returns the indices of pairs still Open, sorted by
-// combination slack (fewest realizable placements first) — the paper's
-// most-constraining-first candidate order for stages 1 and 5.
-func (st *State) OpenPairs() []int {
-	var idx []int
+// OpenPairs returns the first k indices of the pairs still Open in
+// order of combination slack (fewest realizable placements first), ties
+// by index: the paper's most-constraining-first candidate order for
+// stages 1 and 5. It returns the whole order when fewer than k pairs
+// are open. The slice is arena scratch, valid until the next query.
+func (st *State) OpenPairs(k int) []int {
+	sel := claim(&st.ar.sel, 0, min(k, len(st.pairs)))
 	for i := range st.pairs {
 		if st.pairs[i].status == Open {
-			idx = append(idx, i)
+			sel = insertKeyed(sel, k, keyed{key: st.pairSlack(i), item: i})
 		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return st.pairSlack(idx[a]) < st.pairSlack(idx[b])
-	})
-	return idx
+	return st.selected(sel)
 }
 
 // pairSlack measures the freedom of a pair: the combined window slack of
@@ -225,25 +224,64 @@ func (st *State) pairSlack(i int) int {
 	return st.Slack(int(p.u)) + st.Slack(int(p.v)) + st.combCount(i)
 }
 
-// UnpinnedInstrs returns the original instructions not yet fixed to a
-// cycle, lowest slack first (the stage-2 candidate order).
-func (st *State) UnpinnedInstrs() []int { return st.unpinned(0, st.nOrig) }
+// UnpinnedInstrs returns the first k original instructions not yet
+// fixed to a cycle, lowest slack first, ties by id (the stage-2
+// candidate order). Like OpenPairs it returns the whole order when it
+// is shorter, in arena scratch.
+func (st *State) UnpinnedInstrs(k int) []int { return st.unpinned(0, st.nOrig, k) }
 
-// UnpinnedCopies returns the communication nodes not yet fixed to a
-// cycle, lowest slack first (the stage-6 candidate order).
-func (st *State) UnpinnedCopies() []int { return st.unpinned(st.nOrig, len(st.est)) }
+// UnpinnedCopies returns the first k communication nodes not yet fixed
+// to a cycle, lowest slack first, ties by id (the stage-6 candidate
+// order), as UnpinnedInstrs does.
+func (st *State) UnpinnedCopies(k int) []int { return st.unpinned(st.nOrig, len(st.est), k) }
 
-func (st *State) unpinned(lo, hi int) []int {
-	var nodes []int
+func (st *State) unpinned(lo, hi, k int) []int {
+	sel := claim(&st.ar.sel, 0, min(k, hi-lo))
 	for n := lo; n < hi; n++ {
 		if !st.Pinned(n) {
-			nodes = append(nodes, n)
+			sel = insertKeyed(sel, k, keyed{key: st.Slack(n), item: n})
 		}
 	}
-	sort.SliceStable(nodes, func(a, b int) bool {
-		return st.Slack(nodes[a]) < st.Slack(nodes[b])
-	})
-	return nodes
+	return st.selected(sel)
+}
+
+// keyed is one candidate of a query with its sort key.
+type keyed struct{ key, item int }
+
+// insertKeyed adds c to sel, the at most k smallest candidates seen so
+// far in (key, item) order. Candidates arrive in ascending item order,
+// so c goes after every entry with a key no larger than its own, which
+// keeps the order stable, and one past the k-th is dropped. Each key is
+// computed once, and the queries need only the first few candidates of
+// orders hundreds long, so one pass with an insertion beats a sort.
+func insertKeyed(sel []keyed, k int, c keyed) []keyed {
+	n := len(sel)
+	if n == k {
+		if k == 0 || sel[n-1].key <= c.key {
+			return sel
+		}
+		n--
+	} else {
+		sel = append(sel, keyed{})
+	}
+	j := n
+	for j > 0 && sel[j-1].key > c.key {
+		sel[j] = sel[j-1]
+		j--
+	}
+	sel[j] = c
+	return sel
+}
+
+// selected keeps sel's buffer on the arena and returns its items.
+func (st *State) selected(sel []keyed) []int {
+	st.ar.sel = sel
+	out := claim(&st.ar.selOut, 0, len(sel))
+	for _, c := range sel {
+		out = append(out, c.item)
+	}
+	st.ar.selOut = out
+	return out
 }
 
 // AllPairsResolved reports whether every SG pair is Chosen or Dropped.

@@ -84,7 +84,7 @@ func checkRollbackRoundtrips(t *testing.T, st *State, seed int64, rounds int) {
 		// Query the caches mid-speculation so the memo slots are hot with
 		// speculative values when the rollback hits.
 		_ = st.vc.CliqueExceeds(st.M.Clusters)
-		st.ccGroupsRebuild()
+		st.ccGroups()
 		st.Rollback()
 
 		if got := st.DumpText(); got != before {
@@ -99,11 +99,10 @@ func checkRollbackRoundtrips(t *testing.T, st *State, seed int64, rounds int) {
 		}
 		// cc-groups CSR: keyed by the union-find version; rebuild both and
 		// compare the full membership.
-		st.ccGroupsRebuild()
-		oracle.ccGroupsRebuild()
-		if !equalInts(st.ccRoots, oracle.ccRoots) || !equalInts(st.ccStart, oracle.ccStart) || !equalInts(st.ccMembers, oracle.ccMembers) {
+		g, o := st.ccGroups(), oracle.ccGroups()
+		if !equalInts(g.roots, o.roots) || !equalInts(g.start, o.start) || !equalInts(g.members, o.members) {
 			t.Fatalf("round %d: cc-groups CSR diverged after rollback\ngot roots %v start %v members %v\nwant roots %v start %v members %v",
-				round, st.ccRoots, st.ccStart, st.ccMembers, oracle.ccRoots, oracle.ccStart, oracle.ccMembers)
+				round, g.roots, g.start, g.members, o.roots, o.start, o.members)
 		}
 
 		// Walk the state forward every few rounds so later rounds start

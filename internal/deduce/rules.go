@@ -111,68 +111,14 @@ func (st *State) propagateBounds() (bool, error) {
 	return changed, nil
 }
 
-// ccGroupsRebuild refreshes the connected-component membership CSR
-// (st.ccRoots / st.ccStart / st.ccMembers over arena buffers), rebuilt
-// only when the union-find's membership version moved — the cache
-// survives bound-only propagation passes, which are the overwhelming
-// majority. Roots are sorted and members ascend, so which component a
-// rule visits first is a pure function of the state, never of map
-// iteration order. Roots can be copy nodes (>= nOrig), so the scratch
-// tables are sized by the full node count.
-func (st *State) ccGroupsRebuild() {
-	v := st.cc.Version()
-	if st.ccGroupsVer == v {
-		return
-	}
-	ar := st.ar
-	n := st.cc.Len()
-	seen := claim(&ar.ccSeen, n, n)
-	clear(seen)
-	roots := claim(&ar.ccRoots, 0, st.nOrig)
-	for node := 0; node < st.nOrig; node++ {
-		root, _ := st.cc.Find(node)
-		if !seen[root] {
-			seen[root] = true
-			roots = append(roots, root)
-		}
-	}
-	slices.Sort(roots)
-	r := len(roots)
-	slot := claim(&ar.ccSlot, n, n)
-	for s, root := range roots {
-		slot[root] = int32(s)
-	}
-	start := claim(&ar.ccStart, r+1, st.nOrig+1)
-	clear(start)
-	for node := 0; node < st.nOrig; node++ {
-		root, _ := st.cc.Find(node)
-		start[slot[root]+1]++
-	}
-	for i := 1; i <= r; i++ {
-		start[i] += start[i-1]
-	}
-	cursor := claim(&ar.ccCursor, r, st.nOrig)
-	for i := range cursor {
-		cursor[i] = int32(start[i])
-	}
-	members := claim(&ar.ccMembers, st.nOrig, st.nOrig)
-	for node := 0; node < st.nOrig; node++ {
-		root, _ := st.cc.Find(node)
-		s := slot[root]
-		members[cursor[s]] = node
-		cursor[s]++
-	}
-	st.ccRoots, st.ccStart, st.ccMembers, st.ccGroupsVer = roots, start, members, v
-}
-
 // ccBounds aligns the bounds of connected-component members: with
 // Cyc(x) = Cyc(root) + off(x), the component-wide feasible root window
 // is the intersection of every member's window shifted by its offset.
 func (st *State) ccBounds() (bool, error) {
-	st.ccGroupsRebuild()
+	g := st.ccGroups()
 	changed := false
-	for gi, root := range st.ccRoots {
-		members := st.ccMembers[st.ccStart[gi]:st.ccStart[gi+1]]
+	for gi, root := range g.roots {
+		members := g.members[g.start[gi]:g.start[gi+1]]
 		if len(members) < 2 {
 			continue
 		}
@@ -208,17 +154,20 @@ func (st *State) ccBounds() (bool, error) {
 // through transitive component merges (rule U3): the implied combination
 // is auto-chosen if still available, the pair is dropped if the offset
 // precludes overlap, and a discarded-but-implied combination is a
-// contradiction. A pair's inputs are its own record and the components,
-// so with the components unchanged only changed pairs are revisited.
+// contradiction. A pair's inputs are its own record and the components.
+// Only an Open pair inside one component can be resolved, and after a
+// clean run there is none; a pair gets there only through a change to
+// its own record or through a merge of the components of its two ends,
+// and commitComb stamps the pairs a merge joins (stampJoinedPairs). So
+// the stamped pairs are the only ones to revisit.
 func (st *State) ruleCCCoherence() (bool, error) {
 	memo := st.memo.coherence
-	all := st.stamp.cc > memo
-	if !all && st.stamp.pairs <= memo {
+	if st.stamp.pairs <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
 	changed := false
-	for wi, w := range st.dirtyPairs(memo, false, all) {
+	for wi, w := range st.dirtyPairs(memo, false) {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			p := &st.pairs[i]
@@ -252,25 +201,17 @@ func (st *State) ruleCCCoherence() (bool, error) {
 }
 
 // dirtyPairs returns, as a bitset over pair indexes in arena scratch,
-// the pairs a pair rule with the given memo must revisit: every pair
-// with all; otherwise each pair whose own stamp is newer than memo and,
-// with bounds, each pair with an endpoint whose bounds moved since
-// (sgIndex.incident). Blocks of 64 pairs whose newest stamp is at most
-// memo are skipped whole. Visiting pair i changes no bound and no
-// other pair's stamp, so the set is fixed when the sweep starts and
-// the sweep visits exactly the pairs a per-pair stamp check would.
-func (st *State) dirtyPairs(memo uint64, bounds, all bool) []uint64 {
+// the pairs a pair rule with the given memo must revisit: each pair
+// whose own stamp is newer than memo and, with bounds, each pair with
+// an endpoint whose bounds moved since (sgIndex.incident). Blocks of 64
+// pairs whose newest stamp is at most memo are skipped whole. The set
+// is fixed when the sweep starts. Pairs stamped during the sweep (by a
+// D1 choice's merge, say) are newer than the memo the sweep leaves, so
+// the next run revisits them; visiting a pair a full sweep would leave
+// alone changes nothing, so that costs a visit, not a difference.
+func (st *State) dirtyPairs(memo uint64, bounds bool) []uint64 {
 	pw := st.idx.pairW
 	d := claim(&st.ar.dirty, pw, pw)
-	if all {
-		for k := range d {
-			d[k] = ^uint64(0)
-		}
-		if tail := len(st.pairs) & 63; tail != 0 {
-			d[pw-1] = 1<<uint(tail) - 1
-		}
-		return d
-	}
 	clear(d)
 	if bounds && st.stamp.bounds > memo {
 		for n := 0; n < st.nOrig; n++ {
@@ -313,7 +254,7 @@ func (st *State) rulePrunePairs() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	for wi, w := range st.dirtyPairs(memo, true, false) {
+	for wi, w := range st.dirtyPairs(memo, true) {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			p := &st.pairs[i]
@@ -361,17 +302,52 @@ func (st *State) mustOverlap(u, v int) bool {
 }
 
 // commitComb records a chosen combination for pair i: pair state plus
-// the offset relation in the connected-component structure.
+// the offset relation in the connected-component structure. It is the
+// only caller of OffsetUF.Relate, so every merge stamps the pairs it
+// joins first.
 func (st *State) commitComb(i, comb int) error {
 	st.touchPair(i)
 	p := &st.pairs[i]
 	p.status = Chosen
 	p.comb = int32(comb)
 	st.combSetOnly(i, comb)
+	if !st.cc.Same(int(p.u), int(p.v)) {
+		st.stampJoinedPairs(int(p.u), int(p.v))
+	}
 	if err := st.cc.Relate(int(p.u), int(p.v), comb); err != nil {
 		return contraf("pair (%d,%d): offset %d conflicts with connected components", p.u, p.v, comb)
 	}
 	return nil
+}
+
+// stampJoinedPairs stamps every Open pair with one end in a's component
+// and the other in b's, just before the two merge: those are the pairs
+// the merge puts inside one component, where ruleCCCoherence resolves
+// them. It walks the member list of the smaller component and the
+// incident pairs of each member.
+func (st *State) stampJoinedPairs(a, b int) {
+	if st.cc.SetSize(a) > st.cc.SetSize(b) {
+		a, b = b, a
+	}
+	rb, _ := st.cc.Find(b)
+	pw := st.idx.pairW
+	for m := a; ; {
+		for k, w := range st.idx.incident[m*pw : (m+1)*pw] {
+			for ; w != 0; w &= w - 1 {
+				j := k<<6 | bits.TrailingZeros64(w)
+				q := &st.pairs[j]
+				if q.status != Open {
+					continue
+				}
+				if r, _ := st.cc.Find(int(q.u) + int(q.v) - m); r == rb {
+					st.stampPair(j)
+				}
+			}
+		}
+		if m = st.cc.NextMember(m); m == a {
+			return
+		}
+	}
 }
 
 // sortTriples stable-sorts the resource scratch rows by (key, class),
@@ -396,10 +372,10 @@ func (st *State) ruleCCResources() (bool, error) {
 		return false, nil
 	}
 	start := st.ar.clock
-	st.ccGroupsRebuild()
+	g := st.ccGroups()
 	changed := false
-	for gi := range st.ccRoots {
-		members := st.ccMembers[st.ccStart[gi]:st.ccStart[gi+1]]
+	for gi := range g.roots {
+		members := g.members[g.start[gi]:g.start[gi+1]]
 		if len(members) < 2 {
 			continue
 		}
@@ -888,43 +864,66 @@ type interval struct {
 }
 
 func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
+	// One sort of the left ends, and one of the intervals by right end
+	// (keys pack the right end above the interval's index), from which
+	// the distinct right ends come in order too.
 	los := st.ar.los[:0]
-	his := st.ar.his[:0]
-	for _, iv := range ivs {
+	keys := claim(&st.ar.hiKeys, 0, len(ivs))
+	for i, iv := range ivs {
 		los = append(los, iv.lo)
-		his = append(his, iv.hi)
+		keys = append(keys, int64(iv.hi)<<32|int64(i))
 	}
 	slices.Sort(los)
-	slices.Sort(his)
+	slices.Sort(keys)
 	los = dedupInts(los)
-	his = dedupInts(his)
-	st.ar.los, st.ar.his = los, his
+	his := st.ar.his[:0]
+	live := claim(&st.ar.live, 0, len(ivs))
+	for _, key := range keys {
+		if hi := int(key >> 32); len(his) == 0 || his[len(his)-1] != hi {
+			his = append(his, hi)
+		}
+		live = append(live, int32(key))
+	}
+	st.ar.los, st.ar.hiKeys, st.ar.his, st.ar.live = los, keys, his, live
 	changed := false
+	first := 0 // his[first:] are the right ends at or after a
 	for _, a := range los {
 		// Demand in [a,b] counts the intervals with lo >= a and hi <= b.
 		// While b sweeps, that set and its right ends stay fixed: a
 		// saturation push moves a counted start to b+1 > a and keeps its
-		// end, and a pull only moves intervals starting before a. So the
-		// counted right ends are sorted once per left edge and demand is
-		// a cursor over them.
-		ends := st.ar.ends[:0]
-		for _, iv := range ivs {
-			if iv.lo >= a {
-				ends = append(ends, iv.hi)
+		// end, and a pull only moves intervals starting before a. Nor
+		// can an interval that starts before a be counted at a later
+		// (larger) left edge, or be pushed. So live, the intervals by
+		// right end, drops those at each left edge and keeps the rest
+		// in order, and demand is a cursor over it. Once the room
+		// cap·(b−a+1) exceeds the whole counted demand, no wider window
+		// can be over capacity or saturated; once even one cycle's room
+		// does, no later left edge, which counts fewer, can be either.
+		n := 0
+		for _, i := range live {
+			if ivs[i].lo >= a {
+				live[n] = i
+				n++
 			}
 		}
-		slices.Sort(ends)
-		st.ar.ends = ends
+		live = live[:n]
+		total := n * dur
+		if total < cap {
+			break
+		}
+		for first < len(his) && his[first] < a {
+			first++
+		}
 		k := 0
-		for _, b := range his {
-			if b < a {
-				continue
+		for _, b := range his[first:] {
+			room := cap * (b - a + 1)
+			if room > total {
+				break
 			}
-			for k < len(ends) && ends[k] <= b {
+			for k < n && ivs[live[k]].hi <= b {
 				k++
 			}
 			demand := k * dur
-			room := cap * (b - a + 1)
 			if demand > room {
 				return changed, contraf("window [%d,%d]: demand %d exceeds capacity %d", a, b, demand, room)
 			}

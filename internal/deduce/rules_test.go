@@ -237,61 +237,6 @@ func TestBoundsMonotoneUnderDecisions(t *testing.T) {
 	}
 }
 
-// TestQueryHelpers exercises the candidate-selection queries the core
-// scheduler drives the stages with.
-func TestQueryHelpers(t *testing.T) {
-	sb := ir.PaperFigure1()
-	m := machine.PaperExampleSection5()
-	st := mk(t, sb, m, map[int]int{4: 5, 6: 7}, sched.Pins{})
-
-	open := st.OpenPairs()
-	if len(open) == 0 {
-		t.Fatal("no open pairs on the fresh state")
-	}
-	// Sorted by slack: each successive pair's slack is non-decreasing.
-	for i := 1; i < len(open); i++ {
-		if st.pairSlack(open[i-1]) > st.pairSlack(open[i]) {
-			t.Fatal("OpenPairs not sorted by slack")
-		}
-	}
-	if st.AllPairsResolved() {
-		t.Error("fresh state claims all pairs resolved")
-	}
-	unpinned := st.UnpinnedInstrs()
-	if len(unpinned) == 0 {
-		t.Fatal("no unpinned instructions")
-	}
-	for i := 1; i < len(unpinned); i++ {
-		if st.Slack(unpinned[i-1]) > st.Slack(unpinned[i]) {
-			t.Fatal("UnpinnedInstrs not sorted by slack")
-		}
-	}
-	if got := len(st.UnmappedVCReps()); got == 0 {
-		t.Error("fresh state claims every VC mapped")
-	}
-	if st.Class(0) != ir.Int {
-		t.Errorf("Class(0) = %v", st.Class(0))
-	}
-	// Pinning everything to a cluster drains UnmappedVCReps.
-	for _, r := range st.UnmappedVCReps() {
-		mapped := false
-		for k := 0; k < m.Clusters && !mapped; k++ {
-			if st.Clone().FuseVC(r, st.VC().MustAnchor(k)) == nil {
-				if err := st.FuseVC(r, st.VC().MustAnchor(k)); err != nil {
-					t.Fatal(err)
-				}
-				mapped = true
-			}
-		}
-		if !mapped {
-			t.Fatalf("VC %d not mappable to any cluster", r)
-		}
-	}
-	if !st.AllMapped() {
-		t.Error("all VCs fused with anchors but AllMapped is false")
-	}
-}
-
 func TestDiscardCombOrientation(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
@@ -368,5 +313,52 @@ func TestVCUnitCapOnFatCluster(t *testing.T) {
 	err := st.FuseVC(c, d)
 	if err == nil || !IsContradiction(err) {
 		t.Fatalf("three co-issued ints on one VC with at most 2 int units per cluster: err %v, want a contradiction", err)
+	}
+}
+
+// TestMergeInPruneStampsJoinedPairs: a D1 choice inside rulePrunePairs
+// merges two components mid-sweep, and the next pass's coherence
+// resolves the pair the merge put inside one component. Nothing else
+// touches that pair: its windows leave all three of its combinations
+// feasible, so only the merge's stamp brings coherence to it.
+func TestMergeInPruneStampsJoinedPairs(t *testing.T) {
+	b := ir.NewBuilder("merge")
+	a := b.Instr("a", ir.Int, 1)
+	u := b.Instr("u", ir.FP, 3)
+	v := b.Instr("v", ir.Mem, 3)
+	x := b.Exit("x", 1, 1.0)
+	b.Dep(ir.Data, a, x, 1)
+	b.Dep(ir.Data, u, x, 3)
+	b.Dep(ir.Data, v, x, 3)
+	sb := b.MustFinish()
+	m := machine.TwoCluster1Lat()
+	// Exit at 4: a in [0,3], u and v in [0,1], so u and v must overlap.
+	st := mk(t, sb, m, map[int]int{x: 4}, sched.Pins{})
+	// Cyc(a) = Cyc(u) + 1 joins a and u and puts a in [1,2].
+	if err := st.ChooseComb(a, u, 1); err != nil {
+		t.Fatal(err)
+	}
+	av := st.pairIndex(a, v)
+	uv := st.pairIndex(u, v)
+	if p := st.PairAt(av); p.Status != Open || len(p.Combs) != 3 {
+		t.Fatalf("pair (a,v) = %+v, want Open with three combinations", p)
+	}
+	// Leave (u,v) one combination its windows allow, 0; it must
+	// overlap, so D1 chooses it inside rulePrunePairs and the merge
+	// joins a to v at offset 1.
+	if err := st.DiscardComb(u, v, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DiscardComb(u, v, 1); err != nil {
+		t.Fatal(err)
+	}
+	if p := st.PairAt(uv); p.Status != Chosen || p.Comb != 0 {
+		t.Fatalf("pair (u,v) = %+v, want Chosen 0 by D1", p)
+	}
+	if d, same := st.cc.Delta(a, v); !same || d != 1 {
+		t.Fatalf("a and v: delta %d, same component %v; want 1, true", d, same)
+	}
+	if p := st.PairAt(av); p.Status != Chosen || p.Comb != 1 {
+		t.Fatalf("pair (a,v) = %+v after the merge, want Chosen 1 by coherence", p)
 	}
 }

@@ -5,9 +5,13 @@ import "vcsched/internal/ir"
 // This file makes propagation change-driven. Every mutation of the
 // state takes a stamp from one monotonic clock (per arena), recorded on
 // the input it changed: a node's bounds, a pair's status and
-// combination words, the arc list, the communications, the PLCs. The
-// union-find and the VCG keep their own content versions; syncVersions
-// folds a moved version into the clock as one more stamp.
+// combination words, the arc list, the communications, the PLCs. A
+// merge of two components also stamps the Open pairs it puts inside
+// one component (commitComb), the only pairs it can make resolvable.
+// The union-find and the VCG keep their own content versions, which
+// name contents: a new content takes a value never used before, and an
+// undo restores the value its mark saw. syncVersions folds a version
+// other than the one it last saw into the clock as one more stamp.
 //
 // Each rule family remembers in memos the clock at the start of its
 // last clean (error-free) run, 0 meaning never. When the family's turn
@@ -26,10 +30,12 @@ import "vcsched/internal/ir"
 // nothing. Rolling back to it restores that very state, so undoTo
 // stamps nothing, syncs the structure versions and sets every memo to
 // the clock (restoreFixpoint). Any other rollback is a change like any
-// other: undoTo stamps every slot it restores (and the structure logs
-// bump their versions), so no memo taken during the rolled-back probe
-// can cover the restored state. NewState and Clone start every memo at
-// never, and an error from any family resets them all.
+// other: undoTo stamps every slot it restores, and a structure version
+// it moves back differs from the one the probe's propagation last saw,
+// so the next syncVersions stamps that too. So no memo taken during the
+// rolled-back probe covers an input the undo changed. NewState and
+// Clone start every memo at never, and an error from any family resets
+// them all.
 
 // stamps holds the clock value of the latest change to each rule input.
 type stamps struct {
@@ -46,7 +52,7 @@ type stamps struct {
 	vc      uint64                // the VCG's content version moved
 
 	// ccVer and vcVer are the structure versions syncVersions last saw
-	// (0 = none yet; both structures start at version 1).
+	// (0 = none yet; versions start at 1).
 	ccVer, vcVer uint64
 }
 
@@ -149,7 +155,7 @@ func (st *State) atFixpoint() bool {
 // restoreFixpoint finishes a rollback to a checkpoint opened at a clean
 // fixpoint. The state is that fixpoint again, where a full sweep of any
 // family changes nothing, so every memo may cover every input: the
-// structure versions the undo moved are synced without a stamp, and
+// structure versions the undo restored are synced without a stamp, and
 // every memo is set to the clock.
 func (st *State) restoreFixpoint() {
 	st.stamp.ccVer, st.stamp.vcVer = st.cc.Version(), st.vc.Version()

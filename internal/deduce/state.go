@@ -237,16 +237,13 @@ type State struct {
 	// arena.go for the lifetime contract.
 	ar *Arena
 
-	// cc-groups cache: the original-instruction membership of each
-	// connected component as a CSR (sorted roots; members of root
-	// ccRoots[i] are ccMembers[ccStart[i]:ccStart[i+1]], ascending),
-	// keyed by the union-find's membership version (0 = no cache;
-	// versions start at 1). Rules rebuild it only when a union, node
-	// addition, or trail undo actually changed the partition.
-	ccRoots     []int
-	ccStart     []int
-	ccMembers   []int
-	ccGroupsVer uint64
+	// cc-groups cache: two CSR entries of the connected components,
+	// each keyed by the union-find version it describes (ccgroups.go).
+	// ccCur is the entry last used; while a trail is open, ccKeep is
+	// the entry that described the partition at the outermost Begin,
+	// which rebuilds during the speculation leave alone.
+	ccg           [2]ccGroups
+	ccCur, ccKeep int
 
 	// stamp and memo make propagation change-driven, and fix marks the
 	// state the last clean Propagate left; see stamps.go.
@@ -379,10 +376,6 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 		ar.vc.Reset(n, m.Clusters, maxNodes+m.Clusters)
 	}
 	st.vc = ar.vc
-
-	st.ccRoots = claim(&ar.ccRoots, 0, n)
-	st.ccStart = claim(&ar.ccStart, 0, n+1)
-	st.ccMembers = claim(&ar.ccMembers, 0, n)
 
 	st.initStamps()
 	// Live-in consumers and live-out producers relate to anchors from
@@ -609,9 +602,8 @@ func (st *State) Clone() *State {
 		budget:    st.budget,
 		ar:        ar,
 		// The groups cache is derived data over arena buffers; the
-		// clone rebuilds it on first use.
-		ccGroupsVer: 0,
-		stamp:       st.stamp,
+		// clone starts without entries and rebuilds on first use.
+		stamp: st.stamp,
 	}
 	cp.stamp.node = append([]uint64(nil), st.stamp.node...)
 	cp.stamp.pair = append([]uint64(nil), st.stamp.pair...)

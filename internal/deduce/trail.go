@@ -18,6 +18,10 @@ import (
 // (graphutil.OffsetUF) and the virtual cluster graph (vcg.Graph) keep
 // their own op logs, checkpointed here via marks; the logs touch
 // disjoint structures, so undo order between them does not matter.
+// Undoing to a mark restores the structure's version too, and the
+// VCG's mark carries the clique-bound memo of the marked content, so
+// the caches keyed on those versions answer for the restored state
+// without recomputing.
 // Everything else on State (superblock, machine, SG, deadlines, the
 // shared sgIndex, pins, budget) is immutable during decisions.
 //
@@ -84,7 +88,9 @@ type trail struct {
 // Begin opens a trail checkpoint. Checkpoints nest; each Commit or
 // Rollback closes the innermost one. While any checkpoint is open the
 // state must not be Cloned (the copy would share no undo obligations;
-// the underlying structures panic on the attempt).
+// the underlying structures panic on the attempt). The outermost Begin
+// also keeps the cc-groups entry of the current partition for the
+// rollback to find (ccgroups.go).
 func (st *State) Begin() {
 	if st.tr == nil {
 		tr := &st.ar.tr
@@ -98,6 +104,7 @@ func (st *State) Begin() {
 		tr.entries = tr.entries[:0]
 		tr.cps = tr.cps[:0]
 		st.tr = tr
+		st.keepCCGroups()
 	}
 	st.tr.cps = append(st.tr.cps, trailCP{
 		entries: len(st.tr.entries),

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"vcsched/internal/deduce"
+	"vcsched/internal/graphutil"
 	"vcsched/internal/ir"
 	"vcsched/internal/sg"
 	"vcsched/internal/workload"
@@ -35,7 +36,10 @@ const (
 // decision's error strings must match exactly. Every few steps a
 // decision is committed to both universes so the script walks through
 // genuinely different states, and after every commit the fixpoint
-// oracle (checkFixpoint) runs on both. A committed contradiction does
+// oracle (checkFixpoint) runs on both. After every clean propagation
+// (construction, a probe or commit that returns nil, the rollback to
+// such a state) no Open pair may have both ends in one component
+// (openPairInOneComponent). A committed contradiction does
 // not end the script: the states are then no fixpoint, so the oracle
 // stops running, but the probes and commits go on being compared.
 // That is the only way a checkpoint opens away from a clean fixpoint,
@@ -86,13 +90,25 @@ func checkTrailClone(rep *Report) {
 		return
 	}
 
+	if bad := openPairInOneComponent(trailSt); bad != "" {
+		rep.violate(KindTrailClone, "initial state: %s", bad)
+		return
+	}
+
 	rng := rand.New(rand.NewSource(rep.Opts.PinSeed<<8 ^ int64(sb.N())))
 	contradicted := false
 	for step := 0; step < trailCloneSteps; step++ {
 		name, op := randomDecision(rng, trailSt)
 
 		// Speculate: trail probe against throwaway clone.
-		perr := trailSt.Probe(op)
+		var inProbe string
+		perr := trailSt.Probe(func(s *deduce.State) error {
+			err := op(s)
+			if err == nil {
+				inProbe = openPairInOneComponent(s)
+			}
+			return err
+		})
 		oracle := cloneSt.Clone()
 		oerr := op(oracle)
 		if errString(perr) != errString(oerr) {
@@ -100,10 +116,20 @@ func checkTrailClone(rep *Report) {
 				step, name, errString(perr), errString(oerr))
 			return
 		}
+		if inProbe != "" {
+			rep.violate(KindTrailClone, "step %d %s: in the probe: %s", step, name, inProbe)
+			return
+		}
 		if d1, d2 := trailSt.DumpText(), cloneSt.DumpText(); d1 != d2 {
 			rep.violate(KindTrailClone, "step %d %s: rollback left residue:\n%s",
 				step, name, firstDiffLine(d1, d2))
 			return
+		}
+		if !contradicted {
+			if bad := openPairInOneComponent(trailSt); bad != "" {
+				rep.violate(KindTrailClone, "step %d %s: after the rollback: %s", step, name, bad)
+				return
+			}
 		}
 
 		// Periodically commit, so later steps script over evolved states.
@@ -134,6 +160,10 @@ func checkTrailClone(rep *Report) {
 			st   *deduce.State
 			b    *deduce.Budget
 		}{{"trail", trailSt, trailB}, {"clone", cloneSt, cloneB}} {
+			if bad := openPairInOneComponent(u.st); bad != "" {
+				rep.violate(KindTrailClone, "step %d %s: %s universe: %s", step, name, u.name, bad)
+				return
+			}
 			detail, ok := checkFixpoint(u.st, u.b)
 			if detail != "" {
 				rep.violate(KindTrailClone, "step %d %s: %s universe is not a fixpoint: %s", step, name, u.name, detail)
@@ -171,6 +201,29 @@ func checkFixpoint(st *deduce.State, b *deduce.Budget) (string, bool) {
 		return "full sweep changed the state:\n" + firstDiffLine(a, z), true
 	}
 	return "", true
+}
+
+// openPairInOneComponent checks, by a full scan, the invariant that lets
+// the coherence rule revisit only the pairs a merge or a change of
+// their own record stamped: after a clean propagation no Open pair has
+// both ends in one connected component. The components are those of
+// the chosen pairs, rebuilt here: every merge chooses a pair, and a
+// clean state has every chosen pair's ends in one component. It
+// returns the first such pair, or "".
+func openPairInOneComponent(st *deduce.State) string {
+	uf := graphutil.NewUnionFind(st.NOrig())
+	pairs := st.Pairs()
+	for _, p := range pairs {
+		if p.Status == deduce.Chosen {
+			uf.Union(p.U, p.V)
+		}
+	}
+	for _, p := range pairs {
+		if p.Status == deduce.Open && uf.Same(p.U, p.V) {
+			return fmt.Sprintf("open pair (%d,%d) has both ends in one component after a clean propagation", p.U, p.V)
+		}
+	}
+	return ""
 }
 
 // withoutBudget drops the trailing "budget used" line of a DumpText

@@ -113,10 +113,23 @@ func TestOffsetUFTrailUndoRestoresExactly(t *testing.T) {
 }
 
 // TestOffsetUFVersionTracksMembership checks the contract callers key
-// caches on: the version moves on every membership change (Add, merging
-// Relate, trail undo) and stays put for reads and non-merging Relates.
+// caches on: the version names the membership. It moves on every
+// membership change (Add, merging Relate, Reset) to a value never seen
+// before, stays put for reads and non-merging Relates, and a trail undo
+// restores the value the mark saw.
 func TestOffsetUFVersionTracksMembership(t *testing.T) {
 	o := NewOffsetUF(4)
+	seen := map[uint64]bool{}
+	fresh := func(what string) uint64 {
+		t.Helper()
+		v := o.Version()
+		if seen[v] {
+			t.Fatalf("%s: version %d was seen before", what, v)
+		}
+		seen[v] = true
+		return v
+	}
+	fresh("NewOffsetUF")
 	v0 := o.Version()
 	o.Find(3)
 	if o.Version() != v0 {
@@ -125,10 +138,7 @@ func TestOffsetUFVersionTracksMembership(t *testing.T) {
 	if err := o.Relate(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	v1 := o.Version()
-	if v1 == v0 {
-		t.Error("merging Relate did not bump the version")
-	}
+	v1 := fresh("merging Relate")
 	if err := o.Relate(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +146,34 @@ func TestOffsetUFVersionTracksMembership(t *testing.T) {
 		t.Error("agreeing re-Relate bumped the version")
 	}
 	o.Add()
-	v2 := o.Version()
-	if v2 == v1 {
-		t.Error("Add did not bump the version")
-	}
+	v2 := fresh("Add")
 	mark := o.TrailMark()
 	if err := o.Relate(2, 3, 0); err != nil {
 		t.Fatal(err)
 	}
+	fresh("merging Relate under a trail")
+	o.Add()
+	fresh("Add under a trail")
 	o.TrailUndo(mark)
 	o.TrailStop()
-	if o.Version() <= v2 {
-		t.Error("trail undo did not bump the version")
+	if got := o.Version(); got != v2 {
+		t.Errorf("after trail undo: version %d, want %d, the one the mark saw", got, v2)
+	}
+	if err := o.Relate(2, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	fresh("merging Relate after the undo")
+	o.Reset(4)
+	fresh("Reset")
+	cp := o.Clone()
+	if cp.Version() != o.Version() {
+		t.Errorf("clone version %d, want the original's %d", cp.Version(), o.Version())
+	}
+	if err := cp.Relate(0, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if seen[cp.Version()] {
+		t.Errorf("merge on the clone reused version %d", cp.Version())
 	}
 }
 

@@ -10,6 +10,11 @@
 // representative is the classic one (union by size for UnionFind, by
 // rank for OffsetUF), so the representatives are those of a
 // disjoint-set forest with the same rule.
+//
+// OffsetUF also names its membership with a version: a new membership
+// takes a value the structure never had, and a trail undo restores the
+// value its mark saw, so a cache of the partition keyed on the version
+// is valid again after a rollback to the partition it describes.
 package graphutil
 
 import "fmt"
@@ -199,27 +204,32 @@ type OffsetUF struct {
 	elems    []offElem
 	trailing bool
 	ops      []offOp
-	// version stamps set membership: bumped by every Add, merging
-	// Relate, and undoing TrailUndo (monotonic), so callers can key
-	// caches of the partition on it.
-	version uint64
+	// version names the set membership: every Add, merging Relate and
+	// Reset takes a fresh value from issued (monotonic, never reused),
+	// and TrailUndo restores the value the mark saw, because it
+	// restores that very membership. Two reads of one version therefore
+	// saw one partition, and callers key caches of the partition on it.
+	version, issued uint64
 }
 
 // offElem is one element: its representative, its offset to the
 // representative (value(x) − value(root)), the next member of its set
-// on the set's circular list, and (at representatives) the union rank.
+// on the set's circular list, and (at representatives) the union rank
+// and the set size.
 type offElem struct {
-	root, next, rank int32
-	off              int
+	root, next, rank, size int32
+	off                    int
 }
 
 // offOp is one reversible OffsetUF mutation. ry < 0 marks an Add;
 // otherwise root ry's set was relabelled to root rx, every member's
-// offset shifted by −d, and rx's rank bumped if rankBumped.
+// offset shifted by −d, and rx's rank bumped if rankBumped. ver is the
+// version before the mutation, which undoing it restores.
 type offOp struct {
 	ry, rx     int32
 	rankBumped bool
 	d          int
+	ver        uint64
 }
 
 // NewOffsetUF creates n singletons with offset 0.
@@ -235,12 +245,18 @@ func (o *OffsetUF) Len() int { return len(o.elems) }
 // Add appends a new singleton element and returns its index.
 func (o *OffsetUF) Add() int {
 	i := len(o.elems)
-	o.elems = append(o.elems, offElem{root: int32(i), next: int32(i)})
-	o.version++
+	o.elems = append(o.elems, offElem{root: int32(i), next: int32(i), size: 1})
 	if o.trailing {
-		o.ops = append(o.ops, offOp{ry: -1})
+		o.ops = append(o.ops, offOp{ry: -1, ver: o.version})
 	}
+	o.bump()
 	return i
+}
+
+// bump gives the structure a version no earlier state has had.
+func (o *OffsetUF) bump() {
+	o.issued++
+	o.version = o.issued
 }
 
 // Find returns the representative of x and x's offset to it.
@@ -287,10 +303,11 @@ func (o *OffsetUF) Relate(x, y, delta int) error {
 	if bumped {
 		o.elems[rx].rank++
 	}
-	o.version++
+	o.elems[rx].size += o.elems[ry].size
 	if o.trailing {
-		o.ops = append(o.ops, offOp{ry: int32(ry), rx: int32(rx), rankBumped: bumped, d: d})
+		o.ops = append(o.ops, offOp{ry: int32(ry), rx: int32(rx), rankBumped: bumped, d: d, ver: o.version})
 	}
+	o.bump()
 	return nil
 }
 
@@ -313,8 +330,19 @@ func (o *OffsetUF) splice(a, b int32) {
 	o.elems[a].next, o.elems[b].next = o.elems[b].next, o.elems[a].next
 }
 
-// Version returns the membership version: it changes exactly when set
-// membership may have (Add, merging Relate, trail undo).
+// SetSize returns the number of elements in x's set.
+func (o *OffsetUF) SetSize(x int) int { return int(o.elems[o.elems[x].root].size) }
+
+// NextMember returns the member after x on its set's circular member
+// list: starting anywhere in a set and following NextMember visits every
+// member once before it returns to the start.
+func (o *OffsetUF) NextMember(x int) int { return int(o.elems[x].next) }
+
+// Version returns the membership version. An Add, a merging Relate or a
+// Reset moves it to a value the structure has never had; TrailUndo
+// moves it back to the value at the mark, since it restores that
+// membership. So equal versions mean equal membership, and a version
+// once left for a new membership never returns.
 func (o *OffsetUF) Version() uint64 { return o.version }
 
 // TrailMark enables trailing (if not already active) and returns a mark
@@ -325,19 +353,19 @@ func (o *OffsetUF) TrailMark() int {
 }
 
 // TrailUndo reverts every mutation recorded after mark, most recent
-// first, restoring the exact structure at TrailMark time.
+// first, restoring the exact structure at TrailMark time, version
+// included.
 func (o *OffsetUF) TrailUndo(mark int) {
-	if len(o.ops) > mark {
-		o.version++
-	}
 	for i := len(o.ops) - 1; i >= mark; i-- {
 		op := o.ops[i]
+		o.version = op.ver
 		if op.ry < 0 { // Add
 			o.elems = o.elems[:len(o.elems)-1]
 			continue
 		}
 		o.splice(op.rx, op.ry)
 		o.shift(op.ry, op.ry, op.d)
+		o.elems[op.rx].size -= o.elems[op.ry].size
 		if op.rankBumped {
 			o.elems[op.rx].rank--
 		}
@@ -353,10 +381,9 @@ func (o *OffsetUF) TrailStop() {
 }
 
 // Reset reinitializes the structure to n singletons with offset 0,
-// reusing the backing array. The membership version keeps advancing
-// monotonically across resets, so caches keyed on Version never confuse
-// two states that happen to share the storage. It must not be called
-// while a trail is active.
+// reusing the backing array. The new membership takes a fresh version,
+// so caches keyed on Version never confuse two states that happen to
+// share the storage. It must not be called while a trail is active.
 func (o *OffsetUF) Reset(n int) {
 	if o.trailing {
 		panic("graphutil: OffsetUF.Reset during active trail")
@@ -366,9 +393,9 @@ func (o *OffsetUF) Reset(n int) {
 	}
 	o.elems = o.elems[:n]
 	for i := range o.elems {
-		o.elems[i] = offElem{root: int32(i), next: int32(i)}
+		o.elems[i] = offElem{root: int32(i), next: int32(i), size: 1}
 	}
-	o.version++
+	o.bump()
 	o.ops = o.ops[:0]
 }
 
@@ -376,13 +403,14 @@ func (o *OffsetUF) Reset(n int) {
 // existing one.
 var ErrConflict = fmt.Errorf("graphutil: conflicting offset relation")
 
-// Clone returns a deep copy. It must not be called while a trail is
-// active (see UnionFind.Clone).
+// Clone returns a deep copy, version included: the copy has the same
+// membership. From then on each issues its own versions. It must not be
+// called while a trail is active (see UnionFind.Clone).
 func (o *OffsetUF) Clone() *OffsetUF {
 	if o.trailing {
 		panic("graphutil: OffsetUF.Clone during active trail")
 	}
-	return &OffsetUF{elems: append([]offElem(nil), o.elems...), version: o.version}
+	return &OffsetUF{elems: append([]offElem(nil), o.elems...), version: o.version, issued: o.issued}
 }
 
 // Members returns all elements in x's set together with their offsets

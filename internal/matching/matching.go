@@ -66,24 +66,10 @@ func IsMatching(m []Edge) bool {
 // exact solves maximum-weight matching by DP over vertex subsets:
 // best[S] = best matching weight using only vertices in S. O(2^n · deg).
 func exact(n int, edges []Edge) []Edge {
-	adj := make([][]Edge, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e)
-		adj[e.V] = append(adj[e.V], e)
-	}
+	adj := dedupAdjacency(n, edges)
 	size := 1 << n
 	best := make([]int32, size)
 	choice := make([]int32, size) // edge index chosen for lowest set bit, or −1
-	edgeIdx := make(map[[2]int]int32, len(edges))
-	for i, e := range edges {
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		if old, ok := edgeIdx[[2]int{u, v}]; !ok || edges[old].Weight < e.Weight {
-			edgeIdx[[2]int{u, v}] = int32(i)
-		}
-	}
 	for s := 1; s < size; s++ {
 		choice[s] = -1
 		// Lowest vertex in s either stays unmatched...
@@ -91,20 +77,14 @@ func exact(n int, edges []Edge) []Edge {
 		rest := s &^ (1 << low)
 		best[s] = best[rest]
 		// ...or matches one of its neighbors in s.
-		for _, e := range adj[low] {
-			other := e.U + e.V - low
-			if s&(1<<other) == 0 {
+		for _, nb := range adj.of(low) {
+			if s&(1<<nb.v) == 0 {
 				continue
 			}
-			u, v := low, other
-			if u > v {
-				u, v = v, u
-			}
-			ei := edgeIdx[[2]int{u, v}]
-			w := int32(edges[ei].Weight) + best[s&^(1<<low)&^(1<<other)]
+			w := nb.w + best[rest&^(1<<nb.v)]
 			if w > best[s] {
 				best[s] = w
-				choice[s] = ei
+				choice[s] = nb.edge
 			}
 		}
 	}
@@ -122,6 +102,72 @@ func exact(n int, edges []Edge) []Edge {
 		s &^= 1 << e.V
 	}
 	return out
+}
+
+// neighbor is one entry of a deduplicated adjacency: the other vertex,
+// and the index and weight of the heaviest edge joining the two.
+type neighbor struct {
+	v, edge, w int32
+}
+
+// adjacency lists each vertex's neighbors, vertex u's being
+// nbrs[start[u]:start[u+1]].
+type adjacency struct {
+	start []int32
+	nbrs  []neighbor
+}
+
+func (a adjacency) of(u int) []neighbor { return a.nbrs[a.start[u]:a.start[u+1]] }
+
+// dedupAdjacency builds the adjacency the DP walks: one entry per
+// neighbor, in the order the neighbor first appears among the vertex's
+// edges, holding the heaviest of the parallel edges (the first of equal
+// weights). Parallel edges only repeat a candidate with the same
+// weight, which the DP's strict comparison never takes, so the DP
+// chooses exactly what it chose walking every edge.
+func dedupAdjacency(n int, edges []Edge) adjacency {
+	a := adjacency{start: make([]int32, n+1), nbrs: make([]neighbor, 0, 2*len(edges))}
+	deg := make([]int32, n+1)
+	for _, e := range edges {
+		deg[e.U+1]++
+		deg[e.V+1]++
+	}
+	for u := 1; u <= n; u++ {
+		deg[u] += deg[u-1]
+	}
+	// Fill each vertex's slots in edge order, then merge parallel edges
+	// into the first entry of their neighbor, compacting in place: the
+	// entries kept never run ahead of the entry being read.
+	all := a.nbrs[:2*len(edges)]
+	fill := deg[:n]
+	for i, e := range edges {
+		all[fill[e.U]] = neighbor{v: int32(e.V), edge: int32(i), w: int32(e.Weight)}
+		fill[e.U]++
+		all[fill[e.V]] = neighbor{v: int32(e.U), edge: int32(i), w: int32(e.Weight)}
+		fill[e.V]++
+	}
+	out := 0
+	lo := 0
+	for u := 0; u < n; u++ {
+		hi := int(fill[u])
+		first := out
+		for _, nb := range all[lo:hi] {
+			j := first
+			for j < out && a.nbrs[j].v != nb.v {
+				j++
+			}
+			if j == out {
+				a.nbrs = a.nbrs[:out+1]
+				a.nbrs[out] = nb
+				out++
+			} else if nb.w > a.nbrs[j].w {
+				a.nbrs[j].edge, a.nbrs[j].w = nb.edge, nb.w
+			}
+		}
+		lo = hi
+		a.start[u+1] = int32(out)
+	}
+	return a
 }
 
 func lowestBit(s int) int {

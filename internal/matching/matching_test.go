@@ -163,3 +163,102 @@ func TestEdgeOutOfRangeIgnored(t *testing.T) {
 		t.Errorf("out-of-range edge not ignored: %v", m)
 	}
 }
+
+// exactRef is the exact DP as it read before it walked a deduplicated
+// adjacency: every edge of the lowest vertex, with the heaviest of the
+// parallel edges (the first of equal weights) looked up in a map. It is
+// the reference for exact's choices, edge for edge.
+func exactRef(n int, edges []Edge) []Edge {
+	adj := make([][]Edge, n)
+	for _, e := range edges {
+		adj[e.U] = append(adj[e.U], e)
+		adj[e.V] = append(adj[e.V], e)
+	}
+	size := 1 << n
+	best := make([]int32, size)
+	choice := make([]int32, size)
+	edgeIdx := make(map[[2]int]int32, len(edges))
+	for i, e := range edges {
+		u, v := e.U, e.V
+		if u > v {
+			u, v = v, u
+		}
+		if old, ok := edgeIdx[[2]int{u, v}]; !ok || edges[old].Weight < e.Weight {
+			edgeIdx[[2]int{u, v}] = int32(i)
+		}
+	}
+	for s := 1; s < size; s++ {
+		choice[s] = -1
+		low := lowestBit(s)
+		rest := s &^ (1 << low)
+		best[s] = best[rest]
+		for _, e := range adj[low] {
+			other := e.U + e.V - low
+			if s&(1<<other) == 0 {
+				continue
+			}
+			u, v := low, other
+			if u > v {
+				u, v = v, u
+			}
+			ei := edgeIdx[[2]int{u, v}]
+			w := int32(edges[ei].Weight) + best[s&^(1<<low)&^(1<<other)]
+			if w > best[s] {
+				best[s] = w
+				choice[s] = ei
+			}
+		}
+	}
+	var out []Edge
+	s := size - 1
+	for s != 0 {
+		if choice[s] < 0 {
+			s &^= 1 << lowestBit(s)
+			continue
+		}
+		e := edges[choice[s]]
+		out = append(out, e)
+		s &^= 1 << e.U
+		s &^= 1 << e.V
+	}
+	return out
+}
+
+// TestExactMatchesReference compares exact with exactRef on random
+// multigraphs of up to 12 vertices with parallel edges of equal and of
+// different weights, in both orientations: the two must return the
+// same edges in the same order, not just the same total weight.
+func TestExactMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(12)
+		var edges []Edge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			edges = append(edges, Edge{u, v, 1 + rng.Intn(6)})
+		}
+		for i := rng.Intn(len(edges) + 1); i > 0; i-- {
+			e := edges[rng.Intn(len(edges))]
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			if rng.Intn(2) == 0 {
+				e.Weight = 1 + rng.Intn(6)
+			}
+			edges = append(edges, e)
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		got, want := exact(n, edges), exactRef(n, edges)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d, n %d, edges %v: exact %v, reference %v", trial, n, edges, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d, n %d, edges %v: exact %v, reference %v", trial, n, edges, got, want)
+			}
+		}
+	}
+}

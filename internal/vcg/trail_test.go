@@ -75,8 +75,9 @@ func TestTrailUndoRestoresContradictionBoundary(t *testing.T) {
 }
 
 // TestCliqueExceedsMemo checks the version-keyed memo: the cached
-// answer must be invalidated by mutations and by trail undo (an undo is
-// a content change, never a rewind to the old version).
+// answer must be invalidated by mutations, and a trail undo must not
+// serve the answer computed for the undone content (the undo restores
+// the marked version together with the answer the mark carried).
 func TestCliqueExceedsMemo(t *testing.T) {
 	g := New(4, 0)
 	if g.CliqueExceeds(2) {
@@ -114,6 +115,83 @@ func TestCliqueExceedsMemo(t *testing.T) {
 	}
 	if !g.CliqueExceeds(2) {
 		t.Fatal("triangle lost by trail undo")
+	}
+}
+
+// TestVersionNamesContents checks the contract the clique memo and the
+// deduction state key on: every mutation, and Reset, moves the version
+// to a value never seen before; reads leave it; a trail undo restores
+// the value the mark saw, and the next mutation again gets a new one. A
+// clone starts at its original's version and issues its own from
+// there.
+func TestVersionNamesContents(t *testing.T) {
+	g := New(4, 2)
+	seen := map[uint64]bool{}
+	fresh := func(what string) uint64 {
+		t.Helper()
+		v := g.Version()
+		if seen[v] {
+			t.Fatalf("%s: version %d was seen before", what, v)
+		}
+		seen[v] = true
+		return v
+	}
+	fresh("New")
+	if err := g.Fuse(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	v := fresh("Fuse")
+	g.Rep(2)
+	g.Incompatible(0, 2)
+	g.CliqueExceeds(2)
+	if g.Version() != v {
+		t.Error("a read moved the version")
+	}
+	if err := g.Fuse(0, 1); err != nil || g.Version() != v {
+		t.Errorf("a fuse inside one VC moved the version (err %v)", err)
+	}
+	m := g.TrailMark()
+	if err := g.SetIncompatible(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	fresh("SetIncompatible under a trail")
+	g.AddNode()
+	fresh("AddNode under a trail")
+	if err := g.Fuse(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	fresh("Fuse under a trail")
+	g.TrailUndo(m)
+	g.TrailStop()
+	if got := g.Version(); got != v {
+		t.Fatalf("after trail undo: version %d, want %d, the one the mark saw", got, v)
+	}
+	if err := g.SetIncompatible(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	fresh("SetIncompatible after the undo")
+	g.Reset(4, 2, 8)
+	fresh("Reset")
+	cp := g.Clone()
+	if cp.Version() != g.Version() {
+		t.Errorf("clone version %d, want the original's %d", cp.Version(), g.Version())
+	}
+	cp.AddNode()
+	if seen[cp.Version()] {
+		t.Errorf("a mutation of the clone reused version %d", cp.Version())
+	}
+	m = cp.TrailMark()
+	if err := cp.Fuse(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := cp.Version()
+	cp.TrailUndo(m)
+	cp.TrailStop()
+	if err := cp.Fuse(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Version() == before || seen[cp.Version()] {
+		t.Errorf("the clone's next mutation after an undo reused version %d", cp.Version())
 	}
 }
 

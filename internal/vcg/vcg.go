@@ -59,18 +59,17 @@ type Graph struct {
 	trailing   bool
 	ops        []vop
 
-	// version stamps the graph content: bumped by every mutation that
-	// can change the partition or the incompatibility sets, including
-	// trail undos (monotonic — an undo is a change, never a rewind).
-	// It keys the CliqueExceeds memo: the clique bound is a pure
-	// function of the content, so an unchanged version means the
+	// version names the graph content: every mutation that can change
+	// the partition or the incompatibility sets, and Reset, take a
+	// fresh value from issued (monotonic, never reused), and TrailUndo
+	// restores the value its mark saw, since it restores that very
+	// content. It keys the CliqueExceeds memo: the clique bound is a
+	// pure function of the content, so an unchanged version means the
 	// previous answer still holds. Propagation re-checks the clique
 	// veto after every rule pass while most passes never touch the
 	// VCG, which made the recomputation the hottest path in probing.
-	version    uint64
-	memoK      int
-	memoVer    uint64 // 0 = no memo (versions start at 1)
-	memoClique bool
+	version, issued uint64
+	memo            cliqueMemo
 
 	// Scratch for the native clique bound; contents are dead between
 	// calls, the backing arrays are kept so steady-state re-checks do
@@ -98,10 +97,23 @@ const (
 	vopNodeAdd              // node appended; undo truncates inc by one row
 )
 
-// Mark is a checkpoint in the graph's trail, from TrailMark.
+// cliqueMemo is one CliqueExceeds answer: whether the graph of
+// version ver has a clique of more than k VCs (ver 0 = no answer;
+// versions start at 1).
+type cliqueMemo struct {
+	ver    uint64
+	k      int
+	exceed bool
+}
+
+// Mark is a checkpoint in the graph's trail, from TrailMark. It carries
+// the version and the CliqueExceeds memo of the marked content, so an
+// undo to it restores both.
 type Mark struct {
-	uf  int
-	ops int
+	uf   int
+	ops  int
+	ver  uint64
+	memo cliqueMemo
 }
 
 func wordsFor(n int) int {
@@ -133,17 +145,22 @@ func NewWithCap(n, anchors, capNodes int) *Graph {
 		inc:        make([]uint64, n*w, capNodes*w),
 		incW:       w,
 		anchorBase: -1,
-		version:    1,
 	}
+	g.bump()
 	g.addAnchors(anchors)
 	return g
 }
 
+// bump gives the graph a version no earlier content has had.
+func (g *Graph) bump() {
+	g.issued++
+	g.version = g.issued
+}
+
 // Reset reinitializes the graph to n singleton instruction nodes plus
 // the given anchors, reusing the backing storage (per-request arena
-// reuse). Version and memo stamps keep advancing monotonically so no
-// stale memo can survive a reset. It must not be called while a trail
-// is active.
+// reuse). The new content takes a fresh version, so no stale memo can
+// survive a reset. It must not be called while a trail is active.
 func (g *Graph) Reset(n, anchors, capNodes int) {
 	if g.trailing {
 		panic("vcg: Reset during active trail")
@@ -162,8 +179,7 @@ func (g *Graph) Reset(n, anchors, capNodes int) {
 	g.anchorBase = -1
 	g.numAnchors = 0
 	g.ops = g.ops[:0]
-	g.version++
-	g.memoVer = 0
+	g.bump()
 	g.addAnchors(anchors)
 }
 
@@ -216,7 +232,7 @@ func (g *Graph) addNode() int {
 		copy(ninc, g.inc)
 		g.inc = ninc
 	}
-	g.version++
+	g.bump()
 	if g.trailing {
 		g.ops = append(g.ops, vop{kind: vopNodeAdd})
 	}
@@ -242,10 +258,12 @@ func (g *Graph) relayout(w, rows int) {
 // materialized during scheduling) and returns its id.
 func (g *Graph) AddNode() int { return g.addNode() }
 
-// Version returns the content version: it moves on every mutation that
-// can change the partition or the incompatibility sets (fusion, new
-// edge, node addition, reset, trail undo) and never goes back, so a
-// caller that saw the same version twice saw the same graph.
+// Version returns the content version. A mutation that can change the
+// partition or the incompatibility sets (fusion, new edge, node
+// addition) or a Reset moves it to a value the graph has never had;
+// TrailUndo moves it back to the value at the mark, since it restores
+// that content. So a caller that saw the same version twice saw the
+// same graph.
 func (g *Graph) Version() uint64 { return g.version }
 
 // Len returns the total number of nodes (instructions + anchors +
@@ -310,7 +328,7 @@ func (g *Graph) Fuse(a, b int) error {
 		return errContra("fuse of incompatible VCs")
 	}
 	r := g.uf.Union(ra, rb)
-	g.version++
+	g.bump()
 	other := ra + rb - r
 	// Migrate the losing representative's edges onto the survivor,
 	// lowest neighbor first (deterministic; the former map iteration
@@ -349,7 +367,7 @@ func (g *Graph) setEdge(x, y int) {
 		return
 	}
 	g.setBits(x, y)
-	g.version++
+	g.bump()
 	if g.trailing {
 		g.ops = append(g.ops, vop{kind: vopEdgeAdd, x: x, y: y})
 	}
@@ -359,14 +377,17 @@ func (g *Graph) setEdge(x, y int) {
 // checkpoint that TrailUndo can revert to.
 func (g *Graph) TrailMark() Mark {
 	g.trailing = true
-	return Mark{uf: g.uf.TrailMark(), ops: len(g.ops)}
+	return Mark{uf: g.uf.TrailMark(), ops: len(g.ops), ver: g.version, memo: g.memo}
 }
 
 // TrailUndo reverts every mutation recorded after m, restoring the
-// graph observed at TrailMark time.
+// graph observed at TrailMark time with its version. A CliqueExceeds
+// answer computed during the speculation is for other content; the
+// answer the mark carried is put back in its place.
 func (g *Graph) TrailUndo(m Mark) {
-	if len(g.ops) > m.ops || g.uf.TrailLen() > m.uf {
-		g.version++
+	g.version = m.ver
+	if g.memo.ver != m.ver {
+		g.memo = m.memo
 	}
 	for i := len(g.ops) - 1; i >= m.ops; i-- {
 		op := g.ops[i]
@@ -508,13 +529,14 @@ func (g *Graph) Mappable(k int) bool {
 // the greedy lower bound), which proves no k-cluster mapping exists.
 // The answer is memoized against the graph's content version: repeated
 // checks with no intervening mutation (the common case — the deduction
-// process re-checks after every rule pass) are O(1).
+// process re-checks after every rule pass) are O(1), and so is the
+// first check after a trail undo to content already checked.
 func (g *Graph) CliqueExceeds(k int) bool {
-	if g.memoVer == g.version && g.memoK == k {
-		return g.memoClique
+	if g.memo.ver == g.version && g.memo.k == k {
+		return g.memo.exceed
 	}
 	r := g.maxCliqueLB() > k
-	g.memoVer, g.memoK, g.memoClique = g.version, k, r
+	g.memo = cliqueMemo{ver: g.version, k: k, exceed: r}
 	return r
 }
 
@@ -639,8 +661,7 @@ func (g *Graph) Clone() *Graph {
 		anchorBase: g.anchorBase,
 		numAnchors: g.numAnchors,
 		version:    g.version,
-		memoK:      g.memoK,
-		memoVer:    g.memoVer,
-		memoClique: g.memoClique,
+		issued:     g.issued,
+		memo:       g.memo,
 	}
 }
