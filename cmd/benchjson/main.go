@@ -28,9 +28,6 @@ type result struct {
 	NsOp     float64 `json:"ns_op"`     // mean over runs
 	BOp      float64 `json:"b_op"`      // mean over runs; -1 when not reported
 	AllocsOp float64 `json:"allocs_op"` // mean over runs; -1 when not reported
-	// Extra holds custom b.ReportMetric units (e.g. probes/op), keyed
-	// by unit with the "/op" suffix stripped, each a mean over runs.
-	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 type acc struct {
@@ -38,7 +35,6 @@ type acc struct {
 	n               int64
 	ns, b, allocs   float64
 	hasB, hasAllocs bool
-	extra           map[string]float64
 }
 
 func main() {
@@ -54,7 +50,7 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		name, n, ns, b, allocs, extra, hasMem, ok := parseLine(sc.Text())
+		name, n, ns, b, allocs, hasMem, ok := parseLine(sc.Text())
 		if !ok {
 			continue
 		}
@@ -71,12 +67,6 @@ func main() {
 			a.b += b
 			a.allocs += allocs
 			a.hasB, a.hasAllocs = true, true
-		}
-		for unit, v := range extra {
-			if a.extra == nil {
-				a.extra = map[string]float64{}
-			}
-			a.extra[unit] += v
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -103,12 +93,6 @@ func main() {
 		if a.hasAllocs {
 			r.AllocsOp = a.allocs / float64(a.runs)
 		}
-		if a.extra != nil {
-			r.Extra = map[string]float64{}
-			for unit, v := range a.extra {
-				r.Extra[unit] = v / float64(a.runs)
-			}
-		}
 		out.Benchmarks = append(out.Benchmarks, r)
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -123,16 +107,11 @@ func main() {
 //
 //	BenchmarkShave/099.go-8   2805   381463 ns/op   101532 B/op   2541 allocs/op
 //
-// including custom b.ReportMetric units, which the testing package
-// prints between ns/op and the -benchmem pair:
-//
-//	BenchmarkScheduleBlock/099.go-8   2120   575565 ns/op   9.00 probes/op   81811 B/op   2669 allocs/op
-//
 // Everything after the iteration count is scanned as value/unit pairs;
-// unknown "<x>/op" units land in extra keyed without the suffix. The
-// trailing -P GOMAXPROCS suffix is stripped so runs on machines of
+// pairs of any other unit (a custom b.ReportMetric, say) are skipped.
+// The trailing -P GOMAXPROCS suffix is stripped so runs on machines of
 // different widths aggregate under one name.
-func parseLine(line string) (name string, n int64, ns, b, allocs float64, extra map[string]float64, hasMem, ok bool) {
+func parseLine(line string) (name string, n int64, ns, b, allocs float64, hasMem, ok bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 		return
@@ -161,13 +140,6 @@ func parseLine(line string) (name string, n int64, ns, b, allocs float64, extra 
 			hasMem = true
 		case "allocs/op":
 			allocs = v
-		default:
-			if rest, isOp := strings.CutSuffix(unit, "/op"); isOp {
-				if extra == nil {
-					extra = map[string]float64{}
-				}
-				extra[rest] = v
-			}
 		}
 	}
 	ok = hasNs

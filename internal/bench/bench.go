@@ -25,8 +25,6 @@ import (
 	"vcsched/internal/core"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
-	"vcsched/internal/resilient"
-	"vcsched/internal/sched"
 	"vcsched/internal/workload"
 )
 
@@ -41,13 +39,8 @@ type Config struct {
 	Thresholds []time.Duration
 	Machines   []*machine.Config
 	Apps       []workload.AppProfile
-	Workers    int // parallel scheduling workers (default: NumCPU)
-	// Resilient routes the VC side of every block through the
-	// degradation ladder (internal/resilient): the block always ends
-	// with a Validate-clean schedule and an Outcome naming the tier
-	// that produced it, even when the SG search dies or panics.
-	Resilient bool
-	Verbose   bool // progress to stdout
+	Workers    int  // parallel scheduling workers (default: NumCPU)
+	Verbose    bool // progress to stdout
 }
 
 func (c Config) withDefaults() Config {
@@ -91,10 +84,6 @@ type BlockResult struct {
 	VCTime  time.Duration // wall-clock VC scheduling time
 	VCAWCT  float64       // valid when VCOK
 	VCExits map[int]int   // exit cycles of the VC schedule (for Fig. 12)
-
-	// Outcome is the resilient pipeline's per-block record (tier used,
-	// error chain per attempt); nil unless Config.Resilient was set.
-	Outcome *resilient.Outcome
 
 	CARSAWCT  float64
 	CARSTime  time.Duration
@@ -226,14 +215,8 @@ func runBlock(sb *ir.Superblock, m *machine.Config, cfg Config, timeout time.Dur
 	r.CARSAWCT = cs.AWCT()
 	r.CARSExits = cs.ExitCycles()
 
-	copts := core.Options{Pins: pins, Timeout: timeout}
 	start = time.Now()
-	var vs *sched.Schedule
-	if cfg.Resilient {
-		vs, r.Outcome, err = resilient.Schedule(sb, m, resilient.Options{Core: copts})
-	} else {
-		vs, _, err = core.Schedule(sb, m, copts)
-	}
+	vs, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout})
 	r.VCTime = time.Since(start)
 	switch {
 	case err != nil:

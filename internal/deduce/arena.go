@@ -49,10 +49,10 @@ type Arena struct {
 	stampPairBlk []uint64
 
 	// tr is the speculation trail's backing storage (entry log +
-	// checkpoint stack). The trail is live only between Begin and the
-	// matching outermost Commit/Rollback of the arena's current state,
-	// so owning it here makes Begin/Rollback allocation-free after the
-	// first probe on a block — the last piece of the flat-state push.
+	// checkpoint). The trail is live only inside a Probe of the arena's
+	// current state, so owning it here makes a probe allocation-free
+	// after the first probe on a block — the last piece of the
+	// flat-state push.
 	tr trail
 
 	// cc-groups cache: the backing arrays of the state's two CSR

@@ -17,10 +17,11 @@ type ccGroups struct {
 // two entries over arena buffers, keyed by the union-find version, and
 // rebuilds only when neither describes the current partition: bound-only
 // passes, the overwhelming majority, find the entry they used last, and
-// a rollback that restores the partition of its Begin finds the entry
-// of that partition, which rebuilds during the speculation did not
-// overwrite (keepCCGroups). Versions name contents (graphutil.OffsetUF),
-// so an entry whose version matches describes the current partition.
+// a probe's rollback, which restores the partition the probe opened on,
+// finds the entry of that partition, which rebuilds during the
+// speculation did not overwrite (keepCCGroups). Versions name contents
+// (graphutil.OffsetUF), so an entry whose version matches describes the
+// current partition.
 func (st *State) ccGroups() *ccGroups {
 	v := st.cc.Version()
 	if g := &st.ccg[st.ccCur]; g.ver == v {
@@ -39,9 +40,9 @@ func (st *State) ccGroups() *ccGroups {
 	return &st.ccg[st.ccCur]
 }
 
-// keepCCGroups runs at an outermost Begin: the entry describing the
-// partition at the checkpoint, if there is one, is kept intact until the
-// trail closes.
+// keepCCGroups runs when a probe opens its checkpoint: the entry
+// describing the partition at the checkpoint, if there is one, is kept
+// intact until the trail closes.
 func (st *State) keepCCGroups() {
 	if v := st.cc.Version(); st.ccg[st.ccCur].ver != v && st.ccg[st.ccCur^1].ver == v {
 		st.ccCur ^= 1

@@ -63,12 +63,12 @@ func randomTrailMutation(rng *rand.Rand, st *State) {
 	}
 }
 
-// checkRollbackRoundtrips runs the Begin → mutate → Rollback property
+// checkRollbackRoundtrips runs the begin → mutate → rollback property
 // on one state: after every rollback the full fingerprint (bounds, pair
 // statuses, combination bitsets, components, VCs, arcs, comms, PLCs)
-// must be byte-identical to the pre-Begin state, and the version-keyed
+// must be byte-identical to the pre-begin state, and the version-keyed
 // caches — the VCG clique memo and the cc-groups CSR — must answer
-// exactly like an untouched clone of the pre-Begin state, never serving
+// exactly like an untouched clone of the pre-begin state, never serving
 // entries computed during the rolled-back speculation.
 func checkRollbackRoundtrips(t *testing.T, st *State, seed int64, rounds int) {
 	t.Helper()
@@ -77,7 +77,7 @@ func checkRollbackRoundtrips(t *testing.T, st *State, seed int64, rounds int) {
 		before := st.DumpText()
 		oracle := st.Clone()
 
-		st.Begin()
+		st.begin()
 		for k := 1 + rng.Intn(4); k > 0; k-- {
 			randomTrailMutation(rng, st)
 		}
@@ -85,7 +85,7 @@ func checkRollbackRoundtrips(t *testing.T, st *State, seed int64, rounds int) {
 		// speculative values when the rollback hits.
 		_ = st.vc.CliqueExceeds(st.M.Clusters)
 		st.ccGroups()
-		st.Rollback()
+		st.rollback()
 
 		if got := st.DumpText(); got != before {
 			t.Fatalf("round %d: rollback left residue\ngot:\n%s\nwant:\n%s", round, got, before)
@@ -193,10 +193,10 @@ func TestRollbackUnderConcurrentStates(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for round := 0; round < 30; round++ {
 				before := st.DumpText()
-				st.Begin()
+				st.begin()
 				randomTrailMutation(rng, st)
 				randomTrailMutation(rng, st)
-				st.Rollback()
+				st.rollback()
 				if got := st.DumpText(); got != before {
 					done <- fmt.Errorf("worker %d round %d: rollback left residue", w, round)
 					return

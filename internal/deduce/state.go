@@ -229,8 +229,8 @@ type State struct {
 
 	budget *Budget
 
-	// tr is the active speculation trail (nil when no Begin checkpoint
-	// is open); see trail.go.
+	// tr is the active speculation trail (nil outside a Probe); see
+	// trail.go.
 	tr *trail
 
 	// ar owns this state's backing buffers and rule scratch; see
@@ -240,7 +240,7 @@ type State struct {
 	// cc-groups cache: two CSR entries of the connected components,
 	// each keyed by the union-find version it describes (ccgroups.go).
 	// ccCur is the entry last used; while a trail is open, ccKeep is
-	// the entry that described the partition at the outermost Begin,
+	// the entry that described the partition when the probe opened,
 	// which rebuilds during the speculation leave alone.
 	ccg           [2]ccGroups
 	ccCur, ccKeep int
@@ -560,10 +560,11 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 // Clone deep-copies the state (sharing the immutable superblock, machine
 // and SG). The clone shares the budget, so studying candidates spends
 // from the same allowance, but detaches onto a fresh private arena —
-// it stays valid however the original's arena is reused. Clone is for
-// long-lived forks (the parallel portfolio's workers, the differential
-// oracle); short-lived candidate probes use Probe/Begin/Rollback
-// instead. It must not be called while a trail checkpoint is open.
+// it stays valid however the original's arena is reused. Only the
+// differential oracles (internal/difftest) and tests call it: the
+// search speculates through Probe, and the parallel portfolio's workers
+// build fresh states on private arenas (core's runAttempt). It must not
+// be called inside a Probe.
 //
 // The clone starts with every propagation memo at never and no known
 // fixpoint, so its first Propagate is a full sweep: the trail-clone

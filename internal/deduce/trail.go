@@ -6,10 +6,12 @@ import (
 
 // This file implements trail-based speculation: instead of deep-copying
 // the whole State to evaluate a candidate decision (O(N) per probe),
-// every reversible mutation between Begin and Commit/Rollback is
-// recorded on a trail and undone in reverse order — O(changes) per
-// probe, the backtracking architecture of modern constraint/SAT
-// engines.
+// Probe records every reversible mutation its function makes on a trail
+// and undoes them in reverse order — O(changes) per probe, the
+// backtracking architecture of modern constraint/SAT engines. Probe is
+// the only way in: the search stages, Shave and difftest all speculate
+// one decision at a time, so the trail holds one checkpoint and probes
+// do not nest.
 //
 // What is trailed: est/lst bound moves, pair status/comb mutations,
 // combination bitset words (at word granularity, via setCombWord), arc
@@ -25,8 +27,8 @@ import (
 // Everything else on State (superblock, machine, SG, deadlines, the
 // shared sgIndex, pins, budget) is immutable during decisions.
 //
-// Almost every checkpoint opens at a clean propagation fixpoint (the
-// search studies each candidate from a state the last decision left
+// Almost every probe opens at a clean propagation fixpoint (the search
+// studies each candidate from a state the last decision left
 // propagated), and a rollback to such a checkpoint keeps what
 // propagation knows: the restored state is that fixpoint, so the undo
 // stamps nothing and leaves every memo covering every input
@@ -64,86 +66,24 @@ type trailEntry struct {
 	w      uint64
 }
 
-// trailCP is one Begin checkpoint: a position in the entry log, the
-// marks of the two structure-owned logs, and whether it opened at a
-// clean fixpoint.
+// trailCP is a probe's checkpoint: the marks of the two
+// structure-owned logs, and whether it opened at a clean fixpoint. The
+// entry log starts empty at the checkpoint.
 type trailCP struct {
-	entries int
-	cc      int
-	vc      vcg.Mark
-	clean   bool
+	cc    int
+	vc    vcg.Mark
+	clean bool
 }
 
-// trail is the mutation log of one State while speculation is active.
-// The backing arrays live on the state's Arena (one live state — and
+// trail is the mutation log of one State while a probe runs. The
+// backing array lives on the state's Arena (one live state — and
 // therefore at most one live trail — per arena), so a steady-state
 // probe records and undoes without allocating, and the storage is
 // reused across every state the arena backs rather than bouncing
 // through a global pool.
 type trail struct {
 	entries []trailEntry
-	cps     []trailCP
-}
-
-// Begin opens a trail checkpoint. Checkpoints nest; each Commit or
-// Rollback closes the innermost one. While any checkpoint is open the
-// state must not be Cloned (the copy would share no undo obligations;
-// the underlying structures panic on the attempt). The outermost Begin
-// also keeps the cc-groups entry of the current partition for the
-// rollback to find (ccgroups.go).
-func (st *State) Begin() {
-	if st.tr == nil {
-		tr := &st.ar.tr
-		if cap(tr.entries) == 0 {
-			// First trail on this arena: size the log for a typical
-			// probe on this SG — a few bound moves per node plus pair
-			// mutations — so steady state never grows it.
-			tr.entries = make([]trailEntry, 0, 4*len(st.est)+3*len(st.pairs)+16)
-			tr.cps = make([]trailCP, 0, 4)
-		}
-		tr.entries = tr.entries[:0]
-		tr.cps = tr.cps[:0]
-		st.tr = tr
-		st.keepCCGroups()
-	}
-	st.tr.cps = append(st.tr.cps, trailCP{
-		entries: len(st.tr.entries),
-		cc:      st.cc.TrailMark(),
-		vc:      st.vc.TrailMark(),
-		clean:   st.atFixpoint(),
-	})
-}
-
-// Commit closes the innermost checkpoint, keeping its mutations. Inner
-// commits merge the mutations into the enclosing checkpoint; the
-// outermost commit discards the whole log and resumes unlogged
-// operation.
-func (st *State) Commit() {
-	tr := st.tr
-	if tr == nil || len(tr.cps) == 0 {
-		panic("deduce: Commit without Begin")
-	}
-	tr.cps = tr.cps[:len(tr.cps)-1]
-	if len(tr.cps) == 0 {
-		st.releaseTrail()
-	}
-}
-
-// Rollback closes the innermost checkpoint, undoing every mutation
-// recorded since its Begin in reverse order. A checkpoint opened at a
-// clean fixpoint restores that fixpoint with every propagation memo
-// kept (stamps.go).
-func (st *State) Rollback() {
-	tr := st.tr
-	if tr == nil || len(tr.cps) == 0 {
-		panic("deduce: Rollback without Begin")
-	}
-	cp := tr.cps[len(tr.cps)-1]
-	tr.cps = tr.cps[:len(tr.cps)-1]
-	st.undoTo(cp)
-	if len(tr.cps) == 0 {
-		st.releaseTrail()
-	}
+	cp      trailCP
 }
 
 // Probe speculatively runs f against the live state and always rolls
@@ -151,35 +91,64 @@ func (st *State) Rollback() {
 // Clone-per-probe pattern: semantically identical (same deductions,
 // same budget spend, same error), but O(changes) instead of O(N).
 // Callers that want to keep a successful candidate re-apply it to the
-// live state afterwards, exactly as the clone-based callers did.
+// live state afterwards, exactly as the clone-based callers did. f must
+// not Probe or Clone the state it is given.
 func (st *State) Probe(f func(*State) error) error {
-	st.Begin()
+	st.begin()
 	err := f(st)
-	st.Rollback()
+	st.rollback()
 	return err
 }
 
-// Speculating reports whether a trail checkpoint is open.
-func (st *State) Speculating() bool { return st.tr != nil }
+// begin opens the trail's checkpoint. While it is open the state must
+// not be Cloned (the copy would share no undo obligations; the
+// underlying structures panic on the attempt). It also keeps the
+// cc-groups entry of the current partition for the rollback to find
+// (ccgroups.go).
+func (st *State) begin() {
+	if st.tr != nil {
+		panic("deduce: nested Probe")
+	}
+	tr := &st.ar.tr
+	if cap(tr.entries) == 0 {
+		// First trail on this arena: size the log for a typical probe
+		// on this SG — a few bound moves per node plus pair mutations —
+		// so steady state never grows it.
+		tr.entries = make([]trailEntry, 0, 4*len(st.est)+3*len(st.pairs)+16)
+	}
+	st.tr = tr
+	st.keepCCGroups()
+	tr.cp = trailCP{
+		cc:    st.cc.TrailMark(),
+		vc:    st.vc.TrailMark(),
+		clean: st.atFixpoint(),
+	}
+}
 
-func (st *State) releaseTrail() {
+// rollback closes the checkpoint, undoing every mutation recorded since
+// begin in reverse order, and ends trailing. A checkpoint opened at a
+// clean fixpoint restores that fixpoint with every propagation memo
+// kept (stamps.go).
+func (st *State) rollback() {
 	tr := st.tr
+	if tr == nil {
+		panic("deduce: rollback without begin")
+	}
+	st.undoTo(tr.cp)
 	st.tr = nil
 	st.cc.TrailStop()
 	st.vc.TrailStop()
-	tr.entries = tr.entries[:0]
-	tr.cps = tr.cps[:0]
 }
 
-// undoTo reverts the entry log down to checkpoint cp, then the
-// structure-owned logs. Entries are undone most recent first, so a slot
-// mutated several times ends at its oldest recorded value. Unless cp
-// opened at a clean fixpoint, every restored slot takes a fresh stamp
-// (restamp): such an undo is a change, so no propagation memo taken
-// during the speculation covers it (stamps.go).
+// undoTo reverts the whole entry log, then the structure-owned logs
+// down to checkpoint cp's marks. Entries are undone most recent first,
+// so a slot mutated several times ends at its oldest recorded value.
+// Unless cp opened at a clean fixpoint, every restored slot takes a
+// fresh stamp (restamp): such an undo is a change, so no propagation
+// memo taken during the speculation covers it (stamps.go).
 func (st *State) undoTo(cp trailCP) {
 	tr := st.tr
-	for i := len(tr.entries) - 1; i >= cp.entries; i-- {
+	for i := len(tr.entries) - 1; i >= 0; i-- {
 		e := tr.entries[i]
 		if !cp.clean {
 			st.restamp(e)
@@ -220,7 +189,7 @@ func (st *State) undoTo(cp trailCP) {
 			st.stamp.node = st.stamp.node[:n]
 		}
 	}
-	tr.entries = tr.entries[:cp.entries]
+	tr.entries = tr.entries[:0]
 	st.cc.TrailUndo(cp.cc)
 	st.vc.TrailUndo(cp.vc)
 	if cp.clean {

@@ -28,7 +28,7 @@ func TestProbeRollbackSweep(t *testing.T) {
 			if got := st.DumpText(); got != want {
 				t.Fatalf("probe FixCycle(%d,%d) left residue:\ngot:\n%s\nwant:\n%s", node, cycle, got, want)
 			}
-			if st.Speculating() {
+			if st.tr != nil {
 				t.Fatalf("probe FixCycle(%d,%d) left a checkpoint open", node, cycle)
 			}
 		}
@@ -38,68 +38,21 @@ func TestProbeRollbackSweep(t *testing.T) {
 	}
 }
 
-// TestNestedCheckpoints exercises Begin/Commit/Rollback nesting: an
-// inner rollback must restore the state at the inner Begin, and the
-// outer commit must keep the outer mutations.
-func TestNestedCheckpoints(t *testing.T) {
-	st, err := newFig1State(t, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := st.DumpText()
-
-	st.Begin()
-	if err := st.TightenEst(1, st.Est(1)+1); err != nil {
-		t.Fatal(err)
-	}
-	afterOuter := st.DumpText()
-	if afterOuter == base {
-		t.Fatal("outer decision changed nothing; test needs a real mutation")
-	}
-
-	st.Begin()
-	if !st.Speculating() {
-		t.Fatal("Speculating() false with two checkpoints open")
-	}
-	if err := st.TightenLst(2, st.Lst(2)-1); err != nil {
-		t.Fatal(err)
-	}
-	st.Rollback()
-	if got := st.DumpText(); got != afterOuter {
-		t.Fatalf("inner rollback:\ngot:\n%s\nwant:\n%s", got, afterOuter)
-	}
-
-	st.Commit()
-	if st.Speculating() {
-		t.Fatal("Speculating() true after the outermost Commit")
-	}
-	if got := st.DumpText(); got != afterOuter {
-		t.Fatalf("outer commit dropped mutations:\ngot:\n%s\nwant:\n%s", got, afterOuter)
-	}
-
-	// The trail is released: a fresh Begin/Rollback pair must undo back
-	// to the committed state, not to base.
-	st.Begin()
-	if err := st.TightenEst(2, st.Est(2)+1); err != nil && !IsContradiction(err) {
-		t.Fatal(err)
-	}
-	st.Rollback()
-	if got := st.DumpText(); got != afterOuter {
-		t.Fatalf("post-commit rollback:\ngot:\n%s\nwant:\n%s", got, afterOuter)
-	}
-}
-
-func TestCommitWithoutBeginPanics(t *testing.T) {
+// TestNestedProbePanics pins the single checkpoint: a probe's function
+// may not open a second probe on the same state.
+func TestNestedProbePanics(t *testing.T) {
 	st, err := newFig1State(t, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Commit without Begin did not panic")
+			t.Error("Probe inside a Probe did not panic")
 		}
 	}()
-	st.Commit()
+	_ = st.Probe(func(s *State) error {
+		return s.Probe(func(*State) error { return nil })
+	})
 }
 
 func TestRollbackWithoutBeginPanics(t *testing.T) {
@@ -109,10 +62,10 @@ func TestRollbackWithoutBeginPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Rollback without Begin did not panic")
+			t.Error("rollback without begin did not panic")
 		}
 	}()
-	st.Rollback()
+	st.rollback()
 }
 
 func TestCloneDuringTrailPanics(t *testing.T) {
@@ -120,8 +73,8 @@ func TestCloneDuringTrailPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Begin()
-	defer st.Rollback()
+	st.begin()
+	defer st.rollback()
 	defer func() {
 		if recover() == nil {
 			t.Error("Clone during active trail did not panic")

@@ -207,15 +207,19 @@ func checkFixpoint(st *deduce.State, b *deduce.Budget) (string, bool) {
 // the coherence rule revisit only the pairs a merge or a change of
 // their own record stamped: after a clean propagation no Open pair has
 // both ends in one connected component. The components are those of
-// the chosen pairs, rebuilt here: every merge chooses a pair, and a
-// clean state has every chosen pair's ends in one component. It
-// returns the first such pair, or "".
+// the chosen pairs, rebuilt here at the chosen offsets: every merge
+// chooses a pair, and a clean state has every chosen pair's ends in one
+// component at its combination, so the chosen offsets must agree too.
+// It returns the first violation, or "".
 func openPairInOneComponent(st *deduce.State) string {
-	uf := graphutil.NewUnionFind(st.NOrig())
+	uf := graphutil.NewOffsetUF(st.NOrig())
 	pairs := st.Pairs()
 	for _, p := range pairs {
-		if p.Status == deduce.Chosen {
-			uf.Union(p.U, p.V)
+		if p.Status != deduce.Chosen {
+			continue
+		}
+		if err := uf.Relate(p.U, p.V, p.Comb); err != nil {
+			return fmt.Sprintf("chosen pair (%d,%d) at combination %d disagrees with the other chosen pairs: %v", p.U, p.V, p.Comb, err)
 		}
 	}
 	for _, p := range pairs {

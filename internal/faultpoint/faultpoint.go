@@ -2,8 +2,9 @@
 // exercising the resilient scheduling pipeline (internal/resilient) and
 // the panic-recovery paths of the core scheduler without waiting for a
 // real bug to strike. Named points are compiled into hot paths of
-// deduce, core and coloring; each point is a single atomic load when no
-// fault is armed, so the instrumentation is free in production.
+// deduce, core, the VCG clique bound, CARS and the service; each point
+// is a single atomic load when no fault is armed, so the
+// instrumentation is free in production.
 //
 // Faults are armed programmatically (Arm, ArmSpec — tests) or through
 // the VCSCHED_FAULTS environment variable (`make faults` CI job):
@@ -207,7 +208,6 @@ var knownPoints = map[string]bool{
 	"core.stage":         true,
 	"core.budget":        true,
 	"coloring.maxclique": true,
-	"coloring.colorable": true,
 	"cars.schedule":      true,
 	"service.admit":      true,
 	"service.worker":     true,

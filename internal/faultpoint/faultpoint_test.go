@@ -94,6 +94,8 @@ func TestArmSpecErrors(t *testing.T) {
 		{"deduce.shave", "bad spec entry"},
 		{"deduce.typo=contra", "unknown point"},
 		{"service.workers=panic", "unknown point"},
+		// No linked code fires a greedy-coloring point.
+		{"coloring.colorable=panic", "unknown point"},
 		{"core.stage=frob", "unknown kind"},
 		{"core.stage=contra:x", "bad number"},
 		{"core.stage=contra:-1", "bad number"},

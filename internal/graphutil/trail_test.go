@@ -6,79 +6,13 @@ import (
 	"testing"
 )
 
-// ufFingerprint renders every observable of a UnionFind (roots, set
-// sizes, set count, element count) so trail undo can be checked for
-// exact restoration.
-func ufFingerprint(u *UnionFind) string {
-	s := fmt.Sprintf("len=%d sets=%d;", u.Len(), u.Sets())
-	for x := 0; x < u.Len(); x++ {
-		s += fmt.Sprintf(" %d:%d/%d", x, u.Find(x), u.SetSize(x))
-	}
-	return s
-}
-
-func TestUnionFindTrailUndoRestoresExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	u := NewUnionFind(10)
-	u.Union(0, 1)
-	u.Union(2, 3)
-	u.Union(1, 3)
-	want := ufFingerprint(u)
-
-	mark := u.TrailMark()
-	for i := 0; i < 40; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			u.Add()
-		default:
-			u.Union(rng.Intn(u.Len()), rng.Intn(u.Len()))
-		}
-	}
-	u.TrailUndo(mark)
-	u.TrailStop()
-	if got := ufFingerprint(u); got != want {
-		t.Errorf("after undo:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestUnionFindNestedMarks(t *testing.T) {
-	u := NewUnionFind(6)
-	m1 := u.TrailMark()
-	u.Union(0, 1)
-	m2 := u.TrailMark()
-	mid := ufFingerprint(u)
-	u.Union(2, 3)
-	u.Union(0, 3)
-	u.TrailUndo(m2)
-	if got := ufFingerprint(u); got != mid {
-		t.Errorf("inner undo:\n got %s\nwant %s", got, mid)
-	}
-	u.TrailUndo(m1)
-	u.TrailStop()
-	if u.Same(0, 1) || u.Sets() != 6 {
-		t.Errorf("outer undo left merges behind: %s", ufFingerprint(u))
-	}
-}
-
-func TestUnionFindCloneDuringTrailPanics(t *testing.T) {
-	u := NewUnionFind(3)
-	u.TrailMark()
-	defer u.TrailStop()
-	defer func() {
-		if recover() == nil {
-			t.Error("Clone during active trail did not panic")
-		}
-	}()
-	u.Clone()
-}
-
 // offFingerprint renders every observable of an OffsetUF: per-element
-// root and offset plus all pairwise deltas inside one set.
+// root, offset and set size, and the order of the member lists.
 func offFingerprint(o *OffsetUF) string {
 	s := fmt.Sprintf("len=%d;", o.Len())
 	for x := 0; x < o.Len(); x++ {
 		r, off := o.Find(x)
-		s += fmt.Sprintf(" %d:%d%+d", x, r, off)
+		s += fmt.Sprintf(" %d:%d%+d/%d>%d", x, r, off, o.SetSize(x), o.NextMember(x))
 	}
 	return s
 }

@@ -264,3 +264,47 @@ func TestHardFailureNamesEveryTier(t *testing.T) {
 		}
 	}
 }
+
+// TestResilientBatchUnderFaults is the robustness acceptance check: a
+// 50+-block benchmark batch with panics, spurious contradictions and
+// budget starvation all armed must finish with zero hard failures —
+// every block gets a Validate-clean schedule and an Outcome naming the
+// tier that produced it.
+func TestResilientBatchUnderFaults(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindPanic, Every: 7})
+	faultpoint.Arm("deduce.shave", faultpoint.Fault{Kind: faultpoint.KindContra, Every: 3})
+	faultpoint.Arm("core.budget", faultpoint.Fault{Kind: faultpoint.KindStarve, Every: 5, N: 2000})
+
+	m := machine.TwoCluster1Lat()
+	blocks := 0
+	tiers := map[Tier]int{}
+	for _, p := range []workload.AppProfile{workload.Benchmarks()[0], workload.Benchmarks()[7]} {
+		for _, sb := range p.Generate(0.25, 0).Blocks {
+			blocks++
+			opts := core.Options{Pins: workload.PinsFor(sb, m.Clusters, 1), Timeout: 2 * time.Second}
+			s, out, err := Schedule(sb, m, Options{Core: opts})
+			if err != nil {
+				t.Errorf("%s/%s: hard failure: %v", p.Name, sb.Name, err)
+				continue
+			}
+			if verr := s.Validate(); verr != nil {
+				t.Errorf("%s/%s: invalid schedule under faults: %v", p.Name, sb.Name, verr)
+			}
+			if out.Tier == TierNone {
+				t.Errorf("%s/%s: outcome names no tier", p.Name, sb.Name)
+			}
+			tiers[out.Tier]++
+		}
+	}
+	if blocks < 50 {
+		t.Fatalf("batch covered only %d blocks, want at least 50", blocks)
+	}
+	// The faults must actually have bitten: a batch this size at these
+	// firing rates cannot come back all-tier-sg.
+	if blocks == tiers[TierSG] {
+		t.Errorf("all %d blocks came back on tier sg; fault injection did not engage (tiers: %v)", blocks, tiers)
+	}
+	t.Logf("tier mix over %d blocks: %v", blocks, tiers)
+}

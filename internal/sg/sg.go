@@ -20,7 +20,6 @@ package sg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"vcsched/internal/ir"
@@ -29,14 +28,6 @@ import (
 
 // Pair is an unordered instruction pair, normalized to U < V.
 type Pair struct{ U, V int }
-
-// MakePair normalizes (a, b) into a Pair.
-func MakePair(a, b int) Pair {
-	if a > b {
-		a, b = b, a
-	}
-	return Pair{U: a, V: b}
-}
 
 // Edge is one SG edge: the pair plus its feasible combinations in
 // increasing order.
@@ -49,7 +40,6 @@ type Edge struct {
 type Graph struct {
 	SB    *ir.Superblock
 	Edges []Edge
-	index map[Pair]int
 }
 
 // Build computes the scheduling graph. Feasibility per combination:
@@ -61,7 +51,7 @@ type Graph struct {
 //     (comb = 0) when the machine has a single unit of that class in
 //     total — the paper's "a single branch per cycle" example.
 func Build(sb *ir.Superblock, m *machine.Config) *Graph {
-	g := &Graph{SB: sb, index: make(map[Pair]int)}
+	g := &Graph{SB: sb}
 	dist := sb.LongestDist()
 	n := sb.N()
 	for u := 0; u < n; u++ {
@@ -70,7 +60,6 @@ func Build(sb *ir.Superblock, m *machine.Config) *Graph {
 			if len(combs) == 0 {
 				continue
 			}
-			g.index[Pair{u, v}] = len(g.Edges)
 			g.Edges = append(g.Edges, Edge{Pair: Pair{u, v}, Combs: combs})
 		}
 	}
@@ -103,37 +92,8 @@ func combsFor(iu, iv ir.Instr, distUV, distVU int, m *machine.Config) []int {
 // given latencies: comb in [−(latU−1), latV−1].
 func CombRange(latU, latV int) (lo, hi int) { return -(latU - 1), latV - 1 }
 
-// Lookup returns the SG edge for pair (a,b) if one exists.
-func (g *Graph) Lookup(a, b int) (Edge, bool) {
-	i, ok := g.index[MakePair(a, b)]
-	if !ok {
-		return Edge{}, false
-	}
-	return g.Edges[i], true
-}
-
-// HasEdge reports whether pair (a,b) may overlap.
-func (g *Graph) HasEdge(a, b int) bool {
-	_, ok := g.index[MakePair(a, b)]
-	return ok
-}
-
 // NumEdges returns the number of SG edges.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
-
-// Neighbors returns the instructions sharing an SG edge with u, sorted.
-func (g *Graph) Neighbors(u int) []int {
-	var out []int
-	for _, e := range g.Edges {
-		if e.U == u {
-			out = append(out, e.V)
-		} else if e.V == u {
-			out = append(out, e.U)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
 
 // CombFeasibleAt reports whether combination c of pair (u,v) can be
 // realized inside the given bound windows: there must be a cycle t with

@@ -10,6 +10,16 @@ import (
 	"vcsched/internal/machine"
 )
 
+// edgeOf returns the SG edge of pair (u, v), u < v, if one exists.
+func edgeOf(g *Graph, u, v int) (Edge, bool) {
+	for _, e := range g.Edges {
+		if e.U == u && e.V == v {
+			return e, true
+		}
+	}
+	return Edge{}, false
+}
+
 // TestPaperFigure4 checks the scheduling graph of the Figure 1 DG on the
 // Figure 4 machine (1 cluster, 2 I + 1 B per cycle): exactly 8 edges;
 // the I–I pairs have combinations {−1,0,1}, the I–B pairs
@@ -32,7 +42,7 @@ func TestPaperFigure4(t *testing.T) {
 		{4, 6}: {-2, -1},       // B0–B1: ctrl forces B1 later; comb 0 banned (1 branch FU anyway)
 	}
 	for p, want := range wantEdges {
-		e, ok := g.Lookup(p.U, p.V)
+		e, ok := edgeOf(g, p.U, p.V)
 		if !ok {
 			t.Errorf("missing edge (%d,%d)", p.U, p.V)
 			continue
@@ -43,8 +53,7 @@ func TestPaperFigure4(t *testing.T) {
 	}
 	// Pairs the paper singles out as absent.
 	for _, p := range []Pair{{1, 5}, {2, 5}, {0, 1}, {0, 6}, {3, 6}, {5, 6}, {2, 6}} {
-		if g.HasEdge(p.U, p.V) {
-			e, _ := g.Lookup(p.U, p.V)
+		if e, ok := edgeOf(g, p.U, p.V); ok {
 			t.Errorf("unexpected edge (%d,%d) with combs %v", p.U, p.V, e.Combs)
 		}
 	}
@@ -65,7 +74,7 @@ func TestSameClassCombZeroBanned(t *testing.T) {
 	var fu [ir.NumClasses]int
 	fu[ir.Int], fu[ir.Branch] = 1, 1
 	one := &machine.Config{Name: "1clust 1I", Clusters: 1, FU: fu}
-	e, ok := Build(sb, one).Lookup(u, v)
+	e, ok := edgeOf(Build(sb, one), u, v)
 	if !ok {
 		t.Fatal("no edge between independent instructions")
 	}
@@ -73,7 +82,7 @@ func TestSameClassCombZeroBanned(t *testing.T) {
 		t.Errorf("combs on single-int machine = %v, want [-1 1]", e.Combs)
 	}
 
-	e2, ok := Build(sb, machine.PaperExampleSection5()).Lookup(u, v)
+	e2, ok := edgeOf(Build(sb, machine.PaperExampleSection5()), u, v)
 	if !ok {
 		t.Fatal("no edge on two-cluster machine")
 	}
@@ -166,7 +175,7 @@ func TestCombsMatchBruteForce(t *testing.T) {
 					res := !(c == 0 && sb.Instrs[u].Class == sb.Instrs[v].Class && m.TotalFU(sb.Instrs[u].Class) < 2)
 					want := inRange && dep && res
 					got := false
-					if e, ok := g.Lookup(u, v); ok {
+					if e, ok := edgeOf(g, u, v); ok {
 						for _, ec := range e.Combs {
 							if ec == c {
 								got = true
@@ -206,22 +215,4 @@ func randomBlock(rng *rand.Rand) *ir.Superblock {
 		}
 	}
 	return b.MustFinish()
-}
-
-func TestNeighbors(t *testing.T) {
-	g := Build(ir.PaperFigure1(), machine.PaperExampleSG())
-	got := g.Neighbors(4) // B0
-	want := []int{1, 2, 5, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Neighbors(B0) = %v, want %v", got, want)
-	}
-	if nb := g.Neighbors(0); len(nb) != 0 {
-		t.Errorf("Neighbors(I0) = %v, want none", nb)
-	}
-}
-
-func TestMakePair(t *testing.T) {
-	if MakePair(5, 2) != (Pair{2, 5}) {
-		t.Error("MakePair does not normalize")
-	}
 }

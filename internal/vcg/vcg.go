@@ -15,6 +15,11 @@
 // instruction's VC with anchor k pins it to physical cluster k while
 // keeping the paper's delayed-mapping discipline intact.
 //
+// The partition lives in a graphutil.OffsetUF whose offsets stay 0 (a
+// VC fixes no cycle distance), so a VC's representative is the
+// union-by-size root: Fuse keeps the larger VC's representative, the
+// first argument's on a tie.
+//
 // Incompatibility adjacency is stored as fixed-width bitset rows (one
 // row of incW words per node), so edge queries are single-word tests,
 // Degree is a popcount sweep, and the clique lower bound the deduction
@@ -29,7 +34,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"vcsched/internal/coloring"
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/graphutil"
 )
@@ -46,7 +50,7 @@ var ErrContradiction = errors.New("vcg: contradiction")
 // node addition) is recorded so it can be reverted in O(changes)
 // instead of requiring a Clone.
 type Graph struct {
-	uf *graphutil.UnionFind
+	uf *graphutil.OffsetUF
 	// inc is the incompatibility adjacency: node i's row is the incW
 	// words inc[i*incW:(i+1)*incW], bit j set when VCs i and j are
 	// incompatible. Rows are valid for representatives only.
@@ -82,8 +86,8 @@ type Graph struct {
 	scSeen   []bool
 }
 
-// vop is one reversible incompatibility-adjacency mutation. Union
-// mutations live in the embedded UnionFind's own log; the two logs are
+// vop is one reversible incompatibility-adjacency mutation. Fusions
+// live in the embedded OffsetUF's own log; the two logs are
 // independent (they touch disjoint structures), so undo order between
 // them does not matter.
 type vop struct {
@@ -141,7 +145,7 @@ func NewWithCap(n, anchors, capNodes int) *Graph {
 	}
 	w := wordsFor(capNodes)
 	g := &Graph{
-		uf:         graphutil.NewUnionFind(n),
+		uf:         graphutil.NewOffsetUF(n),
 		inc:        make([]uint64, n*w, capNodes*w),
 		incW:       w,
 		anchorBase: -1,
@@ -302,7 +306,7 @@ func (g *Graph) HasAnchors() bool { return g.anchorBase >= 0 }
 func (g *Graph) NumAnchors() int { return g.numAnchors }
 
 // Rep returns the canonical representative of a's VC.
-func (g *Graph) Rep(a int) int { return g.uf.Find(a) }
+func (g *Graph) Rep(a int) int { return g.uf.Root(a) }
 
 // SameVC reports whether a and b are in one VC.
 func (g *Graph) SameVC(a, b int) bool { return g.uf.Same(a, b) }
@@ -310,7 +314,7 @@ func (g *Graph) SameVC(a, b int) bool { return g.uf.Same(a, b) }
 // Incompatible reports whether the VCs of a and b are marked
 // incompatible.
 func (g *Graph) Incompatible(a, b int) bool {
-	ra, rb := g.uf.Find(a), g.uf.Find(b)
+	ra, rb := g.Rep(a), g.Rep(b)
 	if ra == rb {
 		return false
 	}
@@ -320,14 +324,16 @@ func (g *Graph) Incompatible(a, b int) bool {
 // Fuse merges the VCs of a and b. It returns ErrContradiction (wrapped)
 // if they are incompatible.
 func (g *Graph) Fuse(a, b int) error {
-	ra, rb := g.uf.Find(a), g.uf.Find(b)
+	ra, rb := g.Rep(a), g.Rep(b)
 	if ra == rb {
 		return nil
 	}
 	if g.hasEdge(ra, rb) {
 		return errContra("fuse of incompatible VCs")
 	}
-	r := g.uf.Union(ra, rb)
+	// Both are representatives, so the relation cannot conflict.
+	_ = g.uf.Relate(ra, rb, 0)
+	r := g.Rep(ra)
 	g.bump()
 	other := ra + rb - r
 	// Migrate the losing representative's edges onto the survivor,
@@ -354,7 +360,7 @@ func (g *Graph) Fuse(a, b int) error {
 // physical clusters. It returns ErrContradiction (wrapped) if they are
 // already the same VC.
 func (g *Graph) SetIncompatible(a, b int) error {
-	ra, rb := g.uf.Find(a), g.uf.Find(b)
+	ra, rb := g.Rep(a), g.Rep(b)
 	if ra == rb {
 		return errContra("incompatibility inside one VC")
 	}
@@ -430,9 +436,9 @@ func (g *Graph) PinnedPC(a int) (int, bool) {
 	if g.anchorBase < 0 {
 		return 0, false
 	}
-	ra := g.uf.Find(a)
+	ra := g.Rep(a)
 	for k := 0; k < g.numAnchors; k++ {
-		if g.uf.Find(g.anchorBase+k) == ra {
+		if g.Rep(g.anchorBase+k) == ra {
 			return k, true
 		}
 	}
@@ -444,7 +450,7 @@ func (g *Graph) VCs() []int {
 	seen := make([]bool, g.uf.Len())
 	reps := make([]int, 0, g.uf.Len())
 	for i := 0; i < g.uf.Len(); i++ {
-		r := g.uf.Find(i)
+		r := g.Rep(i)
 		if !seen[r] {
 			seen[r] = true
 			reps = append(reps, r)
@@ -455,14 +461,14 @@ func (g *Graph) VCs() []int {
 }
 
 // NumVCs returns the number of virtual clusters (including anchors).
-func (g *Graph) NumVCs() int { return g.uf.Sets() }
+func (g *Graph) NumVCs() int { return len(g.VCs()) }
 
 // Members returns the node ids of a's VC, sorted.
 func (g *Graph) Members(a int) []int {
-	ra := g.uf.Find(a)
+	ra := g.Rep(a)
 	var out []int
 	for i := 0; i < g.uf.Len(); i++ {
-		if g.uf.Find(i) == ra {
+		if g.Rep(i) == ra {
 			out = append(out, i)
 		}
 	}
@@ -472,7 +478,7 @@ func (g *Graph) Members(a int) []int {
 // Degree returns the number of VCs incompatible with a's VC.
 func (g *Graph) Degree(a int) int {
 	d := 0
-	for _, w := range g.row(g.uf.Find(a)) {
+	for _, w := range g.row(g.Rep(a)) {
 		d += bits.OnesCount64(w)
 	}
 	return d
@@ -482,7 +488,7 @@ func (g *Graph) Degree(a int) int {
 // a's VC, sorted.
 func (g *Graph) IncompatibleVCs(a int) []int {
 	var out []int
-	row := g.row(g.uf.Find(a))
+	row := g.row(g.Rep(a))
 	for wi, w := range row {
 		for w != 0 {
 			bi := bits.TrailingZeros64(w)
@@ -491,38 +497,6 @@ func (g *Graph) IncompatibleVCs(a int) []int {
 		}
 	}
 	return out
-}
-
-// ColoringGraph projects the VCG onto a coloring.Graph whose vertices
-// are the current VCs (in VCs() order). The returned slice maps vertex
-// index → representative.
-func (g *Graph) ColoringGraph() (*coloring.Graph, []int) {
-	reps := g.VCs()
-	idx := make([]int, g.uf.Len())
-	for i, r := range reps {
-		idx[r] = i
-	}
-	cg := coloring.New(len(reps))
-	for _, r := range reps {
-		row := g.row(r)
-		for wi, w := range row {
-			for w != 0 {
-				bi := bits.TrailingZeros64(w)
-				w &^= 1 << uint(bi)
-				cg.AddEdge(idx[r], idx[wi<<6|bi])
-			}
-		}
-	}
-	return cg, reps
-}
-
-// Mappable reports whether the current VCG can (according to the greedy
-// coloring bound the paper uses) be mapped onto k physical clusters.
-// A false result is definitive only as a heuristic veto: greedy coloring
-// may overestimate; MaxCliqueLB > k proves unmappability.
-func (g *Graph) Mappable(k int) bool {
-	cg, _ := g.ColoringGraph()
-	return cg.Colorable(k)
 }
 
 // CliqueExceeds reports whether a clique of more than k VCs exists (by
@@ -547,13 +521,13 @@ func growInts(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-// maxCliqueLB computes the same greedy clique lower bound as
-// coloring.MaxCliqueLB over ColoringGraph, but directly on the bitset
-// rows with graph-owned scratch: no projection, no allocation. The
-// "coloring.maxclique" fault point moved here with the computation —
-// it must keep firing on the deduction process's hottest query (only
-// KindPanic is meaningful on a bare-int query; other kinds are
-// ignored).
+// maxCliqueLB computes a greedy lower bound on the maximum clique of
+// the VCs: a clique is grown from each seed VC in decreasing-degree
+// order by adding every later VC adjacent to all members so far. It
+// works directly on the bitset rows with graph-owned scratch, so it
+// does not allocate. The "coloring.maxclique" fault point fires here,
+// on the deduction process's hottest query (only KindPanic is
+// meaningful on a bare-int query; other kinds are ignored).
 func (g *Graph) maxCliqueLB() int {
 	faultpoint.Fire("coloring.maxclique")
 	n := g.uf.Len()
@@ -566,7 +540,7 @@ func (g *Graph) maxCliqueLB() int {
 	}
 	reps := g.scReps[:0]
 	for i := 0; i < n; i++ {
-		r := g.uf.Find(i)
+		r := g.Rep(i)
 		if !seen[r] {
 			seen[r] = true
 			reps = append(reps, r)
@@ -587,7 +561,7 @@ func (g *Graph) maxCliqueLB() int {
 		}
 	}
 	// Stable counting sort by degree, descending, ties by ascending
-	// vertex index — byte-for-byte the order coloring.Order produces.
+	// vertex index.
 	count := growInts(&g.scCount, maxd+1)
 	clear(count)
 	for i := 0; i < R; i++ {

@@ -2,6 +2,7 @@ package vcg
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,8 +78,8 @@ func TestPaperFigure5Mapping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !g.Mappable(4) {
-		t.Fatal("figure-5 VCG not mappable to 4 clusters")
+	if g.CliqueExceeds(4) {
+		t.Fatal("figure-5 VCG vetoed for 4 clusters")
 	}
 	// Step 1: fuse VC2 and VC3 (compatible).
 	if err := g.Fuse(2, 3); err != nil {
@@ -93,13 +94,33 @@ func TestPaperFigure5Mapping(t *testing.T) {
 	}
 	// Now every remaining pair is incompatible (the 4 VCs form a clique
 	// in Figure 5.c) and the mapping is a bijection.
-	cg, _ := g.ColoringGraph()
-	if lb := cg.MaxCliqueLB(); lb != 4 {
+	if lb := g.maxCliqueLB(); lb != 4 {
 		t.Errorf("clique bound after fusions = %d, want 4", lb)
 	}
-	if !g.Mappable(4) || g.Mappable(3) {
-		t.Error("mappability after fusions wrong")
+	if g.CliqueExceeds(4) || !g.CliqueExceeds(3) {
+		t.Error("clique veto after fusions wrong: want 4 clusters kept, 3 vetoed")
 	}
+}
+
+// TestFuseKeepsLargerRepresentative pins the union-by-size rule the
+// deduction rules' VC order depends on: a fusion keeps the larger VC's
+// representative, and the first argument's on a tie.
+func TestFuseKeepsLargerRepresentative(t *testing.T) {
+	g := New(6, 0)
+	fuse := func(a, b, want int) {
+		t.Helper()
+		if err := g.Fuse(a, b); err != nil {
+			t.Fatal(err)
+		}
+		if r := g.Rep(a); r != want || g.Rep(b) != want {
+			t.Fatalf("Fuse(%d,%d): representative %d, want %d", a, b, r, want)
+		}
+	}
+	fuse(5, 4, 5) // singletons tie: the first argument's
+	fuse(1, 0, 1)
+	fuse(0, 4, 1) // two 2-VCs tie: the first argument's, 0's representative 1
+	fuse(3, 5, 1) // a singleton joins a 4-VC: the larger keeps its representative
+	fuse(2, 3, 1)
 }
 
 func TestAnchors(t *testing.T) {
@@ -255,6 +276,84 @@ func TestRandomOperationsInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// maxClique returns the size of the largest set of current VCs that
+// are pairwise incompatible, by trying every subset (at most 12 VCs).
+func maxClique(g *Graph) int {
+	reps := g.VCs()
+	adj := make([]uint32, len(reps))
+	for i, a := range reps {
+		adj[i] = 1 << uint(i)
+		for j, b := range reps {
+			if g.Incompatible(a, b) {
+				adj[i] |= 1 << uint(j)
+			}
+		}
+	}
+	best := 0
+	for set := uint32(1); set < 1<<uint(len(reps)); set++ {
+		size := bits.OnesCount32(set)
+		if size <= best {
+			continue
+		}
+		clique := true
+		for i := range reps {
+			if set&(1<<uint(i)) != 0 && adj[i]&set != set {
+				clique = false
+				break
+			}
+		}
+		if clique {
+			best = size
+		}
+	}
+	return best
+}
+
+// TestCliqueBoundAgainstBruteForce checks the clique veto against exact
+// answers on random VCGs of at most 12 nodes (none, at the small end),
+// anchors included, built by random fusions and incompatibilities. The
+// greedy bound must never exceed the maximum clique, so CliqueExceeds
+// never vetoes a graph for a cluster count some mapping could meet, and
+// it must find an edge when there is one. When every pair of VCs is
+// made incompatible, the bound must equal the number of VCs.
+func TestCliqueBoundAgainstBruteForce(t *testing.T) {
+	fn := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		anchors := rng.Intn(4)
+		g := New(rng.Intn(13-anchors), anchors)
+		n := g.Len()
+		for step := rng.Intn(4*n + 1); step > 0; step-- {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(3) == 0 {
+				_ = g.Fuse(a, b)
+			} else {
+				_ = g.SetIncompatible(a, b)
+			}
+		}
+		complete := rng.Intn(4) == 0
+		if complete {
+			reps := g.VCs()
+			for i, a := range reps {
+				for _, b := range reps[i+1:] {
+					if err := g.SetIncompatible(a, b); err != nil {
+						t.Log(err)
+						return false
+					}
+				}
+			}
+		}
+		lb, omega := g.maxCliqueLB(), maxClique(g)
+		if lb > omega || (omega >= 2 && lb < 2) || (complete && lb != len(g.VCs())) {
+			t.Logf("seed %d: greedy bound %d, maximum clique %d, %d VCs, complete %v", seed, lb, omega, len(g.VCs()), complete)
+			return false
+		}
+		return !g.CliqueExceeds(omega) && g.CliqueExceeds(lb-1)
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
