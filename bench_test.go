@@ -9,7 +9,6 @@ package vcsched_test
 
 import (
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -168,34 +167,4 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Generate(0.1, 0)
 	}
-}
-
-// BenchmarkPortfolioParallelism compares serial against parallel
-// portfolio wall-clock over the same workload. Each AWCT value carries
-// several perturbed-order attempts, which is exactly the work the
-// portfolio driver spreads over workers; the committed schedules are
-// identical (see TestPortfolioMatchesSerial), so only ns/op should
-// move. On a single-CPU machine NumCPU is 1 and the "parallel" arm
-// degenerates to the serial driver — the knob never makes things
-// slower than serial.
-func BenchmarkPortfolioParallelism(b *testing.B) {
-	p, _ := workload.BenchmarkByName("epicenc")
-	blocks := p.Generate(0.2, 0).Blocks
-	m := machine.FourCluster2Lat()
-	run := func(b *testing.B, parallelism int) {
-		for i := 0; i < b.N; i++ {
-			var tc float64
-			for _, sb := range blocks {
-				pins := workload.PinsFor(sb, m.Clusters, 1)
-				s, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Parallelism: parallelism})
-				if err != nil {
-					continue
-				}
-				tc += s.AWCT() * float64(sb.ExecCount)
-			}
-			b.ReportMetric(tc, "total-cycles")
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, runtime.NumCPU()) })
 }

@@ -2,8 +2,8 @@
 // internal/difftest: it generates random superblocks, schedules each
 // with the virtual-cluster scheduler and with the degradation ladder,
 // and cross-checks the results against the static validator, the
-// lockstep simulator, the exhaustive oracle, CARS and the parallel
-// portfolio driver, plus metamorphic invariants.
+// lockstep simulator, the exhaustive oracle and CARS, plus metamorphic
+// invariants.
 // Violations are shrunk to minimal reproducers and written as
 // self-contained .sb files.
 //
@@ -35,7 +35,6 @@ func main() {
 	machines := flag.String("machines", "2c1l,4c1l,4c2l", "comma-separated machine keys to cycle through")
 	maxInstrs := flag.Int("maxinstrs", 0, "largest generated block (0 = default 40)")
 	steps := flag.Int("steps", 0, "deduction step budget per scheduling attempt (0 = default 20000)")
-	parallel := flag.Int("parallel", 0, "portfolio width for the serial-vs-parallel check (0 = default 4, <0 disables)")
 	oracleLim := flag.Int("oracle", 0, "largest block cross-checked against the exhaustive oracle (0 = default 8, <0 disables)")
 	pinSeed := flag.Int64("pinseed", 0, "live-in/live-out pin seed")
 	out := flag.String("out", "results/repros", "directory for shrunken reproducer .sb files (empty = don't write)")
@@ -76,7 +75,6 @@ func main() {
 		MaxInstrs:     *maxInstrs,
 		PinSeed:       *pinSeed,
 		MaxSteps:      *steps,
-		Parallelism:   *parallel,
 		Resilient:     true,
 		OracleLimit:   *oracleLim,
 		ReproDir:      *out,
@@ -109,8 +107,8 @@ func replayFile(path string) int {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("replaying %s: %s on %s (pinseed %d, steps %d, parallel %d, oracle %d)\n",
-		path, r.SB.Name, r.MachineKey, r.PinSeed, r.MaxSteps, r.Parallelism, r.OracleLimit)
+	fmt.Printf("replaying %s: %s on %s (pinseed %d, steps %d, oracle %d)\n",
+		path, r.SB.Name, r.MachineKey, r.PinSeed, r.MaxSteps, r.OracleLimit)
 	for _, v := range r.Violations {
 		fmt.Printf("  recorded: %s\n", v)
 	}

@@ -6,9 +6,16 @@
 //
 // With no file arguments it reads one .sb stream from stdin. The paper's
 // Figure 1 example is built in: pass -example instead of files.
+//
+// -parallel N schedules up to N blocks at a time. Each block's report
+// and -save record are printed in input order, as soon as that block
+// and every earlier one are done. Unless a block hits -timeout, the
+// -save file is the -parallel 1 file byte for byte, and the report
+// differs from it only in timing fields.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +39,7 @@ func main() {
 	machName := flag.String("machine", "2c1l", "target: 2c1l, 4c1l, 4c2l, sec5 (paper §5 example)")
 	algo := flag.String("algo", "both", "scheduler: vc, cars or both")
 	timeout := flag.Duration("timeout", 5*time.Second, "VC scheduling timeout per block")
-	parallel := flag.Int("parallel", 1, "portfolio search workers per block (1 = serial driver; results are identical, only wall-clock changes)")
+	parallel := flag.Int("parallel", 1, "blocks scheduled at a time (values below 1 mean 1); output stays in input order")
 	example := flag.Bool("example", false, "schedule the paper's Figure 1 superblock")
 	showSched := flag.Bool("print", true, "print the schedules, not just the metrics")
 	dot := flag.Bool("dot", false, "emit Graphviz DOT for each block's dependence and scheduling graphs instead of scheduling")
@@ -92,7 +99,7 @@ func main() {
 		return
 	}
 
-	var saveTo io.Writer
+	saveTo := io.Discard
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
@@ -102,24 +109,57 @@ func main() {
 		saveTo = f
 	}
 
-	var b batch
-	for _, sb := range blocks {
+	// scheduleBlock writes one block's report to out and its VC
+	// schedule in .sched form to rec, and returns one outcome per
+	// scheduler run.
+	scheduleBlock := func(sb *ir.Superblock, out, rec io.Writer) []error {
 		pins := workload.PinsFor(sb, m.Clusters, *seed)
-		fmt.Printf("== %s (%d instructions) on %s\n", sb.Name, sb.N(), m)
+		fmt.Fprintf(out, "== %s (%d instructions) on %s\n", sb.Name, sb.N(), m)
 		var outcomes []error
 		if *algo == "vc" || *algo == "both" {
-			var err error
 			if *resil {
-				err = runResilient(sb, m, pins, *timeout, *parallel, *showSched, *report, saveTo)
+				outcomes = append(outcomes, runResilient(out, rec, sb, m, pins, *timeout, *showSched, *report))
 			} else {
-				err = runVC(sb, m, pins, *timeout, *parallel, *showSched, saveTo)
+				outcomes = append(outcomes, runVC(out, rec, sb, m, pins, *timeout, *showSched))
 			}
-			outcomes = append(outcomes, err)
 		}
 		if *algo == "cars" || *algo == "both" {
-			outcomes = append(outcomes, runCARS(sb, m, pins, *showSched))
+			outcomes = append(outcomes, runCARS(out, sb, m, pins, *showSched))
 		}
-		b.record(outcomes)
+		return outcomes
+	}
+
+	// Up to -parallel blocks run at a time (the semaphore idiom of
+	// bench.RunApp). Block i delivers its buffered output on done[i],
+	// and the loop below prints the blocks in input order.
+	type blockOutput struct {
+		out, rec bytes.Buffer
+		outcomes []error
+	}
+	done := make([]chan *blockOutput, len(blocks))
+	for i := range done {
+		done[i] = make(chan *blockOutput, 1)
+	}
+	go func() {
+		sem := make(chan struct{}, max(*parallel, 1))
+		for i, sb := range blocks {
+			sem <- struct{}{}
+			go func() {
+				defer func() { <-sem }()
+				o := &blockOutput{}
+				o.outcomes = scheduleBlock(sb, &o.out, &o.rec)
+				done[i] <- o
+			}()
+		}
+	}()
+	var b batch
+	for _, ch := range done {
+		o := <-ch
+		os.Stdout.Write(o.out.Bytes())
+		if _, err := saveTo.Write(o.rec.Bytes()); err != nil {
+			fatal(err)
+		}
+		b.record(o.outcomes)
 	}
 	if allHard, taxonomies := b.verdict(); allHard {
 		fmt.Fprintf(os.Stderr, "vcsched: every block hard-failed (%d of %d; taxonomy: %s)\n",
@@ -177,68 +217,53 @@ func (b *batch) verdict() (allHard bool, taxonomies []string) {
 	return true, taxonomies
 }
 
-func runVC(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, show bool, saveTo io.Writer) error {
+func runVC(w, rec io.Writer, sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, show bool) error {
 	start := time.Now()
-	s, stats, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel})
+	s, stats, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout})
 	el := time.Since(start).Round(time.Microsecond)
 	if err != nil {
-		fmt.Printf("  VC:   failed after %v: %v (%d attempts, %d cancelled)\n",
-			el, err, stats.AttemptsLaunched, stats.AttemptsCancelled)
+		fmt.Fprintf(w, "  VC:   failed after %v: %v (%d attempts)\n", el, err, stats.AttemptsLaunched)
 		return err
 	}
-	fmt.Printf("  VC:   AWCT %.3f (lower bound %.3f, %d AWCT values tried, %d comms, %v)\n",
+	fmt.Fprintf(w, "  VC:   AWCT %.3f (lower bound %.3f, %d AWCT values tried, %d comms, %v)\n",
 		s.AWCT(), stats.MinAWCT, stats.AWCTTried, s.NumComms(), el)
-	if parallel > 1 {
-		fmt.Printf("        portfolio: %d attempts launched, %d cancelled, %d deduction steps\n",
-			stats.AttemptsLaunched, stats.AttemptsCancelled, stats.StepsSpent)
-	}
-	fmt.Printf("        exits %s\n", sched.FormatExitCycles(s.ExitCycles()))
+	fmt.Fprintf(w, "        exits %s\n", sched.FormatExitCycles(s.ExitCycles()))
 	if show {
-		indent(os.Stdout, s.Format())
+		indent(w, s.Format())
 	}
-	if saveTo != nil {
-		if err := s.WriteText(saveTo); err != nil {
-			fatal(err)
-		}
-	}
-	return nil
+	return s.WriteText(rec)
 }
 
-func runResilient(sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, parallel int, show, report bool, saveTo io.Writer) error {
+func runResilient(w, rec io.Writer, sb *ir.Superblock, m *machine.Config, pins sched.Pins, timeout time.Duration, show, report bool) error {
 	s, out, err := resilient.Schedule(sb, m, resilient.Options{
-		Core: core.Options{Pins: pins, Timeout: timeout, Parallelism: parallel},
+		Core: core.Options{Pins: pins, Timeout: timeout},
 	})
 	if err != nil {
-		fmt.Printf("  VC:   every tier failed after %v: %v\n", out.Elapsed.Round(time.Microsecond), err)
+		fmt.Fprintf(w, "  VC:   every tier failed after %v: %v\n", out.Elapsed.Round(time.Microsecond), err)
 		return err
 	}
-	fmt.Printf("  VC:   AWCT %.3f via tier %s (%d comms, %v)\n",
+	fmt.Fprintf(w, "  VC:   AWCT %.3f via tier %s (%d comms, %v)\n",
 		out.AWCT, out.Tier, s.NumComms(), out.Elapsed.Round(time.Microsecond))
 	if report {
-		indent(os.Stdout, out.String()+"\n")
+		indent(w, out.String()+"\n")
 	}
 	if show {
-		indent(os.Stdout, s.Format())
+		indent(w, s.Format())
 	}
-	if saveTo != nil {
-		if err := s.WriteText(saveTo); err != nil {
-			fatal(err)
-		}
-	}
-	return nil
+	return s.WriteText(rec)
 }
 
-func runCARS(sb *ir.Superblock, m *machine.Config, pins sched.Pins, show bool) error {
+func runCARS(w io.Writer, sb *ir.Superblock, m *machine.Config, pins sched.Pins, show bool) error {
 	start := time.Now()
 	s, err := cars.Schedule(sb, m, pins)
 	el := time.Since(start).Round(time.Microsecond)
 	if err != nil {
-		fmt.Printf("  CARS: failed: %v\n", err)
+		fmt.Fprintf(w, "  CARS: failed: %v\n", err)
 		return err
 	}
-	fmt.Printf("  CARS: AWCT %.3f (%d comms, %v)\n", s.AWCT(), s.NumComms(), el)
+	fmt.Fprintf(w, "  CARS: AWCT %.3f (%d comms, %v)\n", s.AWCT(), s.NumComms(), el)
 	if show {
-		indent(os.Stdout, s.Format())
+		indent(w, s.Format())
 	}
 	return nil
 }

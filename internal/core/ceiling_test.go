@@ -2,12 +2,9 @@ package core
 
 import (
 	"bytes"
-	"errors"
-	"math"
 	"slices"
 	"testing"
 
-	"vcsched/internal/cars"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/sched"
@@ -71,20 +68,18 @@ func TestCeilingAtEnhancedBoundTriesNoVector(t *testing.T) {
 	if crit := sb.CriticalAWCT(); free.MinAWCT <= crit {
 		t.Fatalf("enhanced bound %.3f does not exceed the dependence bound %.3f", free.MinAWCT, crit)
 	}
-	for _, par := range []int{1, 4} {
-		s, st, err := Schedule(sb, m, Options{Ceiling: free.MinAWCT, Parallelism: par})
-		if err != ErrNoBetter || s != nil {
-			t.Fatalf("parallelism %d: err %v, want ErrNoBetter and no schedule", par, err)
-		}
-		if st.MinAWCT != free.MinAWCT {
-			t.Errorf("parallelism %d: MinAWCT %.3f, want %.3f", par, st.MinAWCT, free.MinAWCT)
-		}
-		if st.AWCTTried != 0 || st.AttemptsLaunched != 0 || len(st.Attempts) != 0 {
-			t.Errorf("parallelism %d: vectors tried at the enhanced bound: %+v", par, st)
-		}
-		if want := probeSteps(free); st.StepsSpent != want {
-			t.Errorf("parallelism %d: %d steps, want the %d of the bound probes", par, st.StepsSpent, want)
-		}
+	s, st, err := Schedule(sb, m, Options{Ceiling: free.MinAWCT})
+	if err != ErrNoBetter || s != nil {
+		t.Fatalf("err %v, want ErrNoBetter and no schedule", err)
+	}
+	if st.MinAWCT != free.MinAWCT {
+		t.Errorf("MinAWCT %.3f, want %.3f", st.MinAWCT, free.MinAWCT)
+	}
+	if st.AWCTTried != 0 || st.AttemptsLaunched != 0 || len(st.Attempts) != 0 {
+		t.Errorf("vectors tried at the enhanced bound: %+v", st)
+	}
+	if want := probeSteps(free); st.StepsSpent != want {
+		t.Errorf("%d steps, want the %d of the bound probes", st.StepsSpent, want)
 	}
 }
 
@@ -176,40 +171,4 @@ func attemptSteps(as []Attempt) int {
 		n += a.Steps
 	}
 	return n
-}
-
-// Serial ≡ portfolio holds under a ceiling: CARS's AWCT (as the ladder
-// sets it), the unbounded result (a stop mid-climb) and the enhanced
-// bound (a stop before the first vector) each give the same outcome,
-// enumeration depth and schedule bytes in both drivers.
-func TestPortfolioMatchesSerialUnderCeiling(t *testing.T) {
-	blocks, ms := ceilingBlocks(t)
-	for i, sb := range blocks {
-		m := ms[i]
-		pins := workload.PinsFor(sb, m.Clusters, 1)
-		base := Options{Pins: pins, MaxSteps: 20000}
-		free, fst, err := Schedule(sb, m, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := cars.Schedule(sb, m, pins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ceiling := range []float64{cs.AWCT(), free.AWCT(), fst.MinAWCT} {
-			name := sb.Name + "@" + m.Key()
-			opts := base
-			opts.Ceiling = ceiling
-			s1, st1, err1 := Schedule(sb, m, opts)
-			opts.Parallelism = 4
-			s2, st2, err2 := Schedule(sb, m, opts)
-			samePlacement(t, name, &scheduleStatsErr{s1, st1, err1}, &scheduleStatsErr{s2, st2, err2})
-			if err1 == nil && math.Abs(s1.AWCT()-free.AWCT()) > 1e-9 {
-				t.Errorf("%s: ceiling %.3f: AWCT %.3f, unbounded %.3f", name, ceiling, s1.AWCT(), free.AWCT())
-			}
-			if (err1 == nil) != (free.AWCT() < ceiling) || (err1 != nil && !errors.Is(err1, ErrNoBetter)) {
-				t.Errorf("%s: ceiling %.3f, unbounded %.3f: err %v", name, ceiling, free.AWCT(), err1)
-			}
-		}
-	}
 }

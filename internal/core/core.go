@@ -66,18 +66,16 @@ type Options struct {
 	// Timeout bounds wall-clock scheduling time (<= 0 = none).
 	Timeout time.Duration
 	// MaxSteps bounds deduction passes (0 = DefaultMaxSteps; < 0 =
-	// unlimited). In serial mode the budget is shared across the whole
-	// search. With Parallelism > 1 every attempt runs on its own budget
-	// of MaxSteps (workers cannot meaningfully share a step counter),
-	// and the driver replays the shared-budget accounting in serial
-	// visit order afterwards, so the outcome — schedule or error — is
-	// identical to serial mode in every case.
+	// unlimited). One budget is shared by the bound probes and every
+	// attempt of the search.
 	MaxSteps int
-	// Parallelism is the number of concurrent portfolio workers running
-	// the perturbed-order attempts (0 or 1 = the serial driver; values
-	// below 1 are clamped to 1). The committed schedule is identical to
-	// the serial driver's — only wall-clock time changes; see
-	// portfolio.go for the determinism argument.
+	// Parallelism is not read here: a search is one serial walk, and
+	// parallelism lives across blocks (vcsched -parallel, the service's
+	// worker pool, the experiments harness's workers). The field stays
+	// only because service.Config sizes its worker pool from
+	// Ladder.Core.Parallelism when Workers is 0, which is how perfbench
+	// sizes its shards. ROADMAP's benchmark item deletes it together
+	// with service.Config.Ladder.
 	Parallelism int
 	// Ceiling is the AWCT of a schedule the caller already holds (0 =
 	// none). The search then returns a schedule only if it is strictly
@@ -89,9 +87,7 @@ type Options struct {
 	// search without a ceiling returns.
 	Ceiling float64
 	// Trace, when non-nil, receives search progress lines (AWCT
-	// attempts, stage failures) for debugging. With Parallelism > 1 it
-	// is called concurrently from the portfolio workers and must be
-	// safe for concurrent use.
+	// attempts, stage failures) for debugging.
 	Trace func(format string, args ...any)
 }
 
@@ -125,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSteps == 0 {
 		o.MaxSteps = DefaultMaxSteps // < 0 stays: unlimited
 	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
-	}
 	if o.Timeout < 0 {
 		o.Timeout = 0
 	}
@@ -144,9 +137,6 @@ const (
 	AttemptContradicted AttemptOutcome = iota
 	// AttemptSucceeded: the attempt produced a valid schedule.
 	AttemptSucceeded
-	// AttemptCancelled: a sibling portfolio worker won first; the
-	// attempt was aborted and its result discarded.
-	AttemptCancelled
 	// AttemptErrored: the attempt aborted on a terminal error (budget
 	// exhaustion or timeout).
 	AttemptErrored
@@ -159,8 +149,6 @@ func (o AttemptOutcome) String() string {
 		return "contradicted"
 	case AttemptSucceeded:
 		return "succeeded"
-	case AttemptCancelled:
-		return "cancelled"
 	case AttemptErrored:
 		return "errored"
 	}
@@ -185,11 +173,10 @@ type Stats struct {
 	Comms      int           // communications in the final schedule
 	StepsSpent int           // deduction passes consumed (all attempts + bound probes)
 
-	// Per-attempt accounting (filled by both the serial and the
-	// parallel portfolio drivers; sorted by (AWCTIndex, Variant)).
-	AttemptsLaunched  int
-	AttemptsCancelled int
-	Attempts          []Attempt
+	// Per-attempt accounting, in visit order: (AWCTIndex, Variant)
+	// ascending. AttemptsLaunched is len(Attempts).
+	AttemptsLaunched int
+	Attempts         []Attempt
 
 	// Learn is always zero. It held the counters of a conflict-learning
 	// layer that has been removed (DESIGN.md §15) and stays only so
@@ -205,16 +192,14 @@ type scheduler struct {
 	opts     Options
 	budget   *deduce.Budget
 	deadline time.Time
-	cancel   <-chan struct{} // set on portfolio workers; closed when a sibling wins
 	dist     [][]int
 	tail     []int  // longest completion tail from each node (see bumpCandidates)
 	variant  int    // perturbs candidate order across retries of one AWCT
 	curStage string // pipeline stage currently running (panic context)
 
 	// arena backs every state this scheduler builds. States are built
-	// strictly sequentially per scheduler (probe, then attempt after
-	// attempt), so one arena amortizes all their allocations; portfolio
-	// workers get private arenas (runAttempt).
+	// strictly sequentially (probe, then attempt after attempt), so one
+	// arena amortizes all their allocations.
 	arena *deduce.Arena
 }
 
@@ -254,17 +239,10 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	}
 	stats.MinAWCT = s.awctOf(ests)
 	if s.reached(stats.MinAWCT) {
-		// The enhanced bound reaches the ceiling: try no vector, and
-		// start no portfolio workers.
+		// The enhanced bound reaches the ceiling: try no vector.
 		stats.Elapsed = time.Since(start)
 		stats.StepsSpent = s.stepsSpent()
 		return nil, stats, s.stopErr(true)
-	}
-
-	if opts.Parallelism > 1 {
-		schedule, perr := s.schedulePortfolio(&stats, ests)
-		stats.Elapsed = time.Since(start)
-		return schedule, stats, perr
 	}
 
 	// Best-first enumeration over exit-cycle vectors: vectors are tried
@@ -395,17 +373,9 @@ func (s *scheduler) mapErr(err error) error {
 
 func (s *scheduler) stepsSpent() int { return s.budget.Used() }
 
-// checkTime aborts between stage iterations on cancellation or deadline
-// expiry; the deduce.Budget performs the same checks deep inside
-// propagation runs.
+// checkTime aborts between stage iterations on deadline expiry; the
+// deduce.Budget performs the same check deep inside propagation runs.
 func (s *scheduler) checkTime() error {
-	if s.cancel != nil {
-		select {
-		case <-s.cancel:
-			return deduce.ErrCancelled
-		default:
-		}
-	}
 	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		return ErrTimeout
 	}
@@ -620,9 +590,8 @@ func (q *vectorQueue) pop() ([]int, float64, bool) {
 
 // safeAttempt is attempt with panic recovery: a crash anywhere in the
 // six stages is converted into a *PanicError carrying the stage that
-// was running, the exit-cycle vector and the stack. Both the serial
-// driver and the portfolio workers go through it — an unrecovered
-// panic in a worker goroutine would kill the whole process.
+// was running, the exit-cycle vector and the stack, so one broken
+// block cannot take down a batch or a service worker.
 func (s *scheduler) safeAttempt(vector []int) (schedule *sched.Schedule, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -35,6 +35,38 @@ func TestPaperSection5(t *testing.T) {
 	}
 }
 
+// TestPortfolioPaperExample: Options.Parallelism no longer selects a
+// portfolio driver, so setting it must leave the Section 5 result and
+// its per-attempt accounting exactly as the serial search has them.
+func TestPortfolioPaperExample(t *testing.T) {
+	sb := ir.PaperFigure1()
+	m := machine.PaperExampleSection5()
+	serial, _, err := Schedule(sb, m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{2, 4, 8} {
+		s, stats, err := Schedule(sb, m, Options{Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("parallelism %d: invalid schedule: %v", par, err)
+		}
+		if s.AWCT() != 9.4 {
+			t.Errorf("parallelism %d: AWCT = %g, want 9.4", par, s.AWCT())
+		}
+		if stats.AWCTTried != 2 {
+			t.Errorf("parallelism %d: AWCTTried = %d, want 2", par, stats.AWCTTried)
+		}
+		if s.Format() != serial.Format() {
+			t.Errorf("parallelism %d: schedule differs from the serial one:\n%s\nvs\n%s",
+				par, s.Format(), serial.Format())
+		}
+		checkAttemptRecords(t, stats, AttemptSucceeded)
+	}
+}
+
 // TestScheduleSimpleBlocks checks validity and dependence-bound
 // optimality on blocks with known answers.
 func TestScheduleSimpleBlocks(t *testing.T) {

@@ -15,14 +15,14 @@ var ErrInternal = errors.New("core: internal error")
 
 // PanicError is a panic recovered inside the scheduling pipeline,
 // converted into a structured error so one broken block cannot take
-// down a whole compilation (or a portfolio worker pool). It records
+// down a whole compilation (or a service's worker pool). It records
 // where the panic happened (Stage), which exit-cycle vector was under
 // attempt (nil outside attempts), the recovered value, and the stack
 // at recovery.
 //
-// Error() deliberately excludes the stack: error strings feed the
-// serial/parallel identity guarantee and difftest's byte comparisons,
-// and must stay deterministic. The stack is available via the Stack
+// Error() deliberately excludes the stack: error strings feed golden
+// digests, cached service results and difftest's comparisons, and must
+// stay deterministic. The stack is available via the Stack
 // field for reports and logs.
 type PanicError struct {
 	Stage  string // pipeline stage: "setup", "min-awct", "shave", a stage name, "extract"

@@ -8,11 +8,9 @@ import (
 )
 
 // starveSteps consults the "core.budget" fault point once per Schedule
-// call and returns the injected step cap, if any. Firing at Schedule
-// entry — before the serial driver and the portfolio workers diverge —
-// keeps the serial/parallel identity intact: both drivers read the same
-// capped MaxSteps, and the existing budget-replay machinery does the
-// rest.
+// call and returns the injected step cap, if any. It fires at Schedule
+// entry, so the cap replaces MaxSteps for the whole search: the bound
+// probes and every attempt share it.
 func starveSteps() (int, bool) {
 	f, ok := faultpoint.Fire("core.budget")
 	if !ok || f.Kind != faultpoint.KindStarve {

@@ -11,8 +11,8 @@ import (
 )
 
 // A panic in the stage loop must come back as a recovered *PanicError
-// wrapping ErrInternal — with the stage and exit vector attached — in
-// both drivers, never as a dead process.
+// wrapping ErrInternal — with the stage and exit vector attached —
+// never as a dead process.
 func TestPanicBecomesStructuredError(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
@@ -21,29 +21,26 @@ func TestPanicBecomesStructuredError(t *testing.T) {
 	m := machine.TwoCluster1Lat()
 	pins := workload.PinsFor(sb, m.Clusters, 1)
 
-	for _, par := range []int{1, 4} {
-		faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindPanic})
-		s, _, err := Schedule(sb, m, Options{Pins: pins, Parallelism: par})
-		if s != nil {
-			t.Fatalf("parallelism %d: got a schedule alongside an injected panic", par)
-		}
-		if !errors.Is(err, ErrInternal) {
-			t.Fatalf("parallelism %d: err = %v, want ErrInternal", par, err)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("parallelism %d: err %T is not a *PanicError: %v", par, err, err)
-		}
-		if pe.Stage == "" {
-			t.Errorf("parallelism %d: PanicError carries no stage: %+v", par, pe)
-		}
-		if len(pe.Vector) == 0 {
-			t.Errorf("parallelism %d: PanicError carries no exit vector: %+v", par, pe)
-		}
-		if len(pe.Stack) == 0 {
-			t.Errorf("parallelism %d: PanicError carries no stack", par)
-		}
-		faultpoint.Reset()
+	faultpoint.Arm("core.stage", faultpoint.Fault{Kind: faultpoint.KindPanic})
+	s, _, err := Schedule(sb, m, Options{Pins: pins})
+	if s != nil {
+		t.Fatal("got a schedule alongside an injected panic")
+	}
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("err = %v, want ErrInternal", err)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err %T is not a *PanicError: %v", err, err)
+	}
+	if pe.Stage == "" {
+		t.Errorf("PanicError carries no stage: %+v", pe)
+	}
+	if len(pe.Vector) == 0 {
+		t.Errorf("PanicError carries no exit vector: %+v", pe)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("PanicError carries no stack")
 	}
 }
 

@@ -183,6 +183,37 @@ func TestStatsAccounting(t *testing.T) {
 	if stats.FinalAWCT < stats.MinAWCT {
 		t.Errorf("final AWCT %g below the lower bound %g", stats.FinalAWCT, stats.MinAWCT)
 	}
+	checkAttemptRecords(t, stats, AttemptSucceeded)
+}
+
+// checkAttemptRecords fails the test unless the search recorded one
+// attempt per launch, in visit order ((AWCTIndex, Variant) ascending),
+// every attempt but the last was refuted, and the last, on the last
+// vector tried, ended in last.
+func checkAttemptRecords(t *testing.T, st Stats, last AttemptOutcome) {
+	t.Helper()
+	n := len(st.Attempts)
+	if n == 0 || n != st.AttemptsLaunched {
+		t.Fatalf("%d attempt records for %d launches", n, st.AttemptsLaunched)
+	}
+	for i, a := range st.Attempts {
+		want := AttemptContradicted
+		if i == n-1 {
+			want = last
+		}
+		if a.Outcome != want {
+			t.Errorf("attempt %d of %d: %+v, want %v", i, n, a, want)
+		}
+		if i > 0 {
+			prev := st.Attempts[i-1]
+			if prev.AWCTIndex > a.AWCTIndex || (prev.AWCTIndex == a.AWCTIndex && prev.Variant >= a.Variant) {
+				t.Errorf("attempts out of visit order at %d: %+v then %+v", i, prev, a)
+			}
+		}
+	}
+	if a := st.Attempts[n-1]; a.AWCTIndex != st.AWCTTried-1 {
+		t.Errorf("last attempt %+v is not on the last of %d vectors tried", a, st.AWCTTried)
+	}
 }
 
 // TestGeneratedCorpusValid: the full algorithm (with the CARS-free

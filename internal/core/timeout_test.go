@@ -6,9 +6,68 @@ import (
 	"time"
 
 	"vcsched/internal/faultpoint"
+	"vcsched/internal/ir"
 	"vcsched/internal/machine"
 	"vcsched/internal/workload"
 )
+
+// largestWorkloadBlock picks a big superblock so a tiny timeout cannot
+// possibly complete it.
+func largestWorkloadBlock(t *testing.T) *ir.Superblock {
+	t.Helper()
+	p, err := workload.BenchmarkByName("099.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := p.Generate(1.0, 0)
+	var best *ir.Superblock
+	for _, sb := range app.Blocks {
+		if best == nil || sb.N() > best.N() {
+			best = sb
+		}
+	}
+	if best.N() < 30 {
+		t.Fatalf("largest generated block has only %d instructions", best.N())
+	}
+	return best
+}
+
+// A tiny timeout on a large superblock must return ErrTimeout within a
+// bounded wall-clock interval and without a partial schedule.
+func TestTimeoutPrompt(t *testing.T) {
+	sb := largestWorkloadBlock(t)
+	m := machine.FourCluster2Lat()
+	pins := workload.PinsFor(sb, m.Clusters, 1)
+	start := time.Now()
+	s, _, err := Schedule(sb, m, Options{Pins: pins, Timeout: 200 * time.Microsecond})
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if s != nil {
+		t.Fatal("got a partial schedule alongside ErrTimeout")
+	}
+	// Generous bound: deadline checks run every few deduction steps,
+	// so even loaded CI machines should abort far below this.
+	if elapsed > 5*time.Second {
+		t.Fatalf("ErrTimeout took %v, want prompt abort", elapsed)
+	}
+}
+
+// A negative Timeout clamps to no deadline, and the scheduler still
+// works under it.
+func TestNegativeOptionsClamped(t *testing.T) {
+	if o := (Options{Timeout: -time.Second}).withDefaults(); o.Timeout != 0 {
+		t.Errorf("Timeout = %v, want 0", o.Timeout)
+	}
+	s, _, err := Schedule(ir.Diamond(), machine.TwoCluster1Lat(), Options{Timeout: -time.Second})
+	if err != nil {
+		t.Fatalf("clamped options: %v", err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("clamped options: invalid schedule: %v", err)
+	}
+}
 
 // The enumeration verdict must re-check the wall clock: a deadline that
 // expired between checkTime polls (e.g. inside a stage whose
@@ -51,66 +110,41 @@ func TestDeadlineRaceNeverExhausts(t *testing.T) {
 		reps = 3
 	}
 	for i := 0; i < reps; i++ {
-		for _, par := range []int{1, 4} {
-			_, _, err := Schedule(sb, m, Options{
-				Pins:        pins,
-				Timeout:     time.Millisecond,
-				MaxSteps:    -1,
-				Parallelism: par,
-			})
-			if errors.Is(err, ErrExhausted) {
-				t.Fatalf("rep %d parallelism %d: expired deadline classified as exhaustion: %v", i, par, err)
-			}
-			if err != nil && !errors.Is(err, ErrTimeout) {
-				t.Fatalf("rep %d parallelism %d: unexpected error class: %v", i, par, err)
-			}
+		_, _, err := Schedule(sb, m, Options{Pins: pins, Timeout: time.Millisecond, MaxSteps: -1})
+		if errors.Is(err, ErrExhausted) {
+			t.Fatalf("rep %d: expired deadline classified as exhaustion: %v", i, err)
+		}
+		if err != nil && !errors.Is(err, ErrTimeout) {
+			t.Fatalf("rep %d: unexpected error class: %v", i, err)
 		}
 	}
 }
 
-// Satellite: an injected budget starvation must produce byte-identical
-// errors and attempt accounting in serial and parallel mode — the
-// portfolio's serial-replay contract covers failures, not just
-// successes.
-func TestInjectedStarvationIdenticalSerialParallel(t *testing.T) {
+// An injected budget starvation caps the one budget the bound probes
+// and the attempts share. At a cap the probes do not use up, attempts
+// run, and the search dies inside one: the steps spent are the cap
+// plus the step that overran it, and the attempt records end in the
+// errored one.
+func TestInjectedStarvationEndsInErroredAttempt(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 
 	sb := largestWorkloadBlock(t)
 	m := machine.TwoCluster1Lat()
-	pins := workload.PinsFor(sb, m.Clusters, 1)
-
-	run := func(par int) (string, Stats) {
-		// Re-arm per run: the starvation point is consumed once at each
-		// Schedule entry, so both drivers must see the identical cap.
-		faultpoint.Arm("core.budget", faultpoint.Fault{Kind: faultpoint.KindStarve, N: 5000})
-		s, stats, err := Schedule(sb, m, Options{Pins: pins, Parallelism: par})
-		if err == nil {
-			t.Fatalf("parallelism %d: starved run succeeded (schedule AWCT %.3f); raise the test's pressure", par, s.AWCT())
-		}
-		if !errors.Is(err, ErrExhausted) {
-			t.Fatalf("parallelism %d: err = %v, want ErrExhausted from the injected starvation", par, err)
-		}
-		return err.Error(), stats
+	const stepCap = 20000
+	faultpoint.Arm("core.budget", faultpoint.Fault{Kind: faultpoint.KindStarve, N: stepCap})
+	s, st, err := Schedule(sb, m, Options{Pins: workload.PinsFor(sb, m.Clusters, 1)})
+	if err == nil {
+		t.Fatalf("starved run succeeded (schedule AWCT %.3f); lower the test's cap", s.AWCT())
 	}
-
-	serialErr, serialStats := run(1)
-	parErr, parStats := run(4)
-
-	if serialErr != parErr {
-		t.Errorf("error strings differ:\nserial:   %s\nparallel: %s", serialErr, parErr)
+	if !errors.Is(err, ErrExhausted) {
+		t.Fatalf("err = %v, want ErrExhausted from the injected starvation", err)
 	}
-	if serialStats.AWCTTried != parStats.AWCTTried {
-		t.Errorf("AWCTTried: %d serial vs %d parallel", serialStats.AWCTTried, parStats.AWCTTried)
+	if st.StepsSpent != stepCap+1 {
+		t.Errorf("StepsSpent = %d, want the cap plus the overrunning step, %d", st.StepsSpent, stepCap+1)
 	}
-	if len(serialStats.Attempts) != len(parStats.Attempts) {
-		t.Fatalf("attempt counts differ: %d serial vs %d parallel\nserial: %+v\nparallel: %+v",
-			len(serialStats.Attempts), len(parStats.Attempts), serialStats.Attempts, parStats.Attempts)
+	if len(st.Attempts) == 0 {
+		t.Fatal("no attempt ran under the cap; raise the test's cap")
 	}
-	for i := range serialStats.Attempts {
-		a, b := serialStats.Attempts[i], parStats.Attempts[i]
-		if a.AWCTIndex != b.AWCTIndex || a.Variant != b.Variant || a.Outcome != b.Outcome {
-			t.Errorf("attempt %d differs: serial %+v vs parallel %+v", i, a, b)
-		}
-	}
+	checkAttemptRecords(t, st, AttemptErrored)
 }

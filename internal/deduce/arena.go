@@ -12,9 +12,8 @@ import (
 // structures, the cc-groups cache and every per-rule scratch buffer.
 // NewState with Options.Arena re-slices these buffers instead of
 // allocating, so a scheduling driver that builds many states strictly
-// sequentially (the AWCT enumeration, shaving probes, each portfolio
-// worker) pays the allocation cost once per superblock rather than once
-// per state.
+// sequentially (the AWCT enumeration, shaving probes) pays the
+// allocation cost once per superblock rather than once per state.
 //
 // Lifetime contract: a state built on an arena is valid only until the
 // next NewState on the same arena — the buffers are clobbered, not

@@ -4,64 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"vcsched/internal/ir"
-	"vcsched/internal/machine"
-	"vcsched/internal/sg"
 )
-
-// TestBudgetCancel: once the cancellation channel closes, the budget
-// aborts propagation with ErrCancelled — which is neither a
-// contradiction nor a budget failure.
-func TestBudgetCancel(t *testing.T) {
-	sb := ir.PaperFigure1()
-	m := machine.PaperExampleSection5()
-	g := sg.Build(sb, m)
-
-	cancel := make(chan struct{})
-	close(cancel)
-	b := NewBudget(0)
-	b.SetCancel(cancel)
-
-	est := sb.EStarts()
-	deadlines := map[int]int{}
-	for _, x := range sb.Exits() {
-		deadlines[x] = est[x] + 20
-	}
-	_, err := NewState(sb, m, g, deadlines, Options{Budget: b})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if IsContradiction(err) {
-		t.Error("ErrCancelled must not be a contradiction")
-	}
-	if errors.Is(err, ErrBudget) {
-		t.Error("ErrCancelled must not be ErrBudget")
-	}
-}
-
-// TestBudgetCancelPrompt: cancellation mid-run aborts within the
-// few-step check cadence, not at the end of the propagation.
-func TestBudgetCancelPrompt(t *testing.T) {
-	b := NewBudget(0)
-	cancel := make(chan struct{})
-	b.SetCancel(cancel)
-	for i := 0; i < 100; i++ {
-		if err := b.spend(); err != nil {
-			t.Fatalf("unexpected abort before cancellation: %v", err)
-		}
-	}
-	close(cancel)
-	var err error
-	for i := 0; i < 16; i++ { // checked every 8 ticks
-		if err = b.spend(); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("spend after close = %v, want ErrCancelled within 16 steps", err)
-	}
-}
 
 // TestBudgetUsed: Used counts steps with and without a limit in force.
 func TestBudgetUsed(t *testing.T) {
@@ -92,8 +35,8 @@ func TestBudgetUsed(t *testing.T) {
 	}
 }
 
-// TestBudgetDeadlineStillWorks: the deadline path must survive the
-// cancellation plumbing refactor.
+// TestBudgetDeadlineStillWorks: once the deadline passes, spend fails
+// with ErrBudget within the few-step check cadence.
 func TestBudgetDeadlineStillWorks(t *testing.T) {
 	b := NewBudget(0)
 	b.SetDeadline(time.Now().Add(-time.Second))

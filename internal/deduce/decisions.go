@@ -177,8 +177,8 @@ func (st *State) Shave(rounds int) error {
 }
 
 // boundaryProbe reports whether pinning node at cycle contradicts, as
-// one of Shave's probes. Non-contradiction errors (budget,
-// cancellation, internal) abort the shave.
+// one of Shave's probes. Non-contradiction errors (budget, internal)
+// abort the shave.
 func (st *State) boundaryProbe(node, cycle int) (bool, error) {
 	err := st.Probe(func(s *State) error { return s.FixCycle(node, cycle) })
 	if err != nil && (err == ErrBudget || !isContradiction(err)) {

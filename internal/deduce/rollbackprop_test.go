@@ -174,9 +174,10 @@ func TestRollbackRestoresBitsetState(t *testing.T) {
 }
 
 // TestRollbackUnderConcurrentStates runs the same roundtrip property on
-// two states with private arenas mutating concurrently — the
-// portfolio-worker shape — so the race detector can see any accidental
-// sharing of arena or trail storage across goroutines.
+// two states with private arenas mutating concurrently — the shape of
+// two blocks scheduled side by side (vcsched -parallel, the service's
+// workers) — so the race detector can see any accidental sharing of
+// arena or trail storage across goroutines.
 func TestRollbackUnderConcurrentStates(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()

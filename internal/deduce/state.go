@@ -55,12 +55,6 @@ var ErrContradiction = errors.New("deduce: contradiction")
 // the baseline scheduler).
 var ErrBudget = errors.New("deduce: step budget exhausted")
 
-// ErrCancelled is returned when the budget's cancellation channel closes
-// mid-propagation: a sibling portfolio worker already found a schedule,
-// so this attempt's result no longer matters. It is neither a
-// contradiction nor a budget failure.
-var ErrCancelled = errors.New("deduce: cancelled")
-
 // ErrInternal is the sentinel wrapped by invariant violations that
 // formerly panicked (an out-of-range anchor, a VCG id space out of
 // sync): the state is corrupt and the attempt must be abandoned, but
@@ -84,7 +78,6 @@ type Budget struct {
 	used     int
 	limit    bool
 	deadline time.Time
-	cancel   <-chan struct{}
 	ticks    int
 }
 
@@ -94,11 +87,6 @@ func NewBudget(n int) *Budget { return &Budget{Steps: n, limit: n > 0} }
 // SetDeadline adds a wall-clock bound: spend fails with ErrBudget once
 // the deadline passes (checked every few steps to keep it cheap).
 func (b *Budget) SetDeadline(t time.Time) { b.deadline = t }
-
-// SetCancel attaches a cancellation channel: once it closes, spend fails
-// with ErrCancelled (checked every few steps, like the deadline), so
-// long propagation runs abort promptly when a sibling attempt wins.
-func (b *Budget) SetCancel(ch <-chan struct{}) { b.cancel = ch }
 
 func (b *Budget) spend() error {
 	if b == nil {
@@ -111,21 +99,12 @@ func (b *Budget) spend() error {
 			return ErrBudget
 		}
 	}
-	if b.cancel != nil || !b.deadline.IsZero() {
+	if !b.deadline.IsZero() {
 		// Check on the first tick and every 8th after: small
-		// propagations (a few steps total) must still notice
-		// cancellation and deadlines.
-		if b.ticks++; b.ticks%8 == 1 {
-			if b.cancel != nil {
-				select {
-				case <-b.cancel:
-					return ErrCancelled
-				default:
-				}
-			}
-			if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-				return ErrBudget
-			}
+		// propagations (a few steps total) must still notice the
+		// deadline.
+		if b.ticks++; b.ticks%8 == 1 && time.Now().After(b.deadline) {
+			return ErrBudget
 		}
 	}
 	return nil
@@ -562,9 +541,8 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 // from the same allowance, but detaches onto a fresh private arena —
 // it stays valid however the original's arena is reused. Only the
 // differential oracles (internal/difftest) and tests call it: the
-// search speculates through Probe, and the parallel portfolio's workers
-// build fresh states on private arenas (core's runAttempt). It must not
-// be called inside a Probe.
+// search speculates through Probe. It must not be called inside a
+// Probe.
 //
 // The clone starts with every propagation memo at never and no known
 // fixpoint, so its first Propagate is a full sweep: the trail-clone

@@ -38,7 +38,7 @@ import (
 // The budget is deliberately NOT restored on rollback: speculative work
 // costs real deduction steps, exactly as it did when probes ran on
 // clones sharing the parent's budget. This keeps budget accounting —
-// and therefore the deterministic serial/parallel replay — byte-
+// and therefore every exhaustion point and pinned step count — byte-
 // identical to the Clone-per-probe implementation.
 
 // trailKind tags one reversible mutation.

@@ -15,7 +15,6 @@ func TestBitsetRefReplay50(t *testing.T) {
 		sb := gen.Next()
 		rep := Check(sb, Options{
 			PinSeed:     int64(i),
-			Parallelism: -1,
 			OracleLimit: -1,
 		})
 		for _, v := range rep.Violations {

@@ -3,8 +3,8 @@
 // superblock and cross-checks the result against every independent
 // implementation of "what a correct schedule is" that the codebase has
 // grown — the static validator, the lockstep simulator, the exhaustive
-// oracle, and the parallel portfolio driver's bit-identity claim — plus
-// a set of metamorphic invariants that must hold for *any* correct
+// oracle, CARS and the degradation ladder — plus a set of metamorphic
+// invariants that must hold for *any* correct
 // scheduler (cluster-ID permutation symmetry, exit-probability rescaling,
 // baseline-never-beats-oracle).
 //
@@ -19,7 +19,6 @@ package difftest
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 
@@ -48,18 +47,17 @@ const oracleNodeBudget = 300_000
 // Violation kinds reported by Check. Stable strings: repro files and the
 // shrinking predicate match on them.
 const (
-	KindValidate       = "validate"        // static validator rejects the VC schedule
-	KindSim            = "sim"             // lockstep simulator rejects the VC schedule
-	KindSimAWCT        = "sim-awct"        // simulated expectation differs from the AWCT
-	KindBound          = "bound"           // schedule beats a proven lower bound
-	KindOracle         = "oracle"          // schedule beats the exhaustive optimum
-	KindSerialParallel = "serial-parallel" // portfolio result differs from serial
-	KindPerm           = "perm"            // cluster-permutation symmetry broken
-	KindRescale        = "rescale"         // probability rescaling broke validity
-	KindCARSValidate   = "cars-validate"   // baseline schedule fails the validator
-	KindCARSSim        = "cars-sim"        // baseline schedule fails the simulator
-	KindCARSOracle     = "cars-oracle"     // baseline beats the exhaustive optimum
-	KindCARSBound      = "cars-bound"      // baseline beats a proven lower bound
+	KindValidate     = "validate"      // static validator rejects the VC schedule
+	KindSim          = "sim"           // lockstep simulator rejects the VC schedule
+	KindSimAWCT      = "sim-awct"      // simulated expectation differs from the AWCT
+	KindBound        = "bound"         // schedule beats a proven lower bound
+	KindOracle       = "oracle"        // schedule beats the exhaustive optimum
+	KindPerm         = "perm"          // cluster-permutation symmetry broken
+	KindRescale      = "rescale"       // probability rescaling broke validity
+	KindCARSValidate = "cars-validate" // baseline schedule fails the validator
+	KindCARSSim      = "cars-sim"      // baseline schedule fails the simulator
+	KindCARSOracle   = "cars-oracle"   // baseline beats the exhaustive optimum
+	KindCARSBound    = "cars-bound"    // baseline beats a proven lower bound
 
 	KindTrailClone = "trail-clone" // trail-based speculation diverged from the Clone-based oracle
 	KindBitsetRef  = "bitset-ref"  // bitset combination sets diverged from the recomputed reference
@@ -87,13 +85,10 @@ type Options struct {
 	// every scheduler in the check, the paper's fairness protocol).
 	PinSeed int64
 	// MaxSteps bounds the deduction budget (default 20000). Wall-clock
-	// timeouts are deliberately not supported: the serial-vs-parallel
-	// comparison requires the outcome to be a pure function of the
-	// input.
+	// timeouts are deliberately not supported: a check, its shrinking
+	// and its replay must see the same outcome, so it has to be a pure
+	// function of the input.
 	MaxSteps int
-	// Parallelism is the portfolio width of the differential run
-	// (default 4; < 0 disables the serial-vs-parallel check).
-	Parallelism int
 	// OracleLimit is the largest instruction count cross-checked against
 	// the exhaustive oracle (default 8; < 0 disables the oracle checks).
 	OracleLimit int
@@ -117,9 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 20000
-	}
-	if o.Parallelism == 0 {
-		o.Parallelism = 4
 	}
 	if o.OracleLimit == 0 {
 		o.OracleLimit = 8
@@ -151,58 +143,11 @@ func (r *Report) violate(kind, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Kind: kind, Detail: fmt.Sprintf(format, args...)})
 }
 
-// errClass folds an error into the equivalence the serial-vs-parallel
-// identity is stated over: success, exhaustion, timeout, a stop at the
-// ceiling, or other.
-func errClass(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, core.ErrExhausted):
-		return "exhausted"
-	case errors.Is(err, core.ErrTimeout):
-		return "timeout"
-	case errors.Is(err, core.ErrNoBetter):
-		return "no-better"
-	}
-	return "error: " + err.Error()
-}
-
-// checkSerialParallel runs the portfolio driver with the options of a
-// serial run and holds it to that run's result: the same error class
-// and, on success, the same rendered bytes; on failure, the same
-// enumeration depth (the portfolio's determinism claim). what names
-// the run in violations.
-func checkSerialParallel(rep *Report, what string, opts core.Options, vc *sched.Schedule, stats core.Stats, err error) {
-	par := opts
-	par.Parallelism = rep.Opts.Parallelism
-	pvc, pstats, perr := core.Schedule(rep.SB, rep.Opts.Machine, par)
-	switch {
-	case errClass(err) != errClass(perr):
-		rep.violate(KindSerialParallel, "%s: serial %s vs parallel %s", what, errClass(err), errClass(perr))
-	case err == nil:
-		var sbuf, pbuf bytes.Buffer
-		if werr := vc.WriteText(&sbuf); werr != nil {
-			rep.violate(KindSerialParallel, "%s: serial WriteText: %v", what, werr)
-		}
-		if werr := pvc.WriteText(&pbuf); werr != nil {
-			rep.violate(KindSerialParallel, "%s: parallel WriteText: %v", what, werr)
-		}
-		if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
-			rep.violate(KindSerialParallel, "%s: rendered schedules differ:\nserial:\n%sparallel:\n%s",
-				what, sbuf.String(), pbuf.String())
-		}
-	case stats.AWCTTried != pstats.AWCTTried:
-		rep.violate(KindSerialParallel, "%s: failing AWCTTried %d serial vs %d parallel",
-			what, stats.AWCTTried, pstats.AWCTTried)
-	}
-}
-
 // Check schedules the superblock and runs every cross-check that applies.
 // A scheduler failure (exhaustion under the step budget) is not a
 // violation — both large blocks and adversarial mutants legitimately
-// exhaust the search — but the failure must still be bit-identical
-// between the serial and the parallel driver.
+// exhaust the search — and leaves only the checks that need no VC
+// schedule.
 func Check(sb *ir.Superblock, opts Options) *Report {
 	opts = opts.withDefaults()
 	m := opts.Machine
@@ -237,18 +182,6 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 		}
 	}
 
-	// (d) serial vs parallel portfolio, without a ceiling and with
-	// CARS's AWCT as the ceiling, as the ladder runs the search.
-	if opts.Parallelism > 1 {
-		checkSerialParallel(rep, "no ceiling", base, vc, stats, err)
-		if cs != nil {
-			capped := base
-			capped.Ceiling = cs.AWCT()
-			capVC, capStats, capErr := core.Schedule(sb, m, capped)
-			checkSerialParallel(rep, "ceiling", capped, capVC, capStats, capErr)
-		}
-	}
-
 	// (f) trail vs Clone speculation: independent of the schedule
 	// outcome, a random decision script must behave identically under
 	// trail undo and under full-state copies, and every committed state
@@ -269,7 +202,7 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	// node budget keeps the worst dense blocks from stalling a campaign;
 	// exceeding it (like ErrTooLarge, or an empty search window) just
 	// disables the oracle comparison for this block — deterministically,
-	// so replays and the serial/parallel diff agree on what was checked.
+	// so a check and its replay agree on what was checked.
 	var opt *sched.Schedule
 	if opts.OracleLimit > 0 && sb.N() <= opts.OracleLimit {
 		var oerr error

@@ -245,7 +245,6 @@ func TestReproRoundTrip(t *testing.T) {
 		MachineKey:  "4c2l",
 		PinSeed:     9,
 		MaxSteps:    12345,
-		Parallelism: 3,
 		OracleLimit: 7,
 		Violations:  []string{"oracle: VC AWCT 9 beats exhaustive optimum 8"},
 	}
@@ -258,8 +257,7 @@ func TestReproRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.MachineKey != r.MachineKey || got.PinSeed != r.PinSeed ||
-		got.MaxSteps != r.MaxSteps || got.Parallelism != r.Parallelism ||
-		got.OracleLimit != r.OracleLimit {
+		got.MaxSteps != r.MaxSteps || got.OracleLimit != r.OracleLimit {
 		t.Errorf("header mismatch: %+v vs %+v", got, r)
 	}
 	if len(got.Violations) != 1 || got.Violations[0] != r.Violations[0] {
@@ -274,17 +272,18 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 	// Files from older writers keep loading: their "# nogood 1" header
 	// armed a cross-check of the removed conflict-learning layer, and
-	// it must parse and be ignored.
-	legacy := strings.Replace(buf.String(), "# vcfuzz-repro v1\n", "# vcfuzz-repro v1\n# nogood 1\n", 1)
+	// their "# parallelism N" header set the width of the removed
+	// serial-vs-parallel check. Both must parse and be ignored.
+	legacy := strings.Replace(buf.String(), "# vcfuzz-repro v1\n", "# vcfuzz-repro v1\n# nogood 1\n# parallelism 4\n", 1)
 	if legacy == buf.String() {
 		t.Fatal("repro lacks the magic header line")
 	}
 	old, err := ReadRepro(strings.NewReader(legacy))
 	if err != nil {
-		t.Fatalf("repro with a legacy nogood header: %v", err)
+		t.Fatalf("repro with legacy nogood and parallelism headers: %v", err)
 	}
 	if !reflect.DeepEqual(old, got) {
-		t.Errorf("legacy nogood header changed the repro: %+v vs %+v", old, got)
+		t.Errorf("legacy headers changed the repro: %+v vs %+v", old, got)
 	}
 }
 

@@ -23,7 +23,6 @@ type Config struct {
 	// Per-check options, zero values meaning the Check defaults.
 	PinSeed     int64
 	MaxSteps    int
-	Parallelism int
 	Resilient   bool
 	OracleLimit int
 	// ReproDir, when set, receives one .sb repro file per violating
@@ -72,7 +71,6 @@ func Fuzz(cfg Config) (*Outcome, error) {
 			Machine:     machines[i%len(machines)],
 			PinSeed:     cfg.PinSeed,
 			MaxSteps:    cfg.MaxSteps,
-			Parallelism: cfg.Parallelism,
 			Resilient:   cfg.Resilient,
 			OracleLimit: cfg.OracleLimit,
 			CorruptVC:   cfg.CorruptVC,

@@ -23,7 +23,6 @@ import (
 //	# machine 2c1l
 //	# pinseed 0
 //	# maxsteps 20000
-//	# parallelism 4
 //	# oraclelimit 8
 //	# violation validate: instruction 3 issued before its operand
 //	superblock tiny0000beef 17
@@ -33,7 +32,6 @@ type Repro struct {
 	MachineKey  string // machine.ByKey key
 	PinSeed     int64
 	MaxSteps    int
-	Parallelism int
 	OracleLimit int
 	Resilient   bool
 	// Violations records what the harness saw when writing the file
@@ -55,7 +53,6 @@ func ReproOf(rep *Report) (*Repro, error) {
 		MachineKey:  key,
 		PinSeed:     rep.Opts.PinSeed,
 		MaxSteps:    rep.Opts.MaxSteps,
-		Parallelism: rep.Opts.Parallelism,
 		OracleLimit: rep.Opts.OracleLimit,
 		Resilient:   rep.Opts.Resilient,
 	}
@@ -82,7 +79,6 @@ func (r *Repro) Options() (Options, error) {
 		Machine:     m,
 		PinSeed:     r.PinSeed,
 		MaxSteps:    r.MaxSteps,
-		Parallelism: r.Parallelism,
 		OracleLimit: r.OracleLimit,
 		Resilient:   r.Resilient,
 	}, nil
@@ -104,7 +100,6 @@ func (r *Repro) Write(w io.Writer) error {
 	fmt.Fprintf(w, "# machine %s\n", r.MachineKey)
 	fmt.Fprintf(w, "# pinseed %d\n", r.PinSeed)
 	fmt.Fprintf(w, "# maxsteps %d\n", r.MaxSteps)
-	fmt.Fprintf(w, "# parallelism %d\n", r.Parallelism)
 	fmt.Fprintf(w, "# oraclelimit %d\n", r.OracleLimit)
 	if r.Resilient {
 		fmt.Fprintln(w, "# resilient 1")
@@ -169,8 +164,6 @@ func ReadRepro(rd io.Reader) (*Repro, error) {
 			r.PinSeed, perr = strconv.ParseInt(fields[1], 10, 64)
 		case "maxsteps":
 			r.MaxSteps, perr = strconv.Atoi(fields[1])
-		case "parallelism":
-			r.Parallelism, perr = strconv.Atoi(fields[1])
 		case "oraclelimit":
 			r.OracleLimit, perr = strconv.Atoi(fields[1])
 		case "resilient":

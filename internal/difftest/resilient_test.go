@@ -23,7 +23,7 @@ func TestResilientCrossCheckClean(t *testing.T) {
 	}
 	// A starvation-level step budget exhausts the SG tier; the ladder
 	// must hand back a fallback schedule that still clears every oracle.
-	rep := Check(ir.Wide(16), Options{Resilient: true, MaxSteps: 50, Parallelism: -1})
+	rep := Check(ir.Wide(16), Options{Resilient: true, MaxSteps: 50})
 	if rep.VCErr == nil {
 		t.Fatal("expected the 50-step budget to exhaust the core scheduler")
 	}
@@ -75,7 +75,7 @@ func TestPanicReprosDegradeNotDie(t *testing.T) {
 // TestReproHeaderRoundTripsResilient: the new header key must survive a
 // write/read cycle so future repro files can request the ladder check.
 func TestReproHeaderRoundTripsResilient(t *testing.T) {
-	rep := Check(ir.Diamond(), Options{Machine: machine.TwoCluster1Lat(), Resilient: true, Parallelism: -1, OracleLimit: -1})
+	rep := Check(ir.Diamond(), Options{Machine: machine.TwoCluster1Lat(), Resilient: true, OracleLimit: -1})
 	r, err := ReproOf(rep)
 	if err != nil {
 		t.Fatal(err)

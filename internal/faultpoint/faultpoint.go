@@ -19,8 +19,8 @@
 //	n      kind parameter: step cap for starve, milliseconds for sleep
 //
 // Firing is a pure function of the point's hit counter, so a serial run
-// replays identically; concurrent runs (portfolio workers, bench
-// workers) share the counters, which is fine for robustness properties
+// replays identically; concurrent runs (vcsched -parallel, service and
+// bench workers) share the counters, which is fine for robustness properties
 // ("no fault may sink the batch") that must hold under any interleaving.
 package faultpoint
 

@@ -9,9 +9,9 @@ import (
 // TestMaxWeightDeterministicOnTies: when several matchings share the
 // optimal weight, repeated calls on the same input must return the
 // identical edge set. The scheduler's stage 3 feeds the matching result
-// straight into the deduction, and the portfolio driver's
-// serial-vs-parallel bit-identity only holds if every stage is a pure
-// function of its input.
+// straight into the deduction, and a block's schedule is the same on
+// every run (warm ≡ cold in the service cache, `vcsched -parallel N` ≡
+// `-parallel 1`) only if every stage is a pure function of its input.
 func TestMaxWeightDeterministicOnTies(t *testing.T) {
 	// A 4-cycle with all-equal weights has two optimal perfect matchings.
 	cycle := []Edge{

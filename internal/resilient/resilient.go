@@ -21,7 +21,7 @@
 // is accepted — an invalid schedule demotes to the next tier instead
 // of escaping — and every tier runs under panic recovery, so one
 // broken block degrades gracefully instead of killing a batch run or
-// a portfolio worker pool. The Outcome record says which tier
+// a service worker pool. The Outcome record says which tier
 // produced the schedule, why CARS was kept when it was, what every
 // attempt died of, and how long each took.
 //

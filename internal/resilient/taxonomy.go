@@ -18,7 +18,6 @@ import (
 //	panic          a recovered panic (*core.PanicError)
 //	internal       an invariant breach turned into an error
 //	contradiction  the input (or a pinned vector) is infeasible
-//	cancelled      a portfolio/service cancellation
 //	unschedulable  no class matched: for ladder hard failures this
 //	               means even the naive serializer refused the block
 //
@@ -39,8 +38,6 @@ func Taxonomy(err error) string {
 		return "exhausted"
 	case errors.Is(err, core.ErrInternal), errors.Is(err, deduce.ErrInternal):
 		return "internal"
-	case errors.Is(err, deduce.ErrCancelled):
-		return "cancelled"
 	case deduce.IsContradiction(err):
 		return "contradiction"
 	}

@@ -21,7 +21,6 @@ func TestTaxonomy(t *testing.T) {
 		{deduce.ErrBudget, "exhausted"},
 		{core.ErrInternal, "internal"},
 		{deduce.ErrInternal, "internal"},
-		{deduce.ErrCancelled, "cancelled"},
 		{deduce.ErrContradiction, "contradiction"},
 		{&core.PanicError{Stage: "shave", Value: "boom"}, "panic"},
 		{errors.New("naive: no FU anywhere"), "unschedulable"},

@@ -27,8 +27,8 @@ import (
 // WriteText serializes the schedule in .sched form. The output is
 // canonical: communications are emitted in sorted (cycle, producer)
 // order regardless of the order the scheduler materialized them in, so
-// two equal schedules — e.g. the serial and the parallel portfolio
-// winner — always serialize identically (golden tests diff the bytes).
+// two equal schedules always serialize identically (golden tests and
+// the service cache's warm ≡ cold check diff the bytes).
 func (s *Schedule) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "schedule %s\n", s.SB.Name)

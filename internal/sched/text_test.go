@@ -42,8 +42,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 
 // TestWriteTextCanonical: serializing the same schedule with its
 // communications recorded in different orders must produce identical
-// bytes — required for golden tests and for diffing the serial driver's
-// winner against the parallel portfolio's.
+// bytes — required for golden tests and for diffing saved schedules.
 func TestWriteTextCanonical(t *testing.T) {
 	a := section5Schedule(t)
 	b := section5Schedule(t)

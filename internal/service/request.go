@@ -12,8 +12,7 @@ import (
 // seed and the step budget are everything that can change its
 // schedule, and all four are hashed into its fingerprint. The service
 // derives pins from PinSeed (exactly like cmd/vcsched does) and maps
-// Deadline onto the scheduler's wall-clock budget; every search runs
-// the serial driver.
+// Deadline onto the scheduler's wall-clock budget.
 type Request struct {
 	// SB is the superblock to schedule. The service never mutates it;
 	// the fingerprint hashes its canonical text

@@ -44,9 +44,8 @@ type Runner interface {
 // degradation ladder with the request's step budget, the pins of its
 // seed and its remaining deadline mapped onto core.Options.Timeout
 // (which core wires into deduce.Budget.SetDeadline, so the deadline
-// interrupts propagation runs deep inside the DP). Every search runs
-// the serial driver: parallelism lives in the pool, and results are
-// identical.
+// interrupts propagation runs deep inside the DP). Parallelism lives
+// in the pool: each worker runs one search at a time.
 type ladderRunner struct{}
 
 func (ladderRunner) Run(req *Request, fp string, remaining time.Duration) (Result, bool) {

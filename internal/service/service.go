@@ -49,11 +49,9 @@ import (
 // Config sizes the service. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the worker pool size. 0 takes Ladder.Core.Parallelism;
-	// values below 1 are clamped to 1. Inside a worker every search
-	// runs the serial driver — the parallel portfolio commit is
-	// bit-identical to the serial one (see internal/core/portfolio.go),
-	// so moving the parallelism from "workers inside one search" to
-	// "searches in flight" changes throughput, never results.
+	// values below 1 are clamped to 1. Each worker runs one serial
+	// search at a time: parallelism lives in the pool, as searches in
+	// flight, and changes throughput, never results.
 	Workers int
 	// QueueDepth bounds the admission queue (0 = 4×Workers; values
 	// below 1 are clamped to 1). A full queue sheds.
@@ -70,8 +68,9 @@ type Config struct {
 	// MaxDeadline caps requested deadlines (0 = 60s).
 	MaxDeadline time.Duration
 	// Ladder sizes the worker pool when Workers is 0, through its
-	// Core.Parallelism; no other field of it is read. A search takes
-	// its options from the request alone (see Request).
+	// Core.Parallelism; no other field of it is read. perfbench sizes
+	// its shard pools this way. A search takes its options from the
+	// request alone (see Request).
 	Ladder resilient.Options
 	// Runner executes admitted requests on the worker pool. nil picks
 	// the production resilient ladder. Injecting a synthetic Runner —

@@ -18,8 +18,7 @@ import (
 
 // directLadder computes the reference response for a request the way a
 // cold single-shot run (cmd/vcsched -resilient -save) would: the
-// resilient ladder with pins from the seed, serial driver, generous
-// wall clock.
+// resilient ladder with pins from the seed and a generous wall clock.
 func directLadder(t *testing.T, sb *ir.Superblock, m *machine.Config, pinSeed int64, steps int) (schedule, exits, tier string) {
 	t.Helper()
 	s, out, err := resilient.Schedule(sb, m, resilient.Options{Core: core.Options{
@@ -113,6 +112,19 @@ func TestStepBudgetReachesTheSearch(t *testing.T) {
 		if res := s.Submit(req); !res.OK() || res.Tier != c.tier {
 			t.Errorf("MaxSteps %d: tier %q (err %q), want %q", c.steps, res.Tier, res.Err, c.tier)
 		}
+	}
+}
+
+// TestWorkersFallBackToLadderParallelism: with Workers 0 the pool size
+// is Ladder.Core.Parallelism, which is how perfbench's serve and fleet
+// shards get their 4 workers; an explicit Workers wins.
+func TestWorkersFallBackToLadderParallelism(t *testing.T) {
+	ladder := resilient.Options{Core: core.Options{Parallelism: 4}}
+	if got := (Config{Ladder: ladder}).withDefaults().Workers; got != 4 {
+		t.Errorf("Workers 0, Ladder.Core.Parallelism 4: %d workers, want 4", got)
+	}
+	if got := (Config{Workers: 2, Ladder: ladder}).withDefaults().Workers; got != 2 {
+		t.Errorf("Workers 2, Ladder.Core.Parallelism 4: %d workers, want the explicit 2", got)
 	}
 }
 
