@@ -75,7 +75,6 @@ func main() {
 		MaxInstrs:     *maxInstrs,
 		PinSeed:       *pinSeed,
 		MaxSteps:      *steps,
-		Resilient:     true,
 		OracleLimit:   *oracleLim,
 		ReproDir:      *out,
 		MaxViolations: *maxViol,

@@ -86,8 +86,8 @@ func main() {
 
 	// Drain: stop accepting connections, finish in-flight HTTP
 	// exchanges (Shutdown), then drain the service's queue and worker
-	// pool (Close). The watchdog turns a wedged drain into a non-zero
-	// exit instead of a hang.
+	// pool (Close). The drain timer below turns a wedged drain into a
+	// non-zero exit instead of a hang.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

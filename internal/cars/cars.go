@@ -35,21 +35,8 @@ func Schedule(sb *ir.Superblock, m *machine.Config, pins sched.Pins) (*sched.Sch
 	if f, ok := faultpoint.Fire("cars.schedule"); ok {
 		return nil, fmt.Errorf("cars: injected fault (%v)", f.Kind)
 	}
-	for cl := 0; cl < ir.NumClasses; cl++ {
-		class := ir.Class(cl)
-		if class == ir.Copy {
-			continue
-		}
-		needed := false
-		for _, in := range sb.Instrs {
-			if in.Class == class {
-				needed = true
-				break
-			}
-		}
-		if needed && m.TotalFU(class) == 0 {
-			return nil, fmt.Errorf("cars: machine %q has no %s units", m.Name, class)
-		}
+	if err := m.CheckUnits(sb); err != nil {
+		return nil, fmt.Errorf("cars: %w", err)
 	}
 	s := &state{
 		sb:       sb,

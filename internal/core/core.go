@@ -215,6 +215,11 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 		opts.MaxSteps = n
 	}
 	start := time.Now()
+	if err := m.CheckUnits(sb); err != nil {
+		// A class with no unit anywhere: no exit vector can be met.
+		stats.Elapsed = time.Since(start)
+		return nil, stats, fmt.Errorf("core: %w", err)
+	}
 	if opts.Ceiling > 0 && opts.Ceiling <= sb.CriticalAWCT()+awctEps {
 		// Not even the dependence bound beats the ceiling: build no SG.
 		stats.Elapsed = time.Since(start)

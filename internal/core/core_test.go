@@ -182,6 +182,29 @@ func TestBudgetFallback(t *testing.T) {
 	}
 }
 
+// TestMissingUnitRefusedBeforeSearch: a block using a class the machine
+// has no unit of (a mem instruction on the section-5 machine) is
+// refused with the machine's error before any SG is built, as CARS
+// refuses it, instead of refuting every exit vector.
+func TestMissingUnitRefusedBeforeSearch(t *testing.T) {
+	b := ir.NewBuilder("mem-on-sec5")
+	ld := b.Instr("ld", ir.Mem, 2)
+	add := b.Instr("add", ir.Int, 1)
+	x := b.Exit("br", 1, 1.0)
+	b.Data(ld, add).Ctrl(add, x)
+	sb := b.MustFinish()
+	m := machine.PaperExampleSection5()
+
+	_, st, err := Schedule(sb, m, Options{MaxSteps: 20000})
+	want := m.CheckUnits(sb)
+	if want == nil || err == nil || err.Error() != "core: "+want.Error() {
+		t.Fatalf("err = %v, want core: %v", err, want)
+	}
+	if st.StepsSpent != 0 || st.AWCTTried != 0 {
+		t.Fatalf("stats %+v, want no steps and no vector tried", st)
+	}
+}
+
 // TestSingleCluster: on a 1-cluster machine there are no communications
 // and no mapping choices; scheduling must still work.
 func TestSingleCluster(t *testing.T) {

@@ -274,7 +274,11 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 		for _, p := range all {
 			edges = append(edges, matching.Edge{U: idx(p.a), V: idx(p.b), Weight: p.w})
 		}
-		if match := matching.MaxWeight(len(order), edges); len(match) > 0 {
+		match, err := matching.MaxWeight(len(order), edges, s.deadline)
+		if err != nil {
+			return ErrTimeout
+		}
+		if len(match) > 0 {
 			err := st.Probe(func(x *deduce.State) error { return fuseAll(x, match, order) })
 			if err == nil {
 				if err := fuseAll(st, match, order); err != nil {

@@ -92,13 +92,6 @@ type Options struct {
 	// OracleLimit is the largest instruction count cross-checked against
 	// the exhaustive oracle (default 8; < 0 disables the oracle checks).
 	OracleLimit int
-	// Resilient also runs the degradation-ladder pipeline
-	// (internal/resilient) on the block and cross-checks it: whatever
-	// tier produced the result must be Validate-clean, consistent with
-	// its own Outcome record, never better than the exhaustive optimum,
-	// never worse than CARS, and — when the pipeline reports tier "sg"
-	// — bit-identical to the serial core driver.
-	Resilient bool
 	// CorruptVC, when non-nil, is applied to the VC schedule between
 	// scheduling and cross-checking. It exists for fault injection: tests
 	// use it to simulate a scheduler bug and assert the harness catches
@@ -215,53 +208,52 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 		rep.violate(KindCARSOracle, "CARS AWCT %g beats exhaustive optimum %g", cs.AWCT(), opt.AWCT())
 	}
 
-	// (e) degradation ladder: the resilient pipeline may fall back to a
-	// weaker tier, but whatever it returns must still clear every
-	// correctness oracle, it must never be worse than CARS, and its
-	// tier-sg claim must be the serial core result byte for byte.
-	if opts.Resilient {
-		rs, rout, rerr := resilient.Schedule(sb, m, resilient.Options{Core: base})
-		switch {
-		case rerr != nil:
-			// CARS succeeding proves the block is schedulable, so a hard
-			// failure means a ladder rung swallowed a recoverable input.
-			if cs != nil {
-				rep.violate(KindResilient, "ladder hard-failed on a CARS-schedulable block: %v", rerr)
-			}
-		default:
-			if verr := rs.Validate(); verr != nil {
-				rep.violate(KindResilientValidate, "tier %s: %v", rout.Tier, verr)
-			}
-			if math.Abs(rout.AWCT-rs.AWCT()) > eps {
-				rep.violate(KindResilient, "outcome AWCT %g vs schedule AWCT %g (tier %s)",
-					rout.AWCT, rs.AWCT(), rout.Tier)
-			}
-			if opt != nil && rs.AWCT() < opt.AWCT()-eps {
-				rep.violate(KindResilientOracle, "tier %s AWCT %g beats exhaustive optimum %g",
-					rout.Tier, rs.AWCT(), opt.AWCT())
-			}
-			if cs != nil && rs.AWCT() > cs.AWCT()+eps {
-				rep.violate(KindResilientCARS, "tier %s AWCT %g is worse than CARS's %g", rout.Tier, rs.AWCT(), cs.AWCT())
-			}
-			// With no faults armed, the ladder's search repeats the serial
-			// core run up to CARS's AWCT, so a serial schedule below CARS
-			// must be what the ladder delivers.
-			if cs != nil && err == nil && vc.AWCT() < cs.AWCT()-eps && rout.Tier != resilient.TierSG && !faultpoint.Enabled() {
-				rep.violate(KindResilientCARS, "tier %s (reason %s) kept AWCT %g, the search finds %g",
-					rout.Tier, rout.Reason, rs.AWCT(), vc.AWCT())
-			}
-			if rout.Tier == resilient.TierSG {
-				if err != nil {
-					rep.violate(KindResilient, "ladder reports tier sg but serial core failed: %v", err)
-				} else {
-					var cbuf, rbuf bytes.Buffer
-					if werr := vc.WriteText(&cbuf); werr == nil {
-						if werr := rs.WriteText(&rbuf); werr != nil {
-							rep.violate(KindResilient, "resilient WriteText: %v", werr)
-						} else if !bytes.Equal(cbuf.Bytes(), rbuf.Bytes()) {
-							rep.violate(KindResilient, "tier-sg schedule differs from serial core:\ncore:\n%sresilient:\n%s",
-								cbuf.String(), rbuf.String())
-						}
+	// (e) degradation ladder: the resilient pipeline (internal/resilient)
+	// may fall back to a weaker tier, but whatever it returns must be
+	// Validate-clean, consistent with its own Outcome record, never
+	// better than the exhaustive optimum and never worse than CARS, and
+	// its tier-sg claim must be the serial core result byte for byte.
+	rs, rout, rerr := resilient.Schedule(sb, m, resilient.Options{Core: base})
+	switch {
+	case rerr != nil:
+		// CARS succeeding proves the block is schedulable, so a hard
+		// failure means a ladder rung swallowed a recoverable input.
+		if cs != nil {
+			rep.violate(KindResilient, "ladder hard-failed on a CARS-schedulable block: %v", rerr)
+		}
+	default:
+		if verr := rs.Validate(); verr != nil {
+			rep.violate(KindResilientValidate, "tier %s: %v", rout.Tier, verr)
+		}
+		if math.Abs(rout.AWCT-rs.AWCT()) > eps {
+			rep.violate(KindResilient, "outcome AWCT %g vs schedule AWCT %g (tier %s)",
+				rout.AWCT, rs.AWCT(), rout.Tier)
+		}
+		if opt != nil && rs.AWCT() < opt.AWCT()-eps {
+			rep.violate(KindResilientOracle, "tier %s AWCT %g beats exhaustive optimum %g",
+				rout.Tier, rs.AWCT(), opt.AWCT())
+		}
+		if cs != nil && rs.AWCT() > cs.AWCT()+eps {
+			rep.violate(KindResilientCARS, "tier %s AWCT %g is worse than CARS's %g", rout.Tier, rs.AWCT(), cs.AWCT())
+		}
+		// With no faults armed, the ladder's search repeats the serial
+		// core run up to CARS's AWCT, so a serial schedule below CARS
+		// must be what the ladder delivers.
+		if cs != nil && err == nil && vc.AWCT() < cs.AWCT()-eps && rout.Tier != resilient.TierSG && !faultpoint.Enabled() {
+			rep.violate(KindResilientCARS, "tier %s (reason %s) kept AWCT %g, the search finds %g",
+				rout.Tier, rout.Reason, rs.AWCT(), vc.AWCT())
+		}
+		if rout.Tier == resilient.TierSG {
+			if err != nil {
+				rep.violate(KindResilient, "ladder reports tier sg but serial core failed: %v", err)
+			} else {
+				var cbuf, rbuf bytes.Buffer
+				if werr := vc.WriteText(&cbuf); werr == nil {
+					if werr := rs.WriteText(&rbuf); werr != nil {
+						rep.violate(KindResilient, "resilient WriteText: %v", werr)
+					} else if !bytes.Equal(cbuf.Bytes(), rbuf.Bytes()) {
+						rep.violate(KindResilient, "tier-sg schedule differs from serial core:\ncore:\n%sresilient:\n%s",
+							cbuf.String(), rbuf.String())
 					}
 				}
 			}

@@ -271,16 +271,18 @@ func TestReproRoundTrip(t *testing.T) {
 		t.Errorf("repro not loadable as a plain superblock: %v", err)
 	}
 	// Files from older writers keep loading: their "# nogood 1" header
-	// armed a cross-check of the removed conflict-learning layer, and
-	// their "# parallelism N" header set the width of the removed
-	// serial-vs-parallel check. Both must parse and be ignored.
-	legacy := strings.Replace(buf.String(), "# vcfuzz-repro v1\n", "# vcfuzz-repro v1\n# nogood 1\n# parallelism 4\n", 1)
+	// armed a cross-check of the removed conflict-learning layer, their
+	// "# parallelism N" header set the width of the removed
+	// serial-vs-parallel check, and their "# resilient 1" header armed
+	// the ladder cross-checks that now always run. All must parse and be
+	// ignored.
+	legacy := strings.Replace(buf.String(), "# vcfuzz-repro v1\n", "# vcfuzz-repro v1\n# nogood 1\n# parallelism 4\n# resilient 1\n", 1)
 	if legacy == buf.String() {
 		t.Fatal("repro lacks the magic header line")
 	}
 	old, err := ReadRepro(strings.NewReader(legacy))
 	if err != nil {
-		t.Fatalf("repro with legacy nogood and parallelism headers: %v", err)
+		t.Fatalf("repro with legacy nogood, parallelism and resilient headers: %v", err)
 	}
 	if !reflect.DeepEqual(old, got) {
 		t.Errorf("legacy headers changed the repro: %+v vs %+v", old, got)

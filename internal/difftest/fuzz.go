@@ -23,7 +23,6 @@ type Config struct {
 	// Per-check options, zero values meaning the Check defaults.
 	PinSeed     int64
 	MaxSteps    int
-	Resilient   bool
 	OracleLimit int
 	// ReproDir, when set, receives one .sb repro file per violating
 	// block.
@@ -71,7 +70,6 @@ func Fuzz(cfg Config) (*Outcome, error) {
 			Machine:     machines[i%len(machines)],
 			PinSeed:     cfg.PinSeed,
 			MaxSteps:    cfg.MaxSteps,
-			Resilient:   cfg.Resilient,
 			OracleLimit: cfg.OracleLimit,
 			CorruptVC:   cfg.CorruptVC,
 		}

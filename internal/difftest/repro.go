@@ -33,7 +33,6 @@ type Repro struct {
 	PinSeed     int64
 	MaxSteps    int
 	OracleLimit int
-	Resilient   bool
 	// Violations records what the harness saw when writing the file
 	// (first line of each violation). Informational: Replay re-derives
 	// the ground truth.
@@ -54,7 +53,6 @@ func ReproOf(rep *Report) (*Repro, error) {
 		PinSeed:     rep.Opts.PinSeed,
 		MaxSteps:    rep.Opts.MaxSteps,
 		OracleLimit: rep.Opts.OracleLimit,
-		Resilient:   rep.Opts.Resilient,
 	}
 	for _, v := range rep.Violations {
 		r.Violations = append(r.Violations, firstLine(v.String()))
@@ -80,7 +78,6 @@ func (r *Repro) Options() (Options, error) {
 		PinSeed:     r.PinSeed,
 		MaxSteps:    r.MaxSteps,
 		OracleLimit: r.OracleLimit,
-		Resilient:   r.Resilient,
 	}, nil
 }
 
@@ -101,9 +98,6 @@ func (r *Repro) Write(w io.Writer) error {
 	fmt.Fprintf(w, "# pinseed %d\n", r.PinSeed)
 	fmt.Fprintf(w, "# maxsteps %d\n", r.MaxSteps)
 	fmt.Fprintf(w, "# oraclelimit %d\n", r.OracleLimit)
-	if r.Resilient {
-		fmt.Fprintln(w, "# resilient 1")
-	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "# violation %s\n", firstLine(v))
 	}
@@ -166,8 +160,6 @@ func ReadRepro(rd io.Reader) (*Repro, error) {
 			r.MaxSteps, perr = strconv.Atoi(fields[1])
 		case "oraclelimit":
 			r.OracleLimit, perr = strconv.Atoi(fields[1])
-		case "resilient":
-			r.Resilient = fields[1] != "0"
 		case "violation":
 			r.Violations = append(r.Violations, strings.Join(fields[1:], " "))
 		}

@@ -6,24 +6,23 @@ import (
 
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
-	"vcsched/internal/machine"
 )
 
-// TestResilientCrossCheckClean: with the ladder enabled and no faults
-// armed, the differential check must stay silent across the fixture
+// TestResilientCrossCheckClean: with no faults armed, the differential
+// check, ladder cross-checks included, must stay silent across the fixture
 // blocks — including one forced to exhaust its budget, where the
 // resilient result comes from a fallback tier.
 func TestResilientCrossCheckClean(t *testing.T) {
 	faultpoint.Reset()
 	for _, sb := range []*ir.Superblock{ir.PaperFigure1(), ir.Diamond(), ir.Straight(12)} {
-		rep := Check(sb, Options{Resilient: true})
+		rep := Check(sb, Options{})
 		for _, v := range rep.Violations {
 			t.Errorf("%s: %s", sb.Name, v)
 		}
 	}
 	// A starvation-level step budget exhausts the SG tier; the ladder
 	// must hand back a fallback schedule that still clears every oracle.
-	rep := Check(ir.Wide(16), Options{Resilient: true, MaxSteps: 50})
+	rep := Check(ir.Wide(16), Options{MaxSteps: 50})
 	if rep.VCErr == nil {
 		t.Fatal("expected the 50-step budget to exhaust the core scheduler")
 	}
@@ -54,9 +53,6 @@ func TestPanicReprosDegradeNotDie(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !r.Resilient {
-				t.Fatalf("%s does not request the resilient cross-check", tc.file)
-			}
 			faultpoint.Arm(tc.point, faultpoint.Fault{Kind: faultpoint.KindPanic})
 			rep, err := r.Replay()
 			if err != nil {
@@ -69,33 +65,5 @@ func TestPanicReprosDegradeNotDie(t *testing.T) {
 				t.Errorf("%s: %s", tc.file, v)
 			}
 		})
-	}
-}
-
-// TestReproHeaderRoundTripsResilient: the new header key must survive a
-// write/read cycle so future repro files can request the ladder check.
-func TestReproHeaderRoundTripsResilient(t *testing.T) {
-	rep := Check(ir.Diamond(), Options{Machine: machine.TwoCluster1Lat(), Resilient: true, OracleLimit: -1})
-	r, err := ReproOf(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "roundtrip.sb")
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReproFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Resilient {
-		t.Error("resilient flag lost in the on-disk round trip")
-	}
-	opts, err := back.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opts.Resilient {
-		t.Error("resilient flag lost reconstructing Options")
 	}
 }

@@ -71,7 +71,6 @@ func TestChaosWindowsInjectAndDisarm(t *testing.T) {
 func TestChaosDeterministicByteIdentity(t *testing.T) {
 	sc := chaosScenario("chaos-determinism", 80)
 	sc.DupRate = 0.3
-	sc.Service.WatchdogGraceMS = 50
 	sc.Faults = []FaultWindow{
 		{Point: "service.admit", Kind: "contra", FromMS: 100, ToMS: 250},
 		{Point: "service.worker", Kind: "panic", FromMS: 300, ToMS: 450, Every: 2},
@@ -95,7 +94,7 @@ func TestChaosDeterministicByteIdentity(t *testing.T) {
 }
 
 // TestChaosSleepFaultTriggersWatchdog: a virtual 500ms worker stall
-// against a 100ms deadline and 50ms grace must be judged a watchdog
+// against a 100ms deadline and the 250ms grace must be judged a watchdog
 // kill at completion — deterministically, with no leaked executions —
 // and watchdog verdicts must stay soft (not hard failures). Each stall
 // advances virtual time by 500ms, so the [100ms, 2000ms) window
@@ -104,7 +103,6 @@ func TestChaosDeterministicByteIdentity(t *testing.T) {
 func TestChaosSleepFaultTriggersWatchdog(t *testing.T) {
 	leakcheck.Check(t)
 	sc := chaosScenario("chaos-watchdog", 40)
-	sc.Service.WatchdogGraceMS = 50
 	sc.Faults = []FaultWindow{
 		{Point: "service.worker", Kind: "sleep", FromMS: 100, ToMS: 2000, N: 500},
 	}
@@ -124,9 +122,10 @@ func TestChaosSleepFaultTriggersWatchdog(t *testing.T) {
 }
 
 // TestChaosPoisonTripsBreaker: a poison source hard-fails every
-// execution; after breaker_threshold consecutive failures the breaker
-// must quarantine the fingerprint and fast-fail the rest, so exactly
-// threshold executions burn workers and healthy traffic is untouched.
+// execution; after the breaker's 3 consecutive failures it must
+// quarantine the fingerprint and fast-fail the rest (the run is far
+// shorter than the 5s cooloff), so exactly 3 executions burn workers
+// and healthy traffic is untouched.
 func TestChaosPoisonTripsBreaker(t *testing.T) {
 	leakcheck.Check(t)
 	sc := &Scenario{
@@ -135,7 +134,7 @@ func TestChaosPoisonTripsBreaker(t *testing.T) {
 		Gen:          4,
 		MaxInstrs:    8,
 		Stages:       []Stage{{RPS: 100, Requests: 40}}, // picks cycle sources 0..3
-		Service:      ServiceSpec{Workers: 2, QueueDepth: 8, DefaultDeadlineMS: 100, BreakerThreshold: 3, BreakerCooloffMS: 60000},
+		Service:      ServiceSpec{Workers: 2, QueueDepth: 8, DefaultDeadlineMS: 100},
 		Hollow:       &HollowSpec{CostMinMS: 1, CostMaxMS: 5, Poison: []int{0}},
 		VirtualClock: true,
 	}
@@ -146,7 +145,7 @@ func TestChaosPoisonTripsBreaker(t *testing.T) {
 	// Source 0 is offered 10 times: 3 executions trip the breaker, the
 	// remaining 7 fast-fail as poisoned.
 	if rep.Injected != 3 {
-		t.Fatalf("injected = %d, want breaker_threshold = 3 poison executions; report %+v", rep.Injected, rep)
+		t.Fatalf("injected = %d, want 3 poison executions; report %+v", rep.Injected, rep)
 	}
 	if rep.Poisoned != 7 {
 		t.Fatalf("poisoned = %d, want 7 fast-fails; report %+v", rep.Poisoned, rep)
@@ -198,9 +197,6 @@ func TestChaosValidation(t *testing.T) {
 		{"poison out of range", func(sc *Scenario) {
 			sc.Hollow.Poison = []int{99}
 		}, "outside the source pool"},
-		{"negative breaker", func(sc *Scenario) {
-			sc.Service.BreakerThreshold = -1
-		}, "must be >= 0"},
 	}
 	for _, tc := range cases {
 		sc := base()

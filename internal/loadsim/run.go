@@ -84,23 +84,17 @@ func Run(sc *Scenario) (*Report, error) {
 	}
 	runner := hollow.NewHollowRunner(hcfg)
 	cfg := service.Config{
-		Workers:          d.Service.Workers,
-		QueueDepth:       d.Service.QueueDepth,
-		CacheEntries:     d.Service.CacheEntries,
-		DefaultDeadline:  time.Duration(d.Service.DefaultDeadlineMS) * time.Millisecond,
-		WatchdogGrace:    time.Duration(d.Service.WatchdogGraceMS) * time.Millisecond,
-		BreakerThreshold: d.Service.BreakerThreshold,
-		BreakerCooloff:   time.Duration(d.Service.BreakerCooloffMS) * time.Millisecond,
-		Now:              clock.Now,
-		Runner:           runner,
+		Workers:         d.Service.Workers,
+		QueueDepth:      d.Service.QueueDepth,
+		CacheEntries:    d.Service.CacheEntries,
+		DefaultDeadline: time.Duration(d.Service.DefaultDeadlineMS) * time.Millisecond,
+		Runner:          runner,
 	}
 	if d.VirtualClock {
-		// On simulated time the real-time sweeper is both meaningless
-		// (no wall time passes while an execution "runs") and a source
-		// of nondeterminism (it races the retrospective overshoot check
-		// for who publishes the kill). Park it; virtual watchdog kills
+		// An injected clock runs no watchdog sweeper: no wall time
+		// passes while a simulated execution "runs", so virtual kills
 		// are judged deterministically at completion.
-		cfg.WatchdogInterval = time.Hour
+		cfg.Now = clock.Now
 	}
 
 	// Chaos scenarios take over the (global) faultpoint registry and

@@ -100,15 +100,6 @@ type ServiceSpec struct {
 	QueueDepth        int   `json:"queue_depth,omitempty"`
 	CacheEntries      int   `json:"cache_entries,omitempty"`
 	DefaultDeadlineMS int64 `json:"default_deadline_ms,omitempty"`
-	// WatchdogGraceMS arms the worker watchdog: executions stuck
-	// longer than deadline+grace are killed (0 = watchdog off).
-	WatchdogGraceMS int64 `json:"watchdog_grace_ms,omitempty"`
-	// BreakerThreshold arms the per-fingerprint circuit breaker: that
-	// many consecutive hard failures open it (0 = breaker off).
-	BreakerThreshold int `json:"breaker_threshold,omitempty"`
-	// BreakerCooloffMS is the open-state cooloff before a half-open
-	// probe (0 = the service default).
-	BreakerCooloffMS int64 `json:"breaker_cooloff_ms,omitempty"`
 }
 
 // HollowSpec configures the hollow runner's recorded costs.
@@ -216,9 +207,6 @@ func (sc Scenario) Validate() error {
 		if d.Hollow.CostMaxMS < d.Hollow.CostMinMS {
 			return fail("hollow.cost_max_ms below cost_min_ms")
 		}
-	}
-	if d.Service.WatchdogGraceMS < 0 || d.Service.BreakerThreshold < 0 || d.Service.BreakerCooloffMS < 0 {
-		return fail("watchdog_grace_ms, breaker_threshold and breaker_cooloff_ms must be >= 0")
 	}
 	if d.Hollow != nil {
 		for i, p := range d.Hollow.Poison {

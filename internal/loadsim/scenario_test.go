@@ -109,6 +109,24 @@ func TestLoadScenarioRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadScenarioRejectsRemovedServiceKeys: the watchdog and breaker
+// settings are constants now, so a scenario that still names one of
+// their old keys is refused like any other unknown field instead of
+// silently running with settings it does not describe.
+func TestLoadScenarioRejectsRemovedServiceKeys(t *testing.T) {
+	dir := t.TempDir()
+	for _, key := range []string{"watchdog_grace_ms", "breaker_threshold", "breaker_cooloff_ms"} {
+		path := filepath.Join(dir, key+".json")
+		body := `{"name":"old","stages":[{"rps":1,"requests":1}],"service":{"workers":1,"` + key + `":50}}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadScenario(path); err == nil || !strings.Contains(err.Error(), "unknown field") || !strings.Contains(err.Error(), key) {
+			t.Fatalf("%s: want the unknown-field error, got %v", key, err)
+		}
+	}
+}
+
 func TestLoadSuiteSortedAndUniqueNames(t *testing.T) {
 	dir := t.TempDir()
 	write := func(file, name string) {

@@ -92,6 +92,22 @@ func (c *Config) IssueWidth() int {
 	return total
 }
 
+// CheckUnits reports the first instruction class the block uses that
+// no cluster has a functional unit of. No schedule of any kind exists
+// for such a block, so the schedulers refuse it before any search.
+func (c *Config) CheckUnits(sb *ir.Superblock) error {
+	var used [ir.NumClasses]bool
+	for _, in := range sb.Instrs {
+		used[in.Class] = true
+	}
+	for cl, u := range used {
+		if u && ir.Class(cl) != ir.Copy && c.TotalFU(ir.Class(cl)) == 0 {
+			return fmt.Errorf("machine %q has no %s units", c.Name, ir.Class(cl))
+		}
+	}
+	return nil
+}
+
 // BusOccupancy returns the number of cycles one copy keeps a bus busy.
 func (c *Config) BusOccupancy() int {
 	if c.BusPipelined || c.BusLatency < 1 {

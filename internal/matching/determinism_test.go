@@ -20,12 +20,12 @@ func TestMaxWeightDeterministicOnTies(t *testing.T) {
 		{U: 2, V: 3, Weight: 5},
 		{U: 3, V: 0, Weight: 5},
 	}
-	first := MaxWeight(4, cycle)
+	first := maxWeight(4, cycle)
 	if Weight(first) != 10 || !IsMatching(first) {
 		t.Fatalf("bad matching %v", first)
 	}
 	for i := 0; i < 50; i++ {
-		again := MaxWeight(4, cycle)
+		again := maxWeight(4, cycle)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("call %d returned %v, first call %v", i, again, first)
 		}
@@ -34,9 +34,9 @@ func TestMaxWeightDeterministicOnTies(t *testing.T) {
 	// A star of equal weights: every edge alone is optimal; the choice
 	// must still be stable.
 	star := []Edge{{U: 0, V: 1, Weight: 3}, {U: 0, V: 2, Weight: 3}, {U: 0, V: 3, Weight: 3}}
-	first = MaxWeight(4, star)
+	first = maxWeight(4, star)
 	for i := 0; i < 50; i++ {
-		if again := MaxWeight(4, star); !reflect.DeepEqual(first, again) {
+		if again := maxWeight(4, star); !reflect.DeepEqual(first, again) {
 			t.Fatalf("star: call %d returned %v, first %v", i, again, first)
 		}
 	}
@@ -60,12 +60,12 @@ func TestMaxWeightDeterministicRandom(t *testing.T) {
 					Weight: 1 + rng.Intn(4), // few distinct weights => many ties
 				})
 			}
-			first := MaxWeight(n, edges)
+			first := maxWeight(n, edges)
 			if !IsMatching(first) {
 				t.Fatalf("n=%d trial %d: not a matching: %v", n, trial, first)
 			}
 			for i := 0; i < 10; i++ {
-				if again := MaxWeight(n, edges); !reflect.DeepEqual(first, again) {
+				if again := maxWeight(n, edges); !reflect.DeepEqual(first, again) {
 					t.Fatalf("n=%d trial %d: nondeterministic: %v vs %v", n, trial, again, first)
 				}
 			}
@@ -84,11 +84,11 @@ func TestExactLimitBoundary(t *testing.T) {
 	for i := 0; i < ExactLimit*2; i++ {
 		edges = append(edges, Edge{U: rng.Intn(ExactLimit), V: rng.Intn(ExactLimit), Weight: 1 + rng.Intn(3)})
 	}
-	first := MaxWeight(ExactLimit, edges)
+	first := maxWeight(ExactLimit, edges)
 	if !IsMatching(first) {
 		t.Fatalf("not a matching: %v", first)
 	}
-	if again := MaxWeight(ExactLimit, edges); !reflect.DeepEqual(first, again) {
+	if again := maxWeight(ExactLimit, edges); !reflect.DeepEqual(first, again) {
 		t.Fatalf("nondeterministic at ExactLimit: %v vs %v", again, first)
 	}
 }
@@ -104,7 +104,7 @@ func TestGreedyPathTieHandling(t *testing.T) {
 	}
 	edges = append(edges, Edge{U: 0, V: n - 1, Weight: 0})  // never selectable
 	edges = append(edges, Edge{U: 1, V: n - 1, Weight: -3}) // never selectable
-	first := MaxWeight(n, edges)
+	first := maxWeight(n, edges)
 	if !IsMatching(first) {
 		t.Fatalf("not a matching: %v", first)
 	}
@@ -118,7 +118,7 @@ func TestGreedyPathTieHandling(t *testing.T) {
 		t.Errorf("weight %d below achievable %d", Weight(first), want)
 	}
 	for i := 0; i < 20; i++ {
-		if again := MaxWeight(n, edges); !reflect.DeepEqual(first, again) {
+		if again := maxWeight(n, edges); !reflect.DeepEqual(first, again) {
 			t.Fatalf("greedy path nondeterministic: %v vs %v", again, first)
 		}
 	}

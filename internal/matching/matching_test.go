@@ -1,10 +1,41 @@
 package matching
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// maxWeight is MaxWeight without a deadline, which cannot fail.
+func maxWeight(n int, edges []Edge) []Edge {
+	m, err := MaxWeight(n, edges, time.Time{})
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestMaxWeightStopsAtDeadline: the exact DP over a 22-vertex graph
+// (2^22 subsets) returns ErrDeadline at its first poll once the
+// deadline has passed, and the same graph without one still matches.
+func TestMaxWeightStopsAtDeadline(t *testing.T) {
+	var edges []Edge
+	for u := 0; u < ExactLimit; u++ {
+		edges = append(edges, Edge{U: u, V: (u + 1) % ExactLimit, Weight: 1 + u%3})
+	}
+	start := time.Now()
+	if m, err := MaxWeight(ExactLimit, edges, start.Add(-time.Millisecond)); !errors.Is(err, ErrDeadline) || m != nil {
+		t.Fatalf("passed deadline: got %v, %v; want ErrDeadline", m, err)
+	}
+	if el := time.Since(start); el > 100*time.Millisecond {
+		t.Errorf("passed deadline took %v to notice", el)
+	}
+	if m, err := MaxWeight(4, edges[:3], start.Add(-time.Millisecond)); err != nil || Weight(m) == 0 {
+		t.Fatalf("a DP shorter than one poll interval never reads the deadline: got %v, %v", m, err)
+	}
+}
 
 // bruteForce finds the true maximum-weight matching by trying all edge
 // subsets (only usable for very small edge counts).
@@ -49,7 +80,7 @@ func TestMaxWeightSimple(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := MaxWeight(tc.n, tc.edges)
+			m := maxWeight(tc.n, tc.edges)
 			if !IsMatching(m) {
 				t.Fatalf("result is not a matching: %v", m)
 			}
@@ -72,7 +103,7 @@ func TestMaxWeightExactMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		m := MaxWeight(n, edges)
+		m := maxWeight(n, edges)
 		if !IsMatching(m) {
 			return false
 		}
@@ -98,7 +129,7 @@ func TestMaxWeightGreedyIsValidAndDecent(t *testing.T) {
 			edges = append(edges, Edge{u, v, w})
 			total += w
 		}
-		m := MaxWeight(n, edges)
+		m := maxWeight(n, edges)
 		if !IsMatching(m) {
 			return false
 		}
@@ -158,7 +189,7 @@ func TestIsMatching(t *testing.T) {
 }
 
 func TestEdgeOutOfRangeIgnored(t *testing.T) {
-	m := MaxWeight(2, []Edge{{0, 5, 10}, {0, 1, 1}})
+	m := maxWeight(2, []Edge{{0, 5, 10}, {0, 1, 1}})
 	if Weight(m) != 1 {
 		t.Errorf("out-of-range edge not ignored: %v", m)
 	}
@@ -251,7 +282,11 @@ func TestExactMatchesReference(t *testing.T) {
 			edges = append(edges, e)
 		}
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		got, want := exact(n, edges), exactRef(n, edges)
+		got, err := exact(n, edges, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exactRef(n, edges)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d, n %d, edges %v: exact %v, reference %v", trial, n, edges, got, want)
 		}

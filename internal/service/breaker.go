@@ -4,26 +4,32 @@ import "time"
 
 // The per-fingerprint circuit breaker quarantines poison requests. A
 // request whose content reliably hard-fails the ladder (a panic-bait
-// vector, a pathological block) would otherwise burn a full worker
-// execution on every resubmission — and under duplicate-heavy traffic
-// one poison fingerprint can eat a meaningful slice of pool capacity.
-// The breaker is the classic three-state machine, keyed by content
-// fingerprint so it quarantines exactly the poison request and nothing
-// else:
+// vector, a block using a class the machine has no unit of) would
+// otherwise burn a full worker execution on every resubmission — and
+// under duplicate-heavy traffic one poison fingerprint can eat a
+// meaningful slice of pool capacity. The breaker is the classic
+// three-state machine, keyed by content fingerprint so it quarantines
+// exactly the poison request and nothing else:
 //
 //	closed     normal operation; consecutive hard failures counted
-//	open       ≥ BreakerThreshold consecutive hard failures: further
+//	open       breakerThreshold consecutive hard failures: further
 //	           submissions fast-fail in admit with the "poisoned"
 //	           taxonomy (an explicit verdict, not a shed) without
-//	           touching a worker, until BreakerCooloff has passed
+//	           touching a worker, until breakerCooloff has passed
 //	half-open  one probe is admitted; success closes the breaker,
 //	           another hard failure reopens it for a fresh cooloff
 //
-// Entries exist only for fingerprints with recent hard failures (a
-// success deletes its entry), so the map stays proportional to the
-// number of currently-poisonous fingerprints, not to traffic. All
-// state is guarded by s.mu; time is read from the injected service
-// clock, so cooloffs work on virtual time in the chaos harness.
+// The numbers are the router's shard breaker's. Entries exist only for
+// fingerprints with recent hard failures: a success deletes its entry,
+// and the watchdog's sweep drops idle ones (see dropIdleBreakers), so
+// the map stays proportional to the number of currently-poisonous
+// fingerprints, not to traffic.
+// All state is guarded by s.mu; time is read from the service clock,
+// so cooloffs work on virtual time in the chaos harness.
+const (
+	breakerThreshold = 3
+	breakerCooloff   = 5 * time.Second
+)
 
 type breakerState uint8
 
@@ -34,12 +40,13 @@ const (
 )
 
 // breaker is one fingerprint's state. consecutive counts hard failures
-// since the last success; taxonomy remembers the class that tripped it
-// for the fast-fail verdict.
+// since the last success; failed is when the latest one was recorded
+// (an open breaker's cooloff runs from it); taxonomy remembers the
+// class that tripped it for the fast-fail verdict.
 type breaker struct {
 	state       breakerState
 	consecutive int
-	until       time.Time // open: when the next half-open probe may pass
+	failed      time.Time
 	taxonomy    string
 }
 
@@ -55,7 +62,7 @@ func (s *Service) breakerDenies(fp string) (bool, *breaker) {
 	}
 	switch b.state {
 	case breakerOpen:
-		if s.now().Before(b.until) {
+		if s.now().Before(b.failed.Add(breakerCooloff)) {
 			return true, b
 		}
 		b.state = breakerHalfOpen
@@ -68,10 +75,11 @@ func (s *Service) breakerDenies(fp string) (bool, *breaker) {
 }
 
 // breakerRecord feeds a finished execution's outcome back into the
-// fingerprint's breaker. Called from finish with s.mu held. Only hard
-// failures advance the machine: soft failures (timeouts, watchdog
-// kills) describe load, not the request's content, so they neither
-// trip nor heal a breaker.
+// fingerprint's breaker. Called with s.mu held. Only hard failures
+// advance the machine: soft failures (timeouts, watchdog kills)
+// describe load, not the request's content, so they neither trip nor
+// heal a breaker; a half-open one whose probe soft-failed reopens with
+// its cooloff served, so the next submission probes again.
 func (s *Service) breakerRecord(fp string, res Result) {
 	switch {
 	case res.HardFailure:
@@ -81,17 +89,36 @@ func (s *Service) breakerRecord(fp string, res Result) {
 			s.breakers[fp] = b
 		}
 		b.consecutive++
+		b.failed = s.now()
 		b.taxonomy = res.Taxonomy
 		// A failed half-open probe reopens immediately; a closed
 		// breaker opens once the threshold is reached.
-		if b.state == breakerHalfOpen || b.consecutive >= s.cfg.BreakerThreshold {
+		if b.state == breakerHalfOpen || b.consecutive >= breakerThreshold {
 			b.state = breakerOpen
-			b.until = s.now().Add(s.cfg.BreakerCooloff)
 			s.stats.BreakerTrips++
 		}
 	case res.Err == "" && !res.Shed:
 		// Success closes the breaker and forgets the fingerprint.
 		delete(s.breakers, fp)
+	default:
+		if b := s.breakers[fp]; b != nil && b.state == breakerHalfOpen {
+			b.state = breakerOpen
+		}
+	}
+}
+
+// dropIdleBreakers forgets the breakers of fingerprints that stopped
+// arriving: a closed one a cooloff after its latest hard failure, an
+// open one a further cooloff after it could half-open, so a
+// resubmission inside that window still gets its single probe. A
+// half-open one has its probe in flight. Called with s.mu held.
+func (s *Service) dropIdleBreakers(now time.Time) {
+	for fp, b := range s.breakers {
+		idle := now.Sub(b.failed)
+		if b.state == breakerClosed && idle >= breakerCooloff ||
+			b.state == breakerOpen && idle >= 2*breakerCooloff {
+			delete(s.breakers, fp)
+		}
 	}
 }
 

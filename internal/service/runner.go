@@ -26,7 +26,9 @@ import (
 // Contract:
 //
 //   - remaining is the request's outstanding wall-clock budget when the
-//     worker picked it up; a Runner must not compute past it.
+//     worker picked it up; a Runner must not compute past it. One still
+//     running watchdogGrace past it is declared wedged, and its result
+//     is dropped (see watchdog.go).
 //   - The returned Result must be deterministic per fingerprint for
 //     every outcome that reports cacheable == true: a cache hit replays
 //     those exact bytes, so warm must equal cold.

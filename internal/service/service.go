@@ -84,24 +84,10 @@ type Config struct {
 	// the clock half of the Runner seam: internal/loadsim injects
 	// internal/hollow's virtual clock here so chaos scenarios exercise
 	// deadline, watchdog and breaker behavior on deterministic
-	// simulated time.
+	// simulated time. Only the wall clock (nil) runs the watchdog's
+	// sweeper; on an injected clock an execution is judged when it
+	// completes (see watchdog.go).
 	Now func() time.Time
-	// WatchdogGrace arms the worker watchdog: an in-flight execution
-	// still running this long past its request deadline is cancelled,
-	// its worker slot freed for the next job, and the kill counted in
-	// watchdog_kills (0 = watchdog disabled).
-	WatchdogGrace time.Duration
-	// WatchdogInterval is the real-time sweep period for wedged
-	// executions (0 = 25ms; only meaningful with WatchdogGrace > 0).
-	WatchdogInterval time.Duration
-	// BreakerThreshold arms the per-fingerprint circuit breaker: after
-	// this many consecutive hard failures on one fingerprint the
-	// breaker opens and further submissions of it fast-fail with the
-	// "poisoned" taxonomy instead of burning a worker (0 = disabled).
-	BreakerThreshold int
-	// BreakerCooloff is how long an open breaker fast-fails before it
-	// half-opens and lets a single probe through (0 = 5s).
-	BreakerCooloff time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -128,12 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.WatchdogInterval <= 0 {
-		c.WatchdogInterval = 25 * time.Millisecond
-	}
-	if c.BreakerCooloff <= 0 {
-		c.BreakerCooloff = 5 * time.Second
 	}
 	return c
 }
@@ -178,10 +158,10 @@ type Stats struct {
 	QueueTimeouts int64  `json:"queue_timeouts"`
 	Scheduled     int64  `json:"scheduled"`
 	HardFailures  int64  `json:"hard_failures"`
-	// WatchdogKills counts executions the watchdog cancelled past
-	// deadline+grace; WatchdogLeaks is the gauge of abandoned
-	// execution goroutines that have not returned yet — after a drain
-	// it must settle back to zero or the service leaked a goroutine.
+	// WatchdogKills counts executions the watchdog declared wedged past
+	// deadline+grace; WatchdogLeaks is the gauge of replaced workers
+	// whose Runner has not returned yet — after a drain it must settle
+	// back to zero or the service leaked a goroutine.
 	WatchdogKills int64 `json:"watchdog_kills"`
 	WatchdogLeaks int64 `json:"watchdog_leaks"`
 	// Breaker counters: trips (closed/half-open → open transitions),
@@ -208,6 +188,9 @@ type job struct {
 	fp       string
 	deadline time.Time
 	call     *Call
+	start    time.Time // when a worker picked it up
+	wedged   bool      // declared wedged by the sweeper; guarded by s.mu
+	replaced bool      // wedged, and a replacement holds its worker's slot
 }
 
 // Service is the scheduling service. Create with New, stop with Close.
@@ -230,15 +213,16 @@ type Service struct {
 	mu       sync.Mutex
 	cache    *Cache // nil when caching is disabled
 	flight   *Flight
-	inflight map[*execution]struct{} // watchdog-tracked executions
-	breakers map[string]*breaker     // only fingerprints with recent hard failures
-	ewma     time.Duration           // EWMA per-job service time
+	inflight map[*job]struct{}   // jobs whose Runner is running
+	breakers map[string]*breaker // only fingerprints with recent hard failures
+	ewma     time.Duration       // EWMA per-job service time
 	draining bool
 	stats    Stats
 }
 
 // New starts a service: the worker pool is running on return.
 func New(cfg Config) *Service {
+	wall := cfg.Now == nil
 	cfg = cfg.withDefaults()
 	runner := cfg.Runner
 	if runner == nil {
@@ -251,13 +235,13 @@ func New(cfg Config) *Service {
 		now:      cfg.Now,
 		drained:  make(chan struct{}),
 		flight:   NewFlight(),
-		inflight: make(map[*execution]struct{}),
+		inflight: make(map[*job]struct{}),
 		breakers: make(map[string]*breaker),
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = NewCache(cfg.CacheEntries)
 	}
-	if cfg.WatchdogGrace > 0 {
+	if wall {
 		s.stopSweep = make(chan struct{})
 		s.sweepDone = make(chan struct{})
 		go s.sweeper()
@@ -294,9 +278,11 @@ func (s *Service) Stats() Stats {
 // Close drains the service: admission stops (new submissions get a
 // draining response), queued and in-flight jobs run to completion, the
 // workers exit, and the watchdog sweeper stops. Close is idempotent;
-// concurrent callers all return after the drain finishes. Executions
-// the watchdog abandoned are NOT waited for — they drain on their own
-// schedule and are visible as the watchdog_leaks gauge until they do.
+// concurrent callers all return after the drain finishes. Workers the
+// watchdog replaced are NOT waited for — they exit when their Runner
+// returns and are visible as the watchdog_leaks gauge until they do. A
+// wedged worker past the replacement bound keeps its slot, so Close
+// waits for its Runner.
 func (s *Service) Close() {
 	s.mu.Lock()
 	already := s.draining
@@ -432,18 +418,16 @@ func (s *Service) admitLocked(req *Request, a *admission) {
 		a.res, a.call = Result{Fingerprint: fp, Coalesced: true}, inflight
 		return
 	}
-	if s.cfg.BreakerThreshold > 0 {
-		if denied, b := s.breakerDenies(fp); denied {
-			s.stats.BreakerFastFails++
-			a.res = Result{
-				Block:       req.SB.Name,
-				Fingerprint: fp,
-				Err: fmt.Sprintf("circuit breaker open: %d consecutive hard failures (%s) on this fingerprint, cooling off",
-					b.consecutive, b.taxonomy),
-				Taxonomy: "poisoned",
-			}
-			return
+	if denied, b := s.breakerDenies(fp); denied {
+		s.stats.BreakerFastFails++
+		a.res = Result{
+			Block:       req.SB.Name,
+			Fingerprint: fp,
+			Err: fmt.Sprintf("circuit breaker open: %d consecutive hard failures (%s) on this fingerprint, cooling off",
+				b.consecutive, b.taxonomy),
+			Taxonomy: "poisoned",
 		}
+		return
 	}
 	if a.shed != nil {
 		s.stats.Shed++
@@ -516,27 +500,30 @@ func (s *Service) clampDeadline(d time.Duration) time.Duration {
 	return d
 }
 
+// worker drains the queue. A worker whose wedged execution the sweeper
+// replaced exits without giving up its slot: the replacement holds it
+// (see watchdog.go).
 func (s *Service) worker() {
-	defer s.workers.Done()
 	for j := range s.queue {
-		s.execute(j)
+		if !s.execute(j) {
+			return
+		}
 	}
+	s.workers.Done()
 }
 
-// finish publishes a job's result: cache (when eligible), close the
-// singleflight entry, bump counters, feed the breaker and the
-// service-time EWMA. The cache entry is inserted before the flight
-// entry is removed (the removal happens in Flight.Finish below, after
-// this lock is released), so a submission arriving in between sees
-// either the cache hit or the still-in-flight call — never neither.
-func (s *Service) finish(j *job, res Result, cacheable bool, dur time.Duration) {
-	s.mu.Lock()
+// record accounts for a job's result: cache it (when eligible), feed
+// the breaker and the service-time EWMA, and bump counters. s.mu must
+// be held. The caller then closes the singleflight entry with
+// Flight.Finish after releasing the lock: the cache entry is inserted
+// before the flight entry is removed, so a submission arriving in
+// between sees either the cache hit or the still-in-flight call —
+// never neither.
+func (s *Service) record(j *job, res Result, cacheable bool, dur time.Duration) {
 	if cacheable && s.cache != nil {
 		s.cache.Add(j.fp, res)
 	}
-	if s.cfg.BreakerThreshold > 0 {
-		s.breakerRecord(j.fp, res)
-	}
+	s.breakerRecord(j.fp, res)
 	// EWMA (α = ¼) of per-job service time: recent enough to track a
 	// load shift, smooth enough that one slow job does not whipsaw the
 	// Retry-After hint.
@@ -563,22 +550,20 @@ func (s *Service) finish(j *job, res Result, cacheable bool, dur time.Duration) 
 			s.stats.TierNaive++
 		}
 	}
-	s.mu.Unlock()
-	s.flight.Finish(j.fp, res)
 }
 
-// run executes one job on the calling worker: deadline bookkeeping,
-// the service.worker fault point, then the configured Runner (the
-// resilient ladder in production). A panic anywhere — injected or real
-// — is recovered into an error result, so a poisoned request degrades
-// instead of killing the pool.
+// run executes one job on the calling worker with remaining, its
+// deadline's distance from pickup: the service.worker fault point, then
+// the configured Runner (the resilient ladder in production). A panic
+// anywhere — injected or real — is recovered into an error result, so
+// a poisoned request degrades instead of killing the pool.
 //
 // The returned cacheable flag is false for every non-success and for
 // successes whose descent was shaped by the wall clock (for the ladder
 // Runner: any attempt died of core.ErrTimeout): such results depend on
 // load and deadline, not on the request's content, and caching them
 // would break the warm-equals-cold byte-identity guarantee.
-func (s *Service) run(j *job) (res Result, cacheable bool) {
+func (s *Service) run(j *job, remaining time.Duration) (res Result, cacheable bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -592,7 +577,6 @@ func (s *Service) run(j *job) (res Result, cacheable bool) {
 		}
 	}()
 
-	remaining := j.deadline.Sub(s.now())
 	if remaining <= 0 {
 		return Result{
 			Block:       j.req.SB.Name,

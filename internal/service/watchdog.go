@@ -8,146 +8,135 @@ import (
 // The worker watchdog guards the pool against wedged executions: a
 // Runner that stalls past its request's deadline (a livelocked search,
 // a stuck injected fault, a bug) would otherwise pin its worker
-// forever and silently shrink the pool until the service is one wedged
-// request away from a full stop.
+// forever and silently shrink the pool.
 //
-// With Config.WatchdogGrace armed, a worker never runs the Runner on
-// its own goroutine. It spawns a sacrificial execution goroutine per
-// job and waits for either the result or a kill:
+// A worker calls the Runner itself and registers the job as in flight
+// while it runs. An execution still running watchdogGrace past its
+// deadline is wedged: its caller gets the watchdog verdict (taxonomy
+// "watchdog", never cached) and its late result is dropped.
 //
-//   - A real-time sweeper (Config.WatchdogInterval) scans in-flight
-//     executions and kills any still running past deadline+grace. The
-//     worker abandons the execution goroutine, publishes an explicit
-//     watchdog-kill result (taxonomy "watchdog", never cached), and
-//     moves on to the next job — the pool's capacity is restored
-//     immediately, which is the "replace the wedged worker" move: the
-//     goroutine that actually wedged is the sacrificial executor, and
-//     a fresh one serves the next job.
-//   - On clocks where real time does not pass (the loadsim virtual
-//     clock), a wedge is visible only in retrospect: the execution
-//     returns after advancing simulated time past deadline+grace. The
-//     worker detects the overshoot at completion and issues the same
-//     watchdog verdict, so chaos scenarios measure kills
-//     deterministically.
+//   - On the wall clock (Config.Now nil) a sweeper scans the in-flight
+//     jobs every sweepInterval and publishes a wedged one's verdict at
+//     once. While fewer than Workers replaced workers are stuck, it
+//     also starts a replacement that takes over the wedged worker's
+//     slot; the wedged goroutine exits when its Runner returns. Past
+//     that bound a wedged worker keeps its slot and returns to the
+//     queue, so at most 2×Workers Runners run at once however many
+//     requests wedge (CARS, for one, does not read the deadline).
+//   - On an injected clock (the loadsim virtual clock) no sweeper
+//     runs: the worker judges the execution when it returns, so chaos
+//     scenarios count kills deterministically.
 //
-// An abandoned execution goroutine keeps running until its Runner
-// returns; the watchdog_leaks gauge counts these, and it must settle
-// back to zero after a drain — a nonzero residue means a Runner never
-// returned, which the chaos harness (and benchgate) treat as a red
-// build.
+// The watchdog_leaks gauge counts replaced workers whose Runner has
+// not returned yet; a nonzero residue after a drain is a red build in
+// the chaos harness. Each sweep also drops idle circuit-breaker
+// entries (see breaker.go).
+const (
+	// watchdogGrace is how long past its deadline an execution may run
+	// before it is declared wedged. The search polls its deadline
+	// inside propagation and the stage-3 matching, so a healthy ladder
+	// run returns well inside it.
+	watchdogGrace = 250 * time.Millisecond
+	// sweepInterval is the sweeper's wall-clock period.
+	sweepInterval = 25 * time.Millisecond
+)
 
-// execution is one watchdog-tracked Runner invocation.
-type execution struct {
-	j      *job
-	kill   chan struct{} // closed by the sweeper to cancel the execution
-	done   chan struct{} // closed when the execution goroutine returns
-	killed bool          // guarded by s.mu
-}
-
-// execute runs one job to a published result. Without a watchdog this
-// is the plain synchronous path the service always had; with one, the
-// Runner is sacrificial as described above.
-func (s *Service) execute(j *job) {
-	start := s.now()
-	if s.cfg.WatchdogGrace <= 0 {
-		res, cacheable := s.run(j)
-		s.finish(j, res, cacheable, s.now().Sub(start))
-		return
+// execute runs one job on the calling worker and publishes its result,
+// unless the sweeper declared it wedged meanwhile: then the result is
+// dropped, and execute reports false when a replacement holds this
+// worker's slot, so the caller must exit.
+func (s *Service) execute(j *job) bool {
+	j.start = s.now()
+	remaining := j.deadline.Sub(j.start)
+	// A job that expired in the queue never reaches the Runner, so the
+	// watchdog does not track it.
+	watched := remaining > 0
+	if watched {
+		s.mu.Lock()
+		s.inflight[j] = struct{}{}
+		s.mu.Unlock()
 	}
-
-	type outcome struct {
-		res       Result
-		cacheable bool
-	}
-	ex := &execution{j: j, kill: make(chan struct{}), done: make(chan struct{})}
-	resc := make(chan outcome, 1) // buffered: an abandoned execution must not block on send
+	res, cacheable := s.run(j, remaining)
+	end := s.now()
 	s.mu.Lock()
-	s.inflight[ex] = struct{}{}
-	s.mu.Unlock()
-	go func() {
-		res, cacheable := s.run(j)
-		resc <- outcome{res, cacheable}
-		close(ex.done)
-	}()
-
-	var out outcome
-	completed := false
-	select {
-	case out = <-resc:
-		completed = true
-	case <-ex.kill:
+	if j.wedged {
+		if j.replaced {
+			s.stats.WatchdogLeaks--
+		}
+		s.mu.Unlock()
+		return !j.replaced
 	}
-
-	s.mu.Lock()
-	delete(s.inflight, ex)
-	killed := ex.killed
-	// Retrospective wedge detection for virtual clocks: the execution
-	// finished, but only after simulated time ran past deadline+grace.
-	// The sweeper can never catch this (no real time passed), so the
-	// overshoot is judged at completion.
-	if completed && !killed && s.now().After(j.deadline.Add(s.cfg.WatchdogGrace)) {
-		killed = true
-	}
-	if killed {
-		s.stats.WatchdogKills++
-		if !completed {
-			// The execution goroutine is abandoned mid-run; track it
-			// until its Runner returns.
-			s.stats.WatchdogLeaks++
-			go func() {
-				<-ex.done
-				s.mu.Lock()
-				s.stats.WatchdogLeaks--
-				s.mu.Unlock()
-			}()
+	if watched {
+		delete(s.inflight, j)
+		if end.After(j.deadline.Add(watchdogGrace)) {
+			s.stats.WatchdogKills++
+			res, cacheable = watchdogResult(j), false
 		}
 	}
+	s.record(j, res, cacheable, end.Sub(j.start))
 	s.mu.Unlock()
-
-	if killed {
-		s.finish(j, s.watchdogResult(j), false, s.now().Sub(start))
-		return
-	}
-	s.finish(j, out.res, out.cacheable, s.now().Sub(start))
+	s.flight.Finish(j.fp, res)
+	return true
 }
 
-// watchdogResult is the explicit verdict a killed execution's caller
+// watchdogResult is the explicit verdict a wedged execution's caller
 // receives. It is a soft failure, not a hard one: the scheduler did not
 // break the request, the watchdog refused to keep burning a worker on
 // it. Never cacheable — the kill describes this execution, not the
 // request's content.
-func (s *Service) watchdogResult(j *job) Result {
+func watchdogResult(j *job) Result {
 	return Result{
 		Block:       j.req.SB.Name,
 		Fingerprint: j.fp,
-		Err: fmt.Sprintf("watchdog killed execution stuck %v past its deadline",
-			s.cfg.WatchdogGrace),
-		Taxonomy: "watchdog",
+		Err:         fmt.Sprintf("watchdog killed execution stuck %v past its deadline", watchdogGrace),
+		Taxonomy:    "watchdog",
 	}
 }
 
-// sweeper is the watchdog's real-time scan loop: every
-// WatchdogInterval it kills in-flight executions that are past
-// deadline+grace on the service clock. It runs from New until Close
-// has drained the workers.
+// sweeper calls sweep every sweepInterval from New until Close has
+// drained the workers.
 func (s *Service) sweeper() {
 	defer close(s.sweepDone)
-	tick := time.NewTicker(s.cfg.WatchdogInterval)
+	tick := time.NewTicker(sweepInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-s.stopSweep:
 			return
 		case <-tick.C:
-			now := s.now()
-			s.mu.Lock()
-			for ex := range s.inflight {
-				if !ex.killed && now.After(ex.j.deadline.Add(s.cfg.WatchdogGrace)) {
-					ex.killed = true
-					close(ex.kill)
-				}
-			}
-			s.mu.Unlock()
+			s.sweep(s.now())
 		}
+	}
+}
+
+// sweep declares every in-flight job past deadline+grace at now wedged
+// — publishing its verdict and, within the leak bound, starting the
+// worker that replaces its own — and drops the breaker entries idle at
+// now.
+func (s *Service) sweep(now time.Time) {
+	var wedged []*job
+	replace := 0
+	s.mu.Lock()
+	for j := range s.inflight {
+		if now.After(j.deadline.Add(watchdogGrace)) {
+			delete(s.inflight, j)
+			j.wedged = true
+			s.stats.WatchdogKills++
+			if s.stats.WatchdogLeaks < int64(s.cfg.Workers) {
+				j.replaced = true
+				s.stats.WatchdogLeaks++
+				replace++
+			}
+			s.record(j, watchdogResult(j), false, now.Sub(j.start))
+			wedged = append(wedged, j)
+		}
+	}
+	s.dropIdleBreakers(now)
+	s.mu.Unlock()
+	for _, j := range wedged {
+		s.flight.Finish(j.fp, watchdogResult(j))
+	}
+	for ; replace > 0; replace-- {
+		go s.worker()
 	}
 }
