@@ -45,8 +45,11 @@ race:
 # the checked-in BENCH_baseline.json: allocs/op is deterministic so its
 # band is tight (+10%); ns/op gets a wide band that still catches
 # order-of-magnitude cliffs on noisy shared runners. bench-short is the
-# single-run CI form; same gate. After an intentional improvement,
-# refresh the baseline with
+# single-run CI form; same gate. It then runs one pass of
+# BenchmarkCompileSet (internal/resilient), outside BENCH_deduce.json,
+# which fails unless the compile set's tiers, delivered steps and
+# schedule digest equal the counts pinned in its source; its time is not
+# gated. After an intentional improvement, refresh the baseline with
 # `cp results/bench/BENCH_deduce.json BENCH_baseline.json` and commit it.
 bench:
 	mkdir -p results/bench
@@ -61,6 +64,7 @@ bench-short:
 		-benchmem -count=1 -run '^$$' ./internal/deduce | $(GO) run $(GO_LDFLAGS) ./cmd/benchjson > results/bench/BENCH_deduce.json
 	cat results/bench/BENCH_deduce.json
 	$(MAKE) bench-gate
+	$(GO) test -run '^$$' -bench CompileSet -benchtime 1x ./internal/resilient
 
 bench-gate:
 	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -baseline BENCH_baseline.json -current results/bench/BENCH_deduce.json

@@ -80,11 +80,11 @@ type Options struct {
 	// Ceiling is the AWCT of a schedule the caller already holds (0 =
 	// none). The search then returns a schedule only if it is strictly
 	// below the ceiling, and ErrNoBetter otherwise: before it builds
-	// anything when the dependence bound reaches the ceiling, right
-	// after the bound probes when the enhanced bound does, and else at
-	// the first exit vector whose AWCT reaches it. Below the ceiling the
-	// search is unchanged, so a schedule it returns is the one the
-	// search without a ceiling returns.
+	// anything when the dependence bound reaches the ceiling, during the
+	// bound probes as soon as the bound they have proven so far does,
+	// and else at the first exit vector whose AWCT reaches it. Below the
+	// ceiling the search is unchanged, so a schedule it returns is the
+	// one the search without a ceiling returns.
 	Ceiling float64
 	// Trace, when non-nil, receives search progress lines (AWCT
 	// attempts, stage failures) for debugging.
@@ -166,7 +166,10 @@ type Attempt struct {
 
 // Stats reports how the search went.
 type Stats struct {
-	MinAWCT    float64       // enhanced lower bound the enumeration started from
+	// MinAWCT is the enhanced lower bound the enumeration started from;
+	// when the bound probes stopped at the ceiling, the part of it they
+	// had proven by then.
+	MinAWCT    float64
 	FinalAWCT  float64       // AWCT of the returned schedule
 	AWCTTried  int           // number of exit vectors attempted
 	Elapsed    time.Duration // wall-clock scheduling time
@@ -196,6 +199,10 @@ type scheduler struct {
 	tail     []int  // longest completion tail from each node (see bumpCandidates)
 	variant  int    // perturbs candidate order across retries of one AWCT
 	curStage string // pipeline stage currently running (panic context)
+
+	// base is the current exit vector's state after its setup, saved on
+	// the arena for the variants after the first (attempt).
+	base *deduce.State
 
 	// arena backs every state this scheduler builds. States are built
 	// strictly sequentially (probe, then attempt after attempt), so one
@@ -244,7 +251,8 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 	}
 	stats.MinAWCT = s.awctOf(ests)
 	if s.reached(stats.MinAWCT) {
-		// The enhanced bound reaches the ceiling: try no vector.
+		// The enhanced bound, or the part of it the probes proved before
+		// they stopped, reaches the ceiling: try no vector.
 		stats.Elapsed = time.Since(start)
 		stats.StepsSpent = s.stepsSpent()
 		return nil, stats, s.stopErr(true)
@@ -301,6 +309,10 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 			}
 			rec.Outcome = AttemptContradicted
 			stats.Attempts = append(stats.Attempts, rec)
+			if s.base == nil {
+				// The setup contradicted: every variant starts from it.
+				break
+			}
 		}
 		for _, succ := range s.bumpSuccessors(vector) {
 			queue.push(succ)
@@ -423,6 +435,14 @@ func (s *scheduler) horizon() int {
 // contradiction the DP derived refutes a cycle: an injected one
 // (faultpoint.ErrInjected) proves nothing and is returned as the
 // error, like any other failure of a probe.
+//
+// Two kinds of probe are skipped as already known. An exit whose probe
+// succeeded is not probed again: estimates only rise, so every later
+// probe of it would give every exit a later deadline, and a deduction
+// that found no contradiction under tighter deadlines finds none under
+// looser ones. And the vector is a lower bound at every step: once its
+// AWCT reaches the ceiling the search cannot beat the caller's
+// schedule, and the probes stop there.
 func (s *scheduler) enhancedExitEsts() ([]int, error) {
 	exits := s.exits()
 	base := s.sb.EStarts()
@@ -440,12 +460,24 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 			ests[last] = v
 		}
 	}
+	// Every bump below is proven, and so is this start, so the vector is
+	// a lower bound all along.
+	atCeiling := func() bool { return s.opts.Ceiling > 0 && s.reached(s.awctOf(ests)) }
+	if atCeiling() {
+		return ests, nil
+	}
 	h := s.horizon()
+	proven := make([]bool, len(exits)) // the exit's probe succeeded
+	// Every probe sets every exit's deadline, and its state is dead by
+	// the next one, so one map serves them all.
+	deadlines := make(map[int]int, len(exits))
 	const maxBumps = 24
 	for bumps := 0; bumps < maxBumps; bumps++ {
 		moved := false
 		for i, x := range exits {
-			deadlines := make(map[int]int, len(exits))
+			if proven[i] {
+				continue
+			}
 			for j, z := range exits {
 				if i == j {
 					deadlines[z] = ests[j]
@@ -455,6 +487,7 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 			}
 			err := s.probe(deadlines)
 			if err == nil {
+				proven[i] = true
 				continue
 			}
 			if !deduce.IsContradiction(err) || errors.Is(err, faultpoint.ErrInjected) {
@@ -466,6 +499,9 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 				if d := s.dist[x][z]; d != ir.NegInf && ests[j] < ests[i]+d {
 					ests[j] = ests[i] + d
 				}
+			}
+			if atCeiling() {
+				return ests, nil
 			}
 			moved = true
 		}
@@ -612,12 +648,11 @@ func (s *scheduler) safeAttempt(vector []int) (schedule *sched.Schedule, err err
 	return s.attempt(vector)
 }
 
-// attempt searches for a valid schedule with the exits pinned to the
-// given cycle vector.
-func (s *scheduler) attempt(vector []int) (*sched.Schedule, error) {
+// setup builds the state of an exit vector, with the exits pinned to
+// it, and shaves it: the part of an attempt no variant changes.
+func (s *scheduler) setup(vector []int) (*deduce.State, error) {
 	s.curStage = "setup"
-	deadlines := s.deadlinesOf(vector)
-	st, err := deduce.NewState(s.sb, s.m, s.g, deadlines, s.stateOpts(true))
+	st, err := deduce.NewState(s.sb, s.m, s.g, s.deadlinesOf(vector), s.stateOpts(true))
 	if err != nil {
 		return nil, err
 	}
@@ -625,6 +660,33 @@ func (s *scheduler) attempt(vector []int) (*sched.Schedule, error) {
 	if err := st.Shave(shaveRounds); err != nil {
 		return nil, err
 	}
+	return st, nil
+}
+
+// attempt searches for a valid schedule with the exits pinned to the
+// given cycle vector. The vector's setup does not depend on the
+// variant, so variant 0 runs it and saves its result (s.base), and
+// later variants restore that copy instead of running it again; s.base
+// stays nil when the setup failed.
+func (s *scheduler) attempt(vector []int) (*sched.Schedule, error) {
+	if s.variant == 0 {
+		s.base = nil
+		st, err := s.setup(vector)
+		if err != nil {
+			return nil, err
+		}
+		st.Save()
+		s.base = st
+	} else {
+		s.curStage = "restore"
+		s.base.Restore()
+	}
+	return s.runStages(s.base)
+}
+
+// runStages runs the five stages on a set-up state and extracts the
+// schedule.
+func (s *scheduler) runStages(st *deduce.State) (*sched.Schedule, error) {
 	stages := []struct {
 		name string
 		run  func(*deduce.State) error

@@ -25,7 +25,7 @@ var ErrInternal = errors.New("core: internal error")
 // stay deterministic. The stack is available via the Stack
 // field for reports and logs.
 type PanicError struct {
-	Stage  string // pipeline stage: "setup", "min-awct", "shave", a stage name, "extract"
+	Stage  string // pipeline stage: "setup", "min-awct", "shave", "restore", a stage name, "extract"
 	Vector []int  // exit-cycle vector under attempt, nil outside attempts
 	Value  any    // recovered panic value
 	Stack  []byte // stack trace captured at recovery; not part of Error()

@@ -22,10 +22,10 @@ import (
 // search that stops at the ceiling.
 func TestSearchSliceGolden(t *testing.T) {
 	const (
-		wantSteps    = 9732
+		wantSteps    = 5666
 		wantVectors  = 25
-		wantAttempts = 37
-		wantErrs     = 0x7dd0ea4728abadd2
+		wantAttempts = 33
+		wantErrs     = 0x9205700581575562
 	)
 	var steps, vectors, attempts int
 	var errs uint64

@@ -54,6 +54,9 @@ type Arena struct {
 	// flat-state push.
 	tr trail
 
+	// saved is the state content the last Save copied (save.go).
+	saved savedState
+
 	// cc-groups cache: the backing arrays of the state's two CSR
 	// entries (ccgroups.go), plus rebuild scratch.
 	ccRoots   [2][]int
@@ -166,6 +169,9 @@ type sgIndex struct {
 	// 64-bit words: enough for the widest feasible span of any SG edge.
 	combW int
 
+	// estarts is ir.Superblock.EStarts, every state's initial estarts.
+	estarts []int
+
 	// pairW is the width in 64-bit words of a bitset over the pairs, and
 	// incident holds one such row per original instruction: bit i of
 	// row n is set when n is an endpoint of pair i. rulePrunePairs ORs
@@ -193,7 +199,7 @@ type sgIndex struct {
 
 func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 	n := sb.N()
-	idx := &sgIndex{sb: sb, g: g, nOrig: n, combW: 1}
+	idx := &sgIndex{sb: sb, g: g, nOrig: n, combW: 1, estarts: sb.EStarts()}
 	idx.pairAt = make([]int32, n*n)
 	for i := range idx.pairAt {
 		idx.pairAt[i] = -1

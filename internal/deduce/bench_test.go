@@ -5,7 +5,8 @@ package deduce_test
 // schedule. Run via `make bench`, which records the numbers in
 // results/bench/BENCH_deduce.json; EXPERIMENTS.md holds the
 // before/after tables.
-// TestProbeCommitAllocs pins the single probe at zero allocations.
+// TestProbeCommitAllocs pins the single probe at zero allocations, and
+// TestRestoreAllocs a decision undone by Restore.
 
 import (
 	"testing"
@@ -138,5 +139,26 @@ func TestProbeCommitAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Probe(FixCycle(%d,%d)) on 099.go: %v allocations per probe, want 0", node, cycle, allocs)
+	}
+}
+
+// TestRestoreAllocs pins a decision plus Restore, on the state of
+// BenchmarkProbeCommit, at zero allocations: the saved copy lives on
+// the arena, so a retry variant starts from its exit vector's setup
+// without allocating.
+func TestRestoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st, node, cycle := probeCommitState(t, "099.go")
+	st.Save()
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := st.FixCycle(node, cycle); err != nil {
+			t.Fatal(err)
+		}
+		st.Restore()
+	})
+	if allocs != 0 {
+		t.Fatalf("FixCycle(%d,%d) and Restore on 099.go: %v allocations per run, want 0", node, cycle, allocs)
 	}
 }

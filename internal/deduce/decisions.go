@@ -131,47 +131,67 @@ func (st *State) SplitVC(a, b int) error {
 // in every schedule and the bound tightens — a one-level lookahead that
 // recovers many of the paper's PLC-style bound deductions. It repeats up
 // to rounds times or until no bound moves.
+//
+// A round after the first stops early. Probes go in key order, 2·node
+// for the est side and 2·node+1 for the lst side, and after the
+// previous round's last refuted probe that round changed nothing: every
+// later probe ran in the state the round ended in and refuted nothing.
+// So once a round has passed that key without refuting anything
+// itself, it is in that very state, and every probe left would run as
+// it ran before: the round, and the shave, are done. This is exact by
+// determinism; it saves the probes, not a deduction.
 func (st *State) Shave(rounds int) error {
+	lastRefuted := -1 // key of the previous round's last refuted probe
 	for r := 0; r < rounds; r++ {
 		if err := injectFault("deduce.shave"); err != nil {
 			return err
 		}
-		changed := false
+		refuted := -1 // key of this round's last refuted probe
+		// settled reports whether the probe with key k, and every later
+		// one, already ran in the current state.
+		settled := func(k int) bool { return r > 0 && refuted < 0 && k > lastRefuted }
 		for node := 0; node < len(st.est); node++ {
 			if st.Pinned(node) {
 				continue
 			}
+			if settled(2 * node) {
+				return nil
+			}
 			e := st.est[node]
-			refuted, err := st.boundaryProbe(node, e)
+			contra, err := st.boundaryProbe(node, e)
 			if err != nil {
 				return err
 			}
-			if refuted {
+			if contra {
 				if err := st.TightenEst(node, e+1); err != nil {
 					return err
 				}
-				changed = true
+				refuted = 2 * node
 			}
 			// A width-1 window needs no second probe: est == lst would
 			// make it the same FixCycle as the est probe just issued.
 			if st.Pinned(node) || st.lst[node] == e {
 				continue
 			}
+			if settled(2*node + 1) {
+				return nil
+			}
 			l := st.lst[node]
-			refuted, err = st.boundaryProbe(node, l)
+			contra, err = st.boundaryProbe(node, l)
 			if err != nil {
 				return err
 			}
-			if refuted {
+			if contra {
 				if err := st.TightenLst(node, l-1); err != nil {
 					return err
 				}
-				changed = true
+				refuted = 2*node + 1
 			}
 		}
-		if !changed {
+		if refuted < 0 {
 			return nil
 		}
+		lastRefuted = refuted
 	}
 	return nil
 }

@@ -62,8 +62,25 @@ var ErrBudget = errors.New("deduce: step budget exhausted")
 // scheduler. It is neither a contradiction nor a budget failure.
 var ErrInternal = errors.New("deduce: internal invariant violated")
 
+// contraError is a contradiction the DP derived. Its text is formatted
+// only when asked for: most contradictions refute a probe or a studied
+// candidate and are dropped unread.
+type contraError struct {
+	format string
+	args   []any
+}
+
+func (e *contraError) Error() string {
+	return ErrContradiction.Error() + ": " + fmt.Sprintf(e.format, e.args...)
+}
+
+func (e *contraError) Unwrap() error { return ErrContradiction }
+
+// contraf returns a contradiction whose text is format applied to args.
+// The args are kept, not formatted, so they must be values that do not
+// change afterwards.
 func contraf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrContradiction, fmt.Sprintf(format, args...))
+	return &contraError{format: format, args: args}
 }
 
 func internalf(format string, args ...any) error {
@@ -267,6 +284,7 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 		ar = NewArena()
 	}
 	idx := ar.index(sb, g)
+	ar.saved.owner = nil // the saved state's buffers are about to be reused
 	st := &State{
 		SB:        sb,
 		M:         m,
@@ -289,7 +307,7 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 	last := sb.Exits()[len(sb.Exits())-1]
 	st.End = deadlines[last] + sb.Instrs[last].Latency
 
-	copy(st.est, sb.EStarts())
+	copy(st.est, idx.estarts)
 	copy(st.lst, sb.LStarts(deadlines))
 	for _, x := range sb.Exits() {
 		d := deadlines[x]

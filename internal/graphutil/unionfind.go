@@ -175,9 +175,10 @@ func (o *OffsetUF) NextMember(x int) int { return int(o.elems[x].next) }
 
 // Version returns the membership version. An Add, a merging Relate or a
 // Reset moves it to a value the structure has never had; TrailUndo
-// moves it back to the value at the mark, since it restores that
-// membership. So equal versions mean equal membership, and a version
-// once left for a new membership never returns.
+// moves it back to the value at the mark, and RestoreFrom to the value
+// at the save, since each restores that membership. So equal versions
+// mean equal membership, and a version once left for a new membership
+// never names another.
 func (o *OffsetUF) Version() uint64 { return o.version }
 
 // TrailMark enables trailing (if not already active) and returns a mark
@@ -229,6 +230,41 @@ func (o *OffsetUF) Reset(n int) {
 	}
 	o.bump()
 	o.ops = o.ops[:0]
+}
+
+// Snapshot is a copy of one OffsetUF's content, taken by SaveTo and put
+// back by RestoreFrom. Its storage is reused from one save to the next.
+type Snapshot struct {
+	owner   *OffsetUF
+	elems   []offElem
+	version uint64
+}
+
+// SaveTo copies the structure into s, reusing s's storage. It must not
+// be called while a trail is active.
+func (o *OffsetUF) SaveTo(s *Snapshot) {
+	if o.trailing {
+		panic("graphutil: OffsetUF.SaveTo during active trail")
+	}
+	s.owner = o
+	if cap(s.elems) < len(o.elems) {
+		s.elems = make([]offElem, 0, cap(o.elems))
+	}
+	s.elems = append(s.elems[:0], o.elems...)
+	s.version = o.version
+}
+
+// RestoreFrom puts back the content s saved from this structure. Like
+// TrailUndo it restores the version too, the one this structure gave
+// that very content; the version counter stays where it is, so later
+// content still takes values never used before. s must come from SaveTo on this structure,
+// and no trail may be active.
+func (o *OffsetUF) RestoreFrom(s *Snapshot) {
+	if o.trailing || s.owner != o {
+		panic("graphutil: OffsetUF.RestoreFrom of a foreign snapshot or during active trail")
+	}
+	o.elems = append(o.elems[:0], s.elems...)
+	o.version = s.version
 }
 
 // ErrConflict is returned by Relate when a new relation contradicts an

@@ -22,10 +22,10 @@ import (
 //	go test -run '^$' -bench CompileSet -benchtime 1x -cpuprofile cpu.out ./internal/resilient
 func BenchmarkCompileSet(b *testing.B) {
 	const (
-		wantSteps  = 162187
-		wantDigest = 0x266170d0a6519e1f
+		wantSteps  = 143852
+		wantDigest = 0x30b0b3994c8bb1d2
 	)
-	wantTiers := [TierNaive + 1]int{TierSG: 141, TierCARS: 261}
+	wantTiers := [TierNaive + 1]int{TierSG: 142, TierCARS: 260}
 
 	type item struct {
 		sb *ir.Superblock

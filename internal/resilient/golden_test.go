@@ -17,16 +17,16 @@ import (
 // machines with pin seed 1, as .sb text through Schedule. The counts
 // per tier and per reason for keeping CARS pin the ladder: CARS meets
 // a lower bound on 70 blocks, and the 800-step budget makes the search
-// exhaust on two. Steps count the accepted SG searches only. A
+// exhaust on one. Steps count the accepted SG searches only. A
 // speed-up that changes one decision, or one deduction step, fails
 // here.
 func TestCompileSliceGolden(t *testing.T) {
 	const (
-		wantSteps  = 5032
-		wantDigest = 0x6df7fca3580d6496
+		wantSteps  = 4460
+		wantDigest = 0xff54ff96c4b234f3
 	)
-	wantTiers := [TierNaive + 1]int{TierSG: 18, TierCARS: 72}
-	wantReasons := [ReasonSGError + 1]int{ReasonNone: 18, ReasonAtBound: 70, ReasonExhausted: 2}
+	wantTiers := [TierNaive + 1]int{TierSG: 19, TierCARS: 71}
+	wantReasons := [ReasonSGError + 1]int{ReasonNone: 19, ReasonAtBound: 70, ReasonExhausted: 1}
 
 	steps := 0
 	var tiers [TierNaive + 1]int

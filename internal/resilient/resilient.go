@@ -196,6 +196,10 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 		out.Elapsed = time.Since(start)
 		return s, out, nil
 	}
+	// failed holds each failed rung's error, tier-prefixed, in ladder
+	// order: a hard failure joins them, so errors.Is/As (and Taxonomy)
+	// reach every rung's cause.
+	var failed []error
 	// try runs one rung under panic recovery and validates its output.
 	// It returns the schedule to accept, or nil and why the rung failed.
 	try := func(tier Tier, run func() (*sched.Schedule, error)) (*sched.Schedule, error) {
@@ -221,6 +225,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 			att.Err = err.Error()
 			var pe *core.PanicError
 			att.Panic = errors.As(err, &pe)
+			failed = append(failed, fmt.Errorf("tier %s: %w", tier, err))
 		}
 		out.Attempts = append(out.Attempts, att)
 		return s, err
@@ -259,9 +264,5 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 	}
 
 	out.Elapsed = time.Since(start)
-	errs := make([]error, 0, len(out.Attempts))
-	for _, a := range out.Attempts {
-		errs = append(errs, fmt.Errorf("tier %s: %s", a.Tier, a.Err))
-	}
-	return nil, out, fmt.Errorf("resilient: every tier failed on %q: %w", sb.Name, errors.Join(errs...))
+	return nil, out, fmt.Errorf("resilient: every tier failed on %q: %w", sb.Name, errors.Join(failed...))
 }

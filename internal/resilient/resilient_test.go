@@ -265,6 +265,49 @@ func TestHardFailureNamesEveryTier(t *testing.T) {
 	}
 }
 
+// A hard failure's error wraps every rung's error, with the text of the
+// attempt records, so Taxonomy finds each rung's cause. The sec5
+// machine has no mem unit, so a mem block fails every tier: on its own
+// it is unschedulable, and with CARS armed to panic it is a panic.
+func TestHardFailureWrapsRungErrors(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	sb, err := ir.Parse("superblock memsec5\ninst 0 ld mem 2\ninst 1 add int 1\ninst 2 br branch 2 exit 1\ndep data 0 1 lat 2\ndep data 1 2 lat 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.ByKey("sec5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Core: core.Options{Pins: workload.PinsFor(sb, m.Clusters, 1)}}
+	for _, c := range []struct {
+		arm  bool
+		want string
+	}{{false, "unschedulable"}, {true, "panic"}} {
+		if c.arm {
+			faultpoint.Arm("cars.schedule", faultpoint.Fault{Kind: faultpoint.KindPanic})
+		}
+		s, out, err := Schedule(sb, m, opts)
+		if err == nil || s != nil {
+			t.Fatalf("scheduled a mem block on sec5 (tier %s)", out.Tier)
+		}
+		if got := Taxonomy(err); got != c.want {
+			t.Errorf("cars armed %v: Taxonomy = %q, want %q (%v)", c.arm, got, c.want, err)
+		}
+		want := `resilient: every tier failed on "memsec5": `
+		for i, a := range out.Attempts {
+			if i > 0 {
+				want += "\n"
+			}
+			want += "tier " + a.Tier.String() + ": " + a.Err
+		}
+		if err.Error() != want {
+			t.Errorf("cars armed %v: error text\n%s\nwant\n%s", c.arm, err, want)
+		}
+	}
+}
+
 // TestResilientBatchUnderFaults is the robustness acceptance check: a
 // 50+-block benchmark batch with panics, spurious contradictions and
 // budget starvation all armed must finish with zero hard failures —

@@ -265,9 +265,9 @@ func (g *Graph) AddNode() int { return g.addNode() }
 // Version returns the content version. A mutation that can change the
 // partition or the incompatibility sets (fusion, new edge, node
 // addition) or a Reset moves it to a value the graph has never had;
-// TrailUndo moves it back to the value at the mark, since it restores
-// that content. So a caller that saw the same version twice saw the
-// same graph.
+// TrailUndo moves it back to the value at the mark, and RestoreFrom to
+// the value at the save, since each restores that content. So a caller
+// that saw the same version twice saw the same graph.
 func (g *Graph) Version() uint64 { return g.version }
 
 // Len returns the total number of nodes (instructions + anchors +
@@ -637,5 +637,51 @@ func (g *Graph) Clone() *Graph {
 		version:    g.version,
 		issued:     g.issued,
 		memo:       g.memo,
+	}
+}
+
+// Snapshot is a copy of one graph's content, taken by SaveTo and put
+// back by RestoreFrom. Its storage is reused from one save to the next.
+type Snapshot struct {
+	owner                  *Graph
+	uf                     graphutil.Snapshot
+	inc                    []uint64
+	incW                   int
+	anchorBase, numAnchors int
+	version                uint64
+	memo                   cliqueMemo
+}
+
+// SaveTo copies the graph into s, reusing s's storage. It must not be
+// called while a trail is active.
+func (g *Graph) SaveTo(s *Snapshot) {
+	if g.trailing {
+		panic("vcg: SaveTo during active trail")
+	}
+	g.uf.SaveTo(&s.uf)
+	if cap(s.inc) < len(g.inc) {
+		s.inc = make([]uint64, 0, cap(g.inc))
+	}
+	s.owner = g
+	s.inc = append(s.inc[:0], g.inc...)
+	s.incW, s.anchorBase, s.numAnchors = g.incW, g.anchorBase, g.numAnchors
+	s.version, s.memo = g.version, g.memo
+}
+
+// RestoreFrom puts back the content s saved from this graph. Like
+// TrailUndo it restores the version the graph gave that content, and
+// the CliqueExceeds answer the save carried; the version counter stays
+// where it is, so later content still takes values never used before. s must come from SaveTo
+// on this graph, and no trail may be active.
+func (g *Graph) RestoreFrom(s *Snapshot) {
+	if g.trailing || s.owner != g {
+		panic("vcg: RestoreFrom of a foreign snapshot or during active trail")
+	}
+	g.uf.RestoreFrom(&s.uf)
+	g.inc = append(g.inc[:0], s.inc...)
+	g.incW, g.anchorBase, g.numAnchors = s.incW, s.anchorBase, s.numAnchors
+	g.version = s.version
+	if g.memo.ver != s.version {
+		g.memo = s.memo
 	}
 }
