@@ -135,7 +135,7 @@ func BenchmarkDeduceInit(b *testing.B) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
 	g := sg.Build(sb, m)
-	deadlines := map[int]int{4: 5, 6: 7}
+	deadlines := []int{5, 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := deduce.NewState(sb, m, g, deadlines, deduce.Options{PinExits: true}); err != nil {
@@ -150,7 +150,7 @@ func BenchmarkStateClone(b *testing.B) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
 	g := sg.Build(sb, m)
-	st, err := deduce.NewState(sb, m, g, map[int]int{4: 5, 6: 7}, deduce.Options{PinExits: true})
+	st, err := deduce.NewState(sb, m, g, []int{5, 7}, deduce.Options{PinExits: true})
 	if err != nil {
 		b.Fatal(err)
 	}

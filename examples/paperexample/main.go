@@ -31,12 +31,12 @@ func main() {
 
 	// The minAWCT enhancement: B1 cannot sit at cycle 6.
 	g2 := sg.Build(sb, m)
-	_, err := deduce.NewState(sb, m, g2, map[int]int{4: 4, 6: 6}, deduce.Options{PinExits: true})
+	_, err := deduce.NewState(sb, m, g2, []int{4, 6}, deduce.Options{PinExits: true})
 	fmt.Printf("deadline vector B0=4, B1=6 (traditional minAWCT 8.4): %v\n", err)
 
 	// AWCT 9.1 passes initial propagation but shaving finds the paper's
 	// P-PLC contradiction on I4.
-	st, err := deduce.NewState(sb, m, g2, map[int]int{4: 4, 6: 7}, deduce.Options{PinExits: true})
+	st, err := deduce.NewState(sb, m, g2, []int{4, 7}, deduce.Options{PinExits: true})
 	if err != nil {
 		log.Fatalf("unexpected: %v", err)
 	}

@@ -83,11 +83,11 @@ type BlockResult struct {
 	VCErr   string        // why the VC scheduler failed (timeout, exhaustion, invalid schedule)
 	VCTime  time.Duration // wall-clock VC scheduling time
 	VCAWCT  float64       // valid when VCOK
-	VCExits map[int]int   // exit cycles of the VC schedule (for Fig. 12)
+	VCExits []int         // exit vector of the VC schedule (for Fig. 12)
 
 	CARSAWCT  float64
 	CARSTime  time.Duration
-	CARSExits map[int]int
+	CARSExits []int
 }
 
 // Skipped reports whether the block has no usable baseline result and
@@ -213,7 +213,7 @@ func runBlock(sb *ir.Superblock, m *machine.Config, cfg Config, timeout time.Dur
 		return r
 	}
 	r.CARSAWCT = cs.AWCT()
-	r.CARSExits = cs.ExitCycles()
+	r.CARSExits = cs.ExitVector()
 
 	start = time.Now()
 	vs, _, err := core.Schedule(sb, m, core.Options{Pins: pins, Timeout: timeout})
@@ -230,7 +230,7 @@ func runBlock(sb *ir.Superblock, m *machine.Config, cfg Config, timeout time.Dur
 		}
 		r.VCOK = true
 		r.VCAWCT = vs.AWCT()
-		r.VCExits = vs.ExitCycles()
+		r.VCExits = vs.ExitVector()
 	}
 	return r
 }

@@ -204,6 +204,11 @@ type scheduler struct {
 	// the arena for the variants after the first (attempt).
 	base *deduce.State
 
+	// cands and ints are the stages' scratch, reused by every study: its
+	// candidates, and the combinations or cycles they are built from.
+	cands []candidate
+	ints  []int
+
 	// arena backs every state this scheduler builds. States are built
 	// strictly sequentially (probe, then attempt after attempt), so one
 	// arena amortizes all their allocations.
@@ -249,7 +254,7 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (schedule *sch
 		stats.StepsSpent = s.stepsSpent()
 		return nil, stats, s.mapErr(err)
 	}
-	stats.MinAWCT = s.awctOf(ests)
+	stats.MinAWCT = s.sb.AWCT(ests)
 	if s.reached(stats.MinAWCT) {
 		// The enhanced bound, or the part of it the probes proved before
 		// they stopped, reaches the ceiling: try no vector.
@@ -399,24 +404,9 @@ func (s *scheduler) checkTime() error {
 	return nil
 }
 
-// exits returns the block's exits in vector-slot order.
+// exits returns the block's exits in vector-slot order, the order in
+// which an exit vector holds their cycles.
 func (s *scheduler) exits() []int { return s.sb.Exits() }
-
-func (s *scheduler) awctOf(vector []int) float64 {
-	cyc := make(map[int]int, len(vector))
-	for i, x := range s.exits() {
-		cyc[x] = vector[i]
-	}
-	return s.sb.AWCT(cyc)
-}
-
-func (s *scheduler) deadlinesOf(vector []int) map[int]int {
-	d := make(map[int]int, len(vector))
-	for i, x := range s.exits() {
-		d[x] = vector[i]
-	}
-	return d
-}
 
 // horizon is a generous upper bound on any sensible schedule length:
 // every instruction serialized plus communication room for every value.
@@ -462,15 +452,15 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 	}
 	// Every bump below is proven, and so is this start, so the vector is
 	// a lower bound all along.
-	atCeiling := func() bool { return s.opts.Ceiling > 0 && s.reached(s.awctOf(ests)) }
+	atCeiling := func() bool { return s.opts.Ceiling > 0 && s.reached(s.sb.AWCT(ests)) }
 	if atCeiling() {
 		return ests, nil
 	}
 	h := s.horizon()
 	proven := make([]bool, len(exits)) // the exit's probe succeeded
 	// Every probe sets every exit's deadline, and its state is dead by
-	// the next one, so one map serves them all.
-	deadlines := make(map[int]int, len(exits))
+	// the next one, so one vector serves them all.
+	deadlines := make([]int, len(exits))
 	const maxBumps = 24
 	for bumps := 0; bumps < maxBumps; bumps++ {
 		moved := false
@@ -478,11 +468,11 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 			if proven[i] {
 				continue
 			}
-			for j, z := range exits {
+			for j := range exits {
 				if i == j {
-					deadlines[z] = ests[j]
+					deadlines[j] = ests[j]
 				} else {
-					deadlines[z] = ests[j] + h
+					deadlines[j] = ests[j] + h
 				}
 			}
 			err := s.probe(deadlines)
@@ -520,8 +510,9 @@ func (s *scheduler) safeExitEsts() (ests []int, err error) {
 	return s.enhancedExitEsts()
 }
 
-// probe builds a state (exits bounded, not pinned) and shaves it.
-func (s *scheduler) probe(deadlines map[int]int) error {
+// probe builds a state (exits bounded by deadlines, in vector-slot
+// order, not pinned) and shaves it.
+func (s *scheduler) probe(deadlines []int) error {
 	st, err := deduce.NewState(s.sb, s.m, s.g, deadlines, s.stateOpts(false))
 	if err != nil {
 		return err
@@ -607,7 +598,7 @@ func (q *vectorQueue) push(v []int) {
 	}
 	q.visited[k] = true
 	q.items = append(q.items, v)
-	q.awct = append(q.awct, q.s.awctOf(v))
+	q.awct = append(q.awct, q.s.sb.AWCT(v))
 }
 
 // pop removes and returns the lowest-AWCT vector and its AWCT.
@@ -652,7 +643,7 @@ func (s *scheduler) safeAttempt(vector []int) (schedule *sched.Schedule, err err
 // it, and shaves it: the part of an attempt no variant changes.
 func (s *scheduler) setup(vector []int) (*deduce.State, error) {
 	s.curStage = "setup"
-	st, err := deduce.NewState(s.sb, s.m, s.g, s.deadlinesOf(vector), s.stateOpts(true))
+	st, err := deduce.NewState(s.sb, s.m, s.g, vector, s.stateOpts(true))
 	if err != nil {
 		return nil, err
 	}

@@ -254,13 +254,13 @@ func TestHeterogeneousMachine(t *testing.T) {
 }
 
 func TestSpreadCycles(t *testing.T) {
-	if got := spreadCycles(3, 3, 6); len(got) != 1 || got[0] != 3 {
+	if got := spreadCycles(nil, 3, 3, 6); len(got) != 1 || got[0] != 3 {
 		t.Errorf("pinned window: %v", got)
 	}
-	if got := spreadCycles(0, 4, 6); len(got) != 5 {
+	if got := spreadCycles(nil, 0, 4, 6); len(got) != 5 {
 		t.Errorf("small window: %v", got)
 	}
-	got := spreadCycles(0, 100, 6)
+	got := spreadCycles(nil, 0, 100, 6)
 	if len(got) != 6 || got[0] != 0 || got[len(got)-1] != 100 {
 		t.Errorf("large window: %v", got)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -22,9 +23,9 @@ import (
 // search that stops at the ceiling.
 func TestSearchSliceGolden(t *testing.T) {
 	const (
-		wantSteps    = 5666
-		wantVectors  = 25
-		wantAttempts = 33
+		wantSteps    = 5347
+		wantVectors  = 26
+		wantAttempts = 34
 		wantErrs     = 0x9205700581575562
 	)
 	var steps, vectors, attempts int
@@ -66,5 +67,51 @@ func TestSearchSliceGolden(t *testing.T) {
 	if steps != wantSteps || vectors != wantVectors || attempts != wantAttempts || errs != wantErrs {
 		t.Fatalf("steps %d vectors %d attempts %d errors %016x, want steps %d vectors %d attempts %d errors %016x",
 			steps, vectors, attempts, errs, wantSteps, wantVectors, wantAttempts, uint64(wantErrs))
+	}
+}
+
+// TestSearchOutcomesGolden pins how every attempt of the free search
+// ends on the compile set (blocks 0–9 of every paper profile, at most
+// 32 instructions, on the three evaluation machines with pin seed 1,
+// as .sb text; blocks 0–2 under the race detector): no ceiling, the
+// default budget. The digest covers every attempt's (AWCTIndex,
+// Variant, Outcome) and every schedule text or error string, so a
+// change that only saves steps keeps it; the steps are pinned apart
+// from it.
+func TestSearchOutcomesGolden(t *testing.T) {
+	blocks, wantSteps, wantDigest := 10, 363432, uint64(0x7d5e6ea6227b8ed3)
+	if raceEnabled {
+		blocks, wantSteps, wantDigest = 3, 59826, 0x3aa1f01494c139c7
+	}
+	var steps int
+	var digest uint64
+	for _, p := range workload.Benchmarks() {
+		for idx := 0; idx < blocks; idx++ {
+			text := p.GenerateBlock(idx, 0).String()
+			for _, key := range []string{"2c1l", "4c1l", "4c2l"} {
+				m, err := machine.ByKey(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := ir.Parse(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sb.N() > 32 {
+					continue
+				}
+				s, st, err := Schedule(sb, m, Options{Pins: workload.PinsFor(sb, m.Clusters, 1)})
+				steps += st.StepsSpent
+				h := fnv.New64a()
+				for _, a := range st.Attempts {
+					fmt.Fprintf(h, "%d.%d.%d,", a.AWCTIndex, a.Variant, a.Outcome)
+				}
+				h.Write([]byte(outcomeText(t, s, err)))
+				digest += h.Sum64()
+			}
+		}
+	}
+	if steps != wantSteps || digest != wantDigest {
+		t.Fatalf("steps %d digest %016x, want steps %d digest %016x", steps, digest, wantSteps, wantDigest)
 	}
 }

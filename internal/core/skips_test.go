@@ -34,11 +34,11 @@ func reprobeExitEsts(s *scheduler) (ests []int, path [][]int, err error) {
 	for bumps := 0; bumps < 24; bumps++ {
 		moved := false
 		for i, x := range exits {
-			deadlines := make(map[int]int, len(exits))
-			for j, z := range exits {
-				deadlines[z] = ests[j] + h
+			deadlines := make([]int, len(exits))
+			for j := range exits {
+				deadlines[j] = ests[j] + h
 				if i == j {
-					deadlines[z] = ests[j]
+					deadlines[j] = ests[j]
 				}
 			}
 			err := s.probe(deadlines)
@@ -112,7 +112,7 @@ func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 			t.Errorf("%s: %d steps, the reference loop %d", name, s.stepsSpent(), ref.stepsSpent())
 		}
 
-		bound, crit := s.awctOf(full), sb.CriticalAWCT()
+		bound, crit := s.sb.AWCT(full), sb.CriticalAWCT()
 		for _, ceiling := range []float64{bound, (bound + crit) / 2, bound + 1} {
 			if ceiling <= crit+awctEps {
 				continue // Schedule stops before the bound probes
@@ -129,8 +129,8 @@ func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 				}
 				continue
 			}
-			if !c.reached(c.awctOf(got)) {
-				t.Errorf("%s, ceiling %.3f: vector %v (AWCT %.3f) does not reach it", name, ceiling, got, c.awctOf(got))
+			if !c.reached(c.sb.AWCT(got)) {
+				t.Errorf("%s, ceiling %.3f: vector %v (AWCT %.3f) does not reach it", name, ceiling, got, c.sb.AWCT(got))
 			}
 			for j := range got {
 				if got[j] > full[j] {
@@ -138,7 +138,7 @@ func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 					break
 				}
 			}
-			first := slices.IndexFunc(path, func(v []int) bool { return c.reached(c.awctOf(v)) })
+			first := slices.IndexFunc(path, func(v []int) bool { return c.reached(c.sb.AWCT(v)) })
 			if !slices.Equal(got, path[first]) {
 				t.Errorf("%s, ceiling %.3f: vector %v, want %v, the first on the path %v to reach it", name, ceiling, got, path[first], path)
 			}

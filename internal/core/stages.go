@@ -8,63 +8,87 @@ import (
 	"vcsched/internal/matching"
 )
 
-// candidate is one studied alternative: a decision closure run against
-// the live state inside a trail-scoped probe (deduce.State.Probe) for
-// study, and applied for real when selected. onContra, when set,
-// records mandatory knowledge on the live state if the study
-// contradicts (e.g. "this combination is impossible — discard it").
+// decision names the decision a candidate takes.
+type decision uint8
+
+const (
+	chooseComb decision = iota // choose combination c of pair (a,b)
+	dropPair                   // drop pair (a,b)
+	fixCycle                   // fix node a at cycle b
+	fuseVC                     // fuse the virtual clusters of a and b
+)
+
+// candidate is one studied alternative, held as a value: a decision
+// and its operands. study applies it to the live state inside a
+// trail-scoped probe (deduce.State.Probe), and applies it for real when
+// it is selected; refuted records what a contradicting probe proved.
+// The stages build their candidates in the scheduler's reused buffer,
+// so a study allocates nothing of its own. Fallback candidates (a
+// pair's drop in the first two variants, its combinations in the
+// conservative third) are studied only when every regular candidate
+// contradicts.
 type candidate struct {
-	apply    func(st *deduce.State) error
-	onContra func() error
-	// fallback candidates (e.g. dropping a pair outright) are only
-	// selected when every regular candidate contradicts.
+	kind     decision
 	fallback bool
+	a, b, c  int
 }
 
-// study probes every candidate against st (each probe rolled back in
-// O(changes) by the trail), drops the ones that contradict (applying
-// their onContra knowledge), and commits the best survivor by the
-// Section 4.4.3 metrics by re-applying it to the live state — the same
-// double application the Clone-per-probe implementation performed, so
-// budget accounting is unchanged. It returns errNoCandidates when every
-// alternative contradicts.
-func (s *scheduler) study(st *deduce.State, cands []candidate) error {
-	best, bestFB := -1, -1
-	var bestM, bestFBM deduce.Metrics
-	for i := range cands {
-		var m deduce.Metrics
-		var mErr error
-		err := st.Probe(func(x *deduce.State) error {
-			if err := cands[i].apply(x); err != nil {
-				return err
-			}
-			m, mErr = x.Metrics()
-			return nil
-		})
-		if err != nil {
-			if !deduce.IsContradiction(err) {
-				return err
-			}
-			if cands[i].onContra != nil {
-				if err := cands[i].onContra(); err != nil {
-					return err
-				}
-			}
-			continue
+// apply takes the candidate's decision on st.
+func (c candidate) apply(st *deduce.State) error {
+	switch c.kind {
+	case chooseComb:
+		return st.ChooseComb(c.a, c.b, c.c)
+	case dropPair:
+		return st.DropPair(c.a, c.b)
+	case fixCycle:
+		return st.FixCycle(c.a, c.b)
+	default:
+		return st.FuseVC(c.a, c.b)
+	}
+}
+
+// refuted records on the live state st the knowledge a contradicting
+// probe of the candidate proved mandatory: a refuted combination is
+// discarded, and a refuted boundary cycle leaves the node's window.
+func (c candidate) refuted(st *deduce.State) error {
+	switch c.kind {
+	case chooseComb:
+		return st.DiscardComb(c.a, c.b, c.c)
+	case fixCycle:
+		node, t := c.a, c.b
+		if t == st.Est(node) {
+			return st.TightenEst(node, t+1)
 		}
-		if mErr != nil {
-			return mErr
-		}
-		if cands[i].fallback {
-			if bestFB < 0 || m.Better(bestFBM) {
-				bestFB, bestFBM = i, m
-			}
-		} else if best < 0 || m.Better(bestM) {
-			best, bestM = i, m
+		if t == st.Lst(node) {
+			return st.TightenLst(node, t-1)
 		}
 	}
-	if best < 0 {
-		best = bestFB
+	return nil
+}
+
+// study probes the regular candidates against st in order (each probe
+// rolled back in O(changes) by the trail), records what each
+// contradicting one refuted, and commits the best survivor by the
+// Section 4.4.3 metrics by re-applying it to the live state — the same
+// double application the Clone-per-probe implementation performed. The
+// fallbacks are probed the same way only when every regular candidate
+// contradicted. It returns errNoCandidates when every alternative
+// contradicts.
+//
+// In the first two variants this takes every decision that probing the
+// fallbacks along with the rest would take: their fallbacks are drops,
+// which change nothing when refuted, and once every combination of the
+// studied pairs has contradicted, each pair is dropped by its discards,
+// so every drop leaves the same state. In the conservative variant the
+// fallbacks are combinations, whose refutations would discard them on
+// the live state, so its later studies may see a different state.
+func study(st *deduce.State, cands []candidate) error {
+	best, err := bestOf(st, cands, false)
+	if err == nil && best < 0 {
+		best, err = bestOf(st, cands, true)
+	}
+	if err != nil {
+		return err
 	}
 	if best < 0 {
 		return errNoCandidates
@@ -72,52 +96,89 @@ func (s *scheduler) study(st *deduce.State, cands []candidate) error {
 	return cands[best].apply(st)
 }
 
+// bestOf probes the candidates whose fallback flag is fallback and
+// returns the index of the best survivor, or -1 when every one of them
+// contradicts.
+func bestOf(st *deduce.State, cands []candidate, fallback bool) (int, error) {
+	best := -1
+	var bestM deduce.Metrics
+	for i, c := range cands {
+		if c.fallback != fallback {
+			continue
+		}
+		var m deduce.Metrics
+		var mErr error
+		err := st.Probe(func(x *deduce.State) error {
+			if err := c.apply(x); err != nil {
+				return err
+			}
+			m, mErr = x.Metrics()
+			return nil
+		})
+		if err != nil {
+			if !deduce.IsContradiction(err) {
+				return -1, err
+			}
+			if err := c.refuted(st); err != nil {
+				return -1, err
+			}
+			continue
+		}
+		if mErr != nil {
+			return -1, mErr
+		}
+		if best < 0 || m.Better(bestM) {
+			best, bestM = i, m
+		}
+	}
+	return best, nil
+}
+
 var errNoCandidates = fmt.Errorf("%w: every candidate contradicts", deduce.ErrContradiction)
 
 // stageCombinations is stage 1: resolve every open SG pair between
-// original instructions. Candidates come from the most constraining
-// pairs; the alternatives per pair are each remaining combination plus
-// dropping the pair entirely.
+// original instructions, one study of pairCandidates at a time.
 func (s *scheduler) stageCombinations(st *deduce.State) error {
 	for {
 		if err := s.checkTime(); err != nil {
 			return err
 		}
-		pairs := s.candidatePairs(st)
-		if len(pairs) == 0 {
+		cands := s.pairCandidates(st)
+		if len(cands) == 0 {
 			return nil
 		}
-		// Choosing a combination keeps parallelism available, so
-		// dropping the pair is normally the last resort. The final retry
-		// inverts that: a conservative, list-scheduler-like search
-		// (prefer no-overlap, merge only when forced) that escapes dead
-		// ends the aggressive merging runs into.
-		conservative := s.variant%3 == 2
-		var cands []candidate
-		for _, pi := range pairs {
-			p := st.PairAt(pi)
-			u, v := p.U, p.V
-			combs := p.Combs // PairAt materializes a fresh slice
-			if s.variant%2 == 1 {
-				reverse(combs)
-			}
-			for _, comb := range combs {
-				comb := comb
-				cands = append(cands, candidate{
-					apply:    func(x *deduce.State) error { return x.ChooseComb(u, v, comb) },
-					onContra: func() error { return st.DiscardComb(u, v, comb) },
-					fallback: conservative,
-				})
-			}
-			cands = append(cands, candidate{
-				apply:    func(x *deduce.State) error { return x.DropPair(u, v) },
-				fallback: !conservative,
-			})
-		}
-		if err := s.study(st, cands); err != nil {
+		if err := study(st, cands); err != nil {
 			return err
 		}
 	}
+}
+
+// pairCandidates returns stage 1's next study, in the scheduler's
+// candidate buffer: the alternatives of the most constraining open
+// pairs, each remaining combination of a pair and then dropping it
+// entirely. It is empty once every pair is resolved.
+func (s *scheduler) pairCandidates(st *deduce.State) []candidate {
+	// Choosing a combination keeps parallelism available, so dropping
+	// the pair is normally the last resort. The final retry inverts
+	// that: a conservative, list-scheduler-like search (prefer
+	// no-overlap, merge only when forced) that escapes dead ends the
+	// aggressive merging runs into.
+	conservative := s.variant%3 == 2
+	cands := s.cands[:0]
+	for _, pi := range s.candidatePairs(st) {
+		p := st.PairOf(pi)
+		combs := st.AppendCombs(s.ints[:0], pi)
+		s.ints = combs
+		if s.variant%2 == 1 {
+			reverse(combs)
+		}
+		for _, comb := range combs {
+			cands = append(cands, candidate{kind: chooseComb, fallback: conservative, a: p.U, b: p.V, c: comb})
+		}
+		cands = append(cands, candidate{kind: dropPair, fallback: !conservative, a: p.U, b: p.V})
+	}
+	s.cands = cands
+	return cands
 }
 
 // candidatePairs returns the pairs stage 1 studies next: the first
@@ -157,28 +218,17 @@ func (s *scheduler) fixNodes(st *deduce.State, list func(k int) []int) error {
 		}
 		rotate(nodes, s.variant)
 		node := nodes[0] // least slack first (rotated across retries)
-		cycles := spreadCycles(st.Est(node), st.Lst(node), cycleCandLimit)
+		cycles := spreadCycles(s.ints[:0], st.Est(node), st.Lst(node), cycleCandLimit)
+		s.ints = cycles
 		if s.variant%2 == 1 {
 			reverse(cycles)
 		}
-		var cands []candidate
+		cands := s.cands[:0]
 		for _, t := range cycles {
-			t := t
-			cands = append(cands, candidate{
-				apply: func(x *deduce.State) error { return x.FixCycle(node, t) },
-				onContra: func() error {
-					// Boundary contradictions tighten the live window.
-					if t == st.Est(node) {
-						return st.TightenEst(node, t+1)
-					}
-					if t == st.Lst(node) {
-						return st.TightenLst(node, t-1)
-					}
-					return nil
-				},
-			})
+			cands = append(cands, candidate{kind: fixCycle, a: node, b: t})
 		}
-		if err := s.study(st, cands); err != nil {
+		s.cands = cands
+		if err := study(st, cands); err != nil {
 			return err
 		}
 	}
@@ -206,21 +256,20 @@ func reverse[T any](xs []T) {
 	}
 }
 
-// spreadCycles picks up to limit cycles from [est, lst], always
-// including both boundaries and spreading the rest evenly.
-func spreadCycles(est, lst, limit int) []int {
+// spreadCycles appends to out up to limit cycles from [est, lst],
+// always including both boundaries and spreading the rest evenly.
+func spreadCycles(out []int, est, lst, limit int) []int {
 	n := lst - est + 1
 	if n <= limit {
-		out := make([]int, 0, n)
 		for t := est; t <= lst; t++ {
 			out = append(out, t)
 		}
 		return out
 	}
-	out := make([]int, 0, limit)
+	first := len(out)
 	for i := 0; i < limit; i++ {
 		t := est + i*(n-1)/(limit-1)
-		if len(out) == 0 || out[len(out)-1] != t {
+		if len(out) == first || out[len(out)-1] != t {
 			out = append(out, t)
 		}
 	}
@@ -347,7 +396,7 @@ func (s *scheduler) stageMapping(st *deduce.State) error {
 			return st.VC().Degree(reps[i]) > st.VC().Degree(reps[j])
 		})
 		rep := reps[0]
-		var cands []candidate
+		cands := s.cands[:0]
 		for kk := 0; kk < s.m.Clusters; kk++ {
 			k := (kk + s.variant) % s.m.Clusters
 			anchor, err := st.VC().Anchor(k)
@@ -359,11 +408,10 @@ func (s *scheduler) stageMapping(st *deduce.State) error {
 			if st.VC().Incompatible(rep, anchor) {
 				continue
 			}
-			cands = append(cands, candidate{
-				apply: func(x *deduce.State) error { return x.FuseVC(rep, anchor) },
-			})
+			cands = append(cands, candidate{kind: fuseVC, a: rep, b: anchor})
 		}
-		if err := s.study(st, cands); err != nil {
+		s.cands = cands
+		if err := study(st, cands); err != nil {
 			return err
 		}
 	}

@@ -76,9 +76,9 @@ func TestCandidatePairsFollowFullOrder(t *testing.T) {
 		}
 		m := machine.TwoCluster1Lat()
 		est := sb.EStarts()
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + 4
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + 4
 		}
 		st, err := deduce.NewState(sb, m, sg.Build(sb, m), deadlines,
 			deduce.Options{Pins: workload.PinsFor(sb, m.Clusters, 1), PinExits: true})
@@ -158,7 +158,7 @@ func TestEnhancedExitEstsMatchPaper(t *testing.T) {
 	if !reflect.DeepEqual(ests, []int{4, 7}) {
 		t.Errorf("enhanced ests = %v, want [4 7]", ests)
 	}
-	if awct := s.awctOf(ests); awct != 9.1 {
+	if awct := s.sb.AWCT(ests); awct != 9.1 {
 		t.Errorf("minAWCT = %g, want 9.1", awct)
 	}
 }

@@ -169,8 +169,10 @@ type sgIndex struct {
 	// 64-bit words: enough for the widest feasible span of any SG edge.
 	combW int
 
-	// estarts is ir.Superblock.EStarts, every state's initial estarts.
-	estarts []int
+	// estarts is ir.Superblock.EStarts, every state's initial estarts,
+	// and topo the block's TopoOrder, from which each state's initial
+	// lstarts are computed.
+	estarts, topo []int
 
 	// pairW is the width in 64-bit words of a bitset over the pairs, and
 	// incident holds one such row per original instruction: bit i of
@@ -199,7 +201,7 @@ type sgIndex struct {
 
 func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 	n := sb.N()
-	idx := &sgIndex{sb: sb, g: g, nOrig: n, combW: 1, estarts: sb.EStarts()}
+	idx := &sgIndex{sb: sb, g: g, nOrig: n, combW: 1, estarts: sb.EStarts(), topo: sb.TopoOrder()}
 	idx.pairAt = make([]int32, n*n)
 	for i := range idx.pairAt {
 		idx.pairAt[i] = -1

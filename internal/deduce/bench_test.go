@@ -28,11 +28,11 @@ func benchBlock(tb testing.TB, app string) *ir.Superblock {
 	return p.Generate(0.05, 0).Blocks[0]
 }
 
-func benchDeadlines(sb *ir.Superblock) map[int]int {
+func benchDeadlines(sb *ir.Superblock) []int {
 	est := sb.EStarts()
-	d := make(map[int]int, len(sb.Exits()))
-	for _, x := range sb.Exits() {
-		d[x] = est[x] + 2
+	d := make([]int, len(sb.Exits()))
+	for i, x := range sb.Exits() {
+		d[i] = est[x] + 2
 	}
 	return d
 }

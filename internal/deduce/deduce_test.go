@@ -16,7 +16,7 @@ func newFig1State(t *testing.T, dB0, dB1 int) (*State, error) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
 	g := sg.Build(sb, m)
-	return NewState(sb, m, g, map[int]int{4: dB0, 6: dB1}, Options{PinExits: true})
+	return NewState(sb, m, g, []int{dB0, dB1}, Options{PinExits: true})
 }
 
 // TestSection5RejectsB1At6 reproduces the minAWCT enhancement: with B1
@@ -255,7 +255,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	m := machine.PaperExampleSection5()
 	g := sg.Build(sb, m)
 	b := NewBudget(1)
-	_, err := NewState(sb, m, g, map[int]int{4: 5, 6: 7}, Options{Budget: b})
+	_, err := NewState(sb, m, g, []int{5, 7}, Options{Budget: b})
 	if err != ErrBudget {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -319,7 +319,7 @@ func TestLiveInPinning(t *testing.T) {
 	g := sg.Build(sb, m)
 	// Deadline 1 for the exit ⇒ c pinned at 0 ⇒ no room for a live-in
 	// copy (arrival ≥ 1) ⇒ c fuses with the live-in's anchor.
-	st, err := NewState(sb, m, g, map[int]int{x: 1}, Options{
+	st, err := NewState(sb, m, g, []int{1}, Options{
 		Pins: sched.Pins{LiveIn: []int{1}},
 	})
 	if err != nil {
@@ -341,7 +341,7 @@ func TestLiveOutComm(t *testing.T) {
 	sb := b.MustFinish()
 	m := machine.TwoCluster1Lat()
 	g := sg.Build(sb, m)
-	st, err := NewState(sb, m, g, map[int]int{x: 3}, Options{
+	st, err := NewState(sb, m, g, []int{3}, Options{
 		Pins: sched.Pins{LiveOut: []int{1}},
 	})
 	if err != nil {

@@ -109,9 +109,9 @@ func TestQueryHelpers(t *testing.T) {
 			m = machine.TwoCluster1Lat()
 		}
 		est := sb.EStarts()
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + 3
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + 3
 		}
 		st, err := deduce.NewState(sb, m, sg.Build(sb, m), deadlines,
 			deduce.Options{Pins: workload.PinsFor(sb, m.Clusters, int64(b)), PinExits: true})
@@ -141,7 +141,7 @@ func TestQueryHelpers(t *testing.T) {
 
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
-	st, err := deduce.NewState(sb, m, sg.Build(sb, m), map[int]int{4: 5, 6: 7},
+	st, err := deduce.NewState(sb, m, sg.Build(sb, m), []int{5, 7},
 		deduce.Options{Pins: sched.Pins{}, PinExits: true})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestBadPinsFailSoftly(t *testing.T) {
 	sb := liveBlock(t)
 	m := machine.TwoCluster1Lat()
 	g := sg.Build(sb, m)
-	deadlines := map[int]int{2: 8}
+	deadlines := []int{8}
 
 	cases := []struct {
 		name string
@@ -69,7 +69,7 @@ func TestVCGDesyncFailsSoftly(t *testing.T) {
 	m := machine.TwoCluster1Lat()
 	g := sg.Build(sb, m)
 	pins := sched.Pins{LiveIn: []int{0}, LiveOut: []int{0}}
-	st, err := NewState(sb, m, g, map[int]int{2: 8}, Options{Pins: pins})
+	st, err := NewState(sb, m, g, []int{8}, Options{Pins: pins})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestValueVCNodeOutOfRange(t *testing.T) {
 	m := machine.TwoCluster1Lat()
 	g := sg.Build(sb, m)
 	pins := sched.Pins{LiveIn: []int{0}, LiveOut: []int{0}}
-	st, err := NewState(sb, m, g, map[int]int{2: 8}, Options{Pins: pins})
+	st, err := NewState(sb, m, g, []int{8}, Options{Pins: pins})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,9 +154,9 @@ func TestRollbackRestoresBitsetState(t *testing.T) {
 		m := machine.FourCluster1Lat()
 		g := sg.Build(sb, m)
 		est := sb.EStarts()
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + 2
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + 2
 		}
 		// No Budget: spend is intentionally not undone by Rollback (it
 		// meters total work across speculation), so a metered state's
@@ -186,7 +186,7 @@ func TestRollbackUnderConcurrentStates(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		w := w
 		go func() {
-			st, err := NewState(sb, m, g, map[int]int{4: 5, 6: 7}, Options{PinExits: true, Arena: NewArena()})
+			st, err := NewState(sb, m, g, []int{5, 7}, Options{PinExits: true, Arena: NewArena()})
 			if err != nil {
 				done <- err
 				return

@@ -14,7 +14,7 @@ import (
 
 // mk builds a state for an arbitrary block/machine with the given exit
 // deadlines.
-func mk(t *testing.T, sb *ir.Superblock, m *machine.Config, deadlines map[int]int, pins sched.Pins) *State {
+func mk(t *testing.T, sb *ir.Superblock, m *machine.Config, deadlines []int, pins sched.Pins) *State {
 	t.Helper()
 	st, err := NewState(sb, m, sg.Build(sb, m), deadlines, Options{Pins: pins, PinExits: true})
 	if err != nil {
@@ -31,14 +31,14 @@ func TestWindowPackingContradiction(t *testing.T) {
 	b.Instr("a", ir.Int, 1)
 	b.Instr("b", ir.Int, 1)
 	b.Instr("c", ir.Int, 1)
-	x := b.Exit("x", 1, 1.0)
+	b.Exit("x", 1, 1.0)
 	sb := b.MustFinish()
 	m := machine.TwoCluster1Lat() // 2 int units machine-wide
 	// Deadline 1 for the exit ⇒ every int must issue at cycle 0 (they
 	// must complete by end = 2, each latency 1, exit at 1... window
 	// [0,1] minus completion-by-end leaves [0,1]): 3 ints in 2 cycles is
 	// fine; deadline 0 forces end = 1 ⇒ all at cycle 0: 3 > 2.
-	_, err := NewState(sb, m, sg.Build(sb, m), map[int]int{x: 0}, Options{PinExits: true})
+	_, err := NewState(sb, m, sg.Build(sb, m), []int{0}, Options{PinExits: true})
 	if err == nil {
 		t.Fatal("overpacked window accepted")
 	}
@@ -64,7 +64,7 @@ func TestWindowPackingTightens(t *testing.T) {
 	b.Data(f, x)
 	sb := b.MustFinish()
 	m := machine.TwoCluster1Lat()
-	st := mk(t, sb, m, map[int]int{x: 3}, sched.Pins{})
+	st := mk(t, sb, m, []int{3}, sched.Pins{})
 	// a..d all in [0,1]: 4 instructions saturate 2 units × 2 cycles, so
 	// the fifth int must start at 2.
 	if got := st.Est(f); got != 2 {
@@ -95,7 +95,7 @@ func TestCPLCMaterializesComm(t *testing.T) {
 	// Deadline 4: c1, c2 pinned to cycle 2 — same cycle, one int unit
 	// per cluster ⇒ incompatible ⇒ one of them reads p over the bus,
 	// so p's broadcast (ready at 1, arriving at 2) is mandatory.
-	st := mk(t, sb, m, map[int]int{x: 4}, sched.Pins{})
+	st := mk(t, sb, m, []int{4}, sched.Pins{})
 	if !st.VC().Incompatible(c1, c2) {
 		t.Fatalf("same-cycle consumers not incompatible (c1=[%d,%d])", st.Est(c1), st.Lst(c1))
 	}
@@ -113,7 +113,7 @@ func TestD4FusesNoRoom(t *testing.T) {
 	x := b.Exit("x", 1, 1.0)
 	b.Data(p, c).Data(c, x)
 	sb := b.MustFinish()
-	st := mk(t, sb, machine.TwoCluster1Lat(), map[int]int{x: 3}, sched.Pins{})
+	st := mk(t, sb, machine.TwoCluster1Lat(), []int{3}, sched.Pins{})
 	// c ∈ [2,2]: a copy of p (ready at 2) would arrive at 3 > 2 ⇒ fuse.
 	if !st.VC().SameVC(p, c) {
 		t.Errorf("no-room flow not fused (c=[%d,%d])", st.Est(c), st.Lst(c))
@@ -127,7 +127,7 @@ func TestShaveBudgetPropagates(t *testing.T) {
 	m := machine.PaperExampleSection5()
 	g := sg.Build(sb, m)
 	budget := NewBudget(12) // survives NewState, dies inside Shave
-	st, err := NewState(sb, m, g, map[int]int{4: 5, 6: 7}, Options{Budget: budget, PinExits: true})
+	st, err := NewState(sb, m, g, []int{5, 7}, Options{Budget: budget, PinExits: true})
 	if err != nil {
 		if err == ErrBudget {
 			t.Skip("budget too small even for init on this build")
@@ -144,7 +144,7 @@ func TestShaveBudgetPropagates(t *testing.T) {
 func TestPendingPLCCoverage(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
-	st := mk(t, sb, m, map[int]int{4: 5, 6: 7}, sched.Pins{})
+	st := mk(t, sb, m, []int{5, 7}, sched.Pins{})
 	if err := st.Shave(2); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBoundsMonotoneUnderDecisions(t *testing.T) {
 	g := sg.Build(sb, m)
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st, err := NewState(sb, m, g, map[int]int{4: 5 + rng.Intn(2), 6: 7 + rng.Intn(2)}, Options{PinExits: true})
+		st, err := NewState(sb, m, g, []int{5 + rng.Intn(2), 7 + rng.Intn(2)}, Options{PinExits: true})
 		if err != nil {
 			return true // harsher deadline may contradict; fine
 		}
@@ -240,7 +240,7 @@ func TestBoundsMonotoneUnderDecisions(t *testing.T) {
 func TestDiscardCombOrientation(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
-	st := mk(t, sb, m, map[int]int{6: 8, 4: 6}, sched.Pins{})
+	st := mk(t, sb, m, []int{6, 8}, sched.Pins{})
 	// Discard via the reversed orientation: DiscardComb(3,1,c) removes
 	// Cyc(I3)−Cyc(I1) = c, i.e. comb −c of pair (1,3).
 	if err := st.DiscardComb(3, 1, 1); err != nil {
@@ -263,7 +263,7 @@ func TestDiscardCombOrientation(t *testing.T) {
 func TestExtractRequiresCompletion(t *testing.T) {
 	sb := ir.PaperFigure1()
 	m := machine.PaperExampleSection5()
-	st := mk(t, sb, m, map[int]int{4: 5, 6: 7}, sched.Pins{})
+	st := mk(t, sb, m, []int{5, 7}, sched.Pins{})
 	_, err := st.ExtractSchedule()
 	if err == nil || !strings.Contains(err.Error(), "unpinned") {
 		t.Fatalf("extract on incomplete state: %v", err)
@@ -282,7 +282,7 @@ func TestNoBusFusesEverything(t *testing.T) {
 	var fu [ir.NumClasses]int
 	fu[ir.Int], fu[ir.Branch] = 1, 1
 	m := &machine.Config{Name: "2c-nobus", Clusters: 2, FU: fu, Buses: 0, BusLatency: 1}
-	st, err := NewState(sb, m, sg.Build(sb, m), map[int]int{x: 4}, Options{PinExits: true})
+	st, err := NewState(sb, m, sg.Build(sb, m), []int{4}, Options{PinExits: true})
 	if err != nil {
 		t.Fatalf("NewState: %v", err)
 	}
@@ -299,14 +299,14 @@ func TestVCUnitCapOnFatCluster(t *testing.T) {
 	a := b.Instr("a", ir.Int, 1)
 	c := b.Instr("b", ir.Int, 1)
 	d := b.Instr("c", ir.Int, 1)
-	x := b.Exit("x", 1, 1.0)
+	b.Exit("x", 1, 1.0)
 	sb := b.MustFinish()
 	m := machine.TwoCluster1Lat()
 	fu := m.FU
 	fu[ir.Int] = 2
 	m.SetClusterFU(0, fu) // 3 int units in all, at most 2 on a cluster
 	// The exit at cycle 0 ends the region at 1: all three issue at 0.
-	st := mk(t, sb, m, map[int]int{x: 0}, sched.Pins{})
+	st := mk(t, sb, m, []int{0}, sched.Pins{})
 	if err := st.FuseVC(a, c); err != nil {
 		t.Fatalf("two co-issued ints on one VC refused: %v", err)
 	}
@@ -333,7 +333,7 @@ func TestMergeInPruneStampsJoinedPairs(t *testing.T) {
 	sb := b.MustFinish()
 	m := machine.TwoCluster1Lat()
 	// Exit at 4: a in [0,3], u and v in [0,1], so u and v must overlap.
-	st := mk(t, sb, m, map[int]int{x: 4}, sched.Pins{})
+	st := mk(t, sb, m, []int{4}, sched.Pins{})
 	// Cyc(a) = Cyc(u) + 1 joins a and u and puts a in [1,2].
 	if err := st.ChooseComb(a, u, 1); err != nil {
 		t.Fatal(err)

@@ -107,9 +107,9 @@ func TestSaveRestore(t *testing.T) {
 		sb := p.Generate(0.05, 0).Blocks[0]
 		m := machine.FourCluster1Lat()
 		est := sb.EStarts()
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + 2
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + 2
 		}
 		ar := NewArena()
 		wst, err := NewState(sb, m, sg.Build(sb, m), deadlines, Options{Pins: workload.PinsFor(sb, m.Clusters, 1), PinExits: true, Arena: ar})

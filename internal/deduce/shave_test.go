@@ -99,9 +99,9 @@ func TestShaveMatchesPlainLoop(t *testing.T) {
 		pins := workload.PinsFor(sb, m.Clusters, 1)
 		est := sb.EStarts()
 		for slack := 0; slack < 3; slack++ {
-			deadlines := make(map[int]int, len(sb.Exits()))
-			for _, x := range sb.Exits() {
-				deadlines[x] = est[x] + slack
+			deadlines := make([]int, len(sb.Exits()))
+			for i, x := range sb.Exits() {
+				deadlines[i] = est[x] + slack
 			}
 			for _, pin := range []bool{true, false} {
 				for _, rounds := range []int{2, 3} {

@@ -192,9 +192,10 @@ type State struct {
 	M   *machine.Config
 	SGr *sg.Graph
 
-	// Exit deadlines (cycle each exit is pinned to) defining the target
-	// AWCT, and the derived region end cycle.
-	Deadlines map[int]int
+	// Exit deadlines (cycle each exit is pinned to, in the order of
+	// SB.Exits) defining the target AWCT, and the derived region end
+	// cycle.
+	Deadlines []int
 	End       int
 
 	nOrig int
@@ -264,10 +265,12 @@ type Options struct {
 }
 
 // NewState builds the initial scheduling state for the given exit
-// deadlines (each exit pinned to its deadline cycle) and propagates the
-// initial consequences. The returned error is a contradiction if the
-// deadlines are infeasible even for the initial rules.
-func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[int]int, opts Options) (*State, error) {
+// deadlines, in the order of sb.Exits (each exit pinned to its deadline
+// cycle), and propagates the initial consequences. The returned error
+// is a contradiction if the deadlines are infeasible even for the
+// initial rules. The state keeps deadlines: the caller must not change
+// them while it uses the state.
+func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines []int, opts Options) (*State, error) {
 	if err := validatePins(sb, m, opts.Pins); err != nil {
 		return nil, err
 	}
@@ -304,13 +307,13 @@ func NewState(sb *ir.Superblock, m *machine.Config, g *sg.Graph, deadlines map[i
 		st.class[i] = in.Class
 		st.lat[i] = in.Latency
 	}
+	st.lst = sb.LStarts(st.lst[:0], idx.topo, deadlines)
 	last := sb.Exits()[len(sb.Exits())-1]
-	st.End = deadlines[last] + sb.Instrs[last].Latency
+	st.End = deadlines[len(deadlines)-1] + sb.Instrs[last].Latency
 
 	copy(st.est, idx.estarts)
-	copy(st.lst, sb.LStarts(deadlines))
-	for _, x := range sb.Exits() {
-		d := deadlines[x]
+	for i, x := range sb.Exits() {
+		d := deadlines[i]
 		if st.est[x] > d {
 			return nil, contraf("exit %d estart %d exceeds deadline %d", x, st.est[x], d)
 		}
@@ -448,12 +451,23 @@ func (st *State) NumPairs() int { return len(st.pairs) }
 func (st *State) PairAt(i int) PairState {
 	p := &st.pairs[i]
 	return PairState{
-		Pair:   sg.Pair{U: int(p.u), V: int(p.v)},
+		Pair:   st.PairOf(i),
 		Combs:  st.appendCombs(nil, i),
 		Status: p.status,
 		Comb:   int(p.comb),
 	}
 }
+
+// PairOf returns the two instructions of the pair with dense index i.
+func (st *State) PairOf(i int) sg.Pair {
+	p := &st.pairs[i]
+	return sg.Pair{U: int(p.u), V: int(p.v)}
+}
+
+// AppendCombs appends the remaining combinations of the pair with dense
+// index i to dst, ascending: PairAt's Combs, in a buffer the caller
+// reuses.
+func (st *State) AppendCombs(dst []int, i int) []int { return st.appendCombs(dst, i) }
 
 // Pair returns the state of pair (a,b), if it is an SG pair.
 func (st *State) Pair(a, b int) (PairState, bool) {

@@ -56,9 +56,9 @@ func checkBitsetRef(rep *Report) {
 	est := sb.EStarts()
 	var st *deduce.State
 	for _, slack := range []int{2, 4, 8} {
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + slack
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + slack
 		}
 		s, err := deduce.NewState(sb, m, g, deadlines, deduce.Options{
 			Pins:   pins,

@@ -356,7 +356,7 @@ func checkRescale(rep *Report, vc *sched.Schedule) {
 	}
 	// Same cycles, new weights: the transplanted AWCT must equal the
 	// direct weighted sum over the original exit cycles.
-	want := sb2.AWCT(vc.ExitCycles())
+	want := sb2.AWCT(vc.ExitVector())
 	if math.Abs(t.AWCT()-want) > eps {
 		rep.violate(KindRescale, "transplanted AWCT %g, recomputed %g", t.AWCT(), want)
 	}

@@ -63,9 +63,9 @@ func checkTrailClone(rep *Report) {
 	var trailSt, cloneSt *deduce.State
 	var trailB, cloneB *deduce.Budget
 	for _, slack := range []int{2, 4, 8} {
-		deadlines := make(map[int]int, len(sb.Exits()))
-		for _, x := range sb.Exits() {
-			deadlines[x] = est[x] + slack
+		deadlines := make([]int, len(sb.Exits()))
+		for i, x := range sb.Exits() {
+			deadlines[i] = est[x] + slack
 		}
 		mk := func(b *deduce.Budget) (*deduce.State, error) {
 			return deduce.NewState(sb, m, g, deadlines, deduce.Options{Pins: pins, Budget: b})

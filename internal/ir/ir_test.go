@@ -161,7 +161,7 @@ func TestEStartsFigure1(t *testing.T) {
 func TestLStarts(t *testing.T) {
 	sb := PaperFigure1()
 	// Deadlines from the Section 5 example (AWCT 9.4): B0 at 5, B1 at 7.
-	lst := sb.LStarts(map[int]int{4: 5, 6: 7})
+	lst := sb.LStarts(nil, sb.TopoOrder(), []int{5, 7})
 	// I3 ≤ 5−2 = 3; I0 ≤ min(3−2, ...) = 1; I4 ≤ 7−2 = 5;
 	// I1, I2 ≤ 5−2 = 3.
 	want := map[int]int{0: 1, 1: 3, 2: 3, 3: 3, 4: 5, 5: 5, 6: 7}
@@ -177,10 +177,9 @@ func TestLStartsDangling(t *testing.T) {
 	// the region ends: lstart = deadline(last) + λ(last) − λ(u).
 	b := NewBuilder("dangling")
 	d := b.Instr("d", Mem, 2)
-	x := b.Exit("x", 1, 1.0)
-	_ = d
+	b.Exit("x", 1, 1.0)
 	sb := b.MustFinish()
-	lst := sb.LStarts(map[int]int{x: 4})
+	lst := sb.LStarts(nil, sb.TopoOrder(), []int{4})
 	if lst[d] != 4+1-2 {
 		t.Errorf("dangling lstart = %d, want 3", lst[d])
 	}
@@ -189,16 +188,16 @@ func TestLStartsDangling(t *testing.T) {
 func TestAWCT(t *testing.T) {
 	sb := PaperFigure1()
 	// Section 2 example: B0 in cycle 4, B1 in 6 ⇒ AWCT = 7·0.3 + 9·0.7 = 8.4.
-	got := sb.AWCT(map[int]int{4: 4, 6: 6})
+	got := sb.AWCT([]int{4, 6})
 	if math.Abs(got-8.4) > 1e-9 {
 		t.Errorf("AWCT = %g, want 8.4", got)
 	}
 	// Section 5: B0 in 4, B1 in 7 gives minAWCT 9.1 before enhancement...
-	if got := sb.AWCT(map[int]int{4: 4, 6: 7}); math.Abs(got-9.1) > 1e-9 {
+	if got := sb.AWCT([]int{4, 7}); math.Abs(got-9.1) > 1e-9 {
 		t.Errorf("AWCT = %g, want 9.1", got)
 	}
 	// ...and B0 in 5, B1 in 7 gives 9.4.
-	if got := sb.AWCT(map[int]int{4: 5, 6: 7}); math.Abs(got-9.4) > 1e-9 {
+	if got := sb.AWCT([]int{5, 7}); math.Abs(got-9.4) > 1e-9 {
 		t.Errorf("AWCT = %g, want 9.4", got)
 	}
 }

@@ -193,29 +193,30 @@ func (sb *Superblock) EStarts() []int {
 	return est
 }
 
-// LStarts returns the latest start cycle of every instruction given a
-// deadline (latest start cycle) for each exit branch, keyed by exit ID.
-// An instruction constrained by several exits takes the tightest bound.
+// LStarts appends to dst the latest start cycle of every instruction,
+// given a deadline (latest start cycle) for each exit branch, in the
+// order of Exits, and order, the block's TopoOrder (a caller that
+// computes the windows of many exit vectors computes it once). An
+// instruction constrained by several exits takes the tightest bound.
 // Instructions with no path to any exit must still complete before the
 // region ends: they are bounded by the final exit's completion,
 // deadline(last) + λ(last) − λ(u).
-func (sb *Superblock) LStarts(deadline map[int]int) []int {
+func (sb *Superblock) LStarts(dst, order, deadlines []int) []int {
+	if len(deadlines) != len(sb.exits) {
+		panic(fmt.Sprintf("ir: LStarts got %d deadlines for %d exits", len(deadlines), len(sb.exits)))
+	}
 	n := sb.N()
 	const inf = math.MaxInt32
-	lst := make([]int, n)
-	for i := range lst {
-		lst[i] = inf
+	base := len(dst)
+	for i := 0; i < n; i++ {
+		dst = append(dst, inf)
 	}
-	for _, x := range sb.exits {
-		d, ok := deadline[x]
-		if !ok {
-			panic(fmt.Sprintf("ir: LStarts missing deadline for exit %d", x))
-		}
-		if d < lst[x] {
+	lst := dst[base:]
+	for i, x := range sb.exits {
+		if d := deadlines[i]; d < lst[x] {
 			lst[x] = d
 		}
 	}
-	order := sb.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		for _, ei := range sb.succs[u] {
@@ -229,25 +230,24 @@ func (sb *Superblock) LStarts(deadline map[int]int) []int {
 		}
 	}
 	last := sb.exits[len(sb.exits)-1]
-	end := deadline[last] + sb.Instrs[last].Latency
+	end := deadlines[len(deadlines)-1] + sb.Instrs[last].Latency
 	for i := range lst {
 		if lst[i] == inf {
 			lst[i] = end - sb.Instrs[i].Latency
 		}
 	}
-	return lst
+	return dst
 }
 
 // AWCT computes the average weighted completion time for the given exit
-// cycles (keyed by exit ID): Σ (cycle + latency) · probability.
-func (sb *Superblock) AWCT(exitCycle map[int]int) float64 {
+// cycles, in the order of Exits: Σ (cycle + latency) · probability.
+func (sb *Superblock) AWCT(exitCycles []int) float64 {
+	if len(exitCycles) != len(sb.exits) {
+		panic(fmt.Sprintf("ir: AWCT got %d cycles for %d exits", len(exitCycles), len(sb.exits)))
+	}
 	var a float64
-	for _, x := range sb.exits {
-		c, ok := exitCycle[x]
-		if !ok {
-			panic(fmt.Sprintf("ir: AWCT missing cycle for exit %d", x))
-		}
-		a += float64(c+sb.Instrs[x].Latency) * sb.Instrs[x].Prob
+	for i, x := range sb.exits {
+		a += float64(exitCycles[i]+sb.Instrs[x].Latency) * sb.Instrs[x].Prob
 	}
 	return a
 }
@@ -256,11 +256,11 @@ func (sb *Superblock) AWCT(exitCycle map[int]int) float64 {
 // value obtained when every exit is scheduled at its earliest start.
 func (sb *Superblock) CriticalAWCT() float64 {
 	est := sb.EStarts()
-	cyc := make(map[int]int, len(sb.exits))
-	for _, x := range sb.exits {
-		cyc[x] = est[x]
+	cycles := make([]int, len(sb.exits))
+	for i, x := range sb.exits {
+		cycles[i] = est[x]
 	}
-	return sb.AWCT(cyc)
+	return sb.AWCT(cycles)
 }
 
 // Clone returns a deep copy of the superblock.

@@ -22,10 +22,10 @@ import (
 //	go test -run '^$' -bench CompileSet -benchtime 1x -cpuprofile cpu.out ./internal/resilient
 func BenchmarkCompileSet(b *testing.B) {
 	const (
-		wantSteps  = 143852
-		wantDigest = 0x30b0b3994c8bb1d2
+		wantSteps  = 115842
+		wantDigest = 0xf56db66003d863c7
 	)
-	wantTiers := [TierNaive + 1]int{TierSG: 142, TierCARS: 260}
+	wantTiers := [TierNaive + 1]int{TierSG: 143, TierCARS: 259}
 
 	type item struct {
 		sb *ir.Superblock

@@ -87,8 +87,19 @@ func (s *Schedule) ExitCycles() map[int]int {
 	return m
 }
 
+// ExitVector returns the scheduled cycle of each exit, in the order of
+// the block's Exits: the vector ir.Superblock.AWCT weighs.
+func (s *Schedule) ExitVector() []int {
+	exits := s.SB.Exits()
+	cycles := make([]int, len(exits))
+	for i, x := range exits {
+		cycles[i] = s.Place[x].Cycle
+	}
+	return cycles
+}
+
 // AWCT returns the average weighted completion time of the schedule.
-func (s *Schedule) AWCT() float64 { return s.SB.AWCT(s.ExitCycles()) }
+func (s *Schedule) AWCT() float64 { return s.SB.AWCT(s.ExitVector()) }
 
 // WeightedCycles returns the contribution of this schedule to whole-
 // program execution: AWCT · execution count (the paper's TC(S) metric).
