@@ -6,7 +6,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 GO_LDFLAGS := -ldflags '-X vcsched/internal/version.Version=$(VERSION)'
 
-.PHONY: check build vet test race bench bench-short bench-gate bench-figures fuzz-smoke faults service-smoke fleet-smoke slo-short
+.PHONY: check build vet test race bench bench-short bench-gate bench-figures profile fuzz-smoke faults service-smoke fleet-smoke slo-short
 
 # check is the tier-1 gate (see ROADMAP.md): vet (the benchmark module
 # and gofmt included), build, the full test suite under the race
@@ -68,6 +68,19 @@ bench-short:
 
 bench-gate:
 	$(GO) run $(GO_LDFLAGS) ./cmd/benchgate -baseline BENCH_baseline.json -current results/bench/BENCH_deduce.json
+
+# profile runs 20 passes of BenchmarkCompileSet (internal/resilient)
+# under the CPU profiler, keeps the profile and the test binary in
+# results/bench/ (not tracked), and prints pprof's header and its
+# cumulative -top lines of the deduction engine, the search and the
+# matching: the CPU shares ROADMAP.md and EXPERIMENTS.md quote come from
+# this command. No CI job runs it.
+profile:
+	mkdir -p results/bench
+	$(GO) test -run '^$$' -bench CompileSet -benchtime 20x -cpuprofile results/bench/cpu.prof \
+		-o results/bench/resilient.test ./internal/resilient
+	$(GO) tool pprof -top -cum results/bench/resilient.test results/bench/cpu.prof 2>/dev/null | \
+		awk 'NR <= 6 || /internal\/(deduce|core|matching)\./'
 
 # bench-figures runs the paper-figure reproduction benchmarks at the
 # repository root (the pre-existing `bench` target).

@@ -41,6 +41,7 @@ import (
 	"vcsched/internal/faultpoint"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
+	"vcsched/internal/matching"
 	"vcsched/internal/sched"
 	"vcsched/internal/sg"
 )
@@ -208,6 +209,15 @@ type scheduler struct {
 	// candidates, and the combinations or cycles they are built from.
 	cands []candidate
 	ints  []int
+
+	// outs, reps, repIdx and edges are stages 3 and 4's scratch: the
+	// outedges, the VC representatives in matching-graph order (or the
+	// unmapped ones), each representative's vertex (−1 between uses,
+	// indexed by VCG node) and the matching graph's edges.
+	outs   []deduce.OutEdge
+	reps   []int
+	repIdx []int32
+	edges  []matching.Edge
 
 	// arena backs every state this scheduler builds. States are built
 	// strictly sequentially (probe, then attempt after attempt), so one

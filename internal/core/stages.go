@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vcsched/internal/deduce"
 	"vcsched/internal/matching"
@@ -287,42 +287,42 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 		if err := s.checkTime(); err != nil {
 			return err
 		}
-		out, err := st.OutEdges()
+		out, err := st.AppendOutEdges(s.outs[:0])
+		s.outs = out
 		if err != nil {
 			return err
 		}
 		if len(out) == 0 {
 			return nil
 		}
-		// Build the matching graph over VC representatives. out is a Go
-		// map: sort the pairs before numbering nodes and emitting edges,
-		// or the matching input (and thus tie-breaking between
-		// equal-weight matchings) would vary run to run.
-		type pairW struct{ a, b, w int }
-		all := make([]pairW, 0, len(out))
-		for p, w := range out {
-			all = append(all, pairW{p[0], p[1], w})
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].a != all[j].a {
-				return all[i].a < all[j].a
+		// Build the matching graph over VC representatives, numbered in
+		// the order they first appear in the (A, B)-sorted outedges, so
+		// the matching input (and thus tie-breaking between equal-weight
+		// matchings) is a pure function of the state.
+		n := st.VC().Len()
+		order := slices.Grow(s.reps[:0], n)
+		repIdx := s.repIdx
+		if len(repIdx) < n {
+			repIdx = make([]int32, n)
+			for i := range repIdx {
+				repIdx[i] = -1
 			}
-			return all[i].b < all[j].b
-		})
-		repIdx := make(map[int]int)
-		var order []int
+		}
 		idx := func(r int) int {
-			if i, ok := repIdx[r]; ok {
-				return i
+			if repIdx[r] < 0 {
+				repIdx[r] = int32(len(order))
+				order = append(order, r)
 			}
-			repIdx[r] = len(order)
-			order = append(order, r)
-			return len(order) - 1
+			return int(repIdx[r])
 		}
-		edges := make([]matching.Edge, 0, len(all))
-		for _, p := range all {
-			edges = append(edges, matching.Edge{U: idx(p.a), V: idx(p.b), Weight: p.w})
+		edges := slices.Grow(s.edges[:0], len(out))
+		for _, p := range out {
+			edges = append(edges, matching.Edge{U: idx(p.A), V: idx(p.B), Weight: p.Flows})
 		}
+		for _, r := range order {
+			repIdx[r] = -1
+		}
+		s.reps, s.repIdx, s.edges = order, repIdx, edges
 		match, err := matching.MaxWeight(len(order), edges, s.deadline)
 		if err != nil {
 			return ErrTimeout
@@ -340,20 +340,18 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 			}
 		}
 		// The matching contradicts (or is empty): treat the
-		// highest-weight outedge individually.
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].w != all[j].w {
-				return all[i].w > all[j].w
+		// highest-weight outedge individually, the first by (weight
+		// descending, A, B), which is the first in (A, B) order among
+		// the heaviest.
+		e := out[0]
+		for _, p := range out[1:] {
+			if p.Flows > e.Flows {
+				e = p
 			}
-			if all[i].a != all[j].a {
-				return all[i].a < all[j].a
-			}
-			return all[i].b < all[j].b
-		})
-		e := all[0]
-		err = st.Probe(func(x *deduce.State) error { return x.FuseVC(e.a, e.b) })
+		}
+		err = st.Probe(func(x *deduce.State) error { return x.FuseVC(e.A, e.B) })
 		if err == nil {
-			if err := st.FuseVC(e.a, e.b); err != nil {
+			if err := st.FuseVC(e.A, e.B); err != nil {
 				return err
 			}
 			continue
@@ -363,7 +361,7 @@ func (s *scheduler) stageOutedges(st *deduce.State) error {
 		}
 		// Fusing is impossible: the pair must split (incompatible), which
 		// inserts the communication.
-		if err := st.SplitVC(e.a, e.b); err != nil {
+		if err := st.SplitVC(e.A, e.B); err != nil {
 			return err
 		}
 	}
@@ -387,15 +385,19 @@ func (s *scheduler) stageMapping(st *deduce.State) error {
 		if err := s.checkTime(); err != nil {
 			return err
 		}
-		reps := st.UnmappedVCReps()
+		reps := st.AppendUnmappedVCReps(s.reps[:0])
+		s.reps = reps
 		if len(reps) == 0 {
 			return nil
 		}
-		// Decreasing incompatibility degree.
-		sort.SliceStable(reps, func(i, j int) bool {
-			return st.VC().Degree(reps[i]) > st.VC().Degree(reps[j])
-		})
-		rep := reps[0]
+		// Decreasing incompatibility degree, ties in ascending order: the
+		// first of the highest degree.
+		rep, deg := reps[0], st.VC().Degree(reps[0])
+		for _, r := range reps[1:] {
+			if d := st.VC().Degree(r); d > deg {
+				rep, deg = r, d
+			}
+		}
 		cands := s.cands[:0]
 		for kk := 0; kk < s.m.Clusters; kk++ {
 			k := (kk + s.variant) % s.m.Clusters

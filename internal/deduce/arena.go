@@ -40,12 +40,14 @@ type Arena struct {
 	vc *vcg.Graph
 
 	// clock is the propagation stamp clock (stamps.go): monotonic over
-	// every state the arena backs. stampNode/stampPair/stampPairBlk back
-	// the per-node, per-pair and per-64-pair-block stamps.
-	clock        uint64
-	stampNode    []uint64
-	stampPair    []uint64
-	stampPairBlk []uint64
+	// every state the arena backs. stampNode and stampRoot back the
+	// per-node bound and per-instruction root stamps, pendCoherence and
+	// pendPrune the pair families' pending sets.
+	clock         uint64
+	stampNode     []uint64
+	stampRoot     []uint64
+	pendCoherence []uint64
+	pendPrune     []uint64
 
 	// tr is the speculation trail's backing storage (entry log +
 	// checkpoint). The trail is live only inside a Probe of the arena's
@@ -57,28 +59,33 @@ type Arena struct {
 	// saved is the state content the last Save copied (save.go).
 	saved savedState
 
-	// cc-groups cache: the backing arrays of the state's two CSR
-	// entries (ccgroups.go), plus rebuild scratch.
-	ccRoots   [2][]int
-	ccStart   [2][]int
-	ccMembers [2][]int
+	// cc-groups cache: the backing arrays of the state's CSR entries
+	// (ccgroups.go), plus build scratch.
+	ccRoots   [ccSlots][]int
+	ccStart   [ccSlots][]int
+	ccMembers [ccSlots][]int
+	ccMulti   [ccSlots][]int32
 	ccSlot    []int32
 	ccCursor  []int32
 	ccSeen    []bool
+	ccUnion   []int
+	ccSteps   []ccStep
 
 	// Rule scratch: contents are dead between rule invocations.
-	trips        []resTriple
+	coKeys       []uint64 // the resource rules' co-issue keys (coIssueKey)
 	groupNodes   []int
 	pinnedCopies []int
 	busUse       []int
 	ivs          []interval
 	los          []int
 	his          []int
-	hiKeys       []int64 // packIntervals' (right end, index) keys
 	live         []int32 // packIntervals' counted intervals by right end
-	byClass      [ir.NumClasses][]int
 	plcAlts      []int
-	dirty        []uint64 // dirtyPairs' pair bitset
+	dirty        []uint64 // a pair family's dirty-pair bitset (takePending)
+
+	// packOrder holds, per class, the order D2's last run of the class
+	// sorted its intervals into; the next run's sorts start from it.
+	packOrder [ir.NumClasses]packOrder
 
 	// Candidate-query scratch (queries.go).
 	sel    []keyed
@@ -90,15 +97,8 @@ type Arena struct {
 	keySeen    []uint64
 	keyTouched []int
 
-	combBuf []int // combination materialization (DumpText, PairAt)
-}
-
-// resTriple is one (cycle-or-offset, class, node) row of the resource
-// rules' grouping scratch; replaces the per-pass map[key][]int.
-type resTriple struct {
-	key   int
-	class ir.Class
-	node  int
+	combBuf []int    // combination materialization (DumpText, PairAt)
+	outKeys []uint64 // AppendOutEdges' packed representative pairs
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -174,11 +174,16 @@ type sgIndex struct {
 	// lstarts are computed.
 	estarts, topo []int
 
+	// classNodes lists the block's instructions per class, ascending
+	// (D2's per-class node lists; copies join the Copy class's list
+	// when the rule runs).
+	classNodes [ir.NumClasses][]int
+
 	// pairW is the width in 64-bit words of a bitset over the pairs, and
 	// incident holds one such row per original instruction: bit i of
 	// row n is set when n is an endpoint of pair i. rulePrunePairs ORs
 	// the rows of the instructions whose bounds moved to find the pairs
-	// it must revisit (dirtyPairs).
+	// it must revisit (prunePairs).
 	pairW    int
 	incident []uint64
 
@@ -197,6 +202,10 @@ type sgIndex struct {
 	// dataCons[dataStart[u]:dataStart[u+1]], in out-edge order.
 	dataStart []int32
 	dataCons  []int
+
+	// flows counts the block's value flows: data edges, live-in
+	// consumers and live-outs.
+	flows int
 }
 
 func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
@@ -217,6 +226,9 @@ func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 		bit := uint64(1) << uint(ei&63)
 		idx.incident[e.U*idx.pairW+ei>>6] |= bit
 		idx.incident[e.V*idx.pairW+ei>>6] |= bit
+	}
+	for i, in := range sb.Instrs {
+		idx.classNodes[in.Class] = append(idx.classNodes[in.Class], i)
 	}
 	idx.consStart = make([]int32, n+1)
 	for c := 0; c < n; c++ {
@@ -242,6 +254,10 @@ func buildSGIndex(sb *ir.Superblock, g *sg.Graph) *sgIndex {
 			}
 		}
 		idx.dataStart[u+1] = int32(len(idx.dataCons))
+	}
+	idx.flows = len(idx.dataCons) + len(sb.LiveOuts)
+	for _, li := range sb.LiveIns {
+		idx.flows += len(li.Consumers)
 	}
 	return idx
 }

@@ -2,7 +2,7 @@ package deduce
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"vcsched/internal/sched"
 )
@@ -145,62 +145,78 @@ func (st *State) outEdgeCount() (int, error) {
 	return count, nil
 }
 
-// outEdgePairs collects, per unordered pair of VC representatives that
-// are distinct and not incompatible, the number of value flows crossing
-// them (the stage-3 outedges and the matching-graph weights). Cold path:
-// only the mapping stage needs the multiset, so it keeps the map form.
-func (st *State) outEdgePairs() (map[[2]int]int, error) {
-	out := make(map[[2]int]int)
-	add := func(value, consumer int) error {
-		node, err := st.valueVCNode(value)
-		if err != nil {
-			return err
-		}
-		a := st.vc.Rep(node)
-		b := st.vc.Rep(st.vcID(consumer))
+// OutEdge is one stage-3 outedge: an unordered pair A < B of VC
+// representatives that are distinct and not incompatible, and the
+// number of value flows crossing them (its matching-graph weight).
+type OutEdge struct {
+	A, B, Flows int
+}
+
+// AppendOutEdges appends the current outedges to dst in ascending (A,
+// B) order, counting the flows of each pair, for the stage-3 matching
+// graph. The pairs are gathered as packed keys in arena scratch and
+// sorted as integers, so a call allocates nothing once dst has grown.
+func (st *State) AppendOutEdges(dst []OutEdge) ([]OutEdge, error) {
+	keys := claim(&st.ar.outKeys, 0, st.idx.flows)
+	add := func(a, b int) {
+		a, b = st.vc.Rep(a), st.vc.Rep(b)
 		if a == b || st.vc.Incompatible(a, b) {
-			return nil
+			return
 		}
-		if a > b {
-			a, b = b, a
-		}
-		out[[2]int{a, b}]++
-		return nil
+		keys = append(keys, uint64(min(a, b))<<32|uint64(max(a, b)))
 	}
 	for v := 0; v < st.nOrig; v++ {
 		for _, c := range st.dataConsumers(v) {
-			if err := add(v, c); err != nil {
-				return nil, err
-			}
+			add(v, st.vcID(c))
 		}
 	}
 	for li := range st.SB.LiveIns {
+		if len(st.SB.LiveIns[li].Consumers) == 0 {
+			continue
+		}
+		node, err := st.valueVCNode(-(li + 1))
+		if err != nil {
+			st.ar.outKeys = keys
+			return dst, err
+		}
 		for _, c := range st.SB.LiveIns[li].Consumers {
-			if err := add(-(li + 1), c); err != nil {
-				return nil, err
-			}
+			add(node, st.vcID(c))
 		}
 	}
 	for oi, u := range st.SB.LiveOuts {
 		anchor, err := st.vc.Anchor(st.pins.LiveOut[oi])
 		if err != nil {
-			return nil, internalf("live-out %d: %v", u, err)
+			st.ar.outKeys = keys
+			return dst, internalf("live-out %d: %v", u, err)
 		}
-		a, b := st.vc.Rep(anchor), st.vc.Rep(st.vcID(u))
-		if a == b || st.vc.Incompatible(a, b) {
+		add(anchor, st.vcID(u))
+	}
+	st.ar.outKeys = keys
+	slices.Sort(keys)
+	dst = slices.Grow(dst, len(keys))
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			dst[len(dst)-1].Flows++
 			continue
 		}
-		if a > b {
-			a, b = b, a
-		}
-		out[[2]int{a, b}]++
+		dst = append(dst, OutEdge{A: int(k >> 32), B: int(uint32(k)), Flows: 1})
+	}
+	return dst, nil
+}
+
+// OutEdges returns the current outedges as a multiset keyed by the
+// representative pair (AppendOutEdges' pairs and counts).
+func (st *State) OutEdges() (map[[2]int]int, error) {
+	edges, err := st.AppendOutEdges(nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[[2]int]int, len(edges))
+	for _, e := range edges {
+		out[[2]int{e.A, e.B}] = e.Flows
 	}
 	return out, nil
 }
-
-// OutEdges exposes the current outedge multiset for the stage-3 matching
-// graph.
-func (st *State) OutEdges() (map[[2]int]int, error) { return st.outEdgePairs() }
 
 // OpenPairs returns the first k indices of the pairs still Open in
 // order of combination slack (fewest realizable placements first), ties
@@ -317,22 +333,36 @@ func (st *State) AllMapped() bool {
 }
 
 // UnmappedVCReps returns the representatives of instruction-bearing VCs
-// not yet pinned to a physical cluster.
-func (st *State) UnmappedVCReps() []int {
-	seen := make(map[int]bool)
-	var reps []int
+// not yet pinned to a physical cluster, ascending.
+func (st *State) UnmappedVCReps() []int { return st.AppendUnmappedVCReps(nil) }
+
+// AppendUnmappedVCReps appends UnmappedVCReps' representatives to dst,
+// ascending, deduplicating through the arena's seen-bitmap as
+// instrVCCount does.
+func (st *State) AppendUnmappedVCReps(dst []int) []int {
+	n := st.vc.Len()
+	seen := claim(&st.ar.repSeen, n, n)
+	first := len(dst)
 	for i := 0; i < st.nOrig; i++ {
 		r := st.vc.Rep(st.vcID(i))
 		if seen[r] {
 			continue
 		}
 		seen[r] = true
+		dst = append(dst, r)
+	}
+	reps := dst[first:]
+	for _, r := range reps {
+		seen[r] = false
+	}
+	kept := reps[:0]
+	for _, r := range reps {
 		if _, ok := st.vc.PinnedPC(r); !ok {
-			reps = append(reps, r)
+			kept = append(kept, r)
 		}
 	}
-	sort.Ints(reps)
-	return reps
+	slices.Sort(kept)
+	return dst[:first+len(kept)]
 }
 
 // ExtractSchedule converts a fully decided state (AllPinned, AllMapped)

@@ -80,7 +80,7 @@ func maxStamp(st *State) uint64 {
 	for _, v := range s.class {
 		m = max(m, v)
 	}
-	for _, list := range [][]uint64{s.node, s.pair} {
+	for _, list := range [][]uint64{s.node} {
 		for _, v := range list {
 			m = max(m, v)
 		}

@@ -117,11 +117,9 @@ func (st *State) propagateBounds() (bool, error) {
 func (st *State) ccBounds() (bool, error) {
 	g := st.ccGroups()
 	changed := false
-	for gi, root := range g.roots {
+	for _, gi := range g.multi {
+		root := g.roots[gi]
 		members := g.members[g.start[gi]:g.start[gi+1]]
-		if len(members) < 2 {
-			continue
-		}
 		lo, hi := -1<<30, 1<<30
 		for _, m := range members {
 			_, off := st.cc.Find(m)
@@ -159,7 +157,7 @@ func (st *State) ccBounds() (bool, error) {
 // clean run there is none; a pair gets there only through a change to
 // its own record or through a merge of the components of its two ends,
 // and commitComb stamps the pairs a merge joins (stampJoinedPairs). So
-// the stamped pairs are the only ones to revisit.
+// the stamped pairs, its pending set, are the only ones to revisit.
 func (st *State) ruleCCCoherence() (bool, error) {
 	memo := st.memo.coherence
 	if st.stamp.pairs <= memo {
@@ -167,7 +165,7 @@ func (st *State) ruleCCCoherence() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	for wi, w := range st.dirtyPairs(memo, false) {
+	for wi, w := range st.takePending(st.pend.coherence, memo) {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			p := &st.pairs[i]
@@ -200,20 +198,17 @@ func (st *State) ruleCCCoherence() (bool, error) {
 	return changed, nil
 }
 
-// dirtyPairs returns, as a bitset over pair indexes in arena scratch,
-// the pairs a pair rule with the given memo must revisit: each pair
-// whose own stamp is newer than memo and, with bounds, each pair with
-// an endpoint whose bounds moved since (sgIndex.incident). Blocks of 64
-// pairs whose newest stamp is at most memo are skipped whole. The set
-// is fixed when the sweep starts. Pairs stamped during the sweep (by a
-// D1 choice's merge, say) are newer than the memo the sweep leaves, so
-// the next run revisits them; visiting a pair a full sweep would leave
-// alone changes nothing, so that costs a visit, not a difference.
-func (st *State) dirtyPairs(memo uint64, bounds bool) []uint64 {
-	pw := st.idx.pairW
-	d := claim(&st.ar.dirty, pw, pw)
-	clear(d)
-	if bounds && st.stamp.bounds > memo {
+// prunePairs returns, as a bitset over pair indexes in arena scratch,
+// the pairs rulePrunePairs must revisit: its pending set (takePending)
+// and each pair with an endpoint whose bounds moved since memo
+// (sgIndex.incident). The set is fixed when the sweep starts. Pairs
+// stamped during the sweep (by a D1 choice's merge, say) are pending
+// for the next run; visiting a pair a full sweep would leave alone
+// changes nothing, so that costs a visit, not a difference.
+func (st *State) prunePairs(memo uint64) []uint64 {
+	d := st.takePending(st.pend.prune, memo)
+	if memo != 0 && st.stamp.bounds > memo {
+		pw := st.idx.pairW
 		for n := 0; n < st.nOrig; n++ {
 			if st.stamp.node[n] <= memo {
 				continue
@@ -221,18 +216,6 @@ func (st *State) dirtyPairs(memo uint64, bounds bool) []uint64 {
 			row := st.idx.incident[n*pw : (n+1)*pw]
 			for k, w := range row {
 				d[k] |= w
-			}
-		}
-	}
-	if st.stamp.pairs > memo {
-		for b, newest := range st.stamp.pairBlk {
-			if newest <= memo {
-				continue
-			}
-			for k, s := range st.stamp.pair[b<<6 : min(b<<6+64, len(st.pairs))] {
-				if s > memo {
-					d[b] |= 1 << uint(k)
-				}
 			}
 		}
 	}
@@ -246,7 +229,7 @@ func (st *State) dirtyPairs(memo uint64, bounds bool) []uint64 {
 // a single surviving combination is mandatory (chosen), and zero
 // surviving combinations contradict. A pair's inputs are its own record
 // and the bounds of its two instructions; only pairs with a changed
-// input are revisited, found through dirtyPairs.
+// input are revisited, found through prunePairs.
 func (st *State) rulePrunePairs() (bool, error) {
 	memo := st.memo.prune
 	if max(st.stamp.bounds, st.stamp.pairs) <= memo {
@@ -254,7 +237,7 @@ func (st *State) rulePrunePairs() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	for wi, w := range st.dirtyPairs(memo, true) {
+	for wi, w := range st.prunePairs(memo) {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 | bits.TrailingZeros64(w)
 			p := &st.pairs[i]
@@ -304,19 +287,27 @@ func (st *State) mustOverlap(u, v int) bool {
 // commitComb records a chosen combination for pair i: pair state plus
 // the offset relation in the connected-component structure. It is the
 // only caller of OffsetUF.Relate, so every merge stamps the pairs it
-// joins first.
+// joins first, then stamps the root of the component it forms and logs
+// the step for the cc-groups cache (logCCStep).
 func (st *State) commitComb(i, comb int) error {
 	st.touchPair(i)
 	p := &st.pairs[i]
 	p.status = Chosen
 	p.comb = int32(comb)
 	st.combSetOnly(i, comb)
-	if !st.cc.Same(int(p.u), int(p.v)) {
-		st.stampJoinedPairs(int(p.u), int(p.v))
+	u, v := int(p.u), int(p.v)
+	if st.cc.Same(u, v) {
+		if err := st.cc.Relate(u, v, comb); err != nil {
+			return contraf("pair (%d,%d): offset %d conflicts with connected components", p.u, p.v, comb)
+		}
+		return nil
 	}
-	if err := st.cc.Relate(int(p.u), int(p.v), comb); err != nil {
-		return contraf("pair (%d,%d): offset %d conflicts with connected components", p.u, p.v, comb)
-	}
+	st.stampJoinedPairs(u, v)
+	from, ru, rv := st.cc.Version(), st.cc.Root(u), st.cc.Root(v)
+	_ = st.cc.Relate(u, v, comb) // two sets: the relation cannot conflict
+	keep := st.cc.Root(u)
+	st.stampRoot(keep)
+	st.logCCStep(from, keep, ru+rv-keep)
 	return nil
 }
 
@@ -350,15 +341,17 @@ func (st *State) stampJoinedPairs(a, b int) {
 	}
 }
 
-// sortTriples stable-sorts the resource scratch rows by (key, class),
-// preserving the collection order inside each group.
-func sortTriples(trips []resTriple) {
-	slices.SortStableFunc(trips, func(a, b resTriple) int {
-		if a.key != b.key {
-			return a.key - b.key
-		}
-		return int(a.class) - int(b.class)
-	})
+// coIssueBias keeps the cycles and component offsets of co-issue keys
+// non-negative; both stay far inside it.
+const coIssueBias = 1 << 23
+
+// coIssueKey packs one row of the resource rules' co-issue grouping:
+// the cycle or component offset at, then the class, then the node. Rows
+// collected in node order and sorted as plain integers thus come grouped
+// by (at, class) with each group in node order, the order a stable sort
+// by (at, class) leaves them in.
+func coIssueKey(at int, class ir.Class, node int) uint64 {
+	return uint64(at+coIssueBias)<<40 | uint64(class)<<32 | uint64(uint32(node))
 }
 
 // ruleCCResources analyses resource usage inside connected components
@@ -366,27 +359,33 @@ func sortTriples(trips []resTriple) {
 // together in any schedule, so their per-class count must fit the
 // machine, and with single-unit clusters same-class co-issuers must
 // spread across clusters (rule D3 / paper Rule 2). Its inputs are the
-// components and the VCG alone.
+// components and the VCG alone. While the VCG has not moved since its
+// memo, before the sweep or during it, only components formed since,
+// whose root a merge stamped (commitComb), can need a spread: a clean
+// run left every other one spread, and a component a rollback split off
+// holds only groups of one that was, at the same relative cycles.
 func (st *State) ruleCCResources() (bool, error) {
-	if max(st.stamp.cc, st.stamp.vc) <= st.memo.ccRes {
+	memo := st.memo.ccRes
+	if max(st.stamp.cc, st.stamp.vc) <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
 	g := st.ccGroups()
+	sk := itemSkip{memo: memo, part: true}
 	changed := false
-	for gi := range g.roots {
-		members := g.members[g.start[gi]:g.start[gi+1]]
-		if len(members) < 2 {
+	for _, gi := range g.multi {
+		root := g.roots[gi]
+		if sk.still(st, 0) && st.stamp.root[root] <= memo {
 			continue
 		}
-		trips := st.ar.trips[:0]
-		for _, m := range members {
+		keys := st.ar.coKeys[:0]
+		for _, m := range g.members[g.start[gi]:g.start[gi+1]] {
 			_, off := st.cc.Find(m)
-			trips = append(trips, resTriple{key: off, class: st.class[m], node: m})
+			keys = append(keys, coIssueKey(off, st.class[m], m))
 		}
-		st.ar.trips = trips
-		sortTriples(trips)
-		ch, err := st.spreadTripleRuns(trips)
+		st.ar.coKeys = keys
+		slices.Sort(keys)
+		ch, err := st.spreadCoIssue(keys, nil)
 		if err != nil {
 			return changed, err
 		}
@@ -396,62 +395,81 @@ func (st *State) ruleCCResources() (bool, error) {
 	return changed, nil
 }
 
-// spreadTripleRuns walks the sorted (key, class) runs of the resource
-// scratch and spreads every certain co-issue group of two or more.
-func (st *State) spreadTripleRuns(trips []resTriple) (bool, error) {
+// spreadCoIssue walks the sorted co-issue keys and spreads every
+// certain co-issue group of two or more. With a non-nil sk it skips, at
+// each group's turn, a group none of whose nodes moved while only bounds
+// have moved since sk's memo: the group then holds only nodes that
+// shared its cycle at the last clean run, which left them spread.
+func (st *State) spreadCoIssue(keys []uint64, sk *itemSkip) (bool, error) {
 	changed := false
-	for s := 0; s < len(trips); {
-		e := s + 1
-		for e < len(trips) && trips[e].key == trips[s].key && trips[e].class == trips[s].class {
-			e++
+	for s := 0; s < len(keys); {
+		// The run of keys sharing keys[s]'s (at, class) is one group.
+		nodes := st.ar.groupNodes[:0]
+		e := s
+		for ; e < len(keys) && keys[e]>>32 == keys[s]>>32; e++ {
+			nodes = append(nodes, int(uint32(keys[e])))
 		}
-		if e-s >= 2 {
-			nodes := st.ar.groupNodes[:0]
-			for k := s; k < e; k++ {
-				nodes = append(nodes, trips[k].node)
-			}
-			st.ar.groupNodes = nodes
-			ch, err := st.spreadAcrossClusters(nodes, trips[s].class)
-			if err != nil {
-				return changed, err
-			}
-			changed = changed || ch
-		}
+		st.ar.groupNodes = nodes
+		class := ir.Class(keys[s] >> 32 & 0xff)
 		s = e
+		if len(nodes) < 2 || sk != nil && sk.still(st, 0) && !sk.anyMoved(st, nodes) {
+			continue
+		}
+		ch, err := st.spreadAcrossClusters(nodes, class)
+		if err != nil {
+			return changed, err
+		}
+		changed = changed || ch
 	}
 	return changed, nil
 }
 
 // rulePinnedResources applies the same co-issue analysis to nodes pinned
 // to absolute cycles, and checks bus capacity among pinned copies. Its
-// inputs are the bounds and the VCG.
+// inputs are the bounds and the VCG. While only bounds have moved since
+// its memo, it revisits only the groups holding a node whose bounds
+// moved, and the bus check only when a pinned copy moved: a node
+// becomes pinned, or moves to another cycle, only by a bound move, so
+// every other group and the pinned copies are what the last clean run
+// saw, less any node a rollback unpinned since.
 func (st *State) rulePinnedResources() (bool, error) {
-	if max(st.stamp.bounds, st.stamp.vc) <= st.memo.pinned {
+	memo := st.memo.pinned
+	if max(st.stamp.bounds, st.stamp.vc) <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
-	trips := st.ar.trips[:0]
+	sk := itemSkip{memo: memo, part: true}
+	part := sk.still(st, 0)
+	keys := st.ar.coKeys[:0]
 	pinnedCopies := st.ar.pinnedCopies[:0]
+	groups, bus := !part, !part
 	for node := 0; node < len(st.est); node++ {
 		if !st.Pinned(node) {
 			continue
 		}
+		moved := sk.moved(st, node)
 		if st.class[node] == ir.Copy {
 			pinnedCopies = append(pinnedCopies, node)
+			bus = bus || moved
 			continue
 		}
-		trips = append(trips, resTriple{key: st.est[node], class: st.class[node], node: node})
+		groups = groups || moved
+		keys = append(keys, coIssueKey(st.est[node], st.class[node], node))
 	}
-	st.ar.trips, st.ar.pinnedCopies = trips, pinnedCopies
-	sortTriples(trips)
-	changed, err := st.spreadTripleRuns(trips)
-	if err != nil {
-		return changed, err
+	st.ar.coKeys, st.ar.pinnedCopies = keys, pinnedCopies
+	changed := false
+	if groups {
+		slices.Sort(keys)
+		ch, err := st.spreadCoIssue(keys, &sk)
+		if err != nil {
+			return ch, err
+		}
+		changed = ch
 	}
 	// Bus capacity among pinned copies: each occupies BusOccupancy
 	// cycles. Copies never start after End − BusLatency, so End + occ
 	// bounds every occupied cycle.
-	if len(pinnedCopies) > 0 {
+	if len(pinnedCopies) > 0 && (bus || !sk.still(st, 0)) {
 		occ := st.M.BusOccupancy()
 		use := claim(&st.ar.busUse, st.End+occ+2, st.End+occ+2)
 		clear(use)
@@ -520,15 +538,23 @@ func (st *State) spreadAcrossClusters(nodes []int, class ir.Class) (bool, error)
 // cross-cluster flow materializes its communication (U4); a flow with no
 // room for a communication fuses the two VCs (D4 / paper Rule 1); a
 // fused flow needs nothing. Its inputs are the bounds, arcs,
-// communications and the VCG.
+// communications and the VCG; a flow reads the bounds of its producer
+// and consumer, a live-out those of its value and of the value's copy.
+// While only bounds have moved since the memo, a flow none of whose
+// nodes moved is skipped (itemSkip).
 func (st *State) ruleClusterEdges() (bool, error) {
-	if max(st.stamp.bounds, st.stamp.arcs, st.stamp.comms, st.stamp.vc) <= st.memo.flows {
+	memo := st.memo.flows
+	if max(st.stamp.bounds, st.stamp.arcs, st.stamp.comms, st.stamp.vc) <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
+	sk := itemSkip{memo: memo, part: true}
 	changed := false
 	for _, e := range st.SB.Edges {
 		if e.Kind != ir.Data {
+			continue
+		}
+		if sk.still(st, max(st.stamp.arcs, st.stamp.comms)) && !sk.moved(st, e.From) && !sk.moved(st, e.To) {
 			continue
 		}
 		ch, err := st.handleFlow(e.From, e.To)
@@ -539,6 +565,9 @@ func (st *State) ruleClusterEdges() (bool, error) {
 	}
 	for li := range st.SB.LiveIns {
 		for _, c := range st.SB.LiveIns[li].Consumers {
+			if sk.still(st, max(st.stamp.arcs, st.stamp.comms)) && !sk.moved(st, c) {
+				continue
+			}
 			ch, err := st.handleFlow(-(li + 1), c)
 			changed = changed || ch
 			if err != nil {
@@ -547,6 +576,11 @@ func (st *State) ruleClusterEdges() (bool, error) {
 		}
 	}
 	for oi, u := range st.SB.LiveOuts {
+		if sk.still(st, max(st.stamp.arcs, st.stamp.comms)) && !sk.moved(st, u) {
+			if n := st.commFor(u); n < 0 || !sk.moved(st, st.comms[n].Node) {
+				continue
+			}
+		}
 		ch, err := st.handleLiveOut(u, st.pins.LiveOut[oi])
 		changed = changed || ch
 		if err != nil {
@@ -665,12 +699,17 @@ func (st *State) ensureComm(value int) (node int, changed bool, err error) {
 // producer, so the value's communication is mandatory even though which
 // consumer is remote is unknown (C-PLC, immediately a concrete copy in
 // the broadcast model). Its deadline is bounded by the later of the two
-// consumers. Its inputs are the bounds, communications and the VCG.
+// consumers. Its inputs are the bounds, communications and the VCG; a
+// value reads its own bounds, its consumers' and its copy's. While only
+// bounds have moved since the memo, a value none of whose nodes moved
+// is skipped (itemSkip).
 func (st *State) ruleCPLC() (bool, error) {
-	if max(st.stamp.bounds, st.stamp.comms, st.stamp.vc) <= st.memo.cplc {
+	memo := st.memo.cplc
+	if max(st.stamp.bounds, st.stamp.comms, st.stamp.vc) <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
+	sk := itemSkip{memo: memo, part: true}
 	changed := false
 	nVals := st.nOrig + len(st.SB.LiveIns)
 	for vi := 0; vi < nVals; vi++ {
@@ -680,6 +719,9 @@ func (st *State) ruleCPLC() (bool, error) {
 		}
 		consumers := st.consumersOf(v)
 		if len(consumers) < 2 {
+			continue
+		}
+		if sk.still(st, st.stamp.comms) && !st.valueMoved(&sk, v, consumers) {
 			continue
 		}
 		for i := 0; i < len(consumers); i++ {
@@ -706,20 +748,37 @@ func (st *State) ruleCPLC() (bool, error) {
 	return changed, nil
 }
 
+// valueMoved reports whether a node C-PLC reads for value v moved since
+// sk's memo: v itself, one of its consumers, or its copy.
+func (st *State) valueMoved(sk *itemSkip, v int, consumers []int) bool {
+	if v >= 0 && sk.moved(st, v) || sk.anyMoved(st, consumers) {
+		return true
+	}
+	n := st.commFor(v)
+	return n >= 0 && sk.moved(st, st.comms[n].Node)
+}
+
 // rulePPLC is paper Rule 5: a consumer whose producers sit in
 // incompatible VCs will receive at least one value over the bus, so its
 // earliest start moves past the earliest possible arrival, and a PLC
 // records the pending bus demand until one alternative materializes.
-// Its inputs are the bounds, PLCs and the VCG.
+// Its inputs are the bounds, PLCs and the VCG; a consumer reads its own
+// bounds and its producers'. While only bounds have moved since the
+// memo, a consumer none of whose nodes moved is skipped (itemSkip).
 func (st *State) rulePPLC() (bool, error) {
-	if max(st.stamp.bounds, st.stamp.plcs, st.stamp.vc) <= st.memo.pplc {
+	memo := st.memo.pplc
+	if max(st.stamp.bounds, st.stamp.plcs, st.stamp.vc) <= memo {
 		return false, nil
 	}
 	start := st.ar.clock
+	sk := itemSkip{memo: memo, part: true}
 	changed := false
 	for c := 0; c < st.nOrig; c++ {
 		values := st.idx.consVals[st.idx.consStart[c]:st.idx.consStart[c+1]]
 		if len(values) < 2 {
+			continue
+		}
+		if sk.still(st, st.stamp.plcs) && !sk.moved(st, c) && !st.producersMoved(&sk, values) {
 			continue
 		}
 		for i := 0; i < len(values); i++ {
@@ -758,6 +817,17 @@ func (st *State) rulePPLC() (bool, error) {
 	return changed, nil
 }
 
+// producersMoved reports whether an instruction among values (live-ins
+// have no bounds) moved since sk's memo.
+func (st *State) producersMoved(sk *itemSkip, values []int) bool {
+	for _, v := range values {
+		if v >= 0 && sk.moved(st, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // plcSeenHas reports whether a PLC for consumer c over the (normalized
 // lo <= hi) alternative pair is already recorded. The list stays small
 // (one entry per incompatible producer pair), so a linear scan beats
@@ -782,7 +852,9 @@ const packingSizeLimit = 80
 // saturation, instructions merely overlapping [a,b] are pushed outside.
 // Copies are packed against bus capacity with their occupancy, together
 // with pending PLC reservations. Only classes with changed inputs
-// (packingInputs) are packed again.
+// (packingInputs) are packed again. A class's nodes come from the
+// block's per-class lists (sgIndex.classNodes) and, for copies, the
+// communication nodes, in node order.
 func (st *State) ruleWindowPacking() (bool, error) {
 	memo := st.memo.packing
 	dirty := false
@@ -794,16 +866,16 @@ func (st *State) ruleWindowPacking() (bool, error) {
 	}
 	start := st.ar.clock
 	changed := false
-	byClass := &st.ar.byClass
-	for c := range byClass {
-		byClass[c] = byClass[c][:0]
-	}
-	for node := 0; node < len(st.est); node++ {
-		byClass[st.class[node]] = append(byClass[st.class[node]], node)
-	}
 	for class := ir.Class(0); int(class) < ir.NumClasses; class++ {
-		nodes := byClass[class]
-		if len(nodes) < 2 || len(nodes) > packingSizeLimit || st.packingInputs(class) <= memo {
+		if st.packingInputs(class) <= memo {
+			continue
+		}
+		nodes := st.idx.classNodes[class]
+		count := len(nodes)
+		if class == ir.Copy {
+			count += len(st.est) - st.nOrig
+		}
+		if count < 2 || count > packingSizeLimit {
 			continue
 		}
 		var cap, dur int
@@ -820,6 +892,9 @@ func (st *State) ruleWindowPacking() (bool, error) {
 			ivs = append(ivs, interval{node: n, lo: st.est[n], hi: st.lst[n] + dur - 1})
 		}
 		if class == ir.Copy {
+			for n := st.nOrig; n < len(st.est); n++ {
+				ivs = append(ivs, interval{node: n, lo: st.est[n], hi: st.lst[n] + dur - 1})
+			}
 			// Pending PLCs reserve bus bandwidth — but one broadcast can
 			// cover every PLC it is an alternative of, so only PLCs with
 			// pairwise-disjoint alternative sets are certain to need
@@ -837,7 +912,7 @@ func (st *State) ruleWindowPacking() (bool, error) {
 			st.ar.plcAlts = seenAlts
 		}
 		st.ar.ivs = ivs
-		ch, err := st.packIntervals(ivs, cap, dur)
+		ch, err := st.packIntervals(ivs, cap, dur, &st.ar.packOrder[class])
 		if err != nil {
 			return changed, err
 		}
@@ -863,28 +938,68 @@ type interval struct {
 	lo, hi int // occupied-cycle window (inclusive)
 }
 
-func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
-	// One sort of the left ends, and one of the intervals by right end
-	// (keys pack the right end above the interval's index), from which
-	// the distinct right ends come in order too.
-	los := st.ar.los[:0]
-	keys := claim(&st.ar.hiKeys, 0, len(ivs))
-	for i, iv := range ivs {
-		los = append(los, iv.lo)
-		keys = append(keys, int64(iv.hi)<<32|int64(i))
+// packOrder holds one class's last D2 sort: the (left end, index) and
+// (right end, index) keys of its intervals, sorted. Bounds move little
+// between runs, so the next run's sorts start from that order
+// (sortIntervals).
+type packOrder struct {
+	byLo, byHi []int64
+}
+
+// sortIntervals sorts the (left end, index) keys of ivs, or with byHi
+// the (right end, index) keys, starting from the order of the keys the
+// last sort left in *keys: it re-keys each index held there from ivs
+// and insertion-sorts, which costs little when few bounds moved since.
+// Keys of another length than ivs were left by a run over other
+// intervals (a copy came or went) and start from index order. Either
+// way the result is the one sorted order; the start changes only the
+// work.
+func sortIntervals(keys *[]int64, ivs []interval, byHi bool) []int64 {
+	k := *keys
+	if len(k) != len(ivs) {
+		k = claim(keys, len(ivs), len(ivs))
+		for i := range k {
+			k[i] = int64(i)
+		}
 	}
-	slices.Sort(los)
-	slices.Sort(keys)
-	los = dedupInts(los)
+	for p, key := range k {
+		i := int64(uint32(key))
+		at := ivs[i].lo
+		if byHi {
+			at = ivs[i].hi
+		}
+		k[p] = int64(at)<<32 | i
+	}
+	for p := 1; p < len(k); p++ {
+		key := k[p]
+		q := p
+		for ; q > 0 && k[q-1] > key; q-- {
+			k[q] = k[q-1]
+		}
+		k[q] = key
+	}
+	return k
+}
+
+func (st *State) packIntervals(ivs []interval, cap, dur int, ord *packOrder) (bool, error) {
+	// One sort of the left ends, and one of the intervals by right end
+	// (keys pack the end above the interval's index), from which the
+	// distinct right ends come in order too.
+	los := st.ar.los[:0]
+	for _, key := range sortIntervals(&ord.byLo, ivs, false) {
+		if lo := int(key >> 32); len(los) == 0 || los[len(los)-1] != lo {
+			los = append(los, lo)
+		}
+	}
 	his := st.ar.his[:0]
 	live := claim(&st.ar.live, 0, len(ivs))
-	for _, key := range keys {
+	for _, key := range sortIntervals(&ord.byHi, ivs, true) {
 		if hi := int(key >> 32); len(his) == 0 || his[len(his)-1] != hi {
 			his = append(his, hi)
 		}
 		live = append(live, int32(key))
 	}
-	st.ar.los, st.ar.hiKeys, st.ar.his, st.ar.live = los, keys, his, live
+	st.ar.los, st.ar.his, st.ar.live = los, his, live
 	changed := false
 	first := 0 // his[first:] are the right ends at or after a
 	for _, a := range los {
@@ -963,16 +1078,6 @@ func (st *State) packIntervals(ivs []interval, cap, dur int) (bool, error) {
 		}
 	}
 	return changed, nil
-}
-
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // ruleCliqueVeto is rule D9: a VCG whose (greedily lower-bounded) max

@@ -234,18 +234,23 @@ type State struct {
 	// arena.go for the lifetime contract.
 	ar *Arena
 
-	// cc-groups cache: two CSR entries of the connected components,
-	// each keyed by the union-find version it describes (ccgroups.go).
-	// ccCur is the entry last used; while a trail is open, ccKeep is
-	// the entry that described the partition when the probe opened,
-	// which rebuilds during the speculation leave alone.
-	ccg           [2]ccGroups
+	// cc-groups cache: CSR entries of the connected components, each
+	// keyed by the union-find version it describes (ccgroups.go). ccCur
+	// is the entry last used; while a trail is open, ccKeep is the entry
+	// that described the partition when the probe opened, which builds
+	// during the speculation leave alone. ccLog is a ring of the last
+	// union-find steps the state made (ccLogN of them in all), from
+	// which a new entry is derived.
+	ccg           [ccSlots]ccGroups
 	ccCur, ccKeep int
+	ccLog         [ccLogLen]ccStep
+	ccLogN        int
 
-	// stamp and memo make propagation change-driven, and fix marks the
-	// state the last clean Propagate left; see stamps.go.
+	// stamp, memo and pend make propagation change-driven, and fix marks
+	// the state the last clean Propagate left; see stamps.go.
 	stamp stamps
 	memo  memos
+	pend  pending
 	fix   fixpoint
 }
 
@@ -560,7 +565,9 @@ func (st *State) addNode(class ir.Class, lat, est, lst int) (int, error) {
 	st.lst = append(st.lst, lst)
 	st.outA = appendAdj(st.outA)
 	st.inA = appendAdj(st.inA)
+	ccFrom := st.cc.Version()
 	st.cc.Add()
+	st.logCCStep(ccFrom, -1, -1)
 	st.vc.AddNode()
 	st.trailMark(tNodeAdd)
 	st.stamp.node = append(st.stamp.node, 0)
@@ -617,8 +624,9 @@ func (st *State) Clone() *State {
 		stamp: st.stamp,
 	}
 	cp.stamp.node = append([]uint64(nil), st.stamp.node...)
-	cp.stamp.pair = append([]uint64(nil), st.stamp.pair...)
-	cp.stamp.pairBlk = append([]uint64(nil), st.stamp.pairBlk...)
+	cp.stamp.root = append([]uint64(nil), st.stamp.root...)
+	cp.pend.coherence = make([]uint64, len(st.pend.coherence))
+	cp.pend.prune = make([]uint64, len(st.pend.prune))
 	for i := range st.outA {
 		cp.outA[i] = append([]int(nil), st.outA[i]...)
 		cp.inA[i] = append([]int(nil), st.inA[i]...)

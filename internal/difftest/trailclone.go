@@ -32,8 +32,10 @@ const (
 // with every propagation memo at never, so the clone side also compares
 // a full first sweep against the trail side's change-driven passes. A
 // deterministic script of random decisions is replayed against both;
-// after every step the two states' DumpText fingerprints and the
-// decision's error strings must match exactly. Every few steps a
+// at every step the decision's error strings, the probed state inside
+// the trail's probe against the clone's after the same decision (their
+// DumpText fingerprints, budget line included), and the two states
+// after the rollback must match exactly. Every few steps a
 // decision is committed to both universes so the script walks through
 // genuinely different states, and after every commit the fixpoint
 // oracle (checkFixpoint) runs on both. After every clean propagation
@@ -100,10 +102,14 @@ func checkTrailClone(rep *Report) {
 	for step := 0; step < trailCloneSteps; step++ {
 		name, op := randomDecision(rng, trailSt)
 
-		// Speculate: trail probe against throwaway clone.
-		var inProbe string
+		// Speculate: trail probe against throwaway clone. The probed
+		// state itself, budget line included, must be the clone's after
+		// the same decision: a skip that leaves another propagated state
+		// or spends another step shows at once, not only at a commit.
+		var inProbe, probed string
 		perr := trailSt.Probe(func(s *deduce.State) error {
 			err := op(s)
+			probed = s.DumpText()
 			if err == nil {
 				inProbe = openPairInOneComponent(s)
 			}
@@ -114,6 +120,11 @@ func checkTrailClone(rep *Report) {
 		if errString(perr) != errString(oerr) {
 			rep.violate(KindTrailClone, "step %d %s: probe error %q (trail) vs %q (clone)",
 				step, name, errString(perr), errString(oerr))
+			return
+		}
+		if d := oracle.DumpText(); probed != d {
+			rep.violate(KindTrailClone, "step %d %s: probed states differ:\n%s",
+				step, name, firstDiffLine(probed, d))
 			return
 		}
 		if inProbe != "" {

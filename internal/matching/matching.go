@@ -11,7 +11,9 @@ package matching
 
 import (
 	"errors"
+	"math/bits"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -20,10 +22,11 @@ import (
 var ErrDeadline = errors.New("matching: deadline passed")
 
 // pollEvery is how many subsets the exact DP visits between deadline
-// checks. At ExactLimit vertices it visits 2^22 subsets, about 45 ms
-// for a sparse graph on a 2-vCPU x86 host: a poll every 0.7 ms there,
-// and less often on denser graphs, which spend more per subset.
-const pollEvery = 1 << 16
+// checks. The DP visits only the subsets its answer depends on: at
+// ExactLimit vertices that is 42 for a ring and 46,367 for the complete
+// graph, the densest, which takes about 17 ms on a 2-vCPU x86 host: a
+// poll every 0.2 ms there.
+const pollEvery = 1 << 9
 
 // Edge is an undirected weighted edge.
 type Edge struct {
@@ -41,17 +44,20 @@ const ExactLimit = 22
 // beyond. The exact DP returns ErrDeadline once the deadline (zero =
 // none) has passed; the result never depends on it otherwise.
 func MaxWeight(n int, edges []Edge, deadline time.Time) ([]Edge, error) {
-	pos := make([]Edge, 0, len(edges))
+	d := tables.Get().(*dp)
+	defer tables.Put(d)
+	pos := d.pos[:0]
 	for _, e := range edges {
 		if e.Weight > 0 && e.U != e.V && e.U >= 0 && e.V >= 0 && e.U < n && e.V < n {
 			pos = append(pos, e)
 		}
 	}
+	d.pos = pos
 	if len(pos) == 0 {
 		return nil, nil
 	}
 	if n <= ExactLimit {
-		return exact(n, pos, deadline)
+		return d.exact(n, pos, deadline)
 	}
 	return greedy(n, pos), nil
 }
@@ -79,47 +85,150 @@ func IsMatching(m []Edge) bool {
 }
 
 // exact solves maximum-weight matching by DP over vertex subsets:
-// best[S] = best matching weight using only vertices in S. O(2^n · deg).
-func exact(n int, edges []Edge, deadline time.Time) ([]Edge, error) {
-	adj := dedupAdjacency(n, edges)
-	size := 1 << n
-	best := make([]int32, size)
-	choice := make([]int32, size) // edge index chosen for lowest set bit, or −1
-	for s := 1; s < size; s++ {
-		if s%pollEvery == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, ErrDeadline
-		}
-		choice[s] = -1
-		// Lowest vertex in s either stays unmatched...
-		low := lowestBit(s)
-		rest := s &^ (1 << low)
-		best[s] = best[rest]
-		// ...or matches one of its neighbors in s.
-		for _, nb := range adj.of(low) {
-			if s&(1<<nb.v) == 0 {
-				continue
-			}
-			w := nb.w + best[rest&^(1<<nb.v)]
-			if w > best[s] {
-				best[s] = w
-				choice[s] = nb.edge
-			}
-		}
+// best(S) is the best matching weight using only vertices in S. The
+// lowest vertex of S either stays unmatched, leaving best(S minus it),
+// or matches a neighbor in S, adding that edge's weight to best(S minus
+// both); the first strictly heaviest alternative, in adjacency order,
+// wins. The DP runs top-down from the full vertex set, memoized, so it
+// visits only the subsets the answer depends on (at most 46,367, for
+// the complete graph on ExactLimit vertices), and reconstructs the
+// matching by following the winners from the full set. O(visited ·
+// deg).
+func (d *dp) exact(n int, edges []Edge, deadline time.Time) ([]Edge, error) {
+	d.adj = dedupAdjacency(n, edges, d.adj)
+	d.memo.reset()
+	d.deadline, d.visits, d.late = deadline, 0, false
+	d.best(1<<n - 1)
+	if d.late {
+		return nil, ErrDeadline
 	}
-	// Reconstruct.
-	var out []Edge
-	s := size - 1
-	for s != 0 {
-		if choice[s] < 0 {
-			s &^= 1 << lowestBit(s)
-			continue
+	out := make([]Edge, 0, n/2)
+	for s := 1<<n - 1; s != 0; {
+		if c, _ := d.memo.get(s); c.choice > 0 {
+			e := edges[c.choice-1]
+			out = append(out, e)
+			s &^= 1<<e.U | 1<<e.V
+		} else {
+			s &= s - 1
 		}
-		e := edges[choice[s]]
-		out = append(out, e)
-		s &^= 1 << e.U
-		s &^= 1 << e.V
 	}
 	return out, nil
+}
+
+// dp is MaxWeight's reusable state: the edges it keeps, and the exact
+// DP's adjacency, its memo and its deadline poll.
+type dp struct {
+	pos      []Edge
+	adj      adjacency
+	memo     memo
+	deadline time.Time
+	visits   int
+	late     bool
+}
+
+// tables recycles MaxWeight's state across calls; concurrent calls take
+// different ones.
+var tables = sync.Pool{New: func() any { return new(dp) }}
+
+// best returns the best matching weight inside subset s, solving it
+// and the subsets it depends on first. Once the deadline has passed
+// (polled every pollEvery subsets) it returns at once without solving.
+func (d *dp) best(s int) int32 {
+	if s == 0 {
+		return 0
+	}
+	if c, ok := d.memo.get(s); ok {
+		return c.best
+	}
+	if d.visits++; d.visits%pollEvery == 0 && !d.deadline.IsZero() && time.Now().After(d.deadline) {
+		d.late = true
+	}
+	if d.late {
+		return 0
+	}
+	low := bits.TrailingZeros(uint(s))
+	rest := s &^ (1 << low)
+	b, choice := d.best(rest), int32(-1)
+	for _, nb := range d.adj.of(low) {
+		if s&(1<<nb.v) == 0 {
+			continue
+		}
+		if w := nb.w + d.best(rest&^(1<<nb.v)); w > b {
+			b, choice = w, nb.edge+1
+		}
+	}
+	d.memo.put(s, cell{best: b, choice: choice})
+	return b
+}
+
+// cell is the memo of one solved subset: its best weight, and in choice
+// the winning edge's index plus one, or −1 when the lowest vertex stays
+// unmatched.
+type cell struct {
+	best, choice int32
+}
+
+// memo maps solved subsets to their cells: an open-addressing table,
+// linearly probed, whose slots hold the subset plus one (0 = empty). It
+// stays at most half full, so its size follows the subsets a call
+// visits rather than the 2^n it could, and filled lists the slots in
+// use, so emptying it costs what the last call filled, not the table's
+// size.
+type memo struct {
+	slots  []slot
+	filled []int32
+}
+
+type slot struct {
+	key uint32
+	cell
+}
+
+// reset empties the memo, keeping its table.
+func (m *memo) reset() {
+	for _, i := range m.filled {
+		m.slots[i] = slot{}
+	}
+	m.filled = m.filled[:0]
+}
+
+// home returns the first slot to probe for subset s.
+func (m *memo) home(s int) int {
+	return int(uint32(s)*0x9E3779B1) & (len(m.slots) - 1)
+}
+
+func (m *memo) get(s int) (cell, bool) {
+	if len(m.slots) == 0 {
+		return cell{}, false
+	}
+	for i := m.home(s); ; i = (i + 1) & (len(m.slots) - 1) {
+		switch m.slots[i].key {
+		case uint32(s) + 1:
+			return m.slots[i].cell, true
+		case 0:
+			return cell{}, false
+		}
+	}
+}
+
+func (m *memo) put(s int, c cell) {
+	if 2*(len(m.filled)+1) > len(m.slots) {
+		old, filled := m.slots, m.filled
+		m.slots, m.filled = make([]slot, max(64, 2*len(old))), filled[:0:0]
+		for _, i := range filled {
+			m.insert(old[i])
+		}
+	}
+	m.insert(slot{key: uint32(s) + 1, cell: c})
+}
+
+func (m *memo) insert(e slot) {
+	i := m.home(int(e.key - 1))
+	for m.slots[i].key != 0 {
+		i = (i + 1) & (len(m.slots) - 1)
+	}
+	m.slots[i] = e
+	m.filled = append(m.filled, int32(i))
 }
 
 // neighbor is one entry of a deduplicated adjacency: the other vertex,
@@ -129,23 +238,34 @@ type neighbor struct {
 }
 
 // adjacency lists each vertex's neighbors, vertex u's being
-// nbrs[start[u]:start[u+1]].
+// nbrs[start[u]:start[u+1]]; deg is scratch for building it.
 type adjacency struct {
 	start []int32
 	nbrs  []neighbor
+	deg   []int32
+}
+
+// grow returns buf resized to n, reallocated only when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func (a adjacency) of(u int) []neighbor { return a.nbrs[a.start[u]:a.start[u+1]] }
 
-// dedupAdjacency builds the adjacency the DP walks: one entry per
-// neighbor, in the order the neighbor first appears among the vertex's
-// edges, holding the heaviest of the parallel edges (the first of equal
-// weights). Parallel edges only repeat a candidate with the same
-// weight, which the DP's strict comparison never takes, so the DP
-// chooses exactly what it chose walking every edge.
-func dedupAdjacency(n int, edges []Edge) adjacency {
-	a := adjacency{start: make([]int32, n+1), nbrs: make([]neighbor, 0, 2*len(edges))}
-	deg := make([]int32, n+1)
+// dedupAdjacency builds the adjacency the DP walks, in buf's storage:
+// one entry per neighbor, in the order the neighbor first appears among
+// the vertex's edges, holding the heaviest of the parallel edges (the
+// first of equal weights). Parallel edges only repeat a candidate with
+// the same weight, which the DP's strict comparison never takes, so the
+// DP chooses exactly what it chose walking every edge.
+func dedupAdjacency(n int, edges []Edge, buf adjacency) adjacency {
+	a := adjacency{start: grow(buf.start, n+1), nbrs: grow(buf.nbrs, 2*len(edges))[:0], deg: grow(buf.deg, n+1)}
+	a.start[0] = 0
+	deg := a.deg
+	clear(deg)
 	for _, e := range edges {
 		deg[e.U+1]++
 		deg[e.V+1]++
@@ -186,15 +306,6 @@ func dedupAdjacency(n int, edges []Edge) adjacency {
 		a.start[u+1] = int32(out)
 	}
 	return a
-}
-
-func lowestBit(s int) int {
-	b := 0
-	for s&1 == 0 {
-		s >>= 1
-		b++
-	}
-	return b
 }
 
 // greedy picks edges in decreasing weight order, then tries 2-opt swaps:

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,13 +18,16 @@ func maxWeight(n int, edges []Edge) []Edge {
 	return m
 }
 
-// TestMaxWeightStopsAtDeadline: the exact DP over a 22-vertex graph
-// (2^22 subsets) returns ErrDeadline at its first poll once the
-// deadline has passed, and the same graph without one still matches.
+// TestMaxWeightStopsAtDeadline: the exact DP over the complete
+// 22-vertex graph (46,367 subsets visited, more than one poll interval)
+// returns ErrDeadline at its first poll once the deadline has passed,
+// and a graph whose DP ends before the first poll never reads it.
 func TestMaxWeightStopsAtDeadline(t *testing.T) {
 	var edges []Edge
 	for u := 0; u < ExactLimit; u++ {
-		edges = append(edges, Edge{U: u, V: (u + 1) % ExactLimit, Weight: 1 + u%3})
+		for v := u + 1; v < ExactLimit; v++ {
+			edges = append(edges, Edge{U: u, V: v, Weight: 1 + (u+v)%5})
+		}
 	}
 	start := time.Now()
 	if m, err := MaxWeight(ExactLimit, edges, start.Add(-time.Millisecond)); !errors.Is(err, ErrDeadline) || m != nil {
@@ -32,7 +36,7 @@ func TestMaxWeightStopsAtDeadline(t *testing.T) {
 	if el := time.Since(start); el > 100*time.Millisecond {
 		t.Errorf("passed deadline took %v to notice", el)
 	}
-	if m, err := MaxWeight(4, edges[:3], start.Add(-time.Millisecond)); err != nil || Weight(m) == 0 {
+	if m, err := MaxWeight(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, start.Add(-time.Millisecond)); err != nil || Weight(m) == 0 {
 		t.Fatalf("a DP shorter than one poll interval never reads the deadline: got %v, %v", m, err)
 	}
 }
@@ -255,11 +259,99 @@ func exactRef(n int, edges []Edge) []Edge {
 	return out
 }
 
+// exactBottomUp is the exact DP as it read before it ran top-down: the
+// same recurrence over the deduplicated adjacency, solving every subset
+// in ascending order, then following the winners from the full set.
+func exactBottomUp(n int, edges []Edge) []Edge {
+	adj := dedupAdjacency(n, edges, adjacency{})
+	size := 1 << n
+	best := make([]int32, size)
+	choice := make([]int32, size)
+	for s := 1; s < size; s++ {
+		choice[s] = -1
+		low := lowestBit(s)
+		rest := s &^ (1 << low)
+		best[s] = best[rest]
+		for _, nb := range adj.of(low) {
+			if s&(1<<nb.v) == 0 {
+				continue
+			}
+			w := nb.w + best[rest&^(1<<nb.v)]
+			if w > best[s] {
+				best[s] = w
+				choice[s] = nb.edge
+			}
+		}
+	}
+	var out []Edge
+	s := size - 1
+	for s != 0 {
+		if choice[s] < 0 {
+			s &^= 1 << lowestBit(s)
+			continue
+		}
+		e := edges[choice[s]]
+		out = append(out, e)
+		s &^= 1 << e.U
+		s &^= 1 << e.V
+	}
+	return out
+}
+
+func lowestBit(s int) int {
+	b := 0
+	for s&1 == 0 {
+		s >>= 1
+		b++
+	}
+	return b
+}
+
+// randomMultigraph draws a graph of n vertices in which each vertex
+// pair is joined with probability p, then repeats some of its edges,
+// reversed or reweighted, and shuffles them: parallel edges of equal
+// and of different weights, in both orientations.
+func randomMultigraph(rng *rand.Rand, n int, p float64) []Edge {
+	var edges []Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				edges = append(edges, Edge{u, v, 1 + rng.Intn(6)})
+			}
+		}
+	}
+	for i := rng.Intn(len(edges)/4 + 1); i > 0; i-- {
+		e := edges[rng.Intn(len(edges))]
+		if rng.Intn(2) == 0 {
+			e.U, e.V = e.V, e.U
+		}
+		if rng.Intn(2) == 0 {
+			e.Weight = 1 + rng.Intn(6)
+		}
+		edges = append(edges, e)
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
 // TestExactMatchesReference compares exact with exactRef on random
 // multigraphs of up to 12 vertices with parallel edges of equal and of
-// different weights, in both orientations: the two must return the
-// same edges in the same order, not just the same total weight.
+// different weights, in both orientations, and with exactBottomUp on
+// sparse and dense multigraphs of up to ExactLimit vertices: they must
+// return the same edges in the same order, not just the same total
+// weight.
 func TestExactMatchesReference(t *testing.T) {
+	same := func(what string, n int, edges, got, want []Edge) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s, n %d, edges %v: exact %v, reference %v", what, n, edges, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s, n %d, edges %v: exact %v, reference %v", what, n, edges, got, want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(12)
@@ -282,18 +374,29 @@ func TestExactMatchesReference(t *testing.T) {
 			edges = append(edges, e)
 		}
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		got, err := exact(n, edges, time.Time{})
+		got, err := new(dp).exact(n, edges, time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := exactRef(n, edges)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d, n %d, edges %v: exact %v, reference %v", trial, n, edges, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d, n %d, edges %v: exact %v, reference %v", trial, n, edges, got, want)
+		same(fmt.Sprintf("trial %d", trial), n, edges, got, exactRef(n, edges))
+	}
+	// The bottom-up DP solves all 2^n subsets: one sparse and one dense
+	// graph per size, fewer sizes under the race detector.
+	step := 1
+	if raceEnabled {
+		step = 5
+	}
+	for n := 2; n <= ExactLimit; n += step {
+		for _, p := range []float64{0.15, 0.8} {
+			edges := randomMultigraph(rng, n, p)
+			if len(edges) == 0 {
+				continue
 			}
+			got, err := new(dp).exact(n, edges, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("density %.2f", p), n, edges, got, exactBottomUp(n, edges))
 		}
 	}
 }
