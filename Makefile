@@ -72,15 +72,16 @@ bench-gate:
 # profile runs 20 passes of BenchmarkCompileSet (internal/resilient)
 # under the CPU profiler, keeps the profile and the test binary in
 # results/bench/ (not tracked), and prints pprof's header and its
-# cumulative -top lines of the deduction engine, the search and the
-# matching: the CPU shares ROADMAP.md and EXPERIMENTS.md quote come from
-# this command. No CI job runs it.
+# cumulative -top lines of the deduction engine, the search, the
+# matching, the virtual cluster graph (the clique bound) and CARS (the
+# incumbent): the CPU shares ROADMAP.md and EXPERIMENTS.md quote come
+# from this command. No CI job runs it.
 profile:
 	mkdir -p results/bench
 	$(GO) test -run '^$$' -bench CompileSet -benchtime 20x -cpuprofile results/bench/cpu.prof \
 		-o results/bench/resilient.test ./internal/resilient
 	$(GO) tool pprof -top -cum results/bench/resilient.test results/bench/cpu.prof 2>/dev/null | \
-		awk 'NR <= 6 || /internal\/(deduce|core|matching)\./'
+		awk 'NR <= 6 || /internal\/(deduce|core|matching|vcg|cars)\./'
 
 # bench-figures runs the paper-figure reproduction benchmarks at the
 # repository root (the pre-existing `bench` target).

@@ -87,6 +87,20 @@ type Options struct {
 	// ceiling the search is unchanged, so a schedule it returns is the
 	// one the search without a ceiling returns.
 	Ceiling float64
+	// Incumbent is the exit vector of a valid schedule the caller
+	// already holds (its cycles in exit order, as
+	// sched.Schedule.ExitVector gives them; nil = none, and so is a
+	// vector of the wrong length). The bound probes take it as proof: a
+	// probe whose deadlines it meets cannot contradict, so its exit is
+	// proven without a probe. That spares steps, so a search can finish
+	// within a budget it would otherwise run out of, but it changes no
+	// bound, vector or schedule while the incumbent is valid under Pins.
+	// If it is not, the probes it skips are only ones that could have
+	// bumped the bound: every bump still rests on a contradiction the
+	// DP derived, so the bound can only come out lower and the search
+	// tries more vectors. It never returns an invalid schedule and never
+	// claims a bound it did not prove.
+	Incumbent []int
 	// Trace, when non-nil, receives search progress lines (AWCT
 	// attempts, stage failures) for debugging.
 	Trace func(format string, args ...any)
@@ -436,13 +450,18 @@ func (s *scheduler) horizon() int {
 // (faultpoint.ErrInjected) proves nothing and is returned as the
 // error, like any other failure of a probe.
 //
-// Two kinds of probe are skipped as already known. An exit whose probe
-// succeeded is not probed again: estimates only rise, so every later
-// probe of it would give every exit a later deadline, and a deduction
-// that found no contradiction under tighter deadlines finds none under
-// looser ones. And the vector is a lower bound at every step: once its
-// AWCT reaches the ceiling the search cannot beat the caller's
-// schedule, and the probes stop there.
+// Three kinds of probe are skipped as already known. An exit whose
+// probe succeeded is not probed again: estimates only rise, so every
+// later probe of it would give every exit a later deadline, and a
+// deduction that found no contradiction under tighter deadlines finds
+// none under looser ones. An exit whose probe deadlines the incumbent
+// meets (Options.Incumbent) is proven without a probe: a valid
+// schedule within them shows that a sound DP cannot refute them, and
+// it meets every later, looser probe of that exit too. A wrong
+// incumbent only skips probes that could have bumped the bound, so the
+// bound can only come out lower. And the vector is a lower bound at
+// every step: once its AWCT reaches the ceiling the search cannot beat
+// the caller's schedule, and the probes stop there.
 func (s *scheduler) enhancedExitEsts() ([]int, error) {
 	exits := s.exits()
 	base := s.sb.EStarts()
@@ -467,7 +486,11 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 		return ests, nil
 	}
 	h := s.horizon()
-	proven := make([]bool, len(exits)) // the exit's probe succeeded
+	incumbent := s.opts.Incumbent
+	if len(incumbent) != len(exits) {
+		incumbent = nil
+	}
+	proven := make([]bool, len(exits)) // the exit's probe cannot contradict
 	// Every probe sets every exit's deadline, and its state is dead by
 	// the next one, so one vector serves them all.
 	deadlines := make([]int, len(exits))
@@ -484,6 +507,10 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 				} else {
 					deadlines[j] = ests[j] + h
 				}
+			}
+			if meets(incumbent, deadlines) {
+				proven[i] = true
+				continue
 			}
 			err := s.probe(deadlines)
 			if err == nil {
@@ -510,6 +537,20 @@ func (s *scheduler) enhancedExitEsts() ([]int, error) {
 		}
 	}
 	return ests, nil
+}
+
+// meets reports whether an exit vector is no later than the deadlines
+// in every exit; a nil vector meets none.
+func meets(vector, deadlines []int) bool {
+	if vector == nil {
+		return false
+	}
+	for j, c := range vector {
+		if c > deadlines[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // safeExitEsts runs the enhanced-lower-bound computation with panic

@@ -17,15 +17,16 @@ import (
 // at most 16 instructions, on the three evaluation machines with pin
 // seed 1, as .sb text), not only of the searches whose schedule is
 // delivered: each block is searched under CARS's AWCT as the ceiling
-// with an 800-step budget, as the ladder does. The sums of steps, exit
-// vectors tried and attempts launched, and a digest of the error
-// strings, change with any deduction step, bound probe or verdict of a
-// search that stops at the ceiling.
+// and its exit vector as the incumbent, with an 800-step budget, as
+// the ladder does. The sums of steps, exit vectors tried and attempts
+// launched, and a digest of the error strings, change with any
+// deduction step, bound probe or verdict of a search that stops at the
+// ceiling.
 func TestSearchSliceGolden(t *testing.T) {
 	const (
-		wantSteps    = 5347
+		wantSteps    = 4328
 		wantVectors  = 26
-		wantAttempts = 34
+		wantAttempts = 35
 		wantErrs     = 0x9205700581575562
 	)
 	var steps, vectors, attempts int
@@ -50,7 +51,7 @@ func TestSearchSliceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %s: CARS: %v", sb.Name, key, err)
 				}
-				_, st, err := Schedule(sb, m, Options{Pins: pins, MaxSteps: 800, Ceiling: incumbent.AWCT()})
+				_, st, err := Schedule(sb, m, Options{Pins: pins, MaxSteps: 800, Ceiling: incumbent.AWCT(), Incumbent: incumbent.ExitVector()})
 				steps += st.StepsSpent
 				vectors += st.AWCTTried
 				attempts += st.AttemptsLaunched

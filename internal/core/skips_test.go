@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"vcsched/internal/cars"
 	"vcsched/internal/deduce"
 	"vcsched/internal/ir"
 	"vcsched/internal/machine"
@@ -11,11 +12,18 @@ import (
 	"vcsched/internal/workload"
 )
 
+// refProbe is one probe of the reference loop: its deadlines, and
+// whether it succeeded.
+type refProbe struct {
+	deadlines []int
+	ok        bool
+}
+
 // reprobeExitEsts is enhancedExitEsts without its skips: every round
-// probes every exit, proven or not, and the probes run to the end
-// whatever the ceiling. path lists the vector it starts from and the
-// vector after every bump.
-func reprobeExitEsts(s *scheduler) (ests []int, path [][]int, err error) {
+// probes every exit, proven or not, with no incumbent, and the probes
+// run to the end whatever the ceiling. path lists the vector it starts
+// from and the vector after every bump, probes every probe it ran.
+func reprobeExitEsts(s *scheduler) (ests []int, path [][]int, probes []refProbe, err error) {
 	exits := s.exits()
 	base := s.sb.EStarts()
 	ests = make([]int, len(exits))
@@ -42,11 +50,12 @@ func reprobeExitEsts(s *scheduler) (ests []int, path [][]int, err error) {
 				}
 			}
 			err := s.probe(deadlines)
+			probes = append(probes, refProbe{deadlines, err == nil})
 			if err == nil {
 				continue
 			}
 			if !deduce.IsContradiction(err) {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			ests[i]++
 			for j, z := range exits {
@@ -61,7 +70,7 @@ func reprobeExitEsts(s *scheduler) (ests []int, path [][]int, err error) {
 			break
 		}
 	}
-	return ests, path, nil
+	return ests, path, probes, nil
 }
 
 // skipBlocks is a spread of workload blocks of at most 24 instructions,
@@ -83,20 +92,22 @@ func skipBlocks(t *testing.T, want int) (blocks []*ir.Superblock, ms []*machine.
 
 // The bound probes' skips are exact on a spread of blocks: without a
 // ceiling, skipping exits whose probe succeeded gives the vector of the
-// loop that probes every exit every round, for no more steps; with a
-// ceiling the full bound reaches, the probes stop at a vector that
+// loop that probes every exit every round, for no more steps, and so
+// does also skipping the exits whose probe deadlines CARS's exit cycles
+// meet, every such probe of the reference loop having succeeded; with
+// a ceiling the full bound reaches, the probes stop at a vector that
 // reaches it and is no later than the full one in any component, the
 // first such vector on the reference loop's path; with one it does not
 // reach, they give the full vector.
 func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 	blocks, ms := skipBlocks(t, 60)
-	var stopped int
+	var stopped, covered int
 	for i, sb := range blocks {
 		m := ms[i]
 		name := sb.Name + "@" + m.Key()
 		opts := Options{Pins: workload.PinsFor(sb, m.Clusters, 1), MaxSteps: 1 << 30}
 		ref := newScheduler(sb, m, opts)
-		full, path, err := reprobeExitEsts(ref)
+		full, path, probes, err := reprobeExitEsts(ref)
 		if err != nil {
 			t.Fatalf("%s: reference loop: %v", name, err)
 		}
@@ -110,6 +121,32 @@ func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 		}
 		if s.stepsSpent() > ref.stepsSpent() {
 			t.Errorf("%s: %d steps, the reference loop %d", name, s.stepsSpent(), ref.stepsSpent())
+		}
+
+		incumbent, err := cars.Schedule(sb, m, opts.Pins)
+		if err != nil {
+			t.Fatalf("%s: CARS: %v", name, err)
+		}
+		iopts := opts
+		iopts.Incumbent = incumbent.ExitVector()
+		for _, p := range probes {
+			if meets(iopts.Incumbent, p.deadlines) {
+				covered++
+				if !p.ok {
+					t.Errorf("%s: the reference probe %v contradicted, yet CARS's exit cycles %v meet it", name, p.deadlines, iopts.Incumbent)
+				}
+			}
+		}
+		is := newScheduler(sb, m, iopts)
+		got, err = is.enhancedExitEsts()
+		if err != nil {
+			t.Fatalf("%s with an incumbent: %v", name, err)
+		}
+		if !slices.Equal(got, full) {
+			t.Fatalf("%s: with CARS's exit cycles %v as the incumbent, bound vector %v, the reference loop's %v", name, iopts.Incumbent, got, full)
+		}
+		if is.stepsSpent() > s.stepsSpent() {
+			t.Errorf("%s: %d steps with an incumbent, %d without", name, is.stepsSpent(), s.stepsSpent())
 		}
 
 		bound, crit := s.sb.AWCT(full), sb.CriticalAWCT()
@@ -150,6 +187,10 @@ func TestEnhancedBoundMatchesReprobeLoop(t *testing.T) {
 	if stopped == 0 {
 		t.Errorf("no ceiling stopped the probes early on %d blocks", len(blocks))
 	}
+	if covered == 0 {
+		t.Errorf("CARS's exit cycles met no reference probe on %d blocks", len(blocks))
+	}
+	t.Logf("CARS's exit cycles met %d reference probes on %d blocks", covered, len(blocks))
 }
 
 // Each retry variant that starts from its exit vector's shared setup

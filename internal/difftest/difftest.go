@@ -19,6 +19,7 @@ package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 
@@ -212,7 +213,8 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	// may fall back to a weaker tier, but whatever it returns must be
 	// Validate-clean, consistent with its own Outcome record, never
 	// better than the exhaustive optimum and never worse than CARS, and
-	// its tier-sg claim must be the serial core result byte for byte.
+	// its tier-sg claim must be the serial core result byte for byte,
+	// from the same enhanced bound (checkTierSG).
 	rs, rout, rerr := resilient.Schedule(sb, m, resilient.Options{Core: base})
 	switch {
 	case rerr != nil:
@@ -244,19 +246,7 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 				rout.Tier, rout.Reason, rs.AWCT(), vc.AWCT())
 		}
 		if rout.Tier == resilient.TierSG {
-			if err != nil {
-				rep.violate(KindResilient, "ladder reports tier sg but serial core failed: %v", err)
-			} else {
-				var cbuf, rbuf bytes.Buffer
-				if werr := vc.WriteText(&cbuf); werr == nil {
-					if werr := rs.WriteText(&rbuf); werr != nil {
-						rep.violate(KindResilient, "resilient WriteText: %v", werr)
-					} else if !bytes.Equal(cbuf.Bytes(), rbuf.Bytes()) {
-						rep.violate(KindResilient, "tier-sg schedule differs from serial core:\ncore:\n%sresilient:\n%s",
-							cbuf.String(), rbuf.String())
-					}
-				}
-			}
+			checkTierSG(rep, rs, rout, vc, stats, err, base)
 		}
 	}
 
@@ -295,6 +285,44 @@ func Check(sb *ir.Superblock, opts Options) *Report {
 	checkPermutation(rep, vc)
 	checkRescale(rep, vc)
 	return rep
+}
+
+// checkTierSG cross-checks a tier-sg delivery with the free search (vc,
+// stats and err: core.Schedule with base, no ceiling and no incumbent).
+// The ladder's search differs from it only in CARS's ceiling, which
+// ends it early, and CARS's exit cycles, which spare it bound probes;
+// with a sound DP neither changes what it finds below the ceiling. So,
+// with no faults armed, a free search that got past its bound probes
+// started from the very enhanced bound the ladder's did. And the two
+// schedules are equal byte for byte: where the free search ran out of
+// budget, the ladder's took the same path on fewer steps, so the free
+// search, re-run with no step limit, must deliver the ladder's schedule.
+func checkTierSG(rep *Report, rs *sched.Schedule, rout *resilient.Outcome, vc *sched.Schedule, stats core.Stats, err error, base core.Options) {
+	if stats.AWCTTried > 0 && rout.SGStats.MinAWCT != stats.MinAWCT && !faultpoint.Enabled() {
+		rep.violate(KindResilient, "tier-sg search started from enhanced bound %v, the free search from %v",
+			rout.SGStats.MinAWCT, stats.MinAWCT)
+	}
+	free := "serial core"
+	if errors.Is(err, core.ErrExhausted) {
+		unlimited := base
+		unlimited.MaxSteps = -1
+		vc, _, err = core.Schedule(rep.SB, rep.Opts.Machine, unlimited)
+		free = "serial core with no step limit"
+	}
+	if err != nil {
+		rep.violate(KindResilient, "ladder reports tier sg but %s failed: %v", free, err)
+		return
+	}
+	var cbuf, rbuf bytes.Buffer
+	if werr := vc.WriteText(&cbuf); werr != nil {
+		return
+	}
+	if werr := rs.WriteText(&rbuf); werr != nil {
+		rep.violate(KindResilient, "resilient WriteText: %v", werr)
+	} else if !bytes.Equal(cbuf.Bytes(), rbuf.Bytes()) {
+		rep.violate(KindResilient, "tier-sg schedule differs from %s:\ncore:\n%sresilient:\n%s",
+			free, cbuf.String(), rbuf.String())
+	}
 }
 
 // checkPermutation verifies cluster-ID symmetry: on a homogeneous

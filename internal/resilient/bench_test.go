@@ -22,7 +22,7 @@ import (
 //	go test -run '^$' -bench CompileSet -benchtime 1x -cpuprofile cpu.out ./internal/resilient
 func BenchmarkCompileSet(b *testing.B) {
 	const (
-		wantSteps  = 115842
+		wantSteps  = 99610
 		wantDigest = 0xf56db66003d863c7
 	)
 	wantTiers := [TierNaive + 1]int{TierSG: 143, TierCARS: 259}

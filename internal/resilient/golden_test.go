@@ -22,7 +22,7 @@ import (
 // here.
 func TestCompileSliceGolden(t *testing.T) {
 	const (
-		wantSteps  = 4141
+		wantSteps  = 3425
 		wantDigest = 0xff54ff96c4b234f3
 	)
 	wantTiers := [TierNaive + 1]int{TierSG: 19, TierCARS: 71}

@@ -5,7 +5,8 @@
 // incumbent the search has to beat:
 //
 //	cars   the CARS list scheduler; its AWCT becomes the search's
-//	       ceiling (core.Options.Ceiling);
+//	       ceiling (core.Options.Ceiling) and its exit cycles the
+//	       incumbent its bound probes trust (core.Options.Incumbent);
 //	sg     one SG search (core.Schedule as configured, plus that
 //	       ceiling); it ends at its step budget, at the caller's
 //	       Timeout, or as soon as it cannot beat CARS, and its schedule
@@ -27,9 +28,13 @@
 //
 // With no faults injected, a schedule the ladder delivers from the sg
 // tier is bit-identical to calling core.Schedule directly with no
-// ceiling: the ceiling only ends the search early, it never changes
-// what the search finds below it. The ladder delivers the sg tier
-// exactly when that schedule beats CARS.
+// ceiling, where that search finishes within its budget: the ceiling
+// only ends the search early, and the incumbent only spares it bound
+// probes, so neither changes what it finds below the ceiling. The
+// spared steps can let the ladder's search finish where the free one
+// runs out of budget; given the steps it needs, the free search
+// delivers the same schedule. The ladder delivers the sg tier exactly
+// when its search's schedule beats CARS.
 package resilient
 
 import (
@@ -140,8 +145,8 @@ func reasonOf(err error, stats *core.Stats) Reason {
 // Options configures the pipeline.
 type Options struct {
 	// Core is handed to the SG scheduler, with Ceiling set to CARS's
-	// AWCT (0 when CARS fails); its Pins also pin the CARS and naive
-	// passes.
+	// AWCT and Incumbent to its exit vector (0 and nil when CARS
+	// fails); its Pins also pin the CARS and naive passes.
 	Core core.Options
 }
 
@@ -236,11 +241,13 @@ func Schedule(sb *ir.Superblock, m *machine.Config, opts Options) (*sched.Schedu
 	})
 
 	// One SG search, bounded by the step budget and the caller's
-	// Timeout, that stops as soon as it cannot beat CARS.
+	// Timeout, that stops as soon as it cannot beat CARS, and whose
+	// bound probes take CARS's exit cycles as proof.
 	copts := opts.Core
-	copts.Ceiling = 0
+	copts.Ceiling, copts.Incumbent = 0, nil
 	if carsSched != nil {
 		copts.Ceiling = carsSched.AWCT()
+		copts.Incumbent = carsSched.ExitVector()
 	}
 	var sgStats core.Stats
 	s, err := try(TierSG, func() (*sched.Schedule, error) {

@@ -83,7 +83,6 @@ type Graph struct {
 	scOrder  []int
 	scClique []int
 	scCount  []int
-	scSeen   []bool
 }
 
 // vop is one reversible incompatibility-adjacency mutation. Fusions
@@ -509,7 +508,7 @@ func (g *Graph) CliqueExceeds(k int) bool {
 	if g.memo.ver == g.version && g.memo.k == k {
 		return g.memo.exceed
 	}
-	r := g.maxCliqueLB() > k
+	r := g.cliqueExceeds(k)
 	g.memo = cliqueMemo{ver: g.version, k: k, exceed: r}
 	return r
 }
@@ -521,80 +520,73 @@ func growInts(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-// maxCliqueLB computes a greedy lower bound on the maximum clique of
-// the VCs: a clique is grown from each seed VC in decreasing-degree
-// order by adding every later VC adjacent to all members so far. It
-// works directly on the bitset rows with graph-owned scratch, so it
-// does not allocate. The "coloring.maxclique" fault point fires here,
-// on the deduction process's hottest query (only KindPanic is
-// meaningful on a bare-int query; other kinds are ignored).
-func (g *Graph) maxCliqueLB() int {
+// cliqueExceeds answers whether the greedy clique bound exceeds k. The
+// bound grows a clique from each seed VC in decreasing-degree order
+// (ties by ascending representative) by adding every VC, in the same
+// order, adjacent to all members so far, and is the largest clique so
+// grown. A clique of more than k VCs holds only VCs of degree at least
+// k, and those come first in the order, so a seed of lower degree, or
+// growth past the last VC of degree at least k, cannot reach more than
+// k: those VCs are left out, and the answer is true at the first clique
+// of more than k. It works directly on the bitset rows with
+// graph-owned scratch, so it does not allocate. The
+// "coloring.maxclique" fault point fires here, on the deduction
+// process's hottest query (only KindPanic is meaningful on a bare-bool
+// query; other kinds are ignored).
+func (g *Graph) cliqueExceeds(k int) bool {
 	faultpoint.Fire("coloring.maxclique")
 	n := g.uf.Len()
-	if cap(g.scSeen) < n {
-		g.scSeen = make([]bool, n)
-	}
-	seen := g.scSeen[:n]
-	if cap(g.scReps) < n {
-		g.scReps = make([]int, 0, n)
-	}
-	reps := g.scReps[:0]
+	reps := growInts(&g.scReps, n)[:0]
 	for i := 0; i < n; i++ {
-		r := g.Rep(i)
-		if !seen[r] {
-			seen[r] = true
-			reps = append(reps, r)
+		if g.Rep(i) == i {
+			reps = append(reps, i)
 		}
 	}
-	sort.Ints(reps)
-	R := len(reps)
-	deg := growInts(&g.scDeg, R)
-	maxd := 0
-	for i, r := range reps {
+	if k < 1 {
+		// One VC is a clique of one.
+		return len(reps) > k
+	}
+	if len(reps) <= k {
+		return false
+	}
+	deg := growInts(&g.scDeg, len(reps))[:0]
+	cands, maxd := reps[:0], 0
+	for _, r := range reps {
 		d := 0
 		for _, w := range g.row(r) {
 			d += bits.OnesCount64(w)
 		}
-		deg[i] = d
+		if d < k {
+			continue
+		}
+		cands, deg = append(cands, r), append(deg, d)
 		if d > maxd {
 			maxd = d
 		}
 	}
-	// Stable counting sort by degree, descending, ties by ascending
-	// vertex index.
-	count := growInts(&g.scCount, maxd+1)
+	if len(cands) <= k {
+		return false
+	}
+	// Stable counting sort by degree, descending: count[j] starts the
+	// degree maxd−j, and ties keep ascending representative order.
+	count := growInts(&g.scCount, maxd-k+2)
 	clear(count)
-	for i := 0; i < R; i++ {
-		count[deg[i]]++
+	for _, d := range deg {
+		count[maxd-d+1]++
 	}
-	start := 0
-	for d := maxd; d >= 0; d-- {
-		c := count[d]
-		count[d] = start
-		start += c
+	for j := 1; j < len(count); j++ {
+		count[j] += count[j-1]
 	}
-	order := growInts(&g.scOrder, R)
-	for i := 0; i < R; i++ {
-		d := deg[i]
-		order[count[d]] = i
-		count[d]++
+	order := growInts(&g.scOrder, len(cands))
+	for i, d := range deg {
+		order[count[maxd-d]] = cands[i]
+		count[maxd-d]++
 	}
-	best := 0
-	if R > 0 {
-		best = 1
-	}
-	if cap(g.scClique) < R {
-		g.scClique = make([]int, 0, R)
+	if cap(g.scClique) < len(order) {
+		g.scClique = make([]int, 0, len(order))
 	}
 	clique := g.scClique[:0]
 	for _, seed := range order {
-		// Every clique member must be adjacent to seed, so the clique
-		// grown from seed has at most deg(seed)+1 vertices; seeds that
-		// cannot beat the current best are skipped without changing the
-		// result.
-		if deg[seed]+1 <= best {
-			continue
-		}
 		clique = append(clique[:0], seed)
 		for _, v := range order {
 			if v == seed {
@@ -602,23 +594,19 @@ func (g *Graph) maxCliqueLB() int {
 			}
 			ok := true
 			for _, c := range clique {
-				if !g.hasEdge(reps[v], reps[c]) {
+				if !g.hasEdge(v, c) {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				clique = append(clique, v)
+				if clique = append(clique, v); len(clique) > k {
+					return true
+				}
 			}
 		}
-		if len(clique) > best {
-			best = len(clique)
-		}
 	}
-	for _, r := range reps {
-		seen[r] = false
-	}
-	return best
+	return false
 }
 
 // Clone returns a deep copy of the graph. It must not be called while a

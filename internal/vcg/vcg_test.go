@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -313,13 +314,47 @@ func maxClique(g *Graph) int {
 	return best
 }
 
+// maxCliqueLB is the greedy clique bound CliqueExceeds compares with
+// its cluster count, computed in full: a clique is grown from each seed
+// VC in decreasing-degree order (ties by ascending representative) by
+// adding every VC, in the same order, adjacent to all members so far,
+// and the bound is the largest clique so grown.
+func (g *Graph) maxCliqueLB() int {
+	order := g.VCs()
+	sort.SliceStable(order, func(i, j int) bool { return g.Degree(order[i]) > g.Degree(order[j]) })
+	best := 0
+	for _, seed := range order {
+		clique := []int{seed}
+		for _, v := range order {
+			if v == seed {
+				continue
+			}
+			ok := true
+			for _, c := range clique {
+				if !g.Incompatible(v, c) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				clique = append(clique, v)
+			}
+		}
+		best = max(best, len(clique))
+	}
+	return best
+}
+
 // TestCliqueBoundAgainstBruteForce checks the clique veto against exact
 // answers on random VCGs of at most 12 nodes (none, at the small end),
 // anchors included, built by random fusions and incompatibilities. The
 // greedy bound must never exceed the maximum clique, so CliqueExceeds
 // never vetoes a graph for a cluster count some mapping could meet, and
 // it must find an edge when there is one. When every pair of VCs is
-// made incompatible, the bound must equal the number of VCs.
+// made incompatible, the bound must equal the number of VCs. And
+// CliqueExceeds, which stops as soon as it has its answer, must give
+// the full bound's answer for every cluster count from 0 to one past
+// the number of VCs.
 func TestCliqueBoundAgainstBruteForce(t *testing.T) {
 	fn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -350,6 +385,12 @@ func TestCliqueBoundAgainstBruteForce(t *testing.T) {
 		if lb > omega || (omega >= 2 && lb < 2) || (complete && lb != len(g.VCs())) {
 			t.Logf("seed %d: greedy bound %d, maximum clique %d, %d VCs, complete %v", seed, lb, omega, len(g.VCs()), complete)
 			return false
+		}
+		for k := 0; k <= len(g.VCs())+1; k++ {
+			if got := g.CliqueExceeds(k); got != (lb > k) {
+				t.Logf("seed %d: CliqueExceeds(%d) = %v, greedy bound %d", seed, k, got, lb)
+				return false
+			}
 		}
 		return !g.CliqueExceeds(omega) && g.CliqueExceeds(lb-1)
 	}
